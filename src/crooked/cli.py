@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / property true, 1 property false, 2 usage or input
-error.  Every report embeds the tool version, the seed, and the caps in
-effect, and all outputs are deterministic for fixed inputs and seed.
+error.  Every report embeds the tool version and the caps in effect, and
+all outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .wallman import is_hausdorff_like, is_T1, space_dump, wallman_space
 def _header(args, extra: dict | None = None) -> str:
     fields = {
         "tool": f"crooked {__version__}",
-        "seed": getattr(args, "seed", 0),
         "cap": getattr(args, "cap", 4096),
     }
     if getattr(args, "budget", None) is not None:
@@ -227,7 +226,6 @@ def cmd_render(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="recorded in every report")
     p.add_argument("--cap", type=int, default=4096, help="sublattice element cap")
 
 

@@ -178,10 +178,6 @@ def constants_of(f: Formula) -> set[str]:
     raise UsageError(f"not a formula: {f!r}")
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def is_ground(f: Formula) -> bool:
     """Closed and quantifier-free."""
     if isinstance(f, (Eq, Neq)):

@@ -312,12 +312,3 @@ def load_lattice(source) -> tuple[FiniteLattice, dict[str, int]]:
         name: lat._index[sets[i]] for i, name in enumerate(names)
     }
     return lat, name_to_index
-
-
-def dump_lattice(ground_size: int, generators: dict[str, Iterable]) -> str:
-    """Serialize a lattice description in the file format."""
-    payload = {
-        "ground": ground_size,
-        "generators": {k: sorted(v) for k, v in sorted(generators.items())},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

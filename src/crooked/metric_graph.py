@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -311,21 +311,6 @@ class ClosedSet:
         _, eid, t = p
         return any(lo <= t <= hi for lo, hi in self.intervals.get(eid, ()))
 
-    def sample_points(self) -> list[Point]:
-        """Deterministic representative points: vertices, interval endpoints
-        and interval midpoints."""
-        pts = [("v", v) for v in sorted(self.vertices)]
-        for eid in sorted(self.intervals):
-            for lo, hi in self.intervals[eid]:
-                for t in (lo, (lo + hi) / 2, hi):
-                    pts.append(self.graph.normalize_point(("e", eid, t)))
-        seen, out = set(), []
-        for p in pts:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
-
     def to_dict(self) -> dict:
         payload: dict = {
             eid: [[frac_str(lo), frac_str(hi)] for lo, hi in self.intervals[eid]]
@@ -473,14 +458,6 @@ class PLFunction:
 
     def __sub__(self, other: "PLFunction") -> "PLFunction":
         return self.combine(other, lambda a, b: a - b)
-
-    def pointwise_min(self, other: "PLFunction") -> "PLFunction":
-        if other.graph is not self.graph:
-            raise UsageError("PL functions on different graphs")
-        return PLFunction(
-            self.graph,
-            {eid: _bp_min(self.per_edge[eid], other.per_edge[eid]) for eid in self.per_edge},
-        )
 
     def affine(self, mul, add) -> "PLFunction":
         mul, add = frac(mul), frac(add)
@@ -957,7 +934,6 @@ class ExtractResult:
     interpretation: Interpretation
     cells: list[tuple]
     graph: MetricGraph
-    _cell_index: dict = field(default_factory=dict)
 
     def closed_set_of(self, element) -> ClosedSet:
         """Geometric realization of a lattice element: the union of its
@@ -1022,7 +998,6 @@ def extract_sublattice(
         if named_sets[name].graph is not graph:
             raise UsageError(f"set {name!r} lives on a different graph")
     cells = arrangement_cells(graph, [named_sets[n] for n in names])
-    cell_ids = {cell: i for i, cell in enumerate(cells)}
     footprints = []
     gen_names = []
     for name in names:
@@ -1040,7 +1015,7 @@ def extract_sublattice(
     for name, fp in zip(gen_names, footprints):
         if name != "__whole__":
             interp.assign(name, lattice.element_for(fp))
-    return ExtractResult(lattice, interp, cells, graph, cell_ids)
+    return ExtractResult(lattice, interp, cells, graph)
 
 
 # --------------------------------------------------------------------------

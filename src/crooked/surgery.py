@@ -9,6 +9,10 @@ base.  Both return the new space, the bonding map, the witness sets, and the
 lifted interpretation; every postcondition is re-checked by the independent
 formula evaluator on an extracted sublattice, never by construction
 bookkeeping.
+
+Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
+scheduled instance through the same shortcut table (`resolve_shortcut`) and
+the same nudge-retry loop (`surgery_with_nudges`).
 """
 
 from __future__ import annotations
@@ -97,10 +101,6 @@ def point_token(p: Point) -> str:
     return f"{p[1]}@{frac_str(p[2])}"
 
 
-def point_sort_key(p: Point) -> tuple:
-    return (0, p[1], Frac(0)) if p[0] == "v" else (1, p[1], p[2])
-
-
 def nudge_edge_length(graph: MetricGraph, eid: str) -> MetricGraph:
     """The smallest denominator-doubling length change: p/q -> (2p+1)/(2q)."""
     e = graph.edges[eid]
@@ -113,11 +113,22 @@ def nudge_edge_length(graph: MetricGraph, eid: str) -> MetricGraph:
 
 
 def move_sets(graph: MetricGraph, sets: dict[str, ClosedSet]) -> dict[str, ClosedSet]:
-    """Rebind closed sets onto a graph with the same combinatorics (used
-    after a nudge; intervals stay valid because lengths only grow)."""
+    """Rebind closed sets onto a graph with the same combinatorics, keeping
+    every interval's coordinates.  A set that covered a nudged edge no longer
+    covers it; the drivers transport sets through `stretch_map` instead."""
     return {
         name: ClosedSet(graph, s.intervals, s.vertices) for name, s in sets.items()
     }
+
+
+def stretch_map(nudged: MetricGraph, original: MetricGraph) -> PLMap:
+    """The homeomorphism squeezing a lengthened edge back onto the original:
+    identity elsewhere, affine on the nudged edge."""
+    edge_map = {}
+    for e2 in nudged.edges.values():
+        target_len = original.edges[e2.eid].length
+        edge_map[e2.eid] = ("affine", e2.eid, 0, target_len)
+    return PLMap(nudged, original, {v: ("v", v) for v in nudged.vertices}, edge_map)
 
 
 # --------------------------------------------------------------------------
@@ -766,6 +777,88 @@ def reinterpret_simple(
 
 
 # --------------------------------------------------------------------------
+# Instance resolution, shared by both drivers
+# --------------------------------------------------------------------------
+
+MAX_NUDGES = 8
+
+# Per instance kind: the operand whose emptiness allows a shortcut, and the
+# witnesses x, y, z it takes ("1" the whole space, "0" the empty set).
+_SHORTCUTS = {
+    "zeta": ((0, "011"), (1, "101"), (2, "110")),
+    "theta": ((0, "001"), (1, "100")),
+}
+
+
+def _premise_holds(kind: str, ops: list[ClosedSet]) -> bool:
+    if kind == "zeta":
+        a, b, c = ops
+        return ((a & b) & c).is_empty()
+    a, b, c, d = ops
+    return (a & b).is_empty() and (a & d).is_empty() and (b & c).is_empty()
+
+
+def resolve_shortcut(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
+    """The witnesses of a dimension ("zeta") or crookedness ("theta")
+    instance that needs no surgery, as `(mode, (x, y, z))`: all empty when
+    the premise fails ("vacuous"), whole and empty sets when an operand is
+    empty ("shortcut").  None when the instance needs surgery."""
+    if not _premise_holds(kind, ops):
+        return "vacuous", (graph.empty_set(),) * 3
+    for i, pattern in _SHORTCUTS[kind]:
+        if ops[i].is_empty():
+            return "shortcut", tuple(
+                graph.whole_set() if bit == "1" else graph.empty_set() for bit in pattern
+            )
+    return None
+
+
+def surgery_with_nudges(
+    kind: str,
+    graph: MetricGraph,
+    ops: list[ClosedSet],
+    interpretation: dict[str, ClosedSet],
+    cap: int,
+):
+    """Run the instance's surgery (a triangle step for "zeta", a crooked step
+    for "theta"), retrying after minimal edge-length nudges.
+
+    Each nudge is a genuine reparametrization: every set is transported
+    through `stretch_map`, and the maps compose into `renorm` (nudged space
+    -> `graph`, None without nudges), so a bonding chain stays exact.  Nudge
+    targets rotate so symmetric configurations get broken even when the
+    degenerate edge itself is not the culprit.  Returns the step, `renorm`,
+    the nudged edge ids, and the interpretation on `step.input_graph`."""
+    candidates = None
+    nudged: list[str] = []
+    renorm: PLMap | None = None
+    while True:
+        try:
+            if kind == "zeta":
+                step = triangle_step(graph, *ops, interpretation, cap=cap)
+            else:
+                step = crooked_step(graph, *ops, interpretation, cap=cap)
+            return step, renorm, nudged, interpretation
+        except DegeneracyError as exc:
+            if len(nudged) >= MAX_NUDGES or exc.edge_id is None:
+                raise
+            if candidates is None:
+                candidates = [exc.edge_id] + sorted(
+                    eid for eid in graph.edges if eid != exc.edge_id
+                )
+            target = candidates[len(nudged) % len(candidates)]
+            lengthened = nudge_edge_length(graph, target)
+            stretch = stretch_map(lengthened, graph)
+            ops = [stretch.preimage_of(s) for s in ops]
+            interpretation = {
+                name: stretch.preimage_of(s) for name, s in interpretation.items()
+            }
+            renorm = stretch if renorm is None else stretch.then(renorm)
+            graph = lengthened
+            nudged.append(target)
+
+
+# --------------------------------------------------------------------------
 # Fragment witnessing
 # --------------------------------------------------------------------------
 
@@ -819,7 +912,6 @@ def witness_fragment(
     interp0: dict[str, ClosedSet],
     connected_cids: tuple[str, ...] = (),
     cap: int = 4096,
-    max_nudges: int = 8,
 ) -> WitnessResult:
     """Process a well-ordered fragment, building a model sentence by
     sentence: reinterpretations for the bookkeeping stages, a triangle step
@@ -857,34 +949,11 @@ def witness_fragment(
         for cid, value in zip(rec.fresh, values):
             interp[cid] = value
 
-    def surgery(rec: SentenceRecord) -> None:
+    def surgery(rec: SentenceRecord, ops: list[ClosedSet]) -> None:
         nonlocal graph, interp
-        nudges = 0
-        candidates: list[str] | None = None
-        while True:
-            ops = [need(cid) for cid in rec.operands]
-            try:
-                if rec.kind == "zeta":
-                    step = triangle_step(graph, *ops, interp, cap=cap)
-                else:
-                    step = crooked_step(graph, *ops, interp, cap=cap)
-                break
-            except DegeneracyError as exc:
-                if nudges >= max_nudges or exc.edge_id is None:
-                    raise
-                if candidates is None:
-                    # nudging the degenerate edge first, then rotating through
-                    # the rest: a symmetric configuration may need a length
-                    # change elsewhere to break the tie
-                    candidates = [exc.edge_id] + sorted(
-                        eid for eid in graph.edges if eid != exc.edge_id
-                    )
-                target = candidates[nudges % len(candidates)]
-                graph = nudge_edge_length(graph, target)
-                interp = move_sets(graph, interp)
-                trace.append({"action": "nudge", "edge": target, "sentence": rec.line()})
-                nudges += 1
-        old_interp = interp
+        step, _, nudged, old_interp = surgery_with_nudges(rec.kind, graph, ops, interp, cap)
+        for eid in nudged:
+            trace.append({"action": "nudge", "edge": eid, "sentence": rec.line()})
         graph = step.output_graph
         interp = dict(step.interpretation)
         for cid in sorted(connected):
@@ -930,31 +999,13 @@ def witness_fragment(
             big, small = rec.operands
             need(big), need(small)
             interp = reinterpret_simple(graph, interp, ("disj", big, small, rec.fresh[0]))
-        elif kind == "zeta":
-            a, b, c = (need(cid) for cid in rec.operands)
-            if not ((a & b) & c).is_empty():
-                assign_constants(rec, (graph.empty_set(),) * 3)
-            elif a.is_empty():
-                assign_constants(rec, (graph.empty_set(), graph.whole_set(), graph.whole_set()))
-            elif b.is_empty():
-                assign_constants(rec, (graph.whole_set(), graph.empty_set(), graph.whole_set()))
-            elif c.is_empty():
-                assign_constants(rec, (graph.whole_set(), graph.whole_set(), graph.empty_set()))
+        elif kind in ("zeta", "theta"):
+            ops = [need(cid) for cid in rec.operands]
+            shortcut = resolve_shortcut(kind, graph, ops)
+            if shortcut is None:
+                surgery(rec, ops)
             else:
-                surgery(rec)
-        elif kind == "theta":
-            a, b, c, d = (need(cid) for cid in rec.operands)
-            phi_holds = (
-                (a & b).is_empty() and (a & d).is_empty() and (b & c).is_empty()
-            )
-            if not phi_holds:
-                assign_constants(rec, (graph.empty_set(),) * 3)
-            elif a.is_empty():
-                assign_constants(rec, (graph.empty_set(), graph.empty_set(), graph.whole_set()))
-            elif b.is_empty():
-                assign_constants(rec, (graph.whole_set(), graph.empty_set(), graph.empty_set()))
-            else:
-                surgery(rec)
+                assign_constants(rec, shortcut[1])
         else:
             raise UsageError(f"fragment contains an unknown sentence kind {kind!r}")
         processed.append(rec)

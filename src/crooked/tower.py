@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import (
-    DegeneracyError,
     InputError,
     InvariantViolationError,
     PreconditionError,
@@ -28,9 +27,7 @@ from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, _cell_in_set,
     extract_sublattice, graph_from_dict, graph_to_dict,
 )
-from .surgery import (
-    crooked_step, nudge_edge_length, triangle_step, verify_on_sublattice,
-)
+from .surgery import resolve_shortcut, surgery_with_nudges, verify_on_sublattice
 
 DEFAULT_CELL_CAP = 64
 
@@ -269,7 +266,6 @@ class Stage:
     bonding: PLMap | None              # stage n -> stage n-1; None at stage 0
     base: dict[str, ClosedSet]
     kind: str                          # base|identity|triangle|crooked|shortcut|vacuous|noop
-    step: object | None = None
     instance: dict | None = None
     nudges: list = field(default_factory=list)
 
@@ -332,65 +328,42 @@ def quad_by_index(names: list[str], m: int) -> tuple[str, str, str, str] | None:
     return tuple(names[i] for i in digits)
 
 
-def _shortcut_dim(graph, a, b, c):
-    whole, empty = graph.whole_set(), graph.empty_set()
-    if a.is_empty():
-        return empty, whole, whole
-    if b.is_empty():
-        return whole, empty, whole
-    return whole, whole, empty
+def _noop(prev: Stage) -> Stage:
+    return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
 
 
-def _with_witnesses(base: dict[str, ClosedSet], n: int, wx, wy, wz) -> dict[str, ClosedSet]:
-    out = dict(base)
-    out[f"w{n}.x"] = wx
-    out[f"w{n}.y"] = wy
-    out[f"w{n}.z"] = wz
-    return out
+def _pull_instance(tower: Tower, n: int, sch: tuple[int, int], kind: str, names) -> tuple[dict, list]:
+    k, m = sch
+    instance = {
+        "stage": n, "kind": kind, "schedule": [k, m],
+        "operands": list(names),
+        "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
+    }
+    return instance, [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
 
 
-def stretch_map(nudged: MetricGraph, original: MetricGraph, eid: str) -> PLMap:
-    """The homeomorphism squeezing a lengthened edge back onto the original:
-    identity elsewhere, affine on the nudged edge."""
-    edge_map = {}
-    for e2 in nudged.edges.values():
-        target_len = original.edges[e2.eid].length
-        edge_map[e2.eid] = ("affine", e2.eid, 0, target_len)
-    return PLMap(nudged, original, {v: ("v", v) for v in nudged.vertices}, edge_map)
-
-
-def _surgery_with_nudges(do_step, graph, sets: dict[str, ClosedSet], max_nudges: int, nudges_log: list):
-    """Run a surgery, retrying after minimal edge-length nudges.
-
-    Each nudge is a genuine reparametrization folded into the stage bonding
-    (returned as `renorm`: nudged space -> original), so the tower's bonding
-    chain stays exact.  Nudge targets rotate so symmetric configurations get
-    broken even when the degenerate edge itself is not the culprit."""
-    candidates = None
-    attempts = 0
-    renorm: PLMap | None = None
-    while True:
-        try:
-            return graph, sets, do_step(graph, sets), renorm
-        except DegeneracyError as exc:
-            if attempts >= max_nudges or exc.edge_id is None:
-                raise
-            if candidates is None:
-                candidates = [exc.edge_id] + sorted(
-                    eid for eid in graph.edges if eid != exc.edge_id
-                )
-            target = candidates[attempts % len(candidates)]
-            nudged = nudge_edge_length(graph, target)
-            stretch = stretch_map(nudged, graph, target)
-            sets = {name: stretch.preimage_of(s) for name, s in sets.items()}
-            renorm = stretch if renorm is None else stretch.then(renorm)
-            graph = nudged
-            nudges_log.append(target)
-            attempts += 1
+def _instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) -> Stage:
+    """The stage for a scheduled instance: its witnesses on the previous
+    graph when `resolved` is `(mode, (x, y, z))`, otherwise the surgery with
+    any nudges folded into the bonding."""
+    nudged: list[str] = []
+    if resolved is not None:
+        mode, witnesses = resolved
+        graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
+        kind = "identity" if mode == "existing-cover" else mode
+    else:
+        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base, cap)
+        mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
+        graph, base, kind = step.output_graph, step.interpretation, step.kind
+        bonding = step.bonding if renorm is None else step.bonding.then(renorm)
+    instance["mode"] = mode
+    base_n = dict(base)
+    base_n.update(zip(instance["witnesses"], witnesses))
+    return Stage(graph, bonding, base_n, kind, instance=instance, nudges=nudged)
 
 
 def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096,
-             cell_cap: int = DEFAULT_CELL_CAP, max_nudges: int = 8) -> Stage:
+             cell_cap: int = DEFAULT_CELL_CAP) -> Stage:
     """One dimension stage: resolve the scheduled triple, reuse an existing
     cover when the oracle finds one, otherwise surger."""
     k, m = sch
@@ -399,102 +372,30 @@ def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096,
         raise UsageError("schedule points past the current stage")
     triples = empty_triples(tower.base(k))
     if m >= len(triples):
-        base_n = dict(prev.base)
-        return Stage(prev.graph, PLMap.identity(prev.graph), base_n, "noop",
-                     instance=None)
-    names = triples[m]
-    pulled = [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
-    a, b, c = pulled
-    instance = {
-        "stage": n, "kind": "zeta", "schedule": [k, m],
-        "operands": list(names),
-        "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
-    }
-    if a.is_empty() or b.is_empty() or c.is_empty():
-        wx, wy, wz = _shortcut_dim(prev.graph, a, b, c)
-        instance["mode"] = "shortcut"
-        return Stage(prev.graph, PLMap.identity(prev.graph),
-                     _with_witnesses(prev.base, n, wx, wy, wz), "shortcut",
-                     instance=instance)
-    cover = search_dim_cover(prev.graph, a, b, c, cap=cell_cap)
-    if cover is not None:
-        instance["mode"] = "existing-cover"
-        return Stage(prev.graph, PLMap.identity(prev.graph),
-                     _with_witnesses(prev.base, n, *cover), "identity",
-                     instance=instance)
-    nudges: list = []
-    graph, sets, step, renorm = _surgery_with_nudges(
-        lambda g, s: triangle_step(g, s["__a"], s["__b"], s["__c"],
-                                   {k2: v for k2, v in s.items() if not k2.startswith("__")},
-                                   cap=cap),
-        prev.graph,
-        {**prev.base, "__a": a, "__b": b, "__c": c},
-        max_nudges,
-        nudges,
-    )
-    instance["mode"] = "surgery"
-    bonding = step.bonding if renorm is None else step.bonding.then(renorm)
-    base_n = _with_witnesses(step.interpretation, n,
-                             step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
-    return Stage(step.output_graph, bonding, base_n, "triangle",
-                 step=step, instance=instance, nudges=nudges)
+        return _noop(prev)
+    instance, ops = _pull_instance(tower, n, sch, "zeta", triples[m])
+    resolved = resolve_shortcut("zeta", prev.graph, ops)
+    if resolved is None:
+        cover = search_dim_cover(prev.graph, *ops, cap=cell_cap)
+        if cover is not None:
+            resolved = ("existing-cover", cover)
+    return _instance_stage(prev, instance, ops, resolved, cap)
 
 
-def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096,
-                       cell_cap: int = DEFAULT_CELL_CAP, max_nudges: int = 8) -> Stage:
-    """One crookedness stage for the scheduled quadruple."""
+def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096) -> Stage:
+    """One crookedness stage for the scheduled quadruple.  Unlike the
+    dimension step, satisfiable instances always go through the staircase
+    construction; search_her_indec_cover stays an independent oracle over
+    the outputs, not a builder shortcut."""
     k, m = sch
     prev = tower.stages[n - 1]
     if k >= n:
         raise UsageError("schedule points past the current stage")
     names = quad_by_index(sorted(tower.base(k)), m)
     if names is None:
-        return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
-    pulled = [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
-    a, b, c, d = pulled
-    instance = {
-        "stage": n, "kind": "theta", "schedule": [k, m],
-        "operands": list(names),
-        "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
-    }
-    phi_holds = (a & b).is_empty() and (a & d).is_empty() and (b & c).is_empty()
-    if not phi_holds:
-        instance["mode"] = "vacuous"
-        empty = prev.graph.empty_set()
-        return Stage(prev.graph, PLMap.identity(prev.graph),
-                     _with_witnesses(prev.base, n, empty, empty, empty), "vacuous",
-                     instance=instance)
-    if a.is_empty():
-        instance["mode"] = "shortcut"
-        empty, whole = prev.graph.empty_set(), prev.graph.whole_set()
-        return Stage(prev.graph, PLMap.identity(prev.graph),
-                     _with_witnesses(prev.base, n, empty, empty, whole), "shortcut",
-                     instance=instance)
-    if b.is_empty():
-        instance["mode"] = "shortcut"
-        empty, whole = prev.graph.empty_set(), prev.graph.whole_set()
-        return Stage(prev.graph, PLMap.identity(prev.graph),
-                     _with_witnesses(prev.base, n, whole, empty, empty), "shortcut",
-                     instance=instance)
-    # Unlike the dimension step, satisfiable crookedness instances always go
-    # through the staircase construction; search_her_indec_cover stays an
-    # independent oracle over the outputs, not a builder shortcut.
-    nudges: list = []
-    graph, sets, step, renorm = _surgery_with_nudges(
-        lambda g, s: crooked_step(g, s["__a"], s["__b"], s["__c"], s["__d"],
-                                  {k2: v for k2, v in s.items() if not k2.startswith("__")},
-                                  cap=cap),
-        prev.graph,
-        {**prev.base, "__a": a, "__b": b, "__c": c, "__d": d},
-        max_nudges,
-        nudges,
-    )
-    instance["mode"] = "surgery"
-    bonding = step.bonding if renorm is None else step.bonding.then(renorm)
-    base_n = _with_witnesses(step.interpretation, n,
-                             step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
-    return Stage(step.output_graph, bonding, base_n, "crooked",
-                 step=step, instance=instance, nudges=nudges)
+        return _noop(prev)
+    instance, ops = _pull_instance(tower, n, sch, "theta", names)
+    return _instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops), cap)
 
 
 def build_tower(
@@ -504,7 +405,6 @@ def build_tower(
     depth: int,
     cap: int = 4096,
     cell_cap: int = DEFAULT_CELL_CAP,
-    max_nudges: int = 8,
     schedules: tuple = (schedule_s, schedule_t),
 ) -> Tower:
     """Alternate crookedness (odd) and dimension (even) stages along the
@@ -519,9 +419,9 @@ def build_tower(
     tower = Tower([stage0], {name: [s] for name, s in sorted(catalog.items())})
     for n in range(1, depth + 1):
         if n % 2 == 0:
-            stage = dim_step(tower, n, sched_s(n // 2), cap, cell_cap, max_nudges)
+            stage = dim_step(tower, n, sched_s(n // 2), cap, cell_cap)
         else:
-            stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2), cap, cell_cap, max_nudges)
+            stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2), cap)
         tower.stages.append(stage)
         for name in tower.catalog:
             tower.catalog[name].append(lift_through(stage, tower.catalog[name][-1]))

@@ -574,6 +574,7 @@ def test_witness_fragment_nudges_degenerate_instance():
         "A": g.point_closed_set([("v", "w1")]),
         "B": g.point_closed_set([("v", "w2")]),
         "C": g.point_closed_set([("v", "w3")]),
+        "W": g.whole_set(),
     }
     rec = SentenceRecord(
         4, None, 0, "zeta",
@@ -582,5 +583,9 @@ def test_witness_fragment_nudges_degenerate_instance():
     )
     result = witness_fragment([rec], g, interp0)
     assert result.ok
-    assert any(t["action"] == "nudge" for t in result.trace)
-    assert any(t["action"] == "triangle" for t in result.trace)
+    assert [(t["action"], t.get("edge")) for t in result.trace] == [
+        ("nudge", "tail"), ("nudge", "k1"), ("triangle", None),
+    ]
+    # sets are transported along each nudge's stretch, so a set covering the
+    # space still covers it after an edge is lengthened
+    assert result.interpretation["W"] == result.graph.whole_set()
