@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / property true, 1 property false, 2 usage or input
-error.  Every report embeds the tool version and the caps in effect, and
-all outputs are deterministic for fixed inputs.
+error, 3 internal failure (an invariant violation or an exceeded cap).
+Every report embeds the tool version and the caps in effect, and all
+outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import os
 import sys
 
 from . import __version__
-from .errors import CrookedError, InputError
+from .errors import (
+    CrookedError, InputError, InvariantViolationError, ResourceLimitError,
+)
 from .folang import LIBRARY, Interpretation, eval_formula, parse, print_formula
 from .lattice import load_lattice
 from .metric_graph import dump_graph, load_graph
@@ -313,6 +316,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (InvariantViolationError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except CrookedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

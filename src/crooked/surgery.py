@@ -112,15 +112,6 @@ def nudge_edge_length(graph: MetricGraph, eid: str) -> MetricGraph:
     return MetricGraph(graph.vertices, edges, dict(graph.meta))
 
 
-def move_sets(graph: MetricGraph, sets: dict[str, ClosedSet]) -> dict[str, ClosedSet]:
-    """Rebind closed sets onto a graph with the same combinatorics, keeping
-    every interval's coordinates.  A set that covered a nudged edge no longer
-    covers it; the drivers transport sets through `stretch_map` instead."""
-    return {
-        name: ClosedSet(graph, s.intervals, s.vertices) for name, s in sets.items()
-    }
-
-
 def stretch_map(nudged: MetricGraph, original: MetricGraph) -> PLMap:
     """The homeomorphism squeezing a lengthened edge back onto the original:
     identity elsewhere, affine on the nudged edge."""

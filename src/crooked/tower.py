@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .folang import Const, eval_formula, zeta
+from .folang import LIBRARY, Const, eval_formula, theta, zeta
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, _cell_in_set,
     extract_sublattice, graph_from_dict, graph_to_dict,
@@ -307,6 +307,20 @@ class Tower:
             out = out.then(self.stages[j].bonding)
         return out
 
+    def composed_maps(self) -> dict[tuple[int, int], PLMap]:
+        """A fresh table {(n, m): f^n_m} for every 0 <= m < n <= depth, in
+        C(depth, 2) `then` calls.  Each entry extends the one above it by a
+        single bonding, in the fold order of `composed_map`, so the maps are
+        identical to its results."""
+        table: dict[tuple[int, int], PLMap] = {}
+        for n in range(1, self.depth + 1):
+            out = self.stages[n].bonding
+            table[n, n - 1] = out
+            for m in range(n - 2, -1, -1):
+                out = out.then(self.stages[m + 1].bonding)
+                table[n, m] = out
+        return table
+
     def instances(self) -> list[dict]:
         return [st.instance for st in self.stages if st.instance is not None]
 
@@ -447,6 +461,10 @@ def lift_through(stage: Stage, s: ClosedSet) -> ClosedSet:
 # Verification, threads, limit base
 # --------------------------------------------------------------------------
 
+_ZETA_GROUND = zeta(*(Const(r) for r in ("a", "b", "c", "x", "y", "z")))
+_THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
+
+
 def verify_tower(tower: Tower, cap: int = 4096) -> list[tuple[str, bool]]:
     """Re-evaluate every scheduled instance on its stage sublattice and again
     at the final stage, check thread images, functoriality, and global
@@ -471,11 +489,7 @@ def verify_tower(tower: Tower, cap: int = 4096) -> list[tuple[str, bool]]:
                 if sets[role] is None:
                     ok = False
             if ok:
-                if kind == "zeta":
-                    ground = zeta(*(Const(r) for r in ("a", "b", "c", "x", "y", "z")))
-                else:
-                    from .folang import theta
-                    ground = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
+                ground = _ZETA_GROUND if kind == "zeta" else _THETA_GROUND
                 ok = verify_on_sublattice(ground, sets, tower.graph(at_stage), cap)
             label = f"stage {n} {kind} schedule={inst['schedule']} at stage {at_stage}"
             report.append((label, ok))
@@ -487,17 +501,16 @@ def verify_tower(tower: Tower, cap: int = 4096) -> list[tuple[str, bool]]:
             if image != sets[n - 1]:
                 ok = False
         report.append((f"thread {name} exact images", ok))
+    table = tower.composed_maps()
     func_ok = True
     for n in range(2, N + 1):
         for mid in range(1, n):
             for m in range(0, mid):
-                left = tower.composed_map(n, m)
-                right = tower.composed_map(n, mid).then(tower.composed_map(mid, m))
-                if left.to_dict() != right.to_dict():
+                right = table[n, mid].then(table[mid, m])
+                if table[n, m].to_dict() != right.to_dict():
                     func_ok = False
     if N >= 2:
         report.append(("bonding functoriality", func_ok))
-    from .folang import LIBRARY
     res = extract_sublattice(tower.graph(N), tower.base(N), cap=cap)
     conn_ok = eval_formula(LIBRARY["CONN1"], res.lattice).value
     report.append((f"CONN(1) on the stage-{N} base sublattice", conn_ok))

@@ -13,7 +13,6 @@ from fractions import Fraction as F
 import pytest
 
 from crooked.cli import main
-from crooked.errors import DegeneracyError
 from crooked.folang import (
     And, Const, Eq, Exists, ForAll, Implies, Interpretation, Join, LIBRARY,
     Meet, Neq, Not, Or, Var, Zero, One, eval_bruteforce, eval_formula, psi,
@@ -24,8 +23,7 @@ from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, dump_graph, unit_segment,
 )
 from crooked.surgery import (
-    check_monotone, crooked_step, move_sets, nudge_edge_length, triangle_step,
-    verify_on_sublattice,
+    check_monotone, crooked_step, surgery_with_nudges, verify_on_sublattice,
 )
 from crooked.tower import (
     search_dim_cover, search_her_indec_cover, weak_confluence_witness,
@@ -225,24 +223,9 @@ def triangle_instances():
     return out
 
 
-def _run_triangle(graph, a, b, c, interp, max_nudges=8):
-    candidates = None
-    attempts = 0
-    while True:
-        try:
-            return graph, interp, triangle_step(
-                graph, interp["a"], interp["b"], interp["c"], interp
-            )
-        except DegeneracyError as exc:
-            if attempts >= max_nudges or exc.edge_id is None:
-                raise
-            if candidates is None:
-                candidates = [exc.edge_id] + sorted(
-                    eid for eid in graph.edges if eid != exc.edge_id
-                )
-            graph = nudge_edge_length(graph, candidates[attempts % len(candidates)])
-            interp = move_sets(graph, interp)
-            attempts += 1
+def _run_triangle(graph, a, b, c, interp):
+    step, _, _, _ = surgery_with_nudges("zeta", graph, [a, b, c], interp, cap=4096)
+    return step
 
 
 def test_acceptance_3_triangle_step():
@@ -257,7 +240,7 @@ def test_acceptance_3_triangle_step():
         ]
         for f in prior:
             assert verify_on_sublattice(f, interp, graph)
-        graph2, interp2, step = _run_triangle(graph, a, b, c, interp)
+        step = _run_triangle(graph, a, b, c, interp)
         ok = step.bonding.is_surjective() and check_monotone(step)
         sets = {
             "a": step.interpretation["a"],
@@ -322,24 +305,13 @@ def crooked_instances():
     return out
 
 
-def _run_crooked(graph, a, b, c, d, f, max_nudges=8):
+def _run_crooked(graph, a, b, c, d, f):
     interp = {"a": a, "b": b, "c": c, "d": d}
-    candidates = None
-    attempts = 0
-    while True:
-        try:
-            return crooked_step(graph, interp["a"], interp["b"], interp["c"],
-                                interp["d"], interp, separating=f)
-        except DegeneracyError as exc:
-            if attempts >= max_nudges or exc.edge_id is None or f is not None:
-                raise
-            if candidates is None:
-                candidates = [exc.edge_id] + sorted(
-                    eid for eid in graph.edges if eid != exc.edge_id
-                )
-            graph = nudge_edge_length(graph, candidates[attempts % len(candidates)])
-            interp = move_sets(graph, interp)
-            attempts += 1
+    if f is not None:
+        # a given separating function pins the graph: no nudging
+        return crooked_step(graph, a, b, c, d, interp, separating=f)
+    step, _, _, _ = surgery_with_nudges("theta", graph, [a, b, c, d], interp, cap=4096)
+    return step
 
 
 STEPS_FOR_ORACLE = []

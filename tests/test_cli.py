@@ -224,6 +224,28 @@ def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
     assert "FAIL: thread whole" in out
 
 
+def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
+    towerdir = tmp_path / "tower"
+    # a cap too small for the stage sublattice: ResourceLimitError
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole", "--cap", "1", "--out", str(towerdir),
+    ]) == 3
+    assert "element cap" in capsys.readouterr().err
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    capsys.readouterr()
+    # a bonding that is no longer onto: InvariantViolationError on threading
+    (towerdir / "bonding1.json").write_text(json.dumps({
+        "vertex_map": {"a": {"v": "a"}, "b": {"e": "seg", "t": "1/2"}},
+        "edge_map": {"seg": {"kind": "affine", "edge": "seg", "s0": "0/1", "s1": "1/2"}},
+    }))
+    assert main(["tower-thread", str(towerdir), "--set", "whole"]) == 3
+    assert "maps onto" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- render
 
 def test_render_unit_segment(segment_graph, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from crooked.errors import InputError, PreconditionError
 from crooked.folang import Const, psi, zeta
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, dump_graph, unit_segment,
+    ClosedSet, Edge, MetricGraph, PLMap, dump_graph, unit_segment,
 )
 from crooked.surgery import crooked_step, verify_on_sublattice
 from crooked.tower import (
@@ -344,9 +345,9 @@ def test_composed_maps_functorial():
                 assert left.to_dict() == right.to_dict()
 
 
-def test_build_tower_through_real_crooked_surgery():
+def steered_crooked_tower(depth):
     # Steer the quadruple schedule straight at a satisfiable crookedness
-    # instance so the catalog threads through an actual staircase stage.
+    # instance so every odd stage runs an actual staircase surgery.
     g = seg()
     base = {
         "p": g.point_closed_set([("v", "a")]),
@@ -362,17 +363,51 @@ def test_build_tower_through_real_crooked_surgery():
         "whole": g.whole_set(),
         "left": ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set()),
     }
-    tower = build_tower(
-        g, base, catalog, 2,
+    return build_tower(
+        g, base, catalog, depth,
         schedules=(schedule_s, lambda n: (0, idx)),
     )
+
+
+def test_build_tower_through_real_crooked_surgery():
+    tower = steered_crooked_tower(2)
     assert tower.stages[1].kind == "crooked"
     report = verify_tower(tower)
     assert all(ok for _, ok in report), [r for r in report if not r[1]]
-    th = weak_confluence_witness(tower, catalog["left"])
-    assert th.sets[0] == catalog["left"]
+    left = tower.catalog["left"][0]
+    th = weak_confluence_witness(tower, left)
+    assert th.sets[0] == left
     for n in range(1, tower.depth + 1):
         assert tower.stages[n].bonding.image_of(th.sets[n]) == th.sets[n - 1]
+
+
+def test_composed_maps_table_matches_composed_map():
+    tower = steered_crooked_tower(3)
+    assert [st.kind for st in tower.stages[1:]] == ["crooked", "identity", "crooked"]
+    table = tower.composed_maps()
+    N = tower.depth
+    assert sorted(table) == [(n, m) for n in range(1, N + 1) for m in range(n)]
+    for (n, m), f in table.items():
+        assert f.to_dict() == tower.composed_map(n, m).to_dict()
+    assert tower.composed_maps() is not table
+
+
+def test_verify_tower_then_calls_are_cubic(monkeypatch):
+    g = seg()
+    N = 8
+    tower = build_tower(g, base_family(g), {}, N)
+    calls = []
+    then = PLMap.then
+
+    def counting_then(self, other):
+        calls.append(1)
+        return then(self, other)
+
+    monkeypatch.setattr(PLMap, "then", counting_then)
+    report = verify_tower(tower)
+    assert ("bonding functoriality", True) in report
+    # C(N, 2) to fill the table, then one per triple m < mid < n
+    assert len(calls) == math.comb(N + 1, 3) + math.comb(N, 2)
 
 
 def test_catalog_members_must_be_connected():
