@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / property true, 1 property false, 2 usage or input
 error, 3 internal failure (an invariant violation or an exceeded cap).
-Every report embeds the tool version and the caps in effect, and all
-outputs are deterministic for fixed inputs.
+Every report embeds the tool version and, for the commands that take
+`--cap`, the cap in effect; all outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from .wallman import is_hausdorff_like, is_T1, space_dump, wallman_space
 
 
 def _header(args, extra: dict | None = None) -> str:
-    fields = {
-        "tool": f"crooked {__version__}",
-        "cap": getattr(args, "cap", 4096),
-    }
+    fields = {"tool": f"crooked {__version__}"}
+    if getattr(args, "cap", None) is not None:
+        fields["cap"] = args.cap
     if getattr(args, "budget", None) is not None:
         fields["budget"] = args.budget
     fields.update(extra or {})
@@ -167,9 +166,7 @@ def cmd_tower_build(args) -> int:
             catalog[name] = sets[name]
         else:
             raise InputError(f"catalog member {name!r} is not a named closed set")
-    tower = build_tower(
-        graph, sets, catalog, args.depth, cap=args.cap, cell_cap=args.cell_cap
-    )
+    tower = build_tower(graph, sets, catalog, args.depth, cap=args.cap)
     save_tower(tower, args.out)
     report = verify_tower(tower, cap=args.cap)
     lines = [_header(args, {"depth": args.depth})]
@@ -228,7 +225,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=4096, help="sublattice element cap")
 
 
@@ -243,12 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice-check", help="evaluate a sentence on a lattice file")
     p.add_argument("file")
     p.add_argument("sentence", help="library name (DISJ, NORM, CONN1, DIM, HI, ...) or a formula")
-    _add_common(p)
     p.set_defaults(func=cmd_lattice_check)
 
     p = sub.add_parser("wallman", help="Wallman space dump and correspondence report")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=cmd_wallman)
 
     for name, func, extra in (
@@ -265,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         if "size" in extra:
             p.add_argument("--size", type=int, required=True)
         p.add_argument("--out", default=None)
-        _add_common(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("sigma-witness", help="build a geometric model of a fragment")
@@ -273,28 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_cap(p)
     p.set_defaults(func=cmd_sigma_witness)
 
     p = sub.add_parser("tower-build", help="build and verify an inverse-sequence tower")
     p.add_argument("--graph", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--catalog", default="", help="comma-separated closed-set names (or 'whole')")
-    p.add_argument("--cell-cap", type=int, default=64)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_cap(p)
     p.set_defaults(func=cmd_tower_build)
 
     p = sub.add_parser("tower-verify", help="re-verify a tower directory")
     p.add_argument("directory")
-    _add_common(p)
+    _add_cap(p)
     p.set_defaults(func=cmd_tower_verify)
 
     p = sub.add_parser("tower-thread", help="emit a weak-confluence thread")
     p.add_argument("directory")
     p.add_argument("--set", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_tower_thread)
 
     p = sub.add_parser("render", help="render a graph or tower stage as SVG")
@@ -302,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tower", default=None)
     p.add_argument("--stage", type=int, default=None)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_render)
 
     return parser

@@ -654,28 +654,23 @@ def eval_bruteforce(f: Formula, L: FiniteLattice, I: Interpretation | None = Non
 # --------------------------------------------------------------------------
 
 def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
+    # exact type tests: the theory generator fills every sentence through here
+    cls = type(t)
+    if cls is Var:
         return bindings.get(t.name, t)
-    if isinstance(t, Meet):
-        return Meet(_subst_term(t.left, bindings), _subst_term(t.right, bindings))
-    if isinstance(t, Join):
-        return Join(_subst_term(t.left, bindings), _subst_term(t.right, bindings))
+    if cls is Meet or cls is Join:
+        return cls(_subst_term(t.left, bindings), _subst_term(t.right, bindings))
     return t
 
 
 def _subst(f: Formula, bindings: dict[str, Term]) -> Formula:
-    if isinstance(f, Eq):
-        return Eq(_subst_term(f.left, bindings), _subst_term(f.right, bindings))
-    if isinstance(f, Neq):
-        return Neq(_subst_term(f.left, bindings), _subst_term(f.right, bindings))
-    if isinstance(f, Not):
+    cls = type(f)
+    if cls is Eq or cls is Neq:
+        return cls(_subst_term(f.left, bindings), _subst_term(f.right, bindings))
+    if cls is And or cls is Or or cls is Implies:
+        return cls(_subst(f.left, bindings), _subst(f.right, bindings))
+    if cls is Not:
         return Not(_subst(f.sub, bindings))
-    if isinstance(f, And):
-        return And(_subst(f.left, bindings), _subst(f.right, bindings))
-    if isinstance(f, Or):
-        return Or(_subst(f.left, bindings), _subst(f.right, bindings))
-    if isinstance(f, Implies):
-        return Implies(_subst(f.left, bindings), _subst(f.right, bindings))
     if isinstance(f, (ForAll, Exists)):
         inner = {k: v for k, v in bindings.items() if k not in f.vars}
         for name, term in inner.items():

@@ -608,35 +608,11 @@ def point_distance(graph: MetricGraph, p: Point, q: Point) -> Frac:
 
 
 @dataclass(frozen=True)
-class KappaComponent:
-    """One coordinate of the barycentric distance map: a quotient of a PL
-    numerator by a shared PL denominator (not itself PL)."""
-
-    numerator: PLFunction
-    denominator: PLFunction
-
-    def value(self, p: Point) -> Frac:
-        return self.numerator.eval(p) / self.denominator.eval(p)
-
-
-@dataclass(frozen=True)
 class KappaMap:
     graph: MetricGraph
     d_a: PLFunction
     d_b: PLFunction
     d_c: PLFunction
-
-    @property
-    def denominator(self) -> PLFunction:
-        return (self.d_a + self.d_b) + self.d_c
-
-    def components(self) -> tuple[KappaComponent, KappaComponent, KappaComponent]:
-        den = self.denominator
-        return (
-            KappaComponent(self.d_a, den),
-            KappaComponent(self.d_b, den),
-            KappaComponent(self.d_c, den),
-        )
 
     def values(self, p: Point) -> tuple[Frac, Frac, Frac]:
         da, db, dc = self.d_a.eval(p), self.d_b.eval(p), self.d_c.eval(p)

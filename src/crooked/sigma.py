@@ -7,6 +7,13 @@ introduced at stage 5n+i.  Stage kinds cycle through meets/joins and lattice
 axioms (i=1), normality (i=2), disjunctivity (i=3), the dimension schema
 (i=4) and the crookedness schema (i=5).
 
+One table of sentence shapes drives both generation and parsing: `SHAPES`
+gives every kind its open formulas, whose free variables are roles.
+Generation binds the roles to constants with `substitute`; the dump parser
+matches each sentence against the same formulas, which recovers the role
+bindings and rejects any other shape.  `_PARTS` and `_AXIOMS` say which
+kinds each stage emits and over which tuples.
+
 Levels are conceptually countable; here every level is capped by a budget
 and every enumeration is truncated to the tuples whose fresh witnesses fit
 the budget, so generation is finite, lazy and reproducible.
@@ -16,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError, ResourceLimitError, UsageError
 from .folang import (
-    And, Const, Eq, Formula, Implies, Join, Meet, Neq, One, Or, Var, Zero,
-    conj, conjuncts, conn, parse, print_formula, substitute, theta, zeta,
+    LIBRARY, And, Const, Eq, Exists, ForAll, Formula, Implies, Join, Meet, Neq,
+    One, Or, Var, Zero, conj, conn, parse, print_formula, substitute, theta, zeta,
 )
 from .lattice import FiniteLattice
 
@@ -132,28 +139,154 @@ def stage_parts(stage: int) -> tuple[int, int]:
 def enumerate_new_tuples(registry: ConstantRegistry, n: int, k: int, limit: int | None = None) -> list[tuple[str, ...]]:
     """Size-k subsets (k=2,3) or length-4 tuples with repetition (k=4) over
     constants of levels <= 5n that use at least one constant above level
-    5(n-1), in lexicographic order of the natural constant order."""
+    5(n-1), in lexicographic order of the natural constant order; at most
+    `limit` of them when a limit is given."""
     if k not in (2, 3, 4):
         raise UsageError("tuple size must be 2, 3 or 4")
     universe = registry.constants_upto(5 * n)
     universe.sort(key=constant_key)
     old_cut = 5 * (n - 1)
     old = {c for c in universe if constant_key(c)[0] <= old_cut}
-    out: list[tuple[str, ...]] = []
-    if k in (2, 3):
-        iterator = itertools.combinations(universe, k)
-        for combo in iterator:
-            if any(c not in old for c in combo):
-                out.append(combo)
-                if limit is not None and len(out) >= limit:
-                    break
-    else:
-        for combo in itertools.product(universe, repeat=4):
-            if any(c not in old for c in combo):
-                out.append(combo)
-                if limit is not None and len(out) >= limit:
-                    break
-    return out
+    combos = itertools.combinations(universe, k) if k < 4 else itertools.product(universe, repeat=4)
+    new = (combo for combo in combos if any(c not in old for c in combo))
+    return list(itertools.islice(new, limit))
+
+
+# --------------------------------------------------------------------------
+# Sentence shapes
+# --------------------------------------------------------------------------
+
+class Shape:
+    """The open formulas of one sentence kind, alternatives by form index.
+    Their free variables are roles; a record reports the constants bound to
+    the `operands` and `fresh` roles (diagram and axiom records report none)."""
+
+    def __init__(self, operands: str, fresh: str, *forms: Formula):
+        self.operands, self.fresh, self.forms = tuple(operands), tuple(fresh), forms
+
+    def fill(self, roles: dict[str, str], form: int = 0) -> Formula:
+        return substitute(self.forms[form], {r: Const(cid) for r, cid in roles.items()})
+
+    def match(self, f: Formula) -> dict[str, str]:
+        """The role bindings under which some form of the shape is `f`."""
+        for form in self.forms:
+            roles: dict[str, str] = {}
+            try:
+                _match(form, f, frozenset(), roles)
+                return roles
+            except InputError as exc:
+                error = exc
+        raise error
+
+
+def _match(pattern, f, scope: frozenset, roles: dict[str, str]) -> None:
+    """Walk `f` along `pattern`; a pattern variable that no enclosing
+    quantifier binds is a role, and each role binds one constant."""
+    if isinstance(pattern, Var) and pattern.name not in scope:
+        if not isinstance(f, Const):
+            raise InputError(f"role {pattern.name} needs a constant")
+        if roles.setdefault(pattern.name, f.cid) != f.cid:
+            raise InputError(f"role {pattern.name} bound to two constants")
+        return
+    if type(f) is not type(pattern):
+        raise InputError(f"{type(f).__name__} where the shape has {type(pattern).__name__}")
+    if isinstance(pattern, (ForAll, Exists)):
+        scope = scope | set(pattern.vars)
+    for field in fields(pattern):
+        p, g = getattr(pattern, field.name), getattr(f, field.name)
+        if isinstance(p, (str, tuple)):  # a bound variable's name or a quantifier prefix
+            if p != g:
+                raise InputError(f"{g!r} where the shape has {p!r}")
+        else:
+            _match(p, g, scope, roles)
+
+
+def _shapes() -> dict[str, Shape]:
+    # conn binds x and y, so the hat roles are h (the catalog constant), a, b
+    a, b, c, d, h, m, x, y, z = (Var(r) for r in "abcdhmxyz")
+    meet, join = Eq(Meet(a, b), m), Eq(Join(a, b), m)
+    zero, one = Eq(a, Zero()), Eq(a, One())
+    # unlike DISJ's matrix, the witness comes first in the meets
+    disj = Shape("ab", "x", Implies(
+        Neq(Meet(a, b), a),
+        conj(Eq(Meet(x, a), x), Eq(Meet(x, b), Zero()), Neq(x, Zero())),
+    ))
+    return {
+        "diagram-meet": Shape("", "", meet),
+        "diagram-join": Shape("", "", join),
+        "diagram-neq": Shape("", "", Neq(a, b)),
+        "diagram-bounds": Shape("", "", zero, one, And(zero, one)),
+        "hat-conn": Shape("ha", "", And(conn(h), Eq(Meet(h, a), h))),
+        "hat-mono": Shape("hab", "", Implies(And(conn(h), Eq(Meet(h, b), h)), Eq(Meet(a, b), a))),
+        "hat-zero": Shape("a", "", zero),
+        "meet": Shape("ab", "m", meet),
+        "join": Shape("ab", "m", join),
+        "idem": Shape("", "", Eq(Join(a, a), a), Eq(Meet(a, a), a)),
+        "assoc": Shape(
+            "", "",
+            Eq(Join(a, Join(b, c)), Join(Join(a, b), c)),
+            Eq(Meet(a, Meet(b, c)), Meet(Meet(a, b), c)),
+        ),
+        "distrib": Shape("", "", Eq(Join(a, Meet(b, c)), Meet(Join(a, b), Join(a, c)))),
+        "absorb": Shape("", "", Eq(Join(a, Meet(a, b)), a), Eq(Meet(a, Join(a, b)), a)),
+        "guard": Shape(
+            "", "", Implies(And(Eq(Join(a, b), One()), Eq(Meet(a, b), Zero())), Or(zero, one))
+        ),
+        "normal": Shape("ba", "xy", LIBRARY["NORM"].body.body),  # NORM's matrix
+        "disj0": disj,
+        "disj1": disj,
+        "zeta": Shape("abc", "xyz", zeta(a, b, c, x, y, z)),
+        "theta": Shape("abcd", "xyz", theta(a, b, c, d, x, y, z)),
+    }
+
+
+SHAPES: dict[str, Shape] = _shapes()
+
+# Stage 5n+i for i = 1..5: the arity of the new tuples it enumerates, the
+# fresh constants it allocates per tuple, and its families as (family, kind,
+# the roles of the tuple's constants, the roles of the allocated ones); "-"
+# marks an allocated constant that the family does not use.
+_PARTS = {
+    1: (2, 2, ((0, "meet", "ab", "m-"), (1, "join", "ab", "-m"))),
+    2: (2, 2, ((None, "normal", "ba", "xy"),)),
+    3: (2, 2, ((0, "disj0", "ba", "x-"), (1, "disj1", "ab", "-x"))),
+    4: (3, 3, ((None, "zeta", "abc", "xyz"),)),
+    5: (4, 3, ((None, "theta", "abcd", "xyz"),)),
+}
+
+# The lattice axioms of stage 5n+1, families 2 to 6: (kind, arity,
+# ignorable).  Ignorable families hold in every set-backed model; they are
+# capped at `axiom_cap` sentences and fragments skip them.
+_AXIOMS = (
+    ("idem", 1, False), ("assoc", 3, True), ("distrib", 3, True),
+    ("absorb", 2, True), ("guard", 2, True),
+)
+_IGNORABLE = frozenset(kind for kind, _, ignorable in _AXIOMS if ignorable)
+
+_HAT_KINDS = ("hat-conn", "hat-mono", "hat-zero")
+
+# (part, family) -> the kinds a dump line may hold, where the part is the
+# stage itself for stages -1 and 0, and i for stage 5n+i
+_KINDS_AT = {(0, None): tuple(kind for kind in SHAPES if kind.startswith("diagram-"))}
+_KINDS_AT.update({(-1, family): (kind,) for family, kind in enumerate(_HAT_KINDS)})
+_KINDS_AT.update({
+    (part, family): (kind,)
+    for part, (_, _, families) in _PARTS.items() for family, kind, _, _ in families
+})
+_KINDS_AT.update({(1, family): (kind,) for family, (kind, _, _) in enumerate(_AXIOMS, start=2)})
+
+
+def _record(stage: int, family: int | None, index: int, kind: str, f: Formula, roles: dict[str, str]) -> SentenceRecord:
+    shape = SHAPES[kind]
+    return SentenceRecord(
+        stage, family, index, kind, f,
+        tuple(roles[r] for r in shape.operands), tuple(roles[r] for r in shape.fresh),
+        kind in _IGNORABLE,
+    )
+
+
+def _sentence(stage: int, family: int | None, index: int, kind: str, roles: dict[str, str], form: int = 0) -> SentenceRecord:
+    return _record(stage, family, index, kind, SHAPES[kind].fill(roles, form), roles)
 
 
 class SigmaGenerator:
@@ -190,19 +323,18 @@ class SigmaGenerator:
         if hat:
             self.registry.populate(-2, hat_n)
         self._stages: dict[int, list[SentenceRecord]] = {}
-        self._done_through: int | None = None
-
-    # ------------------------------------------------------------- helpers
 
     def base_constant(self, element_index: int) -> str:
         return constant_id(-1, element_index)
 
-    def _pair_enumeration(self, n: int, per_item: int, level: int) -> list[tuple[str, ...]]:
-        limit = self.registry.remaining(level) // per_item
-        pairs = enumerate_new_tuples(self.registry, n, 2, limit=max(limit, 1))
-        if pairs and limit == 0:
-            raise ResourceLimitError(f"stage S{level}: budget exhausted at l=0")
-        return pairs[:limit]
+    def _budgeted_tuples(self, stage: int, n: int, arity: int, per_tuple: int) -> list[tuple[str, ...]]:
+        """The new tuples whose `per_tuple` fresh constants each fit the
+        stage budget; raises when new tuples exist but not one fits."""
+        fits = self.registry.remaining(stage) // per_tuple
+        tuples = enumerate_new_tuples(self.registry, n, arity, limit=max(fits, 1))
+        if tuples and not fits:
+            raise ResourceLimitError(f"stage S{stage}: budget exhausted at l=0")
+        return tuples[:fits]
 
     # ------------------------------------------------------------- stages
 
@@ -210,22 +342,18 @@ class SigmaGenerator:
         """The atomic diagram of the base lattice: named meets, joins,
         inequalities, and the bottom/top identifications."""
         recs: list[SentenceRecord] = []
-        B = self.base
+        B, k = self.base, self.base_constant
         for l, (i, j) in enumerate(itertools.combinations(range(B.size), 2)):
-            ci, cj = Const(self.base_constant(i)), Const(self.base_constant(j))
-            cm = Const(self.base_constant(B.meet_table[i][j]))
-            cu = Const(self.base_constant(B.join_table[i][j]))
-            recs.append(SentenceRecord(0, None, l, "diagram-meet", Eq(Meet(ci, cj), cm)))
-            recs.append(SentenceRecord(0, None, l, "diagram-join", Eq(Join(ci, cj), cu)))
-            recs.append(SentenceRecord(0, None, l, "diagram-neq", Neq(ci, cj)))
-        kb = Const(self.base_constant(B.bottom_index))
-        kt = Const(self.base_constant(B.top_index))
-        if B.bottom_index == B.top_index:
-            both = And(Eq(kb, Zero()), Eq(kb, One()))
-            recs.append(SentenceRecord(0, None, 0, "diagram-bounds", both))
+            pair = {"a": k(i), "b": k(j)}
+            recs.append(_sentence(0, None, l, "diagram-meet", {**pair, "m": k(B.meet_table[i][j])}))
+            recs.append(_sentence(0, None, l, "diagram-join", {**pair, "m": k(B.join_table[i][j])}))
+            recs.append(_sentence(0, None, l, "diagram-neq", pair))
+        bottom, top = {"a": k(B.bottom_index)}, {"a": k(B.top_index)}
+        if B.bottom_index == B.top_index:  # k = 0 & k = 1
+            recs.append(_sentence(0, None, 0, "diagram-bounds", bottom, form=2))
         else:
-            recs.append(SentenceRecord(0, None, 0, "diagram-bounds", Eq(kb, Zero())))
-            recs.append(SentenceRecord(0, None, 1, "diagram-bounds", Eq(kt, One())))
+            recs.append(_sentence(0, None, 0, "diagram-bounds", bottom, form=0))
+            recs.append(_sentence(0, None, 1, "diagram-bounds", top, form=1))
         return recs
 
     def subcontinuum_stage(self) -> list[SentenceRecord]:
@@ -235,231 +363,44 @@ class SigmaGenerator:
         beta = self.continuum_constants
         hat_n = self.registry.count(-2)
         base_n = self.registry.count(-1)
-        recs: list[SentenceRecord] = []
-        for alpha in range(beta):
-            k2 = Const(constant_id(-2, alpha))
-            k1 = Const(constant_id(-1, alpha))
-            f = And(conn(k2), Eq(Meet(k2, k1), k2))
-            recs.append(
-                SentenceRecord(-1, 0, alpha, "hat-conn", f, operands=(k2.cid, k1.cid))
-            )
-        l = 0
-        for alpha in range(beta):
-            k2 = Const(constant_id(-2, alpha))
-            k1a = Const(constant_id(-1, alpha))
-            for gamma in range(base_n):
-                k1g = Const(constant_id(-1, gamma))
-                f = Implies(
-                    And(conn(k2), Eq(Meet(k2, k1g), k2)),
-                    Eq(Meet(k1a, k1g), k1a),
-                )
-                recs.append(
-                    SentenceRecord(
-                        -1, 1, l, "hat-mono", f,
-                        operands=(k2.cid, k1a.cid, k1g.cid),
-                    )
-                )
-                l += 1
-        for idx, gamma in enumerate(range(beta, hat_n)):
-            k2 = Const(constant_id(-2, gamma))
-            recs.append(
-                SentenceRecord(-1, 2, idx, "hat-zero", Eq(k2, Zero()), operands=(k2.cid,))
-            )
-        return recs
+        cat, el = (lambda i: constant_id(-2, i)), self.base_constant
+        operands = (
+            [(cat(alpha), el(alpha)) for alpha in range(beta)],
+            [(cat(alpha), el(alpha), el(gamma)) for alpha in range(beta) for gamma in range(base_n)],
+            [(cat(gamma),) for gamma in range(beta, hat_n)],
+        )
+        return [
+            _sentence(-1, family, l, kind, dict(zip(SHAPES[kind].operands, ops)))
+            for family, (kind, tuples) in enumerate(zip(_HAT_KINDS, operands))
+            for l, ops in enumerate(tuples)
+        ]
 
-    def _stage_lattice_ops(self, stage: int, n: int) -> list[SentenceRecord]:
-        token = f"S{stage}"
-        recs: list[SentenceRecord] = []
-        pairs = self._pair_enumeration(n, 2, stage)
-        for l, (c1, c2) in enumerate(pairs):
-            kmeet, kjoin = self.registry.alloc(stage, 2, token, l)
-            recs.append(
-                SentenceRecord(
-                    stage, 0, l, "meet",
-                    Eq(Meet(Const(c1), Const(c2)), Const(kmeet)),
-                    operands=(c1, c2), fresh=(kmeet,),
-                )
-            )
-            recs.append(
-                SentenceRecord(
-                    stage, 1, l, "join",
-                    Eq(Join(Const(c1), Const(c2)), Const(kjoin)),
-                    operands=(c1, c2), fresh=(kjoin,),
-                )
-            )
-        universe = self.registry.constants_upto(5 * n)
-        universe.sort(key=constant_key)
-        idx = 0
-        for c in universe:
-            t = Const(c)
-            recs.append(SentenceRecord(stage, 2, idx, "idem", Eq(Join(t, t), t)))
-            recs.append(SentenceRecord(stage, 2, idx + 1, "idem", Eq(Meet(t, t), t)))
-            idx += 2
-        cap = self.axiom_cap
-        idx = 0
-        for a, b, c in itertools.product(universe, repeat=3):
-            if idx >= cap:
-                break
-            ta, tb, tc = Const(a), Const(b), Const(c)
-            recs.append(
-                SentenceRecord(
-                    stage, 3, idx, "assoc",
-                    Eq(Join(ta, Join(tb, tc)), Join(Join(ta, tb), tc)), ignorable=True,
-                )
-            )
-            recs.append(
-                SentenceRecord(
-                    stage, 3, idx + 1, "assoc",
-                    Eq(Meet(ta, Meet(tb, tc)), Meet(Meet(ta, tb), tc)), ignorable=True,
-                )
-            )
-            idx += 2
-        idx = 0
-        for a, b, c in itertools.product(universe, repeat=3):
-            if idx >= cap:
-                break
-            ta, tb, tc = Const(a), Const(b), Const(c)
-            recs.append(
-                SentenceRecord(
-                    stage, 4, idx, "distrib",
-                    Eq(Join(ta, Meet(tb, tc)), Meet(Join(ta, tb), Join(ta, tc))),
-                    ignorable=True,
-                )
-            )
-            idx += 1
-        idx = 0
-        for a, b in itertools.product(universe, repeat=2):
-            if idx >= cap:
-                break
-            ta, tb = Const(a), Const(b)
-            recs.append(
-                SentenceRecord(
-                    stage, 5, idx, "absorb",
-                    Eq(Join(ta, Meet(ta, tb)), ta), ignorable=True,
-                )
-            )
-            recs.append(
-                SentenceRecord(
-                    stage, 5, idx + 1, "absorb",
-                    Eq(Meet(ta, Join(ta, tb)), ta), ignorable=True,
-                )
-            )
-            idx += 2
-        idx = 0
-        for a, b in itertools.product(universe, repeat=2):
-            if idx >= cap:
-                break
-            ta, tb = Const(a), Const(b)
-            recs.append(
-                SentenceRecord(
-                    stage, 6, idx, "guard",
-                    Implies(
-                        And(Eq(Join(ta, tb), One()), Eq(Meet(ta, tb), Zero())),
-                        Or(Eq(ta, Zero()), Eq(ta, One())),
-                    ),
-                    ignorable=True,
-                )
-            )
-            idx += 1
-        return recs
-
-    def _stage_normal(self, stage: int, n: int) -> list[SentenceRecord]:
-        token = f"S{stage}"
+    def _schema_stage(self, stage: int) -> list[SentenceRecord]:
+        """Stage 5n+i: one sentence per family of part i for every new tuple
+        that fits the budget, then for i = 1 the lattice axioms."""
+        n, part = stage_parts(stage)
+        arity, per_tuple, families = _PARTS[part]
         recs = []
-        pairs = self._pair_enumeration(n, 2, stage)
-        for l, (c1, c2) in enumerate(pairs):
-            mn, mx = Const(c1), Const(c2)  # pairs are sorted in the constant order
-            k1, k2 = self.registry.alloc(stage, 2, token, l)
-            f = Implies(
-                Eq(Meet(mx, mn), Zero()),
-                conj(
-                    Eq(Meet(mx, Const(k1)), Zero()),
-                    Eq(Meet(mn, Const(k2)), Zero()),
-                    Eq(Join(Const(k1), Const(k2)), One()),
-                ),
-            )
-            recs.append(
-                SentenceRecord(
-                    stage, None, l, "normal", f, operands=(c1, c2), fresh=(k1, k2)
-                )
-            )
+        for l, tup in enumerate(self._budgeted_tuples(stage, n, arity, per_tuple)):
+            fresh = tuple(self.registry.alloc(stage, per_tuple, f"S{stage}", l))
+            for family, kind, tuple_roles, fresh_roles in families:
+                roles = dict(zip(tuple_roles + fresh_roles, tup + fresh))
+                recs.append(_sentence(stage, family, l, kind, roles))
+        if part == 1:
+            recs.extend(self._axioms(stage, n))
         return recs
 
-    def _stage_disjunctive(self, stage: int, n: int) -> list[SentenceRecord]:
-        token = f"S{stage}"
+    def _axioms(self, stage: int, n: int) -> list[SentenceRecord]:
+        universe = sorted(self.registry.constants_upto(5 * n), key=constant_key)
         recs = []
-        pairs = self._pair_enumeration(n, 2, stage)
-        for l, (c1, c2) in enumerate(pairs):
-            mn, mx = Const(c1), Const(c2)
-            k1, k2 = self.registry.alloc(stage, 2, token, l)
-            # the nonzero conjunct is required for the sentence to actually
-            # force disjunctivity; see the library note on DISJ
-            f0 = Implies(
-                Neq(Meet(mx, mn), mx),
-                conj(
-                    Eq(Meet(Const(k1), mx), Const(k1)),
-                    Eq(Meet(Const(k1), mn), Zero()),
-                    Neq(Const(k1), Zero()),
-                ),
-            )
-            f1 = Implies(
-                Neq(Meet(mn, mx), mn),
-                conj(
-                    Eq(Meet(Const(k2), mn), Const(k2)),
-                    Eq(Meet(Const(k2), mx), Zero()),
-                    Neq(Const(k2), Zero()),
-                ),
-            )
-            recs.append(
-                SentenceRecord(stage, 0, l, "disj0", f0, operands=(c2, c1), fresh=(k1,))
-            )
-            recs.append(
-                SentenceRecord(stage, 1, l, "disj1", f1, operands=(c1, c2), fresh=(k2,))
-            )
-        return recs
-
-    def _stage_dimension(self, stage: int, n: int) -> list[SentenceRecord]:
-        token = f"S{stage}"
-        recs = []
-        limit = self.registry.remaining(stage) // 3
-        triples = enumerate_new_tuples(self.registry, n, 3, limit=limit)
-        probe = enumerate_new_tuples(self.registry, n, 3, limit=1)
-        if probe and not triples:
-            raise ResourceLimitError(f"stage {token}: budget exhausted at l=0")
-        names = ("a", "b", "c", "x", "y", "z")
-        open_zeta = zeta(*(Var(v) for v in names))
-        for l, (a, b, c) in enumerate(triples):
-            x, y, z = self.registry.alloc(stage, 3, token, l)
-            bindings = dict(zip(names, (Const(a), Const(b), Const(c), Const(x), Const(y), Const(z))))
-            f = substitute(open_zeta, bindings)
-            recs.append(
-                SentenceRecord(
-                    stage, None, l, "zeta", f, operands=(a, b, c), fresh=(x, y, z)
-                )
-            )
-        return recs
-
-    def _stage_crooked(self, stage: int, n: int) -> list[SentenceRecord]:
-        token = f"S{stage}"
-        recs = []
-        limit = self.registry.remaining(stage) // 3
-        quads = enumerate_new_tuples(self.registry, n, 4, limit=limit)
-        probe = enumerate_new_tuples(self.registry, n, 4, limit=1)
-        if probe and not quads:
-            raise ResourceLimitError(f"stage {token}: budget exhausted at l=0")
-        names = ("a", "b", "c", "d", "x", "y", "z")
-        open_theta = theta(*(Var(v) for v in names))
-        for l, (a, b, c, d) in enumerate(quads):
-            x, y, z = self.registry.alloc(stage, 3, token, l)
-            bindings = dict(
-                zip(names, (Const(a), Const(b), Const(c), Const(d), Const(x), Const(y), Const(z)))
-            )
-            f = substitute(open_theta, bindings)
-            recs.append(
-                SentenceRecord(
-                    stage, None, l, "theta", f, operands=(a, b, c, d), fresh=(x, y, z)
-                )
-            )
+        for family, (kind, arity, ignorable) in enumerate(_AXIOMS, start=2):
+            idx = 0
+            for tup in itertools.product(universe, repeat=arity):
+                if ignorable and idx >= self.axiom_cap:
+                    break
+                for form in range(len(SHAPES[kind].forms)):
+                    recs.append(_sentence(stage, family, idx, kind, dict(zip("abc", tup)), form))
+                    idx += 1
         return recs
 
     def gen_stage(self, stage: int) -> list[SentenceRecord]:
@@ -474,17 +415,7 @@ class SigmaGenerator:
             for earlier in range(1, stage):
                 if earlier not in self._stages:
                     raise UsageError(f"stage {earlier} must be generated before {stage}")
-            n, i = stage_parts(stage)
-            if i == 1:
-                recs = self._stage_lattice_ops(stage, n)
-            elif i == 2:
-                recs = self._stage_normal(stage, n)
-            elif i == 3:
-                recs = self._stage_disjunctive(stage, n)
-            elif i == 4:
-                recs = self._stage_dimension(stage, n)
-            else:
-                recs = self._stage_crooked(stage, n)
+            recs = self._schema_stage(stage)
         self._stages[stage] = recs
         return recs
 
@@ -520,86 +451,21 @@ def dump_sentences(records: list[SentenceRecord]) -> str:
 
 _LINE_RE = re.compile(r"^S(-?\d+)(?:\^(\d+))? (\d+): (.*)$")
 
-_KIND_BY_STAGE_FAMILY = {
-    (1, 0): "meet", (1, 1): "join", (1, 2): "idem", (1, 3): "assoc",
-    (1, 4): "distrib", (1, 5): "absorb", (1, 6): "guard",
-    (3, 0): "disj0", (3, 1): "disj1",
-}
 
-
-def _classify(stage: int, family: int | None, f: Formula) -> str:
-    if stage == -1:
-        return {0: "hat-conn", 1: "hat-mono", 2: "hat-zero"}[family]
-    if stage == 0:
-        if isinstance(f, Neq):
-            return "diagram-neq"
-        if isinstance(f, And):
-            return "diagram-bounds"
-        if isinstance(f, Eq):
-            if isinstance(f.left, Meet):
-                return "diagram-meet"
-            if isinstance(f.left, Join):
-                return "diagram-join"
-            return "diagram-bounds"
-        raise InputError("unrecognized diagram sentence")
-    n, i = stage_parts(stage)
-    if i in (1, 3):
-        return _KIND_BY_STAGE_FAMILY[(i, family)]
-    return {2: "normal", 4: "zeta", 5: "theta"}[i]
-
-
-def _cid(t) -> str:
-    if not isinstance(t, Const):
-        raise InputError(f"expected a constant, found {t!r}")
-    return t.cid
-
-
-def _extract(kind: str, f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Recover (operands, fresh) from a generated sentence shape."""
-    if kind == "meet" or kind == "join":
-        op = f.left
-        return (_cid(op.left), _cid(op.right)), (_cid(f.right),)
-    if kind == "normal":
-        mx = _cid(f.left.left.left)
-        mn = _cid(f.left.left.right)
-        cs = conjuncts(f.right)
-        k1 = _cid(cs[0].left.right)
-        k2 = _cid(cs[1].left.right)
-        return (mn, mx), (k1, k2)
-    if kind in ("disj0", "disj1"):
-        a = _cid(f.left.left.left)
-        b = _cid(f.left.left.right)
-        k = _cid(conjuncts(f.right)[0].left.left)
-        return (a, b), (k,)
-    if kind == "zeta":
-        m = f.left.left
-        a, b, c = _cid(m.left.left), _cid(m.left.right), _cid(m.right)
-        cs = conjuncts(f.right)
-        x = _cid(cs[0].left.right)
-        y = _cid(cs[1].left.right)
-        z = _cid(cs[2].left.right)
-        return (a, b, c), (x, y, z)
-    if kind == "theta":
-        pre = conjuncts(f.left)
-        a = _cid(pre[0].left.left)
-        b = _cid(pre[0].left.right)
-        d = _cid(pre[1].left.right)
-        c = _cid(pre[2].left.right)
-        j = conjuncts(f.right)[0].left  # x v y v z
-        x, y, z = _cid(j.left.left), _cid(j.left.right), _cid(j.right)
-        return (a, b, c, d), (x, y, z)
-    if kind == "hat-conn":
-        eq = conjuncts(f)[1]
-        return (_cid(eq.left.left), _cid(eq.left.right)), ()
-    if kind == "hat-mono":
-        pre = conjuncts(f.left)
-        k2 = _cid(pre[1].left.left)
-        k1g = _cid(pre[1].left.right)
-        k1a = _cid(f.right.left.left)
-        return (k2, k1a, k1g), ()
-    if kind == "hat-zero":
-        return (_cid(f.left),), ()
-    return (), ()
+def _read(stage: int, family: int | None, f: Formula) -> tuple[str, dict[str, str]]:
+    """The kind of a dumped sentence and its role bindings, from its stage
+    token and its shape."""
+    part = stage_parts(stage)[1] if stage >= 1 else stage
+    kinds = _KINDS_AT.get((part, family))
+    if kinds is None:
+        token = f"S{stage}" if family is None else f"S{stage}^{family}"
+        raise InputError(f"{token} names no sentence family")
+    for kind in kinds:
+        try:
+            return kind, SHAPES[kind].match(f)
+        except InputError as exc:
+            error = exc
+    raise InputError(f"not a {' or '.join(kinds)} sentence: {error}")
 
 
 def parse_sentence_dump(text: str) -> list[SentenceRecord]:
@@ -616,14 +482,10 @@ def parse_sentence_dump(text: str) -> list[SentenceRecord]:
         stage = int(m.group(1))
         family = int(m.group(2)) if m.group(2) is not None else None
         index = int(m.group(3))
-        f = parse(m.group(4))
-        kind = _classify(stage, family, f)
         try:
-            operands, fresh = _extract(kind, f)
-        except (AttributeError, InputError) as exc:
-            raise InputError(f"line {lineno}: malformed {kind} sentence: {exc}") from exc
-        ignorable = kind in ("assoc", "distrib", "absorb", "guard")
-        records.append(
-            SentenceRecord(stage, family, index, kind, f, operands, fresh, ignorable)
-        )
+            f = parse(m.group(4))
+            kind, roles = _read(stage, family, f)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        records.append(_record(stage, family, index, kind, f, roles))
     return records

@@ -376,10 +376,10 @@ def _instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) 
     return Stage(graph, bonding, base_n, kind, instance=instance, nudges=nudged)
 
 
-def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096,
-             cell_cap: int = DEFAULT_CELL_CAP) -> Stage:
+def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096) -> Stage:
     """One dimension stage: resolve the scheduled triple, reuse an existing
-    cover when the oracle finds one, otherwise surger."""
+    cover when the oracle finds one, otherwise surger.  The oracle only
+    spares a surgery, so an arrangement too fine for it is surgered too."""
     k, m = sch
     prev = tower.stages[n - 1]
     if k >= n:
@@ -390,7 +390,10 @@ def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096,
     instance, ops = _pull_instance(tower, n, sch, "zeta", triples[m])
     resolved = resolve_shortcut("zeta", prev.graph, ops)
     if resolved is None:
-        cover = search_dim_cover(prev.graph, *ops, cap=cell_cap)
+        try:
+            cover = search_dim_cover(prev.graph, *ops)
+        except ResourceLimitError:
+            cover = None
         if cover is not None:
             resolved = ("existing-cover", cover)
     return _instance_stage(prev, instance, ops, resolved, cap)
@@ -418,7 +421,6 @@ def build_tower(
     catalog: dict[str, ClosedSet],
     depth: int,
     cap: int = 4096,
-    cell_cap: int = DEFAULT_CELL_CAP,
     schedules: tuple = (schedule_s, schedule_t),
 ) -> Tower:
     """Alternate crookedness (odd) and dimension (even) stages along the
@@ -433,7 +435,7 @@ def build_tower(
     tower = Tower([stage0], {name: [s] for name, s in sorted(catalog.items())})
     for n in range(1, depth + 1):
         if n % 2 == 0:
-            stage = dim_step(tower, n, sched_s(n // 2), cap, cell_cap)
+            stage = dim_step(tower, n, sched_s(n // 2), cap)
         else:
             stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2), cap)
         tower.stages.append(stage)

@@ -184,6 +184,30 @@ def test_sigma_witness_hat_mode(chain3, tmp_path, capsys):
     assert "all-true: True" in out
 
 
+def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_path, capsys):
+    outdir = tmp_path / "model"
+    for body in (
+        "S1^9 0: k(-1,0) = 0\n",
+        "S2 0: k(-1,0) ^ k(-1,1) = 0 -> "
+        "k(-1,1) ^ k(2,0) = 0 & k(-1,0) ^ k(2,1) = 0 & k(2,0) v k(2,1) = 1\n",
+    ):
+        frag = tmp_path / "bad-frag.txt"
+        frag.write_text("S0 0: k(-1,0) ^ k(-1,1) = k(-1,0)\n" + body)
+        assert main([
+            "sigma-witness", "--base", chain3, "--fragment", str(frag),
+            "--graph", segment_graph, "--out", str(outdir),
+        ]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
+def test_cap_only_where_it_is_read(chain3, tmp_path, capsys):
+    out = tmp_path / "sigma.txt"
+    assert main(["sigma-gen", "--base", chain3, "--stages", "1", "--out", str(out)]) == 0
+    assert not any(l.startswith("# cap:") for l in out.read_text().splitlines())
+    assert main(["lattice-check", chain3, "DISJ", "--cap", "1"]) == 2
+    assert main(["sigma-gen", "--base", chain3, "--cap", "1"]) == 2
+
+
 # ------------------------------------------------------------- towers
 
 def test_tower_build_verify_thread(tower_graph, tmp_path, capsys):
@@ -244,6 +268,17 @@ def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
     }))
     assert main(["tower-thread", str(towerdir), "--set", "whole"]) == 3
     assert "maps onto" in capsys.readouterr().err
+
+
+
+def test_tower_thread_takes_no_cap(tower_graph, tmp_path, capsys):
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "1",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    assert "cap: 4096" in capsys.readouterr().out
+    assert main(["tower-thread", str(towerdir), "--set", "whole", "--cap", "1"]) == 2
 
 
 # ------------------------------------------------------------- render

@@ -1,8 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from crooked.errors import InputError, ResourceLimitError
 from crooked.folang import Const, parse, print_formula, theta
-from crooked.lattice import FiniteLattice, generate_sublattice
+from crooked.lattice import FiniteLattice, generate_sublattice, load_lattice
 from crooked.sigma import (
     ConstantRegistry, SigmaGenerator, constant_key, dump_sentences,
     enumerate_new_tuples, fragment, parse_sentence_dump,
@@ -47,6 +50,15 @@ def test_enumerate_new_tuples_counts():
     reg2.populate(-1, 2)
     quads = enumerate_new_tuples(reg2, 0, 4)
     assert len(quads) == 16  # 2^4 functions with repetition
+
+
+def test_enumerate_new_tuples_honours_limit():
+    reg = ConstantRegistry(default_budget=8)
+    reg.populate(-1, 3)
+    for k in (2, 3, 4):
+        every = enumerate_new_tuples(reg, 0, k)
+        assert enumerate_new_tuples(reg, 0, k, limit=0) == []
+        assert enumerate_new_tuples(reg, 0, k, limit=2) == every[:2]
 
 
 def test_enumerate_new_tuples_empty_when_nothing_new():
@@ -168,6 +180,14 @@ def test_budget_exhausted_error_names_stage():
     assert "S1" in str(exc.value) and "l=0" in str(exc.value)
 
 
+def test_budget_exhausted_when_no_triple_fits():
+    # triples exist, but budget 2 holds none of their three fresh constants
+    gen = SigmaGenerator(generate_sublattice({1, 2, 3}, [{1}, {2, 3}]), budget=2)
+    with pytest.raises(ResourceLimitError) as exc:
+        gen.generate_through(4)
+    assert "S4" in str(exc.value) and "l=0" in str(exc.value)
+
+
 def test_generation_deterministic_across_runs():
     a = dump_sentences(SigmaGenerator(chain2(), budget=8).generate_through(10))
     b = dump_sentences(SigmaGenerator(chain2(), budget=8).generate_through(10))
@@ -272,3 +292,48 @@ def test_dump_line_format():
     line = recs[0].line()
     assert line.startswith("S1^0 0: ")
     assert parse(line.split(": ", 1)[1]) == recs[0].formula
+
+
+@pytest.mark.parametrize("line", [
+    "S1^9 0: k(-1,0) = 0",      # stage 1 has no family 9
+    "S-1^7 0: k(-2,0) = 0",     # the subcontinuum stage has no family 7
+    "S0^1 0: k(-1,0) = 0",      # the diagram has no families
+    "S0 0: k(-1,0) v k(-1,1) = k(-1,1) ^ k(-1,0)",
+    # the conclusion swaps the operands of the premise
+    "S2 0: k(-1,0) ^ k(-1,1) = 0 -> "
+    "k(-1,1) ^ k(2,0) = 0 & k(-1,0) ^ k(2,1) = 0 & k(2,0) v k(2,1) = 1",
+    "S4 0: k(-1,0) ^ k(-1,1) ^ k(-1,2) = 0 -> k(-1,0) ^ k(4,0) = k(-1,0)",
+    "S1^0 0: k(-1,0) ^",        # not a formula
+])
+def test_parse_rejects_malformed_sentences(line):
+    text = "S0 0: k(-1,0) ^ k(-1,1) = k(-1,0)\n" + line + "\n"
+    with pytest.raises(InputError, match="^line 2: "):
+        parse_sentence_dump(text)
+
+
+def _digests(gen, stages):
+    recs = gen.generate_through(stages)
+    rows = [(r.stage, r.family, r.index, r.kind, r.formula, r.operands, r.fresh, r.ignorable)
+            for r in recs]
+    return (
+        hashlib.sha256(dump_sentences(recs).encode()).hexdigest(),
+        hashlib.sha256(repr(rows).encode()).hexdigest(),
+    )
+
+
+def test_generated_bytes_are_pinned():
+    chain3, _ = load_lattice(str(Path(__file__).parent.parent / "inputs" / "chain3.json"))
+    surgery_base = generate_sublattice({0, 1, 2}, [{0}, {2}, {0, 1, 2}], names=["g0", "g1", "g2"])
+    assert _digests(SigmaGenerator(chain3, budget=16), 10) == (
+        "96324f01cbe5c49a4e19959dd680b5b040c50d44a49a6e25b4caeb72e9951ba1",
+        "ebc80a31768059a5b4e544ee043b8cdc8f0412ef0573b0ccd83978becf93e5ad",
+    )
+    assert _digests(SigmaGenerator(surgery_base, budget=400), 5) == (
+        "77c8254676303d128595cd5c65cd4b2694243bd5f03ac7b03c85842472ed5e80",
+        "6c4ca0e91b1ac2c01d4cecc37b9679107dd80b5b1da2ac59290a8cf3fadf98d3",
+    )
+    hat = SigmaGenerator(boolean4(), budget=12, axiom_cap=3, continuum_constants=1, hat_size=3)
+    assert _digests(hat, 6) == (
+        "78e37b0e3abd7bab18cc652a7a97f819ad4319003f4b120270d2859c06fc587b",
+        "5ed5acead9be00d62ec372644b8887a50d04c663a6d6c33e5413adafa1af09c5",
+    )

@@ -381,6 +381,18 @@ def test_build_tower_through_real_crooked_surgery():
         assert tower.stages[n].bonding.image_of(th.sets[n]) == th.sets[n - 1]
 
 
+def test_dim_step_surgers_when_the_cover_probe_overflows():
+    # stage 4's arrangement refines past the cover search's cell cap, so the
+    # existing-cover probe gives up and the triangle surgery runs instead
+    tower = steered_crooked_tower(4)
+    assert [st.kind for st in tower.stages[1:]] == ["crooked", "identity", "crooked", "triangle"]
+    assert tower.stages[4].instance["mode"] == "surgery"
+    for name, lifts in tower.catalog.items():
+        th = weak_confluence_witness(tower, lifts[0])
+        for n in range(1, tower.depth + 1):
+            assert tower.stages[n].bonding.image_of(th.sets[n]) == th.sets[n - 1], name
+
+
 def test_composed_maps_table_matches_composed_map():
     tower = steered_crooked_tower(3)
     assert [st.kind for st in tower.stages[1:]] == ["crooked", "identity", "crooked"]
