@@ -18,7 +18,7 @@ from .errors import (
     CrookedError, InputError, InvariantViolationError, ResourceLimitError,
 )
 from .folang import LIBRARY, Interpretation, eval_formula, parse, print_formula
-from .lattice import load_lattice
+from .lattice import DEFAULT_ELEMENT_CAP, load_lattice
 from .metric_graph import dump_graph, load_graph
 from .render import render_svg
 from .sigma import SigmaGenerator, dump_sentences, fragment, parse_sentence_dump
@@ -226,7 +226,7 @@ def cmd_render(args) -> int:
 
 
 def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=4096, help="sublattice element cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="sublattice element cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

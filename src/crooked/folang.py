@@ -116,13 +116,6 @@ def conj(*parts: Formula) -> Formula:
     return out
 
 
-def conjuncts(f: Formula) -> list[Formula]:
-    """Flatten a conjunction chain."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
-
-
 def meets(*terms: Term) -> Term:
     """Left-nested meet chain, as `a ^ b ^ c` parses."""
     out = terms[0]
@@ -459,14 +452,8 @@ class Interpretation:
         except KeyError:
             raise EvaluationError(f"constant {cid!r} has no interpretation") from None
 
-    def covers(self, f: Formula) -> bool:
-        return constants_of(f) <= set(self.mapping)
-
     def __contains__(self, cid: str) -> bool:
         return cid in self.mapping
-
-    def copy(self) -> "Interpretation":
-        return Interpretation(self.mapping)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
 )
 from .folang import Interpretation
-from .lattice import FiniteLattice, generate_sublattice
+from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
 
@@ -962,7 +962,7 @@ def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:
 def extract_sublattice(
     graph: MetricGraph,
     named_sets: Mapping[str, ClosedSet],
-    cap: int = 4096,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> ExtractResult:
     """A finite closed-set sublattice at arrangement granularity.
 

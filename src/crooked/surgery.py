@@ -1,4 +1,5 @@
-"""The two consistency-witness constructions on metric graphs.
+"""The two consistency-witness constructions on metric graphs, and the one
+instance step both drivers build their stages with.
 
 The dimension step inserts a circle fiber at every isolated point whose
 normalized distance triple sits at the barycenter, reinterprets the three
@@ -11,14 +12,16 @@ formula evaluator on an extracted sublattice, never by construction
 bookkeeping.
 
 Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
-scheduled instance through the same shortcut table (`resolve_shortcut`) and
-the same nudge-retry loop (`surgery_with_nudges`).
+scheduled instance through the same shortcut table (`resolve_shortcut`), turn
+it into a new `Stage` through the same step (`instance_stage`, which runs the
+nudge-retry loop `surgery_with_nudges`), and lift connected sets through its
+bonding by the same component search (`lift_through`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 
 from .errors import (
@@ -31,8 +34,9 @@ from .errors import (
 )
 from .folang import (
     And, Const, Eq, Formula, Implies, Neq, Not, Or, Zero, One,
-    eval_formula, is_ground, psi, zeta,
+    eval_formula, is_ground, psi, theta, zeta,
 )
+from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, Point, distance_to_set,
     extract_sublattice, frac_str, kappa_map, urysohn,
@@ -40,6 +44,12 @@ from .metric_graph import (
 from .sigma import SentenceRecord
 
 ARC_LETTERS = ("A", "B", "C")
+
+# The ground instances of the dimension, crookedness and theta schemata over
+# the operand roles a, b, c (, d) and the witness roles x, y, z.
+ZETA_GROUND = zeta(*(Const(r) for r in ("a", "b", "c", "x", "y", "z")))
+PSI_GROUND = psi(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
+THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +91,9 @@ def eval_ground_geometric(f: Formula, sets: dict[str, ClosedSet], graph: MetricG
     raise UsageError("geometric evaluation handles ground sentences only")
 
 
-def verify_on_sublattice(f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph, cap: int = 4096) -> bool:
+def verify_on_sublattice(
+    f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph, cap: int = DEFAULT_ELEMENT_CAP
+) -> bool:
     """Independent check: extract the sublattice generated by the mentioned
     sets and run the formula evaluator on it."""
     from .folang import constants_of
@@ -203,7 +215,7 @@ def triangle_step(
     b: ClosedSet,
     c: ClosedSet,
     interpretation: dict[str, ClosedSet],
-    cap: int = 4096,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> TriangleStep:
     """Make the dimension witnesses exist: each isolated barycenter point of
     the distance triple is blown up into a circle fiber, and x, y, z are the
@@ -370,8 +382,7 @@ def _check_triangle_post(step: TriangleStep, a, b, c, cap: int) -> None:
     if ((x | y) | z) != out.whole_set():
         raise InvariantViolationError("triangle witnesses do not cover the space")
     sets = {"a": a2, "b": b2, "c": c2, "x": x, "y": y, "z": z}
-    ground = zeta(*(Const(k) for k in ("a", "b", "c", "x", "y", "z")))
-    if not verify_on_sublattice(ground, sets, out, cap):
+    if not verify_on_sublattice(ZETA_GROUND, sets, out, cap):
         raise InvariantViolationError("dimension schema failed on the extracted sublattice")
     if not step.bonding.is_surjective():
         raise InvariantViolationError("triangle bonding is not onto")
@@ -506,7 +517,7 @@ def crooked_step(
     d: ClosedSet,
     interpretation: dict[str, ClosedSet],
     separating: PLFunction | None = None,
-    cap: int = 4096,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CrookedStep:
     """Thread the space through the five-segment staircase over a separating
     function and keep the unique component that still projects onto the
@@ -682,8 +693,7 @@ def _check_crooked_post(step: CrookedStep, a, b, c, d, cap: int) -> None:
     }
     sets = dict(lifted)
     sets.update(step.witnesses)
-    ground = psi(*(Const(k) for k in ("a", "b", "c", "d", "x", "y", "z")))
-    if not verify_on_sublattice(ground, sets, out, cap):
+    if not verify_on_sublattice(PSI_GROUND, sets, out, cap):
         raise InvariantViolationError(
             "crookedness schema failed on the extracted sublattice"
         )
@@ -693,78 +703,62 @@ def _check_crooked_post(step: CrookedStep, a, b, c, d, cap: int) -> None:
 # Connected lifts
 # --------------------------------------------------------------------------
 
-def lift_connected(step, s: ClosedSet) -> ClosedSet:
-    """A connected closed set in the new space mapping exactly onto `s`.
-
-    Monotone bondings lift by full preimage; crooked bondings search the
-    components of the preimage for one with the exact image, which the
-    construction guarantees to exist."""
+def lift_through(stage, s: ClosedSet) -> ClosedSet:
+    """A connected onto lift through one bonding: the component of the
+    preimage with the exact image.  Works from the bonding alone, so a built
+    or loaded `Stage`, a `TriangleStep` and a `CrookedStep` lift alike."""
+    bonding = stage.bonding
     if s.is_empty():
-        return step.output_graph.empty_set()
-    if len(step.input_graph.components_of(s)) != 1:
-        raise PreconditionError("lift_connected needs a connected set")
-    pre = step.bonding.preimage_of(s)
-    if step.kind == "triangle":
-        comps = step.output_graph.components_of(pre)
-        if len(comps) != 1:
-            raise InvariantViolationError("monotone bonding produced a disconnected preimage")
-        return pre
-    for comp in step.output_graph.components_of(pre):
-        if step.bonding.image_of(comp) == s:
+        return bonding.domain.empty_set()
+    pre = bonding.preimage_of(s)
+    for comp in bonding.domain.components_of(pre):
+        if bonding.image_of(comp) == s:
             return comp
     raise InvariantViolationError("no component of the preimage maps onto the set")
 
 
+def lift_connected(step, s: ClosedSet) -> ClosedSet:
+    """A connected closed set in the new space mapping exactly onto `s`.
+
+    Monotone (triangle) bondings lift by full preimage, which must be one
+    component; crooked bondings keep the component of the preimage with the
+    exact image, which the construction guarantees to exist."""
+    if not s.is_empty() and len(step.bonding.codomain.components_of(s)) != 1:
+        raise PreconditionError("lift_connected needs a connected set")
+    lifted = lift_through(step, s)
+    if step.kind == "triangle" and lifted != step.bonding.preimage_of(s):
+        raise InvariantViolationError("monotone bonding produced a disconnected preimage")
+    return lifted
+
+
 # --------------------------------------------------------------------------
-# Reinterpretation without surgery
+# Fresh sets of the sentences that need no surgery
 # --------------------------------------------------------------------------
 
-def reinterpret_simple(
-    graph: MetricGraph,
-    interpretation: dict[str, ClosedSet],
-    request: tuple,
-) -> dict[str, ClosedSet]:
-    """Extend the interpretation for sentences that need no surgery: named
-    meets/joins, normality co-covers from distance bisectors, and
-    disjunctivity points.  Vacuous premises interpret the fresh constants as
-    the empty set."""
-    interp = dict(interpretation)
-    kind = request[0]
-    if kind in ("meet", "join"):
-        _, a_cid, b_cid, fresh = request
-        a, b = interp[a_cid], interp[b_cid]
-        interp[fresh] = (a & b) if kind == "meet" else (a | b)
-        return interp
-    if kind == "normal":
-        _, mn_cid, mx_cid, k1, k2 = request
-        mn, mx = interp[mn_cid], interp[mx_cid]
-        if not (mx & mn).is_empty():
-            interp[k1] = graph.empty_set()
-            interp[k2] = graph.empty_set()
-            return interp
-        if mx.is_empty():
-            interp[k1] = graph.whole_set()
-            interp[k2] = graph.empty_set()
-            return interp
-        if mn.is_empty():
-            interp[k1] = graph.empty_set()
-            interp[k2] = graph.whole_set()
-            return interp
-        d_mx = distance_to_set(graph, mx)
-        d_mn = distance_to_set(graph, mn)
-        diff = d_mx - d_mn
-        interp[k1] = diff.superlevel_set(0)   # at least as far from mx: misses mx
-        interp[k2] = diff.sublevel_set(0)     # misses mn
-        return interp
-    if kind == "disj":
-        _, big_cid, small_cid, fresh = request
-        big, small = interp[big_cid], interp[small_cid]
-        if (big & small) == big:
-            interp[fresh] = graph.empty_set()
-            return interp
-        interp[fresh] = graph.point_closed_set([_point_outside(graph, big, small)])
-        return interp
-    raise UsageError(f"unknown reinterpretation request {kind!r}")
+def normal_cocover(
+    graph: MetricGraph, mn: ClosedSet, mx: ClosedSet
+) -> tuple[ClosedSet, ClosedSet]:
+    """The normality co-cover `(k1, k2)` of `mn` and `mx`: k1 misses mx, k2
+    misses mn, cut along the distance bisector.  Both empty when the sets
+    meet (a vacuous premise)."""
+    if not (mx & mn).is_empty():
+        return graph.empty_set(), graph.empty_set()
+    if mx.is_empty():
+        return graph.whole_set(), graph.empty_set()
+    if mn.is_empty():
+        return graph.empty_set(), graph.whole_set()
+    d_mx = distance_to_set(graph, mx)
+    d_mn = distance_to_set(graph, mn)
+    diff = d_mx - d_mn
+    return diff.superlevel_set(0), diff.sublevel_set(0)
+
+
+def disjunctivity_point(graph: MetricGraph, big: ClosedSet, small: ClosedSet) -> ClosedSet:
+    """A point of `big` outside `small`; empty when `big` lies inside
+    `small` (a vacuous premise)."""
+    if (big & small) == big:
+        return graph.empty_set()
+    return graph.point_closed_set([_point_outside(graph, big, small)])
 
 
 # --------------------------------------------------------------------------
@@ -850,6 +844,42 @@ def surgery_with_nudges(
 
 
 # --------------------------------------------------------------------------
+# Stages: one instance step, shared by both drivers
+# --------------------------------------------------------------------------
+
+@dataclass
+class Stage:
+    graph: MetricGraph
+    bonding: PLMap | None              # stage n -> stage n-1; None at stage 0
+    base: dict[str, ClosedSet]
+    kind: str                          # base|identity|triangle|crooked|shortcut|vacuous|noop
+    instance: dict | None = None
+    nudges: list = field(default_factory=list)
+
+
+def instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) -> Stage:
+    """The stage for one dimension ("zeta") or crookedness ("theta")
+    instance: its witnesses on the previous graph when `resolved` is
+    `(mode, (x, y, z))`, otherwise the surgery with any nudges folded into
+    the bonding.  The witnesses join the base under the names
+    `instance["witnesses"]`, and `instance["mode"]` records the resolution."""
+    nudged: list[str] = []
+    if resolved is not None:
+        mode, witnesses = resolved
+        graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
+        kind = "identity" if mode == "existing-cover" else mode
+    else:
+        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base, cap)
+        mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
+        graph, base, kind = step.output_graph, step.interpretation, step.kind
+        bonding = step.bonding if renorm is None else step.bonding.then(renorm)
+    instance["mode"] = mode
+    base_n = dict(base)
+    base_n.update(zip(instance["witnesses"], witnesses))
+    return Stage(graph, bonding, base_n, kind, instance=instance, nudges=nudged)
+
+
+# --------------------------------------------------------------------------
 # Fragment witnessing
 # --------------------------------------------------------------------------
 
@@ -902,67 +932,30 @@ def witness_fragment(
     graph0: MetricGraph,
     interp0: dict[str, ClosedSet],
     connected_cids: tuple[str, ...] = (),
-    cap: int = 4096,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> WitnessResult:
     """Process a well-ordered fragment, building a model sentence by
-    sentence: reinterpretations for the bookkeeping stages, a triangle step
-    per satisfiable dimension instance, a crooked step per satisfiable
+    sentence: fresh sets for the bookkeeping stages, a triangle step per
+    satisfiable dimension instance, a crooked step per satisfiable
     crookedness instance.  The result carries a report in which every
     fragment sentence is re-evaluated by the lattice evaluator on extracted
     sublattices."""
     if not graph0.is_connected():
         raise PreconditionError("the base space must be connected")
-    graph = graph0
-    interp = dict(interp0)
-    for cid, s in interp.items():
-        if s.graph is not graph:
+    for cid, s in interp0.items():
+        if s.graph is not graph0:
             raise UsageError(f"interpretation of {cid!r} is not on the base graph")
+    stage = Stage(graph0, None, dict(interp0), "base")
     connected = set(connected_cids)
     trace: list[dict] = []
     processed: list[SentenceRecord] = []
 
     def need(cid: str) -> ClosedSet:
-        if cid not in interp:
+        if cid not in stage.base:
             raise EvaluationError(
                 f"constant {cid!r} is not interpreted; the fragment is not processed in order"
             )
-        return interp[cid]
-
-    def recheck() -> None:
-        for r in processed:
-            if is_ground(r.formula):
-                if not eval_ground_geometric(r.formula, interp, graph):
-                    raise InvariantViolationError(
-                        f"a previously satisfied sentence became false: {r.line()}"
-                    )
-
-    def assign_constants(rec: SentenceRecord, values) -> None:
-        for cid, value in zip(rec.fresh, values):
-            interp[cid] = value
-
-    def surgery(rec: SentenceRecord, ops: list[ClosedSet]) -> None:
-        nonlocal graph, interp
-        step, _, nudged, old_interp = surgery_with_nudges(rec.kind, graph, ops, interp, cap)
-        for eid in nudged:
-            trace.append({"action": "nudge", "edge": eid, "sentence": rec.line()})
-        graph = step.output_graph
-        interp = dict(step.interpretation)
-        for cid in sorted(connected):
-            if cid in old_interp and not old_interp[cid].is_empty():
-                try:
-                    interp[cid] = lift_connected(step, old_interp[cid])
-                except PreconditionError:
-                    pass  # not connected after all; the report will say so
-        assign_constants(rec, (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"]))
-        trace.append(
-            {
-                "action": step.kind,
-                "sentence": rec.line(),
-                "operands": list(rec.operands),
-                "witnesses": list(rec.fresh),
-            }
-        )
-        recheck()
+        return stage.base[cid]
 
     for rec in records:
         kind = rec.kind
@@ -970,33 +963,55 @@ def witness_fragment(
             pass
         elif kind == "hat-conn":
             k2 = rec.operands[0]
-            if k2 not in interp:
+            if k2 not in stage.base:
                 raise InputError(
                     f"catalog constant {k2!r} needs an interpretation in the input"
                 )
             connected.add(k2)
         elif kind == "hat-zero":
-            interp[rec.operands[0]] = graph.empty_set()
+            stage.base[rec.operands[0]] = stage.graph.empty_set()
         elif kind in ("meet", "join"):
-            need(rec.operands[0]), need(rec.operands[1])
-            interp = reinterpret_simple(
-                graph, interp, (kind, rec.operands[0], rec.operands[1], rec.fresh[0])
-            )
+            a, b = (need(cid) for cid in rec.operands)
+            stage.base[rec.fresh[0]] = (a & b) if kind == "meet" else (a | b)
         elif kind == "normal":
-            mn, mx = rec.operands
-            need(mn), need(mx)
-            interp = reinterpret_simple(graph, interp, ("normal", mn, mx, *rec.fresh))
+            mn, mx = (need(cid) for cid in rec.operands)
+            stage.base.update(zip(rec.fresh, normal_cocover(stage.graph, mn, mx)))
         elif kind in ("disj0", "disj1"):
-            big, small = rec.operands
-            need(big), need(small)
-            interp = reinterpret_simple(graph, interp, ("disj", big, small, rec.fresh[0]))
+            big, small = (need(cid) for cid in rec.operands)
+            stage.base[rec.fresh[0]] = disjunctivity_point(stage.graph, big, small)
         elif kind in ("zeta", "theta"):
             ops = [need(cid) for cid in rec.operands]
-            shortcut = resolve_shortcut(kind, graph, ops)
-            if shortcut is None:
-                surgery(rec, ops)
+            resolved = resolve_shortcut(kind, stage.graph, ops)
+            if resolved is not None:
+                stage.base.update(zip(rec.fresh, resolved[1]))
             else:
-                assign_constants(rec, shortcut[1])
+                prev = stage
+                stage = instance_stage(prev, {"kind": kind, "witnesses": rec.fresh}, ops, None, cap)
+                for cid in sorted(connected):
+                    if cid in prev.base and not prev.base[cid].is_empty():
+                        try:
+                            stage.base[cid] = lift_connected(stage, prev.base[cid])
+                        except PreconditionError:
+                            pass  # not connected after all; the report will say so
+                trace.extend(
+                    {"action": "nudge", "edge": eid, "sentence": rec.line()}
+                    for eid in stage.nudges
+                )
+                trace.append(
+                    {
+                        "action": stage.kind,
+                        "sentence": rec.line(),
+                        "operands": list(rec.operands),
+                        "witnesses": list(rec.fresh),
+                    }
+                )
+                for r in processed:
+                    if is_ground(r.formula) and not eval_ground_geometric(
+                        r.formula, stage.base, stage.graph
+                    ):
+                        raise InvariantViolationError(
+                            f"a previously satisfied sentence became false: {r.line()}"
+                        )
         else:
             raise UsageError(f"fragment contains an unknown sentence kind {kind!r}")
         processed.append(rec)
@@ -1010,18 +1025,18 @@ def witness_fragment(
         for cid in sorted(constants_of(f)):
             need(cid)
         if is_ground(f):
-            ok = verify_on_sublattice(f, interp, graph, cap)
+            ok = verify_on_sublattice(f, stage.base, stage.graph, cap)
         else:
             if full_extract is None:
                 all_cids = sorted(
                     {cid for r in records for cid in constants_of(r.formula)}
                 )
                 full_extract = extract_sublattice(
-                    graph, {cid: interp[cid] for cid in all_cids}, cap=cap
+                    stage.graph, {cid: stage.base[cid] for cid in all_cids}, cap=cap
                 )
             ok = eval_formula(f, full_extract.lattice, full_extract.interpretation).value
         report.append((rec.line(), ok))
-    return WitnessResult(graph, interp, trace, report, all(v for _, v in report))
+    return WitnessResult(stage.graph, stage.base, trace, report, all(v for _, v in report))
 
 
 def _point_outside(graph: MetricGraph, big: ClosedSet, small: ClosedSet) -> Point:

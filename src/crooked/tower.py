@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InputError,
@@ -22,12 +22,16 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .folang import LIBRARY, Const, eval_formula, theta, zeta
+from .folang import LIBRARY, eval_formula
+from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, _cell_in_set,
     extract_sublattice, graph_from_dict, graph_to_dict,
 )
-from .surgery import resolve_shortcut, surgery_with_nudges, verify_on_sublattice
+from .surgery import (
+    THETA_GROUND, ZETA_GROUND, Stage, instance_stage, lift_through,
+    resolve_shortcut, verify_on_sublattice,
+)
 
 DEFAULT_CELL_CAP = 64
 
@@ -111,20 +115,21 @@ def _search_cover(graph, named, conditions, subsets, cap):
     cells = _refine_midpoints(arrangement_cells(graph, list(named.values())))
     if len(cells) > cap:
         raise ResourceLimitError(f"{len(cells)} cells exceed the search cap {cap}")
-    incident: dict[int, list[int]] = {}
     one_cells = [i for i, cell in enumerate(cells) if cell[0] == "o"]
     zero_cells = [i for i, cell in enumerate(cells) if cell[0] != "o"]
     index_of = {cell: i for i, cell in enumerate(cells)}
+    ends: dict[int, tuple[int, int]] = {}   # 1-cell -> its endpoint 0-cells
+    incident: dict[int, list[int]] = {}
     for i in one_cells:
         _, eid, lo, hi = cells[i]
         e = graph.edges[eid]
-        for t, key in ((lo, 0), (hi, 1)):
-            if t == 0:
-                j = index_of[("v", e.u)]
-            elif t == e.length:
-                j = index_of[("v", e.v)]
-            else:
-                j = index_of[("p", eid, t)]
+        ends[i] = tuple(
+            index_of[("v", e.u)] if t == 0
+            else index_of[("v", e.v)] if t == e.length
+            else index_of[("p", eid, t)]
+            for t in (lo, hi)
+        )
+        for j in ends[i]:
             incident.setdefault(j, []).append(i)
     requires, bans = conditions(cells, named)
     order = one_cells + zero_cells
@@ -137,19 +142,8 @@ def _search_cover(graph, named, conditions, subsets, cap):
         return eff
 
     def violates(i: int) -> bool:
-        targets = [i]
-        if cells[i][0] == "o":
-            # this 1-cell feeds its endpoints
-            _, eid, lo, hi = cells[i]
-            e = graph.edges[eid]
-            for t in (lo, hi):
-                if t == 0:
-                    targets.append(index_of[("v", e.u)])
-                elif t == e.length:
-                    targets.append(index_of[("v", e.v)])
-                else:
-                    targets.append(index_of[("p", eid, t)])
-        for j in targets:
+        # a 1-cell feeds its endpoints
+        for j in (i, *ends.get(i, ())):
             eff = labels[j] if cells[j][0] == "o" else effective_partial(j)
             req = requires.get(j)
             if req is not None and not req <= eff:
@@ -261,16 +255,6 @@ def search_her_indec_cover(graph, a, b, c, d, cap: int = DEFAULT_CELL_CAP):
 # --------------------------------------------------------------------------
 
 @dataclass
-class Stage:
-    graph: MetricGraph
-    bonding: PLMap | None              # stage n -> stage n-1; None at stage 0
-    base: dict[str, ClosedSet]
-    kind: str                          # base|identity|triangle|crooked|shortcut|vacuous|noop
-    instance: dict | None = None
-    nudges: list = field(default_factory=list)
-
-
-@dataclass
 class Thread:
     """Per-stage connected sets with exact onto images along the bondings."""
     sets: list[ClosedSet]
@@ -356,27 +340,7 @@ def _pull_instance(tower: Tower, n: int, sch: tuple[int, int], kind: str, names)
     return instance, [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
 
 
-def _instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) -> Stage:
-    """The stage for a scheduled instance: its witnesses on the previous
-    graph when `resolved` is `(mode, (x, y, z))`, otherwise the surgery with
-    any nudges folded into the bonding."""
-    nudged: list[str] = []
-    if resolved is not None:
-        mode, witnesses = resolved
-        graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
-        kind = "identity" if mode == "existing-cover" else mode
-    else:
-        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base, cap)
-        mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
-        graph, base, kind = step.output_graph, step.interpretation, step.kind
-        bonding = step.bonding if renorm is None else step.bonding.then(renorm)
-    instance["mode"] = mode
-    base_n = dict(base)
-    base_n.update(zip(instance["witnesses"], witnesses))
-    return Stage(graph, bonding, base_n, kind, instance=instance, nudges=nudged)
-
-
-def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096) -> Stage:
+def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = DEFAULT_ELEMENT_CAP) -> Stage:
     """One dimension stage: resolve the scheduled triple, reuse an existing
     cover when the oracle finds one, otherwise surger.  The oracle only
     spares a surgery, so an arrangement too fine for it is surgered too."""
@@ -396,10 +360,12 @@ def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096) -> Sta
             cover = None
         if cover is not None:
             resolved = ("existing-cover", cover)
-    return _instance_stage(prev, instance, ops, resolved, cap)
+    return instance_stage(prev, instance, ops, resolved, cap)
 
 
-def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int], cap: int = 4096) -> Stage:
+def crooked_step_stage(
+    tower: Tower, n: int, sch: tuple[int, int], cap: int = DEFAULT_ELEMENT_CAP
+) -> Stage:
     """One crookedness stage for the scheduled quadruple.  Unlike the
     dimension step, satisfiable instances always go through the staircase
     construction; search_her_indec_cover stays an independent oracle over
@@ -412,7 +378,7 @@ def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int], cap: int = 40
     if names is None:
         return _noop(prev)
     instance, ops = _pull_instance(tower, n, sch, "theta", names)
-    return _instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops), cap)
+    return instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops), cap)
 
 
 def build_tower(
@@ -420,7 +386,7 @@ def build_tower(
     base0: dict[str, ClosedSet],
     catalog: dict[str, ClosedSet],
     depth: int,
-    cap: int = 4096,
+    cap: int = DEFAULT_ELEMENT_CAP,
     schedules: tuple = (schedule_s, schedule_t),
 ) -> Tower:
     """Alternate crookedness (odd) and dimension (even) stages along the
@@ -444,30 +410,11 @@ def build_tower(
     return tower
 
 
-def lift_through(stage: Stage, s: ClosedSet) -> ClosedSet:
-    """A connected onto lift through one stage bonding: the component of the
-    preimage with the exact image.  Works from the bonding alone, so loaded
-    towers thread identically to freshly built ones."""
-    if stage.bonding is None:
-        return s
-    if s.is_empty():
-        return stage.graph.empty_set()
-    pre = stage.bonding.preimage_of(s)
-    for comp in stage.graph.components_of(pre):
-        if stage.bonding.image_of(comp) == s:
-            return comp
-    raise InvariantViolationError("no component of the preimage maps onto the set")
-
-
 # --------------------------------------------------------------------------
 # Verification, threads, limit base
 # --------------------------------------------------------------------------
 
-_ZETA_GROUND = zeta(*(Const(r) for r in ("a", "b", "c", "x", "y", "z")))
-_THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
-
-
-def verify_tower(tower: Tower, cap: int = 4096) -> list[tuple[str, bool]]:
+def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str, bool]]:
     """Re-evaluate every scheduled instance on its stage sublattice and again
     at the final stage, check thread images, functoriality, and global
     connectivity, all through the independent evaluator."""
@@ -491,16 +438,14 @@ def verify_tower(tower: Tower, cap: int = 4096) -> list[tuple[str, bool]]:
                 if sets[role] is None:
                     ok = False
             if ok:
-                ground = _ZETA_GROUND if kind == "zeta" else _THETA_GROUND
+                ground = ZETA_GROUND if kind == "zeta" else THETA_GROUND
                 ok = verify_on_sublattice(ground, sets, tower.graph(at_stage), cap)
             label = f"stage {n} {kind} schedule={inst['schedule']} at stage {at_stage}"
             report.append((label, ok))
     for name, sets in tower.catalog.items():
         ok = True
         for n in range(1, N + 1):
-            st = tower.stages[n]
-            image = sets[n] if st.bonding is None else st.bonding.image_of(sets[n])
-            if image != sets[n - 1]:
+            if tower.stages[n].bonding.image_of(sets[n]) != sets[n - 1]:
                 ok = False
         report.append((f"thread {name} exact images", ok))
     table = tower.composed_maps()
@@ -531,8 +476,7 @@ def weak_confluence_witness(tower: Tower, c: ClosedSet) -> Thread:
     for n in range(1, tower.depth + 1):
         st = tower.stages[n]
         lifted = lift_through(st, sets[-1])
-        image = lifted if st.bonding is None else st.bonding.image_of(lifted)
-        if image != sets[-1]:
+        if st.bonding.image_of(lifted) != sets[-1]:
             raise InvariantViolationError(f"thread image mismatch at stage {n}")
         sets.append(lifted)
     return Thread(sets)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +8,14 @@ from crooked.errors import DegeneracyError, InvariantViolationError, Preconditio
 from crooked.folang import Const, Var, eval_formula, psi, zeta
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, extract_sublattice, unit_segment,
+    ClosedSet, Edge, MetricGraph, PLFunction, dump_graph, extract_sublattice,
+    unit_segment,
 )
 from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
 from crooked.surgery import (
-    CrookedStep, TriangleStep, check_monotone, crooked_step,
-    eval_ground_geometric, lift_connected, nudge_edge_length,
-    reinterpret_simple, triangle_step, verify_on_sublattice, witness_fragment,
+    CrookedStep, TriangleStep, check_monotone, crooked_step, disjunctivity_point,
+    eval_ground_geometric, lift_connected, normal_cocover, nudge_edge_length,
+    triangle_step, verify_on_sublattice, witness_fragment,
 )
 
 
@@ -363,15 +366,22 @@ def test_lift_connected_triangle_full_preimage():
         lift_connected(step, a | b)  # disconnected input
 
 
-# ------------------------------------------------------------- requests
+# ------------------------------------------------------------- fresh sets
 
 def test_reinterpret_meet_join():
+    from crooked.folang import Eq, Join, Meet
     g = seg()
     s = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
     t = ClosedSet(g, {"seg": [(F(1, 4), F(1))]}, set())
-    interp = reinterpret_simple(g, {"s": s, "t": t}, ("meet", "s", "t", "k"))
+    records = [
+        SentenceRecord(1, 0, 0, kind, Eq(op(Const("s"), Const("t")), Const(fresh)),
+                       operands=("s", "t"), fresh=(fresh,))
+        for kind, op, fresh in (("meet", Meet, "k"), ("join", Join, "j"))
+    ]
+    result = witness_fragment(records, g, {"s": s, "t": t})
+    assert result.ok
+    interp = result.interpretation
     assert interp["k"] == (s & t)
-    interp = reinterpret_simple(g, interp, ("join", "s", "t", "j"))
     assert interp["j"] == (s | t)
 
 
@@ -379,26 +389,25 @@ def test_reinterpret_normality_bisectors():
     g = seg()
     a = g.point_closed_set([("v", "a")])
     b = g.point_closed_set([("v", "b")])
-    interp = reinterpret_simple(g, {"a": a, "b": b}, ("normal", "a", "b", "k1", "k2"))
+    k1, k2 = normal_cocover(g, a, b)
     # k1 misses b (the larger constant), k2 misses a
-    assert interp["k1"] == ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
-    assert interp["k2"] == ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set())
-    assert (interp["k1"] | interp["k2"]) == g.whole_set()
+    assert k1 == ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
+    assert k2 == ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set())
+    assert (k1 | k2) == g.whole_set()
 
 
 def test_reinterpret_normality_vacuous():
     g = seg()
     s = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
-    interp = reinterpret_simple(g, {"a": s, "b": s}, ("normal", "a", "b", "k1", "k2"))
-    assert interp["k1"].is_empty() and interp["k2"].is_empty()
+    k1, k2 = normal_cocover(g, s, s)
+    assert k1.is_empty() and k2.is_empty()
 
 
 def test_reinterpret_disjunctivity_point():
     g = seg()
     a = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
     b = g.point_closed_set([("v", "a")])
-    interp = reinterpret_simple(g, {"a": a, "b": b}, ("disj", "a", "b", "k"))
-    k = interp["k"]
+    k = disjunctivity_point(g, a, b)
     assert not k.is_empty()
     assert k.is_subset_of(a)
     assert (k & b).is_empty()
@@ -466,6 +475,16 @@ def test_witness_fragment_surgery_rich_pipeline():
     assert result.graph.meta.get("fibers")
     result2 = witness_fragment(frag, g, interp0, cap=8192)
     assert result.report == result2.report and result.trace == result2.trace
+    # the model and trace bytes are pinned, so a refactor of the drivers
+    # must reproduce the same construction exactly
+    model = dump_graph(result.graph, result.interpretation).encode()
+    trace = json.dumps(result.trace, sort_keys=True).encode()
+    assert hashlib.sha256(model).hexdigest() == (
+        "ba3fe87139a9811bea0d5063c887ed788e381fc2a0d182e0644472dba9c81780"
+    )
+    assert hashlib.sha256(trace).hexdigest() == (
+        "a29db4fcc02f66c346bce21fa174cce2312a5333e6dc45e7aee92ea0a468fe07"
+    )
 
 
 def test_witness_fragment_triangle_trace():
@@ -575,13 +594,15 @@ def test_witness_fragment_nudges_degenerate_instance():
         "B": g.point_closed_set([("v", "w2")]),
         "C": g.point_closed_set([("v", "w3")]),
         "W": g.whole_set(),
+        # a connected constant over both nudged edges
+        "K": ClosedSet(g, {"k1": [(F(0), F(1))], "tail": [(F(0), F(5))]}, set()),
     }
     rec = SentenceRecord(
         4, None, 0, "zeta",
         zeta(Const("A"), Const("B"), Const("C"), Const("x0"), Const("y0"), Const("z0")),
         operands=("A", "B", "C"), fresh=("x0", "y0", "z0"),
     )
-    result = witness_fragment([rec], g, interp0)
+    result = witness_fragment([rec], g, interp0, connected_cids=("K",))
     assert result.ok
     assert [(t["action"], t.get("edge")) for t in result.trace] == [
         ("nudge", "tail"), ("nudge", "k1"), ("triangle", None),
@@ -589,3 +610,8 @@ def test_witness_fragment_nudges_degenerate_instance():
     # sets are transported along each nudge's stretch, so a set covering the
     # space still covers it after an edge is lengthened
     assert result.interpretation["W"] == result.graph.whole_set()
+    # the connected constant is lifted through the nudges and the triangle
+    # as one piece
+    lifted = result.interpretation["K"]
+    assert not lifted.is_empty()
+    assert len(result.graph.components_of(lifted)) == 1
