@@ -2,8 +2,10 @@
 
 Exit codes: 0 success / property true, 1 property false, 2 usage or input
 error, 3 internal failure (an invariant violation or an exceeded cap).
-Every report embeds the tool version and, for the commands that take
-`--cap`, the cap in effect; all outputs are deterministic for fixed inputs.
+Every report embeds the tool version; all outputs are deterministic for
+fixed inputs.  Ground sentences and the tower's CONN(1) line are decided on
+cell bitmasks with no cap, so only `sigma-witness` takes `--cap` (and prints
+it): the sublattice is closed only for its quantified hat-mode lines.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ def cmd_tower_build(args) -> int:
             catalog[name] = sets[name]
         else:
             raise InputError(f"catalog member {name!r} is not a named closed set")
-    tower = build_tower(graph, sets, catalog, args.depth, cap=args.cap)
+    tower = build_tower(graph, sets, catalog, args.depth)
     save_tower(tower, args.out)
-    report = verify_tower(tower, cap=args.cap)
+    report = verify_tower(tower)
     lines = [_header(args, {"depth": args.depth})]
     for label, ok in report:
         lines.append(f"{'pass' if ok else 'FAIL'}: {label}")
@@ -183,7 +185,7 @@ def cmd_tower_build(args) -> int:
 
 def cmd_tower_verify(args) -> int:
     tower = load_tower(args.directory)
-    report = verify_tower(tower, cap=args.cap)
+    report = verify_tower(tower)
     print(_header(args, {"depth": tower.depth}))
     for label, ok in report:
         print(f"{'pass' if ok else 'FAIL'}: {label}")
@@ -225,10 +227,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="sublattice element cap")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crooked",
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_cap(p)
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="sublattice element cap")
     p.set_defaults(func=cmd_sigma_witness)
 
     p = sub.add_parser("tower-build", help="build and verify an inverse-sequence tower")
@@ -275,12 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--catalog", default="", help="comma-separated closed-set names (or 'whole')")
     p.add_argument("--out", required=True)
-    _add_cap(p)
     p.set_defaults(func=cmd_tower_build)
 
     p = sub.add_parser("tower-verify", help="re-verify a tower directory")
     p.add_argument("directory")
-    _add_cap(p)
     p.set_defaults(func=cmd_tower_verify)
 
     p = sub.add_parser("tower-thread", help="emit a weak-confluence thread")

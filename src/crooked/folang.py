@@ -5,13 +5,15 @@ formulas from equalities, the usual connectives, and quantifier prefixes.
 Two evaluators are provided: `eval_formula` (short-circuiting, with witness
 or counterexample reporting for the outermost quantifier block) and
 `eval_bruteforce` (a deliberately separate, pruning-free code path used as an
-independent oracle).
+independent oracle).  Ground sentences over a lattice of sets can also be
+decided on bitmasks by `eval_ground_masks`, which never closes the lattice.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import EvaluationError, ParseError, UnboundVariableError, UsageError
 from .lattice import FiniteLattice, LatticeElement
@@ -574,6 +576,42 @@ def eval_formula(f: Formula, L: FiniteLattice, I: Interpretation | None = None) 
                 return EvalResult(False, {n: L.element(env[n]) for n in names})
         return EvalResult(isinstance(f, ForAll), None)
     return EvalResult(_eval(f, L, I, {}, cache), None)
+
+
+def _mask_term(t: Term, masks: Mapping[str, int], full: int) -> int:
+    if isinstance(t, Const):
+        try:
+            return masks[t.cid]
+        except KeyError:
+            raise EvaluationError(f"constant {t.cid!r} has no interpretation") from None
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, One):
+        return full
+    if isinstance(t, Meet):
+        return _mask_term(t.left, masks, full) & _mask_term(t.right, masks, full)
+    if isinstance(t, Join):
+        return _mask_term(t.left, masks, full) | _mask_term(t.right, masks, full)
+    raise UsageError(f"not a ground term: {t!r}")
+
+
+def eval_ground_masks(f: Formula, masks: Mapping[str, int], full: int) -> bool:
+    """Truth of a ground sentence in a lattice of sets given as bitmasks,
+    without closing the lattice: each constant is its mask, 0 the empty mask,
+    1 `full`, meet and join are & and |."""
+    if isinstance(f, Eq):
+        return _mask_term(f.left, masks, full) == _mask_term(f.right, masks, full)
+    if isinstance(f, Neq):
+        return _mask_term(f.left, masks, full) != _mask_term(f.right, masks, full)
+    if isinstance(f, Not):
+        return not eval_ground_masks(f.sub, masks, full)
+    if isinstance(f, And):
+        return eval_ground_masks(f.left, masks, full) and eval_ground_masks(f.right, masks, full)
+    if isinstance(f, Or):
+        return eval_ground_masks(f.left, masks, full) or eval_ground_masks(f.right, masks, full)
+    if isinstance(f, Implies):
+        return (not eval_ground_masks(f.left, masks, full)) or eval_ground_masks(f.right, masks, full)
+    raise UsageError("mask evaluation handles ground sentences only")
 
 
 def _brute_term(t: Term, L: FiniteLattice, I, env) -> int:

@@ -5,6 +5,11 @@ intersection and union, tabulated once at construction.  Every lattice made
 here carries a derivation for each element (generator, bottom, top, or a
 meet/join of earlier elements) so interpretations of the elements can be
 replayed in another lattice of sets, e.g. the closed sets of a metric graph.
+
+Closing a lattice is the expensive path and is bounded by an element cap.
+`join_irreducibles` and `conn1_by_birkhoff` read a generated lattice's
+join-irreducibles and its CONN(1) off int bitmask generators directly,
+without closing it.
 """
 
 from __future__ import annotations
@@ -280,6 +285,45 @@ def generate_sublattice(
             add(u, ("join", i, j))
         j += 1
     return FiniteLattice(family, derivs)
+
+
+def join_irreducibles(generators: Iterable[int]) -> list[int]:
+    """J(L) of the lattice L of sets generated by bitmask `generators` (the
+    empty set and their union adjoined), without closing L: the distinct
+    M_x = intersection of the generators containing x, over the points x of
+    the union (G. Birkhoff, "Rings of sets", Duke Math. J. 3 (1937)).
+
+    The points are split into blocks that every generator either contains or
+    misses, so each M_x is intersected once per block, not once per point."""
+    gens = list(dict.fromkeys(generators))
+    top = 0
+    for g in gens:
+        top |= g
+    blocks = [(top, top)] if top else []   # (block, M of its points)
+    for g in gens:
+        refined = []
+        for block, m in blocks:
+            if block & g:
+                refined.append((block & g, m & g))
+            if block & ~g:
+                refined.append((block & ~g, m))
+        blocks = refined
+    return sorted({m for _, m in blocks})
+
+
+def conn1_by_birkhoff(generators: Iterable[int]) -> bool:
+    """CONN(1) on the lattice generated by bitmask `generators`: the
+    complemented elements of a finite distributive lattice are the down-sets
+    of J(L) that are also up-sets, so 1 is connected exactly when the
+    comparability graph of J(L) is connected (vacuously when J(L) is empty,
+    the one-element lattice)."""
+    irreducibles = join_irreducibles(generators)
+    frontier, rest = irreducibles[:1], irreducibles[1:]
+    while frontier and rest:
+        m = frontier.pop()
+        frontier += [n for n in rest if m & n in (m, n)]
+        rest = [n for n in rest if m & n not in (m, n)]
+    return not rest
 
 
 def load_lattice(source) -> tuple[FiniteLattice, dict[str, int]]:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .folang import Interpretation
+from .folang import Formula, Interpretation, eval_formula, eval_ground_masks, is_ground
 from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
@@ -904,12 +906,51 @@ class PLMap:
 # Sublattice extraction
 # --------------------------------------------------------------------------
 
-@dataclass
 class ExtractResult:
-    lattice: FiniteLattice
-    interpretation: Interpretation
-    cells: list[tuple]
-    graph: MetricGraph
+    """The arrangement of a family of named closed sets on one graph.
+
+    `cells` are the arrangement cells and `masks` each named set's footprint
+    as an int bitmask over them (bit i stands for `cells[i]`); `full` is the
+    whole graph.  Ground sentences are decided on the masks (`decide`) and
+    CONN(1) by Birkhoff duality on them, neither under a cap.  The finite
+    sublattice the footprints generate, with the whole graph adjoined as top,
+    and its interpretation are closed under `cap` only when `.lattice` or
+    `.interpretation` is first read, i.e. only for quantified sentences."""
+
+    def __init__(self, graph: MetricGraph, cells: list[tuple], masks: dict[str, int], cap: int):
+        self.graph = graph
+        self.cells = cells
+        self.masks = masks
+        self.full = (1 << len(cells)) - 1
+        self.cap = cap
+
+    @cached_property
+    def _closure(self) -> tuple[FiniteLattice, Interpretation]:
+        names = sorted(self.masks)
+        footprints = [_bits(self.masks[name]) for name in names]
+        footprints.append(frozenset(range(len(self.cells))))
+        lattice = generate_sublattice(
+            range(len(self.cells)), footprints, names=names + ["__whole__"], cap=self.cap
+        )
+        interp = Interpretation(
+            {name: lattice.element_for(fp) for name, fp in zip(names, footprints)}
+        )
+        return lattice, interp
+
+    @property
+    def lattice(self) -> FiniteLattice:
+        return self._closure[0]
+
+    @property
+    def interpretation(self) -> Interpretation:
+        return self._closure[1]
+
+    def decide(self, f: Formula) -> bool:
+        """A sentence over the named sets: ground ones on the masks,
+        quantified ones by the formula evaluator on the closed lattice."""
+        if is_ground(f):
+            return eval_ground_masks(f, self.masks, self.full)
+        return eval_formula(f, self.lattice, self.interpretation).value
 
     def closed_set_of(self, element) -> ClosedSet:
         """Geometric realization of a lattice element: the union of its
@@ -928,9 +969,14 @@ class ExtractResult:
         return ClosedSet(self.graph, intervals, verts)
 
 
+def _bits(mask: int) -> frozenset:
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+
 def arrangement_cells(graph: MetricGraph, sets: Iterable[ClosedSet]) -> list[tuple]:
     """Cells of the common refinement of all interval endpoints: vertices,
-    interior 0-cells, and open 1-cells between consecutive breakpoints."""
+    then per edge its interior 0-cells followed by the open 1-cells between
+    consecutive breakpoints."""
     cuts: dict[str, set] = {eid: set() for eid in graph.edges}
     for s in sets:
         for eid, items in s.intervals.items():
@@ -959,39 +1005,60 @@ def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:
     return any(ilo <= lo and hi <= ihi for ilo, ihi in s.intervals.get(eid, ()))
 
 
+def _edge_layout(cells: list[tuple]) -> dict[str, tuple[int, list]]:
+    """Per edge, the index of its first cell and its sorted breakpoints,
+    both ends included, read off `arrangement_cells` order."""
+    layout: dict[str, tuple[int, list]] = {}
+    for i, cell in enumerate(cells):
+        if cell[0] == "v":
+            continue
+        if cell[1] not in layout:
+            layout[cell[1]] = (i, [Frac(0)])
+        if cell[0] == "o":
+            layout[cell[1]][1].append(cell[3])
+    return layout
+
+
+def _footprint(s: ClosedSet, vertex_bit: dict[str, int], layout) -> int:
+    """The cells inside `s` as a bitmask.  Every endpoint of an interval of s
+    is a breakpoint, so an interval covers a contiguous run of its edge's
+    0-cells and another of its 1-cells, found by bisection."""
+    mask = 0
+    for v in s.vertices:
+        mask |= 1 << vertex_bit[v]
+    for eid, items in s.intervals.items():
+        # the 0-cell at marks[j] is bit start + j - 1, the 1-cell after it
+        # bit start + points + j
+        start, marks = layout[eid]
+        points = len(marks) - 2
+        for lo, hi in items:
+            i, k = bisect_left(marks, lo), bisect_left(marks, hi)
+            first, last = max(i, 1), min(k, points)
+            if first <= last:
+                mask |= ((1 << (last - first + 1)) - 1) << (start + first - 1)
+            if i < k:
+                mask |= ((1 << (k - i)) - 1) << (start + points + i)
+    return mask
+
+
 def extract_sublattice(
     graph: MetricGraph,
     named_sets: Mapping[str, ClosedSet],
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> ExtractResult:
-    """A finite closed-set sublattice at arrangement granularity.
-
-    The ground set is the cell decomposition induced by all interval
-    endpoints; each named set becomes the element of its cell footprint; the
-    whole graph is always adjoined so the lattice top is the space itself."""
+    """The named sets at arrangement granularity: the cell decomposition
+    induced by all interval endpoints, and each set's cell footprint as a
+    bitmask.  `cap` bounds the sublattice closure, which happens only if the
+    result's lattice is read (see ExtractResult)."""
     names = sorted(named_sets)
     for name in names:
         if named_sets[name].graph is not graph:
             raise UsageError(f"set {name!r} lives on a different graph")
     cells = arrangement_cells(graph, [named_sets[n] for n in names])
-    footprints = []
-    gen_names = []
-    for name in names:
-        s = named_sets[name]
-        footprints.append(
-            frozenset(i for i, cell in enumerate(cells) if _cell_in_set(cell, s))
-        )
-        gen_names.append(name)
-    footprints.append(frozenset(range(len(cells))))
-    gen_names.append("__whole__")
-    lattice = generate_sublattice(
-        range(len(cells)), footprints, names=gen_names, cap=cap
-    )
-    interp = Interpretation()
-    for name, fp in zip(gen_names, footprints):
-        if name != "__whole__":
-            interp.assign(name, lattice.element_for(fp))
-    return ExtractResult(lattice, interp, cells, graph)
+    vertex_bit = {v: i for i, v in enumerate(graph.vertices)}
+    layout = _edge_layout(cells)
+    masks = {name: _footprint(named_sets[name], vertex_bit, layout) for name in names}
+    return ExtractResult(graph, cells, masks, cap)
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,11 @@ witnesses by the radial-projection rule, and bonds monotonically back.  The
 crookedness step threads the space through a five-segment staircase over a
 separating function and keeps the unique component that still covers the
 base.  Both return the new space, the bonding map, the witness sets, and the
-lifted interpretation; every postcondition is re-checked by the independent
-formula evaluator on an extracted sublattice, never by construction
-bookkeeping.
+lifted interpretation; every postcondition is re-checked independently of the
+construction bookkeeping, on the cell footprints of the sets' arrangement.
+Ground sentences are decided there as bitmasks (meet and join are `&` and
+`|`) with no element cap; a sublattice is closed, under the cap, only for a
+quantified sentence such as a fragment's hat-mode lines.
 
 Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
 scheduled instance through the same shortcut table (`resolve_shortcut`), turn
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .folang import (
     And, Const, Eq, Formula, Implies, Neq, Not, Or, Zero, One,
-    eval_formula, is_ground, psi, theta, zeta,
+    constants_of, is_ground, psi, theta, zeta,
 )
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
@@ -54,7 +56,7 @@ THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
 
 # --------------------------------------------------------------------------
 # Ground geometric evaluation (used for premise tests and fast re-checks;
-# final verdicts always go through the lattice evaluator instead)
+# final verdicts go through the cell-footprint evaluator instead)
 # --------------------------------------------------------------------------
 
 def _geom_term(t, sets: dict[str, ClosedSet], graph: MetricGraph) -> ClosedSet:
@@ -94,13 +96,11 @@ def eval_ground_geometric(f: Formula, sets: dict[str, ClosedSet], graph: MetricG
 def verify_on_sublattice(
     f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
-    """Independent check: extract the sublattice generated by the mentioned
-    sets and run the formula evaluator on it."""
-    from .folang import constants_of
-
+    """Independent check on the arrangement of the mentioned sets: a ground
+    sentence is decided on their cell footprints, a quantified one by the
+    formula evaluator on the sublattice they generate (closed under `cap`)."""
     named = {cid: sets[cid] for cid in constants_of(f)}
-    res = extract_sublattice(graph, named, cap=cap)
-    return eval_formula(f, res.lattice, res.interpretation).value
+    return extract_sublattice(graph, named, cap=cap).decide(f)
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +215,6 @@ def triangle_step(
     b: ClosedSet,
     c: ClosedSet,
     interpretation: dict[str, ClosedSet],
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> TriangleStep:
     """Make the dimension witnesses exist: each isolated barycenter point of
     the distance triple is blown up into a circle fiber, and x, y, z are the
@@ -365,11 +364,11 @@ def triangle_step(
         locus=locus,
         fibers=fibers,
     )
-    _check_triangle_post(step, a, b, c, cap)
+    _check_triangle_post(step, a, b, c)
     return step
 
 
-def _check_triangle_post(step: TriangleStep, a, b, c, cap: int) -> None:
+def _check_triangle_post(step: TriangleStep, a, b, c) -> None:
     out = step.output_graph
     x, y, z = (step.witnesses[k] for k in ("x", "y", "z"))
     a2 = step.bonding.preimage_of(a)
@@ -382,8 +381,8 @@ def _check_triangle_post(step: TriangleStep, a, b, c, cap: int) -> None:
     if ((x | y) | z) != out.whole_set():
         raise InvariantViolationError("triangle witnesses do not cover the space")
     sets = {"a": a2, "b": b2, "c": c2, "x": x, "y": y, "z": z}
-    if not verify_on_sublattice(ZETA_GROUND, sets, out, cap):
-        raise InvariantViolationError("dimension schema failed on the extracted sublattice")
+    if not verify_on_sublattice(ZETA_GROUND, sets, out):
+        raise InvariantViolationError("dimension schema failed on the cell footprints")
     if not step.bonding.is_surjective():
         raise InvariantViolationError("triangle bonding is not onto")
 
@@ -517,7 +516,6 @@ def crooked_step(
     d: ClosedSet,
     interpretation: dict[str, ClosedSet],
     separating: PLFunction | None = None,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CrookedStep:
     """Thread the space through the five-segment staircase over a separating
     function and keep the unique component that still projects onto the
@@ -647,7 +645,7 @@ def crooked_step(
         component_count=len(comps),
         staircase_graph=staircase,
     )
-    _check_crooked_post(step, a, b, c, d, cap)
+    _check_crooked_post(step, a, b, c, d)
     return step
 
 
@@ -683,7 +681,7 @@ def _attach_staircase_layout(out, base, vertex_map, edge_map) -> None:
     out.meta["pos"] = pos
 
 
-def _check_crooked_post(step: CrookedStep, a, b, c, d, cap: int) -> None:
+def _check_crooked_post(step: CrookedStep, a, b, c, d) -> None:
     out = step.output_graph
     lifted = {
         "a": step.bonding.preimage_of(a),
@@ -693,9 +691,9 @@ def _check_crooked_post(step: CrookedStep, a, b, c, d, cap: int) -> None:
     }
     sets = dict(lifted)
     sets.update(step.witnesses)
-    if not verify_on_sublattice(PSI_GROUND, sets, out, cap):
+    if not verify_on_sublattice(PSI_GROUND, sets, out):
         raise InvariantViolationError(
-            "crookedness schema failed on the extracted sublattice"
+            "crookedness schema failed on the cell footprints"
         )
 
 
@@ -803,7 +801,7 @@ def surgery_with_nudges(
     graph: MetricGraph,
     ops: list[ClosedSet],
     interpretation: dict[str, ClosedSet],
-    cap: int,
+    cap: int = DEFAULT_ELEMENT_CAP,
 ):
     """Run the instance's surgery (a triangle step for "zeta", a crooked step
     for "theta"), retrying after minimal edge-length nudges.
@@ -813,16 +811,18 @@ def surgery_with_nudges(
     -> `graph`, None without nudges), so a bonding chain stays exact.  Nudge
     targets rotate so symmetric configurations get broken even when the
     degenerate edge itself is not the culprit.  Returns the step, `renorm`,
-    the nudged edge ids, and the interpretation on `step.input_graph`."""
+    the nudged edge ids, and the interpretation on `step.input_graph`.
+    `cap` is accepted but not read: the steps' post-checks decide ground
+    sentences on cell bitmasks and close no lattice."""
     candidates = None
     nudged: list[str] = []
     renorm: PLMap | None = None
     while True:
         try:
             if kind == "zeta":
-                step = triangle_step(graph, *ops, interpretation, cap=cap)
+                step = triangle_step(graph, *ops, interpretation)
             else:
-                step = crooked_step(graph, *ops, interpretation, cap=cap)
+                step = crooked_step(graph, *ops, interpretation)
             return step, renorm, nudged, interpretation
         except DegeneracyError as exc:
             if len(nudged) >= MAX_NUDGES or exc.edge_id is None:
@@ -857,7 +857,7 @@ class Stage:
     nudges: list = field(default_factory=list)
 
 
-def instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) -> Stage:
+def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
     """The stage for one dimension ("zeta") or crookedness ("theta")
     instance: its witnesses on the previous graph when `resolved` is
     `(mode, (x, y, z))`, otherwise the surgery with any nudges folded into
@@ -869,7 +869,7 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved, cap: int) -
         graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
         kind = "identity" if mode == "existing-cover" else mode
     else:
-        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base, cap)
+        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base)
         mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
         graph, base, kind = step.output_graph, step.interpretation, step.kind
         bonding = step.bonding if renorm is None else step.bonding.then(renorm)
@@ -938,8 +938,9 @@ def witness_fragment(
     sentence: fresh sets for the bookkeeping stages, a triangle step per
     satisfiable dimension instance, a crooked step per satisfiable
     crookedness instance.  The result carries a report in which every
-    fragment sentence is re-evaluated by the lattice evaluator on extracted
-    sublattices."""
+    fragment sentence is re-evaluated on one arrangement of all fragment
+    constants: ground lines on its cell footprints, quantified (hat-mode)
+    lines on the sublattice they generate, closed under `cap`."""
     if not graph0.is_connected():
         raise PreconditionError("the base space must be connected")
     for cid, s in interp0.items():
@@ -986,7 +987,7 @@ def witness_fragment(
                 stage.base.update(zip(rec.fresh, resolved[1]))
             else:
                 prev = stage
-                stage = instance_stage(prev, {"kind": kind, "witnesses": rec.fresh}, ops, None, cap)
+                stage = instance_stage(prev, {"kind": kind, "witnesses": rec.fresh}, ops, None)
                 for cid in sorted(connected):
                     if cid in prev.base and not prev.base[cid].is_empty():
                         try:
@@ -1016,26 +1017,11 @@ def witness_fragment(
             raise UsageError(f"fragment contains an unknown sentence kind {kind!r}")
         processed.append(rec)
 
-    report: list[tuple[str, bool]] = []
-    full_extract = None
-    from .folang import constants_of
-
-    for rec in records:
-        f = rec.formula
-        for cid in sorted(constants_of(f)):
-            need(cid)
-        if is_ground(f):
-            ok = verify_on_sublattice(f, stage.base, stage.graph, cap)
-        else:
-            if full_extract is None:
-                all_cids = sorted(
-                    {cid for r in records for cid in constants_of(r.formula)}
-                )
-                full_extract = extract_sublattice(
-                    stage.graph, {cid: stage.base[cid] for cid in all_cids}, cap=cap
-                )
-            ok = eval_formula(f, full_extract.lattice, full_extract.interpretation).value
-        report.append((rec.line(), ok))
+    # One arrangement over every fragment constant decides the whole report:
+    # refining the cells keeps each verdict.
+    all_cids = sorted({cid for r in records for cid in constants_of(r.formula)})
+    final = extract_sublattice(stage.graph, {cid: need(cid) for cid in all_cids}, cap=cap)
+    report = [(rec.line(), final.decide(rec.formula)) for rec in records]
     return WitnessResult(stage.graph, stage.base, trace, report, all(v for _, v in report))
 
 

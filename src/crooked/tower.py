@@ -22,8 +22,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .folang import LIBRARY, eval_formula
-from .lattice import DEFAULT_ELEMENT_CAP
+from .lattice import DEFAULT_ELEMENT_CAP, conn1_by_birkhoff
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, _cell_in_set,
     extract_sublattice, graph_from_dict, graph_to_dict,
@@ -340,7 +339,7 @@ def _pull_instance(tower: Tower, n: int, sch: tuple[int, int], kind: str, names)
     return instance, [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
 
 
-def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = DEFAULT_ELEMENT_CAP) -> Stage:
+def dim_step(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
     """One dimension stage: resolve the scheduled triple, reuse an existing
     cover when the oracle finds one, otherwise surger.  The oracle only
     spares a surgery, so an arrangement too fine for it is surgered too."""
@@ -360,12 +359,10 @@ def dim_step(tower: Tower, n: int, sch: tuple[int, int], cap: int = DEFAULT_ELEM
             cover = None
         if cover is not None:
             resolved = ("existing-cover", cover)
-    return instance_stage(prev, instance, ops, resolved, cap)
+    return instance_stage(prev, instance, ops, resolved)
 
 
-def crooked_step_stage(
-    tower: Tower, n: int, sch: tuple[int, int], cap: int = DEFAULT_ELEMENT_CAP
-) -> Stage:
+def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
     """One crookedness stage for the scheduled quadruple.  Unlike the
     dimension step, satisfiable instances always go through the staircase
     construction; search_her_indec_cover stays an independent oracle over
@@ -378,7 +375,7 @@ def crooked_step_stage(
     if names is None:
         return _noop(prev)
     instance, ops = _pull_instance(tower, n, sch, "theta", names)
-    return instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops), cap)
+    return instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops))
 
 
 def build_tower(
@@ -386,7 +383,6 @@ def build_tower(
     base0: dict[str, ClosedSet],
     catalog: dict[str, ClosedSet],
     depth: int,
-    cap: int = DEFAULT_ELEMENT_CAP,
     schedules: tuple = (schedule_s, schedule_t),
 ) -> Tower:
     """Alternate crookedness (odd) and dimension (even) stages along the
@@ -401,9 +397,9 @@ def build_tower(
     tower = Tower([stage0], {name: [s] for name, s in sorted(catalog.items())})
     for n in range(1, depth + 1):
         if n % 2 == 0:
-            stage = dim_step(tower, n, sched_s(n // 2), cap)
+            stage = dim_step(tower, n, sched_s(n // 2))
         else:
-            stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2), cap)
+            stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2))
         tower.stages.append(stage)
         for name in tower.catalog:
             tower.catalog[name].append(lift_through(stage, tower.catalog[name][-1]))
@@ -415,9 +411,11 @@ def build_tower(
 # --------------------------------------------------------------------------
 
 def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str, bool]]:
-    """Re-evaluate every scheduled instance on its stage sublattice and again
-    at the final stage, check thread images, functoriality, and global
-    connectivity, all through the independent evaluator."""
+    """Re-evaluate every scheduled instance on its stage arrangement and
+    again at the final stage, check thread images, functoriality, and global
+    connectivity, all independently of the construction: instances on cell
+    footprints, CONN(1) by Birkhoff duality on the final base's footprints.
+    Nothing here closes a sublattice, so `cap` is accepted but not read."""
     report: list[tuple[str, bool]] = []
     N = tower.depth
     for st in tower.stages:
@@ -439,7 +437,7 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
                     ok = False
             if ok:
                 ground = ZETA_GROUND if kind == "zeta" else THETA_GROUND
-                ok = verify_on_sublattice(ground, sets, tower.graph(at_stage), cap)
+                ok = verify_on_sublattice(ground, sets, tower.graph(at_stage))
             label = f"stage {n} {kind} schedule={inst['schedule']} at stage {at_stage}"
             report.append((label, ok))
     for name, sets in tower.catalog.items():
@@ -458,8 +456,8 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
                     func_ok = False
     if N >= 2:
         report.append(("bonding functoriality", func_ok))
-    res = extract_sublattice(tower.graph(N), tower.base(N), cap=cap)
-    conn_ok = eval_formula(LIBRARY["CONN1"], res.lattice).value
+    res = extract_sublattice(tower.graph(N), tower.base(N))
+    conn_ok = conn1_by_birkhoff([*res.masks.values(), res.full])
     report.append((f"CONN(1) on the stage-{N} base sublattice", conn_ok))
     return report
 

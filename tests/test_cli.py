@@ -158,20 +158,28 @@ def test_sigma_witness_end_to_end(chain3, segment_graph, tmp_path, capsys):
         assert (outdir / name).read_bytes() == (outdir2 / name).read_bytes()
 
 
-def test_sigma_witness_hat_mode(chain3, tmp_path, capsys):
+def _hat_fragment(chain3, tmp_path, catalog=(F(0), F(1, 4)), size=30):
+    """A hat-mode fragment of `size` sentences, starting with the quantified
+    hat-conn/hat-mono lines, and its graph, where the catalog constant
+    k(-2,0) is the interval `catalog`."""
     g = unit_segment()
     sets = {
         "g0": ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()),
         "g1": g.whole_set(),
-        "k(-2,0)": ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set()),
+        "k(-2,0)": ClosedSet(g, {"seg": [catalog]}, set()),
     }
     graph_path = tmp_path / "hat-graph.json"
     graph_path.write_text(dump_graph(g, sets))
     frag = tmp_path / "hat-frag.txt"
     assert main([
-        "sigma-fragment", "--base", chain3, "--stages", "3", "--size", "30",
+        "sigma-fragment", "--base", chain3, "--stages", "3", "--size", str(size),
         "--continuum-constants", "1", "--hat-size", "2", "--out", str(frag),
     ]) == 0
+    return frag, graph_path
+
+
+def test_sigma_witness_hat_mode(chain3, tmp_path, capsys):
+    frag, graph_path = _hat_fragment(chain3, tmp_path)
     text = frag.read_text()
     assert "S-1^0" in text and "S-1^2" in text
     outdir = tmp_path / "hat-model"
@@ -248,14 +256,18 @@ def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
     assert "FAIL: thread whole" in out
 
 
-def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
-    towerdir = tmp_path / "tower"
-    # a cap too small for the stage sublattice: ResourceLimitError
+def test_internal_failures_exit_3(chain3, tower_graph, tmp_path, capsys):
+    # a cap too small for the sublattice the quantified hat-mode lines close:
+    # ResourceLimitError.  The fragment stops before the stage-1 meets and
+    # joins, and k(-2,0) straddles g0's end, so the closure has to add
+    # elements that no constant names.
+    frag, graph_path = _hat_fragment(chain3, tmp_path, catalog=(F(1, 4), F(3, 4)), size=5)
     assert main([
-        "tower-build", "--graph", tower_graph, "--depth", "2",
-        "--catalog", "whole", "--cap", "1", "--out", str(towerdir),
+        "sigma-witness", "--base", chain3, "--fragment", str(frag),
+        "--graph", str(graph_path), "--out", str(tmp_path / "hat-model"), "--cap", "1",
     ]) == 3
     assert "element cap" in capsys.readouterr().err
+    towerdir = tmp_path / "tower"
     assert main([
         "tower-build", "--graph", tower_graph, "--depth", "2",
         "--catalog", "whole", "--out", str(towerdir),
@@ -271,13 +283,29 @@ def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
 
 
 
-def test_tower_thread_takes_no_cap(tower_graph, tmp_path, capsys):
+def test_tower_thread_takes_no_cap(chain3, segment_graph, tower_graph, tmp_path, capsys):
+    # only sigma-witness closes a lattice, so only its report prints the cap
+    frag = tmp_path / "frag.txt"
+    assert main([
+        "sigma-fragment", "--base", chain3, "--stages", "1", "--size", "4",
+        "--out", str(frag),
+    ]) == 0
+    assert main([
+        "sigma-witness", "--base", chain3, "--fragment", str(frag),
+        "--graph", segment_graph, "--out", str(tmp_path / "model"),
+    ]) == 0
+    assert "cap: 4096" in capsys.readouterr().out
     towerdir = tmp_path / "tower"
     assert main([
         "tower-build", "--graph", tower_graph, "--depth", "1",
         "--catalog", "whole", "--out", str(towerdir),
     ]) == 0
-    assert "cap: 4096" in capsys.readouterr().out
+    assert "cap:" not in capsys.readouterr().out
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "1",
+        "--catalog", "whole", "--cap", "1", "--out", str(towerdir),
+    ]) == 2
+    assert main(["tower-verify", str(towerdir), "--cap", "1"]) == 2
     assert main(["tower-thread", str(towerdir), "--set", "whole", "--cap", "1"]) == 2
 
 

@@ -2,14 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crooked.errors import EvaluationError, ParseError, UnboundVariableError, UsageError
 from crooked.folang import (
     And, Const, Eq, Exists, ForAll, Implies, Interpretation, Join, Meet, Neq,
-    Not, One, Or, Var, Zero, LIBRARY, conn, eval_bruteforce, eval_formula,
-    parse, print_formula, substitute, theta, zeta,
+    Not, One, Or, Var, Zero, LIBRARY, conn, constants_of, eval_bruteforce,
+    eval_formula, eval_ground_masks, parse, print_formula, substitute, theta, zeta,
 )
-from crooked.lattice import FiniteLattice, generate_sublattice
+from crooked.lattice import (
+    FiniteLattice, conn1_by_birkhoff, generate_sublattice, join_irreducibles,
+)
 
 
 def powerset_lattice(n):
@@ -272,3 +275,91 @@ def test_conn_literal_shape():
     text = print_formula(f)
     assert text == "forall x y. x ^ y = 0 & x v y = a -> x = a | x = 0"
     assert parse(text) == f
+
+
+# ------------------------------------------- bitmask and Birkhoff deciders
+
+# Ground sentences over the generator names a..e: every connective, 0, 1,
+# meets, joins, and the dimension schema with its witnesses among them.
+MASK_SENTENCES = [
+    parse(text, constants=set("abcde"))
+    for text in (
+        "0 = 1",
+        "1 != 0",
+        "a ^ b = 0",
+        "a v b = 1",
+        "a ^ (b v c) = a ^ b v a ^ c",
+        "a != b | b ^ c = a",
+        "!(a = 1) -> a v c = c",
+        "a ^ b ^ c = 0 -> a v b v c = 1 & a ^ 1 = a",
+        "a ^ b ^ c = 0 -> a ^ d = a & b ^ e = e & d ^ e = 0",
+    )
+]
+
+
+def _mask(points) -> int:
+    return sum(1 << p for p in points)
+
+
+def _points(mask: int, n: int) -> frozenset:
+    return frozenset(p for p in range(n) if mask >> p & 1)
+
+
+def _check_against_closure(n: int, gens: tuple[int, ...]) -> None:
+    """Birkhoff's CONN(1), J(L) and the mask evaluator against the closed
+    lattice that the bitmask generators on n points generate."""
+    names = "abcde"[:len(gens)]
+    lat = generate_sublattice(n, [_points(g, n) for g in gens], names=list(names))
+    assert conn1_by_birkhoff(gens) == eval_bruteforce(LIBRARY["CONN1"], lat)
+    irreducible = [
+        e for e in lat.elements
+        if e and e != frozenset().union(*(f for f in lat.elements if f < e))
+    ]
+    assert join_irreducibles(gens) == sorted(_mask(e) for e in irreducible)
+    masks = dict(zip(names, gens))
+    interp = Interpretation({nm: lat.element_for(_points(g, n)) for nm, g in masks.items()})
+    full = _mask(lat.ground)
+    for f in MASK_SENTENCES:
+        if constants_of(f) <= set(names):
+            assert eval_ground_masks(f, masks, full) == eval_bruteforce(f, lat, interp), f
+
+
+def test_birkhoff_and_masks_agree_with_closure_exhaustively():
+    # every ordered family of at most three generators on one to four points,
+    # the empty family included: 5,054 families
+    families = 0
+    for n in range(1, 5):
+        for k in range(4):
+            for gens in itertools.product(range(1 << n), repeat=k):
+                _check_against_closure(n, gens)
+                families += 1
+    assert families == 5054
+
+
+@st.composite
+def bitmask_families(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    gens = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=5))
+    return n, tuple(gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bitmask_families())
+def test_birkhoff_and_masks_agree_with_closure(family):
+    _check_against_closure(*family)
+
+
+def test_birkhoff_edge_cases():
+    assert conn1_by_birkhoff([])                      # one-element lattice
+    assert conn1_by_birkhoff([0b1, 0b11])             # a chain
+    assert not conn1_by_birkhoff([0b01, 0b10])        # two disjoint atoms
+    # the atoms {0} and {1} are joined up through the irreducible {0, 1, 2}
+    assert conn1_by_birkhoff([0b001, 0b010, 0b111, 0b011])
+    assert join_irreducibles([0b011, 0b110]) == [0b010, 0b011, 0b110]
+
+
+def test_mask_evaluator_rejects_quantifiers_and_unknown_constants():
+    with pytest.raises(UsageError):
+        eval_ground_masks(LIBRARY["CONN1"], {}, 1)
+    with pytest.raises(EvaluationError):
+        eval_ground_masks(parse("a = 0", constants={"a"}), {}, 1)

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crooked.errors import InputError, PreconditionError, UsageError
+from crooked.folang import parse
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, distance_to_set,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _cell_in_set, distance_to_set,
     dump_graph, extract_sublattice, graph_from_dict, graph_to_dict, kappa_map,
     point_distance, unit_segment, urysohn,
 )
@@ -438,6 +440,47 @@ def test_extract_footprints_respect_meet_join(theta):
         es, et = res.interpretation.value("s"), res.interpretation.value("t")
         assert res.closed_set_of(es.meet(et)) == (s & t)
         assert res.closed_set_of(es.join(et)) == (s | t)
+
+
+TWO_EDGES = MetricGraph(
+    ["x", "y", "z"], [Edge("e1", "x", "y", F(1)), Edge("e2", "y", "z", F(3, 2))]
+)
+
+
+@st.composite
+def two_edge_sets(draw):
+    """One to four named closed sets on TWO_EDGES, endpoints at eighths."""
+    sets = {}
+    for name in "stuv"[:draw(st.integers(min_value=1, max_value=4))]:
+        intervals = {}
+        for eid, e in TWO_EDGES.edges.items():
+            ends = st.tuples(st.integers(0, 8), st.integers(0, 8))
+            items = [tuple(sorted(pair)) for pair in draw(st.lists(ends, max_size=3))]
+            if items:
+                intervals[eid] = [(F(lo, 8) * e.length, F(hi, 8) * e.length) for lo, hi in items]
+        verts = draw(st.sets(st.sampled_from(TWO_EDGES.vertices)))
+        sets[name] = ClosedSet(TWO_EDGES, intervals, verts)
+    return sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_edge_sets())
+def test_bisected_footprints_match_cell_membership(sets):
+    res = extract_sublattice(TWO_EDGES, sets)
+    assert res.full == (1 << len(res.cells)) - 1
+    for name, s in sets.items():
+        expected = sum(1 << i for i, cell in enumerate(res.cells) if _cell_in_set(cell, s))
+        assert res.masks[name] == expected, name
+
+
+def test_extract_closes_the_lattice_only_when_read(seg, closure_calls):
+    s = ClosedSet(seg, {"seg": [(F(0), F(1, 2))]}, set())
+    res = extract_sublattice(seg, {"s": s})
+    assert res.decide(parse("s v 1 = 1 & s != 0", constants={"s"}))
+    assert closure_calls == []
+    assert res.decide(parse("exists x. x != s", constants={"s"}))
+    assert res.closed_set_of(res.interpretation.value("s")) == s
+    assert closure_calls == [1]
 
 
 # ------------------------------------------------------------- serialization

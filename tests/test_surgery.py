@@ -449,7 +449,7 @@ def test_witness_fragment_full_pipeline():
     assert result.trace == result2.trace
 
 
-def test_witness_fragment_surgery_rich_pipeline():
+def test_witness_fragment_surgery_rich_pipeline(closure_calls):
     # diagram through both schemata with enough budget that satisfiable
     # instances exist: two fiber insertions and two staircases, everything
     # re-verified true, deterministic across runs
@@ -467,8 +467,11 @@ def test_witness_fragment_surgery_rich_pipeline():
     records = gen.generate_through(5)
     usable = len([r for r in records if not r.ignorable])
     frag = take_fragment(records, usable)
+    closure_calls.clear()
     result = witness_fragment(frag, g, interp0, cap=8192)
     assert result.ok, [line for line, ok in result.report if not ok][:3]
+    # every sentence is ground: post-checks and report decide on cell masks
+    assert closure_calls == []
     actions = [t["action"] for t in result.trace]
     assert actions.count("triangle") >= 2
     assert actions.count("crooked") >= 2

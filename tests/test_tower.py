@@ -422,6 +422,20 @@ def test_verify_tower_then_calls_are_cubic(monkeypatch):
     assert len(calls) == math.comb(N + 1, 3) + math.comb(N, 2)
 
 
+def test_verify_steered_crooked_tower_without_closure(closure_calls):
+    # six stages and five surgeries deep, the final graph has 53 edges;
+    # closing its base sublattice for CONN(1) exceeded the 4096-element cap
+    tower = steered_crooked_tower(6)
+    assert [st.kind for st in tower.stages[1:]] == [
+        "crooked", "identity", "crooked", "triangle", "crooked", "triangle",
+    ]
+    closure_calls.clear()
+    report = verify_tower(tower)
+    assert report and all(ok for _, ok in report), [r for r in report if not r[1]]
+    assert report[-1] == ("CONN(1) on the stage-6 base sublattice", True)
+    assert closure_calls == []
+
+
 def test_catalog_members_must_be_connected():
     g = seg()
     bad = ClosedSet(g, {"seg": [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]}, set())
