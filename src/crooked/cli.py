@@ -3,9 +3,10 @@
 Exit codes: 0 success / property true, 1 property false, 2 usage or input
 error, 3 internal failure (an invariant violation or an exceeded cap).
 Every report embeds the tool version; all outputs are deterministic for
-fixed inputs.  Ground sentences and the tower's CONN(1) line are decided on
-cell bitmasks with no cap, so only `sigma-witness` takes `--cap` (and prints
-it): the sublattice is closed only for its quantified hat-mode lines.
+fixed inputs.  Models are decided on cell bitmasks, the quantified conn(t)
+lines by Birkhoff duality, so no command closes a lattice to build or check
+a model and none takes a `--cap`.  The only lattices closed are those of
+lattice files given as input, under the default element cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     CrookedError, InputError, InvariantViolationError, ResourceLimitError,
 )
 from .folang import LIBRARY, Interpretation, eval_formula, parse, print_formula
-from .lattice import DEFAULT_ELEMENT_CAP, load_lattice
+from .lattice import load_lattice
 from .metric_graph import dump_graph, load_graph
 from .render import render_svg
 from .sigma import SigmaGenerator, dump_sentences, fragment, parse_sentence_dump
@@ -33,8 +34,6 @@ from .wallman import is_hausdorff_like, is_T1, space_dump, wallman_space
 
 def _header(args, extra: dict | None = None) -> str:
     fields = {"tool": f"crooked {__version__}"}
-    if getattr(args, "cap", None) is not None:
-        fields["cap"] = args.cap
     if getattr(args, "budget", None) is not None:
         fields["budget"] = args.budget
     fields.update(extra or {})
@@ -139,7 +138,7 @@ def cmd_sigma_witness(args) -> int:
             interp0[name] = s
     with open(args.fragment, "r", encoding="utf-8") as fh:
         records = parse_sentence_dump(fh.read())
-    result = witness_fragment(records, graph, interp0, cap=args.cap)
+    result = witness_fragment(records, graph, interp0)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(dump_graph(result.graph, result.interpretation))
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="sublattice element cap")
     p.set_defaults(func=cmd_sigma_witness)
 
     p = sub.add_parser("tower-build", help="build and verify an inverse-sequence tower")

@@ -5,8 +5,9 @@ formulas from equalities, the usual connectives, and quantifier prefixes.
 Two evaluators are provided: `eval_formula` (short-circuiting, with witness
 or counterexample reporting for the outermost quantifier block) and
 `eval_bruteforce` (a deliberately separate, pruning-free code path used as an
-independent oracle).  Ground sentences over a lattice of sets can also be
-decided on bitmasks by `eval_ground_masks`, which never closes the lattice.
+independent oracle).  Over a lattice of sets given by generator bitmasks,
+`eval_masks` decides ground sentences and conn(t) on the bitmasks, without
+closing the lattice.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import EvaluationError, ParseError, UnboundVariableError, UsageError
-from .lattice import FiniteLattice, LatticeElement
+from .lattice import FiniteLattice, LatticeElement, conn_by_birkhoff
 
 
 # --------------------------------------------------------------------------
@@ -595,23 +596,31 @@ def _mask_term(t: Term, masks: Mapping[str, int], full: int) -> int:
     raise UsageError(f"not a ground term: {t!r}")
 
 
-def eval_ground_masks(f: Formula, masks: Mapping[str, int], full: int) -> bool:
-    """Truth of a ground sentence in a lattice of sets given as bitmasks,
-    without closing the lattice: each constant is its mask, 0 the empty mask,
-    1 `full`, meet and join are & and |."""
+def eval_masks(f: Formula, masks: Mapping[str, int], full: int) -> bool:
+    """Truth of a sentence in the lattice of sets generated by the bitmasks
+    `masks` and `full`, without closing it: constants are their masks, 0 the
+    empty mask, 1 `full`, meet and join & and |.  The one quantified shape
+    decided is conn(t), t ground, by Birkhoff duality; others raise."""
     if isinstance(f, Eq):
         return _mask_term(f.left, masks, full) == _mask_term(f.right, masks, full)
     if isinstance(f, Neq):
         return _mask_term(f.left, masks, full) != _mask_term(f.right, masks, full)
     if isinstance(f, Not):
-        return not eval_ground_masks(f.sub, masks, full)
+        return not eval_masks(f.sub, masks, full)
     if isinstance(f, And):
-        return eval_ground_masks(f.left, masks, full) and eval_ground_masks(f.right, masks, full)
+        return eval_masks(f.left, masks, full) and eval_masks(f.right, masks, full)
     if isinstance(f, Or):
-        return eval_ground_masks(f.left, masks, full) or eval_ground_masks(f.right, masks, full)
+        return eval_masks(f.left, masks, full) or eval_masks(f.right, masks, full)
     if isinstance(f, Implies):
-        return (not eval_ground_masks(f.left, masks, full)) or eval_ground_masks(f.right, masks, full)
-    raise UsageError("mask evaluation handles ground sentences only")
+        return (not eval_masks(f.left, masks, full)) or eval_masks(f.right, masks, full)
+    if isinstance(f, ForAll):
+        try:
+            t = f.body.left.right.right   # the `x v y = t` of conn(t)
+        except AttributeError:
+            t = None
+        if f == conn(t):
+            return conn_by_birkhoff([*masks.values(), full], _mask_term(t, masks, full))
+    raise UsageError("mask evaluation handles ground sentences and conn(t) only")
 
 
 def _brute_term(t: Term, L: FiniteLattice, I, env) -> int:

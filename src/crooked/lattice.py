@@ -7,9 +7,9 @@ meet/join of earlier elements) so interpretations of the elements can be
 replayed in another lattice of sets, e.g. the closed sets of a metric graph.
 
 Closing a lattice is the expensive path and is bounded by an element cap.
-`join_irreducibles` and `conn1_by_birkhoff` read a generated lattice's
-join-irreducibles and its CONN(1) off int bitmask generators directly,
-without closing it.
+`join_irreducibles` and `conn_by_birkhoff` read a generated lattice's
+join-irreducibles and the connectedness of any of its elements off int
+bitmask generators directly, without closing it.
 """
 
 from __future__ import annotations
@@ -311,14 +311,14 @@ def join_irreducibles(generators: Iterable[int]) -> list[int]:
     return sorted({m for _, m in blocks})
 
 
-def conn1_by_birkhoff(generators: Iterable[int]) -> bool:
-    """CONN(1) on the lattice generated by bitmask `generators`: the
-    complemented elements of a finite distributive lattice are the down-sets
-    of J(L) that are also up-sets, so 1 is connected exactly when the
-    comparability graph of J(L) is connected (vacuously when J(L) is empty,
-    the one-element lattice)."""
-    irreducibles = join_irreducibles(generators)
-    frontier, rest = irreducibles[:1], irreducibles[1:]
+def conn_by_birkhoff(generators: Iterable[int], t: int) -> bool:
+    """CONN(t) for an element t of the lattice L generated by bitmask
+    `generators`, without closing L: the complemented elements of the
+    down-set of t are the down-sets of {j in J(L) : j <= t} that are also
+    up-sets, so t is connected exactly when their comparability graph is
+    connected (vacuously for t = 0).  CONN(1) is t = the generators' union."""
+    below = [j for j in join_irreducibles(generators) if j & t == j]
+    frontier, rest = below[:1], below[1:]
     while frontier and rest:
         m = frontier.pop()
         frontier += [n for n in rest if m & n in (m, n)]

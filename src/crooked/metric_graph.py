@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .folang import Formula, Interpretation, eval_formula, eval_ground_masks, is_ground
+from .folang import Formula, Interpretation, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
@@ -911,11 +911,11 @@ class ExtractResult:
 
     `cells` are the arrangement cells and `masks` each named set's footprint
     as an int bitmask over them (bit i stands for `cells[i]`); `full` is the
-    whole graph.  Ground sentences are decided on the masks (`decide`) and
-    CONN(1) by Birkhoff duality on them, neither under a cap.  The finite
-    sublattice the footprints generate, with the whole graph adjoined as top,
-    and its interpretation are closed under `cap` only when `.lattice` or
-    `.interpretation` is first read, i.e. only for quantified sentences."""
+    whole graph.  `decide` works on the masks alone and closes no lattice.
+    The finite sublattice the footprints generate, with the whole graph
+    adjoined as top, and its interpretation are an oracle for tests and
+    perfbench, closed under `cap` when `.lattice` or `.interpretation` is
+    first read; nothing else reads `cap`."""
 
     def __init__(self, graph: MetricGraph, cells: list[tuple], masks: dict[str, int], cap: int):
         self.graph = graph
@@ -946,11 +946,9 @@ class ExtractResult:
         return self._closure[1]
 
     def decide(self, f: Formula) -> bool:
-        """A sentence over the named sets: ground ones on the masks,
-        quantified ones by the formula evaluator on the closed lattice."""
-        if is_ground(f):
-            return eval_ground_masks(f, self.masks, self.full)
-        return eval_formula(f, self.lattice, self.interpretation).value
+        """A sentence over the named sets, decided on the masks: ground
+        sentences and conn(t) (see `eval_masks`); other quantifiers raise."""
+        return eval_masks(f, self.masks, self.full)
 
     def closed_set_of(self, element) -> ClosedSet:
         """Geometric realization of a lattice element: the union of its
@@ -1049,7 +1047,7 @@ def extract_sublattice(
     """The named sets at arrangement granularity: the cell decomposition
     induced by all interval endpoints, and each set's cell footprint as a
     bitmask.  `cap` bounds the sublattice closure, which happens only if the
-    result's lattice is read (see ExtractResult)."""
+    result's lattice is read (see ExtractResult); deciding never reads it."""
     names = sorted(named_sets)
     for name in names:
         if named_sets[name].graph is not graph:

@@ -9,9 +9,9 @@ separating function and keeps the unique component that still covers the
 base.  Both return the new space, the bonding map, the witness sets, and the
 lifted interpretation; every postcondition is re-checked independently of the
 construction bookkeeping, on the cell footprints of the sets' arrangement.
-Ground sentences are decided there as bitmasks (meet and join are `&` and
-`|`) with no element cap; a sublattice is closed, under the cap, only for a
-quantified sentence such as a fragment's hat-mode lines.
+Sentences are decided there as bitmasks (meet and join are `&` and `|`,
+conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
+applies, not even for a fragment's hat-mode lines.
 
 Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
 scheduled instance through the same shortcut table (`resolve_shortcut`), turn
@@ -55,8 +55,8 @@ THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
 
 
 # --------------------------------------------------------------------------
-# Ground geometric evaluation (used for premise tests and fast re-checks;
-# final verdicts go through the cell-footprint evaluator instead)
+# Ground geometric evaluation: a ClosedSet-algebra oracle for the
+# cell-footprint evaluator, which decides every verdict in the library
 # --------------------------------------------------------------------------
 
 def _geom_term(t, sets: dict[str, ClosedSet], graph: MetricGraph) -> ClosedSet:
@@ -78,6 +78,8 @@ def _geom_term(t, sets: dict[str, ClosedSet], graph: MetricGraph) -> ClosedSet:
 
 
 def eval_ground_geometric(f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph) -> bool:
+    """A ground sentence in the ClosedSet algebra.  No library code calls it:
+    tests compare the cell-footprint evaluator against it, perfbench traces it."""
     if isinstance(f, Eq):
         return _geom_term(f.left, sets, graph) == _geom_term(f.right, sets, graph)
     if isinstance(f, Neq):
@@ -96,9 +98,8 @@ def eval_ground_geometric(f: Formula, sets: dict[str, ClosedSet], graph: MetricG
 def verify_on_sublattice(
     f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
-    """Independent check on the arrangement of the mentioned sets: a ground
-    sentence is decided on their cell footprints, a quantified one by the
-    formula evaluator on the sublattice they generate (closed under `cap`)."""
+    """Independent check of a sentence on the cell footprints of the sets it
+    mentions.  `cap` is accepted but not read, because perfbench passes it."""
     named = {cid: sets[cid] for cid in constants_of(f)}
     return extract_sublattice(graph, named, cap=cap).decide(f)
 
@@ -812,8 +813,8 @@ def surgery_with_nudges(
     targets rotate so symmetric configurations get broken even when the
     degenerate edge itself is not the culprit.  Returns the step, `renorm`,
     the nudged edge ids, and the interpretation on `step.input_graph`.
-    `cap` is accepted but not read: the steps' post-checks decide ground
-    sentences on cell bitmasks and close no lattice."""
+    `cap` is accepted but not read, because the acceptance gate passes it:
+    the steps' post-checks decide on cell bitmasks and close no lattice."""
     candidates = None
     nudged: list[str] = []
     renorm: PLMap | None = None
@@ -931,23 +932,23 @@ def witness_fragment(
     records: list[SentenceRecord],
     graph0: MetricGraph,
     interp0: dict[str, ClosedSet],
-    connected_cids: tuple[str, ...] = (),
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> WitnessResult:
     """Process a well-ordered fragment, building a model sentence by
     sentence: fresh sets for the bookkeeping stages, a triangle step per
     satisfiable dimension instance, a crooked step per satisfiable
-    crookedness instance.  The result carries a report in which every
-    fragment sentence is re-evaluated on one arrangement of all fragment
-    constants: ground lines on its cell footprints, quantified (hat-mode)
-    lines on the sublattice they generate, closed under `cap`."""
+    crookedness instance; `hat-conn` constants are lifted as connected sets.
+    Each surgery re-checks the ground sentences processed so far, and the
+    report re-evaluates every sentence on one arrangement of all fragment
+    constants, both on cell footprints, so no lattice is closed and `cap` is
+    accepted but not read, because perfbench passes it."""
     if not graph0.is_connected():
         raise PreconditionError("the base space must be connected")
     for cid, s in interp0.items():
         if s.graph is not graph0:
             raise UsageError(f"interpretation of {cid!r} is not on the base graph")
     stage = Stage(graph0, None, dict(interp0), "base")
-    connected = set(connected_cids)
+    connected: set[str] = set()
     trace: list[dict] = []
     processed: list[SentenceRecord] = []
 
@@ -1006,10 +1007,11 @@ def witness_fragment(
                         "witnesses": list(rec.fresh),
                     }
                 )
-                for r in processed:
-                    if is_ground(r.formula) and not eval_ground_geometric(
-                        r.formula, stage.base, stage.graph
-                    ):
+                ground = [r for r in processed if is_ground(r.formula)]
+                cids = {cid for r in ground for cid in constants_of(r.formula)}
+                check = extract_sublattice(stage.graph, {cid: need(cid) for cid in cids})
+                for r in ground:
+                    if not check.decide(r.formula):
                         raise InvariantViolationError(
                             f"a previously satisfied sentence became false: {r.line()}"
                         )
@@ -1020,7 +1022,7 @@ def witness_fragment(
     # One arrangement over every fragment constant decides the whole report:
     # refining the cells keeps each verdict.
     all_cids = sorted({cid for r in records for cid in constants_of(r.formula)})
-    final = extract_sublattice(stage.graph, {cid: need(cid) for cid in all_cids}, cap=cap)
+    final = extract_sublattice(stage.graph, {cid: need(cid) for cid in all_cids})
     report = [(rec.line(), final.decide(rec.formula)) for rec in records]
     return WitnessResult(stage.graph, stage.base, trace, report, all(v for _, v in report))
 

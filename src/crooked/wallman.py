@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, generate_sublattice
 
 
 @dataclass
@@ -21,27 +21,13 @@ class FiniteSpace:
 
     def __post_init__(self):
         if not self.closed_sets:
-            self.closed_sets = _close(self.points, self.closed_base.values())
+            self.closed_sets = frozenset(generate_sublattice(
+                self.points, [*self.closed_base.values(), self.full]
+            ).elements)
 
     @property
     def full(self) -> frozenset[str]:
         return frozenset(self.points)
-
-
-def _close(points, base) -> frozenset[frozenset[str]]:
-    family = {frozenset(), frozenset(points)}
-    family.update(frozenset(b) for b in base)
-    changed = True
-    while changed:
-        changed = False
-        current = list(family)
-        for i, a in enumerate(current):
-            for b in current[i + 1:]:
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        changed = True
-    return frozenset(family)
 
 
 def wallman_space(L: FiniteLattice) -> tuple[FiniteSpace, list[frozenset[str]]]:

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from crooked import cli
 from crooked.cli import main
 from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
-from crooked.surgery import crooked_step
+from crooked.surgery import crooked_step, witness_fragment
 
 
 @pytest.fixture
@@ -178,7 +179,18 @@ def _hat_fragment(chain3, tmp_path, catalog=(F(0), F(1, 4)), size=30):
     return frag, graph_path
 
 
-def test_sigma_witness_hat_mode(chain3, tmp_path, capsys):
+def test_sigma_witness_hat_mode(chain3, tmp_path, capsys, monkeypatch, closure_calls):
+    # the quantified hat lines are decided by Birkhoff duality on the cell
+    # masks: witness_fragment closes no lattice (loading the base file does)
+    inside = []
+
+    def counting(*args, **kwargs):
+        before = len(closure_calls)
+        result = witness_fragment(*args, **kwargs)
+        inside.append(len(closure_calls) - before)
+        return result
+
+    monkeypatch.setattr(cli, "witness_fragment", counting)
     frag, graph_path = _hat_fragment(chain3, tmp_path)
     text = frag.read_text()
     assert "S-1^0" in text and "S-1^2" in text
@@ -190,6 +202,17 @@ def test_sigma_witness_hat_mode(chain3, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "all-true: True" in out
+    # k(-2,0) straddles g0's end, so only the hat-conn line's k(-2,0) ^ k(-1,0)
+    # = k(-2,0) fails; its conn and the hat-mono lines hold
+    frag, graph_path = _hat_fragment(chain3, tmp_path, catalog=(F(1, 4), F(3, 4)), size=5)
+    code = main([
+        "sigma-witness", "--base", chain3, "--fragment", str(frag),
+        "--graph", str(graph_path), "--out", str(outdir),
+    ])
+    assert code == 1
+    verdicts = [l.split(":")[0] for l in capsys.readouterr().out.splitlines()[2:-1]]
+    assert verdicts == ["FAIL", "pass", "pass", "pass", "pass"]
+    assert inside == [0, 0]
 
 
 def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_path, capsys):
@@ -209,9 +232,13 @@ def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_pat
 
 
 def test_cap_only_where_it_is_read(chain3, tmp_path, capsys):
+    # no command closes a lattice to build or check a model, so none takes
+    # --cap and no report prints one
     out = tmp_path / "sigma.txt"
     assert main(["sigma-gen", "--base", chain3, "--stages", "1", "--out", str(out)]) == 0
     assert not any(l.startswith("# cap:") for l in out.read_text().splitlines())
+    assert main(["lattice-check", chain3, "DISJ"]) == 1   # a chain is not disjunctive
+    assert "cap:" not in capsys.readouterr().out
     assert main(["lattice-check", chain3, "DISJ", "--cap", "1"]) == 2
     assert main(["sigma-gen", "--base", chain3, "--cap", "1"]) == 2
 
@@ -256,16 +283,12 @@ def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
     assert "FAIL: thread whole" in out
 
 
-def test_internal_failures_exit_3(chain3, tower_graph, tmp_path, capsys):
-    # a cap too small for the sublattice the quantified hat-mode lines close:
-    # ResourceLimitError.  The fragment stops before the stage-1 meets and
-    # joins, and k(-2,0) straddles g0's end, so the closure has to add
-    # elements that no constant names.
-    frag, graph_path = _hat_fragment(chain3, tmp_path, catalog=(F(1, 4), F(3, 4)), size=5)
-    assert main([
-        "sigma-witness", "--base", chain3, "--fragment", str(frag),
-        "--graph", str(graph_path), "--out", str(tmp_path / "hat-model"), "--cap", "1",
-    ]) == 3
+def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
+    # a lattice file past the element cap: 13 singleton generators close to
+    # the 8,192 subsets of 13 points, ResourceLimitError
+    big = tmp_path / "powerset13.json"
+    big.write_text(json.dumps({"ground": 13, "generators": {f"p{i:02}": [i] for i in range(13)}}))
+    assert main(["lattice-check", str(big), "CONN1"]) == 3
     assert "element cap" in capsys.readouterr().err
     towerdir = tmp_path / "tower"
     assert main([
@@ -284,17 +307,20 @@ def test_internal_failures_exit_3(chain3, tower_graph, tmp_path, capsys):
 
 
 def test_tower_thread_takes_no_cap(chain3, segment_graph, tower_graph, tmp_path, capsys):
-    # only sigma-witness closes a lattice, so only its report prints the cap
+    # no report prints a cap: no command closes a lattice to build or check
+    # a model
     frag = tmp_path / "frag.txt"
     assert main([
         "sigma-fragment", "--base", chain3, "--stages", "1", "--size", "4",
         "--out", str(frag),
     ]) == 0
-    assert main([
+    witness = [
         "sigma-witness", "--base", chain3, "--fragment", str(frag),
         "--graph", segment_graph, "--out", str(tmp_path / "model"),
-    ]) == 0
-    assert "cap: 4096" in capsys.readouterr().out
+    ]
+    assert main(witness) == 0
+    assert "cap:" not in capsys.readouterr().out
+    assert main(witness + ["--cap", "1"]) == 2
     towerdir = tmp_path / "tower"
     assert main([
         "tower-build", "--graph", tower_graph, "--depth", "1",

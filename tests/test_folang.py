@@ -8,10 +8,10 @@ from crooked.errors import EvaluationError, ParseError, UnboundVariableError, Us
 from crooked.folang import (
     And, Const, Eq, Exists, ForAll, Implies, Interpretation, Join, Meet, Neq,
     Not, One, Or, Var, Zero, LIBRARY, conn, constants_of, eval_bruteforce,
-    eval_formula, eval_ground_masks, parse, print_formula, substitute, theta, zeta,
+    eval_formula, eval_masks, parse, print_formula, substitute, theta, zeta,
 )
 from crooked.lattice import (
-    FiniteLattice, conn1_by_birkhoff, generate_sublattice, join_irreducibles,
+    FiniteLattice, conn_by_birkhoff, generate_sublattice, join_irreducibles,
 )
 
 
@@ -305,35 +305,50 @@ def _points(mask: int, n: int) -> frozenset:
     return frozenset(p for p in range(n) if mask >> p & 1)
 
 
-def _check_against_closure(n: int, gens: tuple[int, ...]) -> None:
-    """Birkhoff's CONN(1), J(L) and the mask evaluator against the closed
-    lattice that the bitmask generators on n points generate."""
+CONN_T = conn(Const("t"))
+
+
+def _check_against_closure(n: int, gens: tuple[int, ...]) -> int:
+    """Birkhoff's CONN(t) for every element t, J(L) and the mask evaluator
+    against the closed lattice L that the bitmask generators on n points
+    generate with all n points adjoined as top, the family `eval_masks`
+    reads.  Returns the number of elements checked."""
     names = "abcde"[:len(gens)]
-    lat = generate_sublattice(n, [_points(g, n) for g in gens], names=list(names))
-    assert conn1_by_birkhoff(gens) == eval_bruteforce(LIBRARY["CONN1"], lat)
+    full = (1 << n) - 1
+    family = [*gens, full]
+    lat = generate_sublattice(n, [_points(g, n) for g in family], names=[*names, "1"])
     irreducible = [
         e for e in lat.elements
         if e and e != frozenset().union(*(f for f in lat.elements if f < e))
     ]
-    assert join_irreducibles(gens) == sorted(_mask(e) for e in irreducible)
+    assert join_irreducibles(family) == sorted(_mask(e) for e in irreducible)
     masks = dict(zip(names, gens))
+    assert eval_masks(LIBRARY["CONN1"], masks, full) == eval_bruteforce(LIBRARY["CONN1"], lat)
+    # straight from the definition: t is disconnected when it is the union
+    # of two disjoint nonzero elements
+    split = {x | y for x in lat.elements for y in lat.elements if x and y and not x & y}
+    for e in lat.elements:
+        t = _mask(e)
+        assert conn_by_birkhoff(family, t) == (e not in split), (gens, t)
+        # t is an element, so naming it leaves the generated lattice as it is
+        assert eval_masks(CONN_T, {**masks, "t": t}, full) == (e not in split), (gens, t)
     interp = Interpretation({nm: lat.element_for(_points(g, n)) for nm, g in masks.items()})
-    full = _mask(lat.ground)
     for f in MASK_SENTENCES:
         if constants_of(f) <= set(names):
-            assert eval_ground_masks(f, masks, full) == eval_bruteforce(f, lat, interp), f
+            assert eval_masks(f, masks, full) == eval_bruteforce(f, lat, interp), f
+    return lat.size
 
 
 def test_birkhoff_and_masks_agree_with_closure_exhaustively():
     # every ordered family of at most three generators on one to four points,
-    # the empty family included: 5,054 families
-    families = 0
+    # the empty family included: 5,054 families and 27,190 of their elements
+    families = elements = 0
     for n in range(1, 5):
         for k in range(4):
             for gens in itertools.product(range(1 << n), repeat=k):
-                _check_against_closure(n, gens)
+                elements += _check_against_closure(n, gens)
                 families += 1
-    assert families == 5054
+    assert (families, elements) == (5054, 27190)
 
 
 @st.composite
@@ -350,16 +365,31 @@ def test_birkhoff_and_masks_agree_with_closure(family):
 
 
 def test_birkhoff_edge_cases():
-    assert conn1_by_birkhoff([])                      # one-element lattice
-    assert conn1_by_birkhoff([0b1, 0b11])             # a chain
-    assert not conn1_by_birkhoff([0b01, 0b10])        # two disjoint atoms
-    # the atoms {0} and {1} are joined up through the irreducible {0, 1, 2}
-    assert conn1_by_birkhoff([0b001, 0b010, 0b111, 0b011])
+    assert conn_by_birkhoff([], 0)                     # one-element lattice
+    assert conn_by_birkhoff([0b1, 0b11], 0b11)         # a chain
+    assert not conn_by_birkhoff([0b01, 0b10], 0b11)    # two disjoint atoms
+    assert conn_by_birkhoff([0b01, 0b10], 0b10)        # ... each connected
+    # the atoms {0} and {1} are joined up through the irreducible {0, 1, 2},
+    # which lies below 1 but not below {0, 1}
+    gens = [0b001, 0b010, 0b111, 0b011]
+    assert conn_by_birkhoff(gens, 0b111)
+    assert not conn_by_birkhoff(gens, 0b011)
     assert join_irreducibles([0b011, 0b110]) == [0b010, 0b011, 0b110]
 
 
 def test_mask_evaluator_rejects_quantifiers_and_unknown_constants():
-    with pytest.raises(UsageError):
-        eval_ground_masks(LIBRARY["CONN1"], {}, 1)
-    with pytest.raises(EvaluationError):
-        eval_ground_masks(parse("a = 0", constants={"a"}), {}, 1)
+    a, b = Const("a"), Const("b")
+    masks = {"a": 0b01, "b": 0b10}
+    # conn(t) is the one quantified shape decided, wherever it occurs
+    assert eval_masks(conn(a), masks, 0b11)
+    assert not eval_masks(conn(Join(a, b)), masks, 0b11)
+    assert not eval_masks(LIBRARY["CONN1"], masks, 0b11)
+    assert eval_masks(And(conn(a), Eq(Meet(a, One()), a)), masks, 0b11)
+    text = "forall x y. x ^ y = 0 & x v y = a v b -> x = a v b | x = 0"
+    assert not eval_masks(parse(text, constants={"a", "b"}), masks, 0b11)
+    for f in (LIBRARY["DISJ"], parse("exists x. x != a", constants={"a"})):
+        with pytest.raises(UsageError):
+            eval_masks(f, masks, 0b11)
+    for f in (parse("a = 0", constants={"a"}), conn(Const("c"))):
+        with pytest.raises(EvaluationError):
+            eval_masks(f, {}, 1)

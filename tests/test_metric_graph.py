@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crooked.errors import InputError, PreconditionError, UsageError
-from crooked.folang import parse
+from crooked.folang import Const, conn, parse
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _cell_in_set, distance_to_set,
     dump_graph, extract_sublattice, graph_from_dict, graph_to_dict, kappa_map,
@@ -477,9 +477,13 @@ def test_extract_closes_the_lattice_only_when_read(seg, closure_calls):
     s = ClosedSet(seg, {"seg": [(F(0), F(1, 2))]}, set())
     res = extract_sublattice(seg, {"s": s})
     assert res.decide(parse("s v 1 = 1 & s != 0", constants={"s"}))
+    # conn(t) is decided on the masks too; any other quantifier raises
+    assert res.decide(conn(Const("s")))
+    with pytest.raises(UsageError):
+        res.decide(parse("exists x. x != s", constants={"s"}))
     assert closure_calls == []
-    assert res.decide(parse("exists x. x != s", constants={"s"}))
     assert res.closed_set_of(res.interpretation.value("s")) == s
+    assert res.lattice.size == 3
     assert closure_calls == [1]
 
 

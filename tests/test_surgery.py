@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from crooked.errors import DegeneracyError, InvariantViolationError, PreconditionError
-from crooked.folang import Const, Var, eval_formula, psi, zeta
+from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, psi, zeta
+from crooked import surgery
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, dump_graph, extract_sublattice,
@@ -508,18 +509,54 @@ def test_witness_fragment_triangle_trace():
     assert len(result.graph.edges) == 9
 
 
+def test_witness_fragment_recheck_catches_a_broken_sentence(monkeypatch):
+    # a surgery that moves an earlier constant falsifies a processed ground
+    # sentence; the re-check on the new stage's cell masks reports it
+    g = y_graph()
+    interp0 = {
+        "A": g.point_closed_set([("v", "ta")]),
+        "B": g.point_closed_set([("v", "tb")]),
+        "C": g.point_closed_set([("v", "tc")]),
+    }
+    diagram = SentenceRecord(
+        0, None, 0, "diagram-meet", Eq(Meet(Const("A"), Const("B")), Zero()), operands=("A", "B"),
+    )
+    rec = SentenceRecord(
+        4, None, 0, "zeta",
+        zeta(Const("A"), Const("B"), Const("C"), Const("x0"), Const("y0"), Const("z0")),
+        operands=("A", "B", "C"), fresh=("x0", "y0", "z0"),
+    )
+    real = surgery.instance_stage
+
+    def moving(*args):
+        stage = real(*args)
+        stage.base["A"] = stage.base["B"]
+        return stage
+
+    monkeypatch.setattr(surgery, "instance_stage", moving)
+    with pytest.raises(InvariantViolationError, match="previously satisfied") as exc:
+        witness_fragment([diagram, rec], g, interp0)
+    assert str(exc.value).endswith(diagram.line())
+
+
 def test_witness_fragment_crooked_trace_and_eval():
     g, a, b, c, d = crooked_identity_instance()
-    interp0 = {"A": a, "B": b, "C": c, "D": d}
+    # the staircase's full preimage of K has three components; declared
+    # connected by a hat-conn line, K is lifted as one of them
+    K = ClosedSet(g, {"seg": [(F(2, 5), F(3, 5))]}, set())
+    interp0 = {"A": a, "B": b, "C": c, "D": d, "K": K}
     from crooked.folang import theta
+    k = Const("K")
+    hat = SentenceRecord(-1, None, 0, "hat-conn", And(conn(k), Eq(Meet(k, k), k)), operands=("K", "K"))
     rec = SentenceRecord(
         5, None, 0, "theta",
         theta(*(Const(k) for k in ("A", "B", "C", "D", "x0", "y0", "z0"))),
         operands=("A", "B", "C", "D"), fresh=("x0", "y0", "z0"),
     )
-    result = witness_fragment([rec], g, interp0)
+    result = witness_fragment([hat, rec], g, interp0)
     assert result.ok
     assert [t["action"] for t in result.trace] == ["crooked"]
+    assert len(result.graph.components_of(result.interpretation["K"])) == 1
 
 
 def test_witness_fragment_vacuous_and_shortcut():
@@ -582,7 +619,7 @@ def test_surgery_outputs_model_connectivity_sentence():
     assert step.output_graph.is_connected()
 
 
-def test_witness_fragment_nudges_degenerate_instance():
+def test_witness_fragment_nudges_degenerate_instance(closure_calls):
     g = MetricGraph(
         ["u", "w1", "w2", "w3", "v"],
         [
@@ -600,13 +637,18 @@ def test_witness_fragment_nudges_degenerate_instance():
         # a connected constant over both nudged edges
         "K": ClosedSet(g, {"k1": [(F(0), F(1))], "tail": [(F(0), F(5))]}, set()),
     }
+    K, W = Const("K"), Const("W")
+    # the hat-conn line declares K connected: conn(K) & K ^ W = K
+    hat = SentenceRecord(-1, None, 0, "hat-conn", And(conn(K), Eq(Meet(K, W), K)), operands=("K", "W"))
     rec = SentenceRecord(
         4, None, 0, "zeta",
         zeta(Const("A"), Const("B"), Const("C"), Const("x0"), Const("y0"), Const("z0")),
         operands=("A", "B", "C"), fresh=("x0", "y0", "z0"),
     )
-    result = witness_fragment([rec], g, interp0, connected_cids=("K",))
-    assert result.ok
+    result = witness_fragment([hat, rec], g, interp0)
+    # the hat-conn line is decided by Birkhoff duality on the final masks
+    assert result.ok and result.report[0][1]
+    assert closure_calls == []
     assert [(t["action"], t.get("edge")) for t in result.trace] == [
         ("nudge", "tail"), ("nudge", "k1"), ("triangle", None),
     ]

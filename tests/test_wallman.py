@@ -4,7 +4,7 @@ import random
 from crooked.folang import LIBRARY, eval_formula
 from crooked.lattice import FiniteLattice, generate_sublattice
 from crooked.wallman import (
-    check_contimage_conditions, is_T1, is_hausdorff_like, wallman_space,
+    FiniteSpace, check_contimage_conditions, is_T1, is_hausdorff_like, wallman_space,
 )
 
 
@@ -67,6 +67,18 @@ def _random_lattice(rng, ground=6):
         for _ in range(k)
     ]
     return generate_sublattice(ground, gens)
+
+
+def test_closed_sets_close_the_base():
+    # the base {p}, {q} closes to 0, {p}, {q}, {p, q} and the whole space
+    space = FiniteSpace(("p", "q", "r"), {"a": frozenset("p"), "b": frozenset("q")})
+    assert space.closed_sets == {frozenset(), frozenset("p"), frozenset("q"),
+                                 frozenset("pq"), frozenset("pqr")}
+    # hom is a homomorphism onto the base, so the base is already closed
+    rng = random.Random(44)
+    for _ in range(12):
+        space, hom = wallman_space(_random_lattice(rng))
+        assert space.closed_sets == set(hom)
 
 
 def test_hom_injective_iff_disjunctive():
