@@ -2,19 +2,21 @@
 
 Terms are built from variables, named constants, 0, 1, meet (^) and join (v);
 formulas from equalities, the usual connectives, and quantifier prefixes.
-Two evaluators are provided: `eval_formula` (short-circuiting, with witness
-or counterexample reporting for the outermost quantifier block) and
-`eval_bruteforce` (a deliberately separate, pruning-free code path used as an
-independent oracle).  Over a lattice of sets given by generator bitmasks,
-`eval_masks` decides ground sentences and conn(t) on the bitmasks, without
-closing the lattice.
+One short-circuiting walk evaluates the language on set values, meet and
+join being & and |.  `eval_formula` runs it over the frozensets of a closed
+lattice, quantifiers ranging over its elements, and reports a witness or
+counterexample for the outermost quantifier block; `eval_masks` runs it over
+int bitmask generators without closing their lattice, deciding conn(t) by
+Birkhoff duality.  `eval_bruteforce` is a deliberately separate,
+pruning-free code path on element indices, used as an independent oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, ParseError, UnboundVariableError, UsageError
 from .lattice import FiniteLattice, LatticeElement, conn_by_birkhoff
@@ -438,25 +440,16 @@ def parse(text: str, constants: set[str] | None = None) -> Formula:
 # --------------------------------------------------------------------------
 
 class Interpretation:
-    """Partial map from constant ids to values.
-
-    Values are LatticeElements when evaluating over a FiniteLattice, or
-    closed sets of a metric graph in geometric mode."""
+    """Partial map from constant ids to the LatticeElements they denote."""
 
     def __init__(self, mapping: dict | None = None):
         self.mapping: dict = dict(mapping) if mapping else {}
-
-    def assign(self, cid: str, value) -> None:
-        self.mapping[cid] = value
 
     def value(self, cid: str):
         try:
             return self.mapping[cid]
         except KeyError:
             raise EvaluationError(f"constant {cid!r} has no interpretation") from None
-
-    def __contains__(self, cid: str) -> bool:
-        return cid in self.mapping
 
 
 # --------------------------------------------------------------------------
@@ -483,57 +476,68 @@ def _const_index(L: FiniteLattice, I: Interpretation, cid: str) -> int:
     return v.index
 
 
-def _eval_term(t: Term, L: FiniteLattice, I, env: dict[str, int], ground_cache) -> int:
-    if isinstance(t, Var):
+class _Model(NamedTuple):
+    """Where a sentence is evaluated: terms take set values (the frozensets
+    of a closed lattice, or int bitmasks), meet and join are & and |."""
+    consts: Mapping       # constant id -> value
+    zero: object
+    top: object
+    # What quantifiers range over, in index order.  Without one, conn(t) is
+    # decided by Birkhoff duality on the constants and `top`.
+    domain: Sequence | None
+
+
+def _value(t: Term, m: _Model, env: dict):
+    cls = type(t)
+    if cls is Const:
+        try:
+            return m.consts[t.cid]
+        except KeyError:
+            raise EvaluationError(f"constant {t.cid!r} has no interpretation") from None
+    if cls is Meet:
+        return _value(t.left, m, env) & _value(t.right, m, env)
+    if cls is Join:
+        return _value(t.left, m, env) | _value(t.right, m, env)
+    if cls is Var:
         try:
             return env[t.name]
         except KeyError:
             raise EvaluationError(f"unbound variable {t.name!r}") from None
-    cached = ground_cache.get(id(t))
-    if cached is not None:
-        return cached
-    if isinstance(t, Const):
-        val = _const_index(L, I, t.cid)
-    elif isinstance(t, Zero):
-        val = L.bottom_index
-    elif isinstance(t, One):
-        val = L.top_index
-    elif isinstance(t, Meet):
-        val = L.meet_table[_eval_term(t.left, L, I, env, ground_cache)][
-            _eval_term(t.right, L, I, env, ground_cache)
-        ]
-    elif isinstance(t, Join):
-        val = L.join_table[_eval_term(t.left, L, I, env, ground_cache)][
-            _eval_term(t.right, L, I, env, ground_cache)
-        ]
-    else:
-        raise UsageError(f"not a term: {t!r}")
-    if not term_vars(t):
-        ground_cache[id(t)] = val  # innermost-first memo of ground values
-    return val
+    if cls is Zero:
+        return m.zero
+    if cls is One:
+        return m.top
+    raise UsageError(f"not a term: {t!r}")
 
 
-def _eval(f: Formula, L: FiniteLattice, I, env: dict[str, int], cache) -> bool:
-    if isinstance(f, Eq):
-        return _eval_term(f.left, L, I, env, cache) == _eval_term(f.right, L, I, env, cache)
-    if isinstance(f, Neq):
-        return _eval_term(f.left, L, I, env, cache) != _eval_term(f.right, L, I, env, cache)
-    if isinstance(f, Not):
-        return not _eval(f.sub, L, I, env, cache)
-    if isinstance(f, And):
-        return _eval(f.left, L, I, env, cache) and _eval(f.right, L, I, env, cache)
-    if isinstance(f, Or):
-        return _eval(f.left, L, I, env, cache) or _eval(f.right, L, I, env, cache)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, L, I, env, cache)) or _eval(f.right, L, I, env, cache)
-    if isinstance(f, ForAll):
-        return all(
-            _eval(f.body, L, I, e, cache) for e in _assignments(f.vars, L.size, env)
-        )
-    if isinstance(f, Exists):
-        return any(
-            _eval(f.body, L, I, e, cache) for e in _assignments(f.vars, L.size, env)
-        )
+def _holds(f: Formula, m: _Model, env: dict) -> bool:
+    cls = type(f)
+    if cls is Eq:
+        return _value(f.left, m, env) == _value(f.right, m, env)
+    if cls is Neq:
+        return _value(f.left, m, env) != _value(f.right, m, env)
+    if cls is Not:
+        return not _holds(f.sub, m, env)
+    if cls is And:
+        return _holds(f.left, m, env) and _holds(f.right, m, env)
+    if cls is Or:
+        return _holds(f.left, m, env) or _holds(f.right, m, env)
+    if cls is Implies:
+        return (not _holds(f.left, m, env)) or _holds(f.right, m, env)
+    if cls is ForAll or cls is Exists:
+        if m.domain is not None:
+            block = all if cls is ForAll else any
+            return block(
+                _holds(f.body, m, {**env, **dict(zip(f.vars, values))})
+                for values in itertools.product(m.domain, repeat=len(f.vars))
+            )
+        try:
+            t = f.body.left.right.right   # the `x v y = t` of conn(t)
+        except AttributeError:
+            t = None
+        if f == conn(t):
+            return conn_by_birkhoff([*m.consts.values(), m.top], _value(t, m, env))
+        raise UsageError("mask evaluation handles ground sentences and conn(t) only")
     raise UsageError(f"not a formula: {f!r}")
 
 
@@ -558,69 +562,33 @@ def _assignments(names: tuple[str, ...], size: int, env: dict[str, int]):
 
 def eval_formula(f: Formula, L: FiniteLattice, I: Interpretation | None = None) -> EvalResult:
     """Tarskian truth over a finite lattice, quantifiers ranging over all
-    elements.  Short-circuits; reports an assignment for the outermost
-    quantifier block (witness if existential and true, counterexample if
-    universal and false)."""
+    elements in index order.  Every constant of `f` must be interpreted in
+    `L`.  Short-circuits; reports an assignment for the outermost quantifier
+    block (witness if existential and true, counterexample if universal and
+    false)."""
     I = I or Interpretation()
     fv = free_vars(f)
     if fv:
         raise EvaluationError(f"formula has free variables: {sorted(fv)}")
-    cache: dict[int, int] = {}
-    if isinstance(f, (ForAll, Exists)):
-        names = f.vars
-        body = f.body
-        for env in _assignments(names, L.size, {}):
-            v = _eval(body, L, I, env, cache)
-            if isinstance(f, Exists) and v:
-                return EvalResult(True, {n: L.element(env[n]) for n in names})
-            if isinstance(f, ForAll) and not v:
-                return EvalResult(False, {n: L.element(env[n]) for n in names})
-        return EvalResult(isinstance(f, ForAll), None)
-    return EvalResult(_eval(f, L, I, {}, cache), None)
-
-
-def _mask_term(t: Term, masks: Mapping[str, int], full: int) -> int:
-    if isinstance(t, Const):
-        try:
-            return masks[t.cid]
-        except KeyError:
-            raise EvaluationError(f"constant {t.cid!r} has no interpretation") from None
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return full
-    if isinstance(t, Meet):
-        return _mask_term(t.left, masks, full) & _mask_term(t.right, masks, full)
-    if isinstance(t, Join):
-        return _mask_term(t.left, masks, full) | _mask_term(t.right, masks, full)
-    raise UsageError(f"not a ground term: {t!r}")
+    elements = L.elements
+    consts = {cid: elements[_const_index(L, I, cid)] for cid in sorted(constants_of(f))}
+    m = _Model(consts, elements[L.bottom_index], elements[L.top_index], elements)
+    if not isinstance(f, (ForAll, Exists)):
+        return EvalResult(_holds(f, m, {}), None)
+    decisive = isinstance(f, Exists)   # the verdict one assignment can settle
+    for idx in itertools.product(range(L.size), repeat=len(f.vars)):
+        if _holds(f.body, m, {n: elements[i] for n, i in zip(f.vars, idx)}) == decisive:
+            return EvalResult(decisive, {n: L.element(i) for n, i in zip(f.vars, idx)})
+    return EvalResult(not decisive, None)
 
 
 def eval_masks(f: Formula, masks: Mapping[str, int], full: int) -> bool:
     """Truth of a sentence in the lattice of sets generated by the bitmasks
-    `masks` and `full`, without closing it: constants are their masks, 0 the
-    empty mask, 1 `full`, meet and join & and |.  The one quantified shape
-    decided is conn(t), t ground, by Birkhoff duality; others raise."""
-    if isinstance(f, Eq):
-        return _mask_term(f.left, masks, full) == _mask_term(f.right, masks, full)
-    if isinstance(f, Neq):
-        return _mask_term(f.left, masks, full) != _mask_term(f.right, masks, full)
-    if isinstance(f, Not):
-        return not eval_masks(f.sub, masks, full)
-    if isinstance(f, And):
-        return eval_masks(f.left, masks, full) and eval_masks(f.right, masks, full)
-    if isinstance(f, Or):
-        return eval_masks(f.left, masks, full) or eval_masks(f.right, masks, full)
-    if isinstance(f, Implies):
-        return (not eval_masks(f.left, masks, full)) or eval_masks(f.right, masks, full)
-    if isinstance(f, ForAll):
-        try:
-            t = f.body.left.right.right   # the `x v y = t` of conn(t)
-        except AttributeError:
-            t = None
-        if f == conn(t):
-            return conn_by_birkhoff([*masks.values(), full], _mask_term(t, masks, full))
-    raise UsageError("mask evaluation handles ground sentences and conn(t) only")
+    `masks` and `full`, without closing it: the same walk as `eval_formula`
+    with constants their masks, 0 the empty mask and 1 `full`.  The one
+    quantified shape decided is conn(t), t ground, by Birkhoff duality;
+    others raise."""
+    return _holds(f, _Model(masks, 0, full, None), {})
 
 
 def _brute_term(t: Term, L: FiniteLattice, I, env) -> int:

@@ -1,8 +1,8 @@
 """Finite bounded distributive lattices realized concretely.
 
 Elements are subsets of a finite ground set; meet and join are set
-intersection and union, tabulated once at construction.  Every lattice made
-here carries a derivation for each element (generator, bottom, top, or a
+intersection and union, computed on the sets.  Every lattice made here
+carries a derivation for each element (generator, bottom, top, or a
 meet/join of earlier elements) so interpretations of the elements can be
 replayed in another lattice of sets, e.g. the closed sets of a metric graph.
 
@@ -75,8 +75,8 @@ class FiniteLattice:
     """A family of subsets closed under intersection and union.
 
     The family must contain the empty set (bottom) and the union of all its
-    members (top).  Meet/join tables are materialized so axiom checks can be
-    run against them, including deliberately corrupted tables in tests.
+    members (top); each pair is checked once at construction.  Meet and
+    join are computed on the sets and looked up in the index.
     """
 
     def __init__(
@@ -98,21 +98,14 @@ class FiniteLattice:
         if top not in self._index:
             raise InputError("lattice family must contain the union of its members")
         self.top_index = self._index[top]
-        n = len(elems)
-        self.meet_table: list[list[int]] = [[0] * n for _ in range(n)]
-        self.join_table: list[list[int]] = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                m = elems[i] & elems[j]
-                u = elems[i] | elems[j]
-                if m not in self._index or u not in self._index:
+        for j, b in enumerate(elems):
+            for i in range(j + 1):
+                if elems[i] & b not in self._index or elems[i] | b not in self._index:
                     raise InputError(
                         f"family not closed under meet/join at pair ({i},{j})"
                     )
-                self.meet_table[i][j] = self._index[m]
-                self.join_table[i][j] = self._index[u]
         self.derivations: list[Derivation] = (
-            list(derivations) if derivations is not None else [None] * n
+            list(derivations) if derivations is not None else [None] * len(elems)
         )
 
     @property
@@ -146,11 +139,11 @@ class FiniteLattice:
 
     def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         self._check_pair(a, b)
-        return LatticeElement(self, self.meet_table[a.index][b.index])
+        return LatticeElement(self, self._index[a.points & b.points])
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         self._check_pair(a, b)
-        return LatticeElement(self, self.join_table[a.index][b.index])
+        return LatticeElement(self, self._index[a.points | b.points])
 
     def le(self, a: LatticeElement, b: LatticeElement) -> bool:
         return self.meet(a, b) == a
@@ -171,49 +164,6 @@ class FiniteLattice:
             if minimal:
                 out.append(LatticeElement(self, i))
         return out
-
-    def check_axioms(self) -> list[tuple]:
-        """Exhaustively verify the lattice laws against the stored tables.
-
-        Returns a list of (law, indices) violation records; empty for any
-        lattice produced by generate_sublattice with intact tables.
-        """
-        n = self.size
-        mt, jt = self.meet_table, self.join_table
-        bad: list[tuple] = []
-        for i in range(n):
-            for j in range(n):
-                if mt[i][j] != self._index[self.elements[i] & self.elements[j]]:
-                    bad.append(("table-meet", (i, j)))
-                if jt[i][j] != self._index[self.elements[i] | self.elements[j]]:
-                    bad.append(("table-join", (i, j)))
-        for i in range(n):
-            if mt[i][i] != i:
-                bad.append(("idempotence-meet", (i,)))
-            if jt[i][i] != i:
-                bad.append(("idempotence-join", (i,)))
-        for i in range(n):
-            for j in range(n):
-                if mt[i][j] != mt[j][i]:
-                    bad.append(("commutativity-meet", (i, j)))
-                if jt[i][j] != jt[j][i]:
-                    bad.append(("commutativity-join", (i, j)))
-                if jt[i][mt[i][j]] != i:
-                    bad.append(("absorption-join", (i, j)))
-                if mt[i][jt[i][j]] != i:
-                    bad.append(("absorption-meet", (i, j)))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if mt[i][mt[j][k]] != mt[mt[i][j]][k]:
-                        bad.append(("associativity-meet", (i, j, k)))
-                    if jt[i][jt[j][k]] != jt[jt[i][j]][k]:
-                        bad.append(("associativity-join", (i, j, k)))
-                    if mt[i][jt[j][k]] != jt[mt[i][j]][mt[i][k]]:
-                        bad.append(("distributivity-meet", (i, j, k)))
-                    if jt[i][mt[j][k]] != mt[jt[i][j]][jt[i][k]]:
-                        bad.append(("distributivity-join", (i, j, k)))
-        return bad
 
     def permuted(self, perm: Sequence[int]) -> "FiniteLattice":
         """The same lattice with elements listed in a permuted order."""

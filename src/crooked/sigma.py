@@ -343,10 +343,10 @@ class SigmaGenerator:
         inequalities, and the bottom/top identifications."""
         recs: list[SentenceRecord] = []
         B, k = self.base, self.base_constant
-        for l, (i, j) in enumerate(itertools.combinations(range(B.size), 2)):
-            pair = {"a": k(i), "b": k(j)}
-            recs.append(_sentence(0, None, l, "diagram-meet", {**pair, "m": k(B.meet_table[i][j])}))
-            recs.append(_sentence(0, None, l, "diagram-join", {**pair, "m": k(B.join_table[i][j])}))
+        for l, (a, b) in enumerate(itertools.combinations(map(B.element, range(B.size)), 2)):
+            pair = {"a": k(a.index), "b": k(b.index)}
+            recs.append(_sentence(0, None, l, "diagram-meet", {**pair, "m": k(B.meet(a, b).index)}))
+            recs.append(_sentence(0, None, l, "diagram-join", {**pair, "m": k(B.join(a, b).index)}))
             recs.append(_sentence(0, None, l, "diagram-neq", pair))
         bottom, top = {"a": k(B.bottom_index)}, {"a": k(B.top_index)}
         if B.bottom_index == B.top_index:  # k = 0 & k = 1

@@ -802,7 +802,6 @@ def surgery_with_nudges(
     graph: MetricGraph,
     ops: list[ClosedSet],
     interpretation: dict[str, ClosedSet],
-    cap: int = DEFAULT_ELEMENT_CAP,
 ):
     """Run the instance's surgery (a triangle step for "zeta", a crooked step
     for "theta"), retrying after minimal edge-length nudges.
@@ -812,9 +811,7 @@ def surgery_with_nudges(
     -> `graph`, None without nudges), so a bonding chain stays exact.  Nudge
     targets rotate so symmetric configurations get broken even when the
     degenerate edge itself is not the culprit.  Returns the step, `renorm`,
-    the nudged edge ids, and the interpretation on `step.input_graph`.
-    `cap` is accepted but not read, because the acceptance gate passes it:
-    the steps' post-checks decide on cell bitmasks and close no lattice."""
+    the nudged edge ids, and the interpretation on `step.input_graph`."""
     candidates = None
     nudged: list[str] = []
     renorm: PLMap | None = None

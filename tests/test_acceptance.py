@@ -224,7 +224,7 @@ def triangle_instances():
 
 
 def _run_triangle(graph, a, b, c, interp):
-    step, _, _, _ = surgery_with_nudges("zeta", graph, [a, b, c], interp, cap=4096)
+    step, _, _, _ = surgery_with_nudges("zeta", graph, [a, b, c], interp)
     return step
 
 
@@ -310,7 +310,7 @@ def _run_crooked(graph, a, b, c, d, f):
     if f is not None:
         # a given separating function pins the graph: no nudging
         return crooked_step(graph, a, b, c, d, interp, separating=f)
-    step, _, _, _ = surgery_with_nudges("theta", graph, [a, b, c, d], interp, cap=4096)
+    step, _, _, _ = surgery_with_nudges("theta", graph, [a, b, c, d], interp)
     return step
 
 

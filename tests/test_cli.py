@@ -1,11 +1,14 @@
+import hashlib
 import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from crooked import cli
 from crooked.cli import main
+from crooked.folang import LIBRARY
 from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
 from crooked.surgery import crooked_step, witness_fragment
 
@@ -74,6 +77,41 @@ def test_lattice_check_disj_true(powerset2, capsys):
 def test_lattice_check_formula_with_generators(powerset2, capsys):
     assert main(["lattice-check", powerset2, "a ^ b = 0"]) == 0
     assert main(["lattice-check", powerset2, "a v b = 0"]) == 1
+
+
+INPUTS = Path(__file__).parent.parent / "inputs"
+
+# sha256 of stdout and the exit code of `lattice-check FILE NAME` for every
+# library sentence, and of `wallman FILE`, on the bundled lattices: pins the
+# verdicts and the printed witness/counterexample order.
+CLI_DIGESTS = {
+    ("chain3", "DISJ"): ("362af07fa2b9d97a8eda6f71e0321378699e9d28563ea6df44639cf2efcfef9a", 1),
+    ("chain3", "DISJ_LITERAL"): ("0256d57cd71fe3908b7202a79bb2810d906c490e21ea3c72ed6e3d4051b26563", 0),
+    ("chain3", "NORM"): ("7cb224484a55b1deb912d7ea909e88779d23865eadd412dd2886ea185c212c7e", 0),
+    ("chain3", "CONN1"): ("24c03a1a1d9fdcd0a218485586aa6cf1ef3db455b08696f5e99781a0bc0cc9e4", 0),
+    ("chain3", "DIM"): ("55cac1e58a4c4b71f2d72b0fd1f072c53c2be50f13ce4299da4db6679039d8c7", 0),
+    ("chain3", "HI"): ("fb053f5bb6d3c8c2e6fb3bd1205a51a97f265393c0942ca7272ad77f4a0c641d", 0),
+    ("chain3", "HI_LITERAL"): ("8e87801d68918d8b55c41d4e0a6426a851b157279f3dbcbc59b21f5efa230a80", 0),
+    ("chain3", "wallman"): ("e7dbff56095ee7f10d5a108b3512df4e14b711d98ddd4fa0764e230fc2558240", 0),
+    ("powerset2", "DISJ"): ("545a45ca4e84a4ed35a702b8508fc4b487604d746bc5a6a6dd9e34a5d3f5e22e", 0),
+    ("powerset2", "DISJ_LITERAL"): ("0256d57cd71fe3908b7202a79bb2810d906c490e21ea3c72ed6e3d4051b26563", 0),
+    ("powerset2", "NORM"): ("7cb224484a55b1deb912d7ea909e88779d23865eadd412dd2886ea185c212c7e", 0),
+    ("powerset2", "CONN1"): ("82fe3bc954405152821422555095bf55020b1597e5ac8c42a2a5088938d086d5", 1),
+    ("powerset2", "DIM"): ("55cac1e58a4c4b71f2d72b0fd1f072c53c2be50f13ce4299da4db6679039d8c7", 0),
+    ("powerset2", "HI"): ("fb053f5bb6d3c8c2e6fb3bd1205a51a97f265393c0942ca7272ad77f4a0c641d", 0),
+    ("powerset2", "HI_LITERAL"): ("8e87801d68918d8b55c41d4e0a6426a851b157279f3dbcbc59b21f5efa230a80", 0),
+    ("powerset2", "wallman"): ("db5444292ba59c7d3ff8ae88a9002e8818445d5185618a44a70667834a10ff2e", 0),
+}
+
+
+def test_cli_verdicts_pinned_on_bundled_lattices(capsys):
+    assert {name for _, name in CLI_DIGESTS} == {*LIBRARY, "wallman"}
+    for (stem, name), expected in CLI_DIGESTS.items():
+        path = str(INPUTS / f"{stem}.json")
+        argv = ["wallman", path] if name == "wallman" else ["lattice-check", path, name]
+        code = main(argv)
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (digest, code) == expected, (stem, name)
 
 
 def test_lattice_check_malformed_file(tmp_path, capsys):

@@ -143,6 +143,12 @@ def test_eval_uncovered_constant():
         eval_formula(parse("p = 0"), CHAIN3)
 
 
+def test_eval_resolves_every_constant_up_front():
+    # the false left conjunct must not hide the uninterpreted `p`
+    with pytest.raises(EvaluationError, match="'p' has no interpretation"):
+        eval_formula(parse("0 = 1 & p = 0"), CHAIN3)
+
+
 def test_eval_rejects_free_variables():
     with pytest.raises(EvaluationError):
         eval_formula(Eq(Var("x"), Zero()), CHAIN3)

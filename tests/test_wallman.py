@@ -97,10 +97,9 @@ def test_hom_is_lattice_homomorphism():
     for _ in range(12):
         lat = _random_lattice(rng)
         _, hom = wallman_space(lat)
-        for i in range(lat.size):
-            for j in range(lat.size):
-                assert hom[lat.meet_table[i][j]] == hom[i] & hom[j]
-                assert hom[lat.join_table[i][j]] == hom[i] | hom[j]
+        for a, b in itertools.product(map(lat.element, range(lat.size)), repeat=2):
+            assert hom[lat.meet(a, b).index] == hom[a.index] & hom[b.index]
+            assert hom[lat.join(a, b).index] == hom[a.index] | hom[b.index]
 
 
 def test_norm_iff_hausdorff_on_disjunctive_corpus():
