@@ -293,12 +293,20 @@ class ClosedSet:
         self._check(other)
         intervals: dict[str, list] = {}
         for eid in set(self.intervals) & set(other.intervals):
+            # both sides are sorted and disjoint: one merge walk, stepping
+            # past whichever interval ends first
+            xs, ys = self.intervals[eid], other.intervals[eid]
             out = []
-            for lo1, hi1 in self.intervals[eid]:
-                for lo2, hi2 in other.intervals[eid]:
-                    lo, hi = max(lo1, lo2), min(hi1, hi2)
-                    if lo <= hi:
-                        out.append((lo, hi))
+            i = j = 0
+            while i < len(xs) and j < len(ys):
+                (lo1, hi1), (lo2, hi2) = xs[i], ys[j]
+                lo, hi = max(lo1, lo2), min(hi1, hi2)
+                if lo <= hi:
+                    out.append((lo, hi))
+                if hi1 < hi2:
+                    i += 1
+                else:
+                    j += 1
             if out:
                 intervals[eid] = out
         return ClosedSet(self.graph, intervals, self.vertices & other.vertices)
@@ -368,23 +376,39 @@ def _bp_eval(bp: Sequence[tuple], x: Frac) -> Frac:
     return bp[-1][1]
 
 
+def _bp_walk(bp: Sequence[tuple], xs: Sequence[Frac]) -> list[Frac]:
+    """`_bp_eval` at each of the increasing `xs`, in one forward walk."""
+    out = []
+    i, last = 0, len(bp) - 1
+    for x in xs:
+        while i < last and bp[i + 1][0] < x:
+            i += 1
+        x0, y0 = bp[i]
+        if x <= x0 or i == last:
+            out.append(y0)
+            continue
+        x1, y1 = bp[i + 1]
+        out.append(y1 if x == x1 else y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    return out
+
+
 def _bp_combine(a: Sequence[tuple], b: Sequence[tuple], fn: Callable) -> tuple:
     xs = sorted({x for x, _ in a} | {x for x, _ in b})
-    return _bp_simplify([(x, fn(_bp_eval(a, x), _bp_eval(b, x))) for x in xs])
+    return _bp_simplify(list(zip(xs, map(fn, _bp_walk(a, xs), _bp_walk(b, xs)))))
 
 
 def _bp_min(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
     xs = sorted({x for x, _ in a} | {x for x, _ in b})
-    pts: list[tuple] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        d0 = _bp_eval(a, x0) - _bp_eval(b, x0)
-        d1 = _bp_eval(a, x1) - _bp_eval(b, x1)
+    ya, yb = _bp_walk(a, xs), _bp_walk(b, xs)
+    pts = [(xs[0], min(ya[0], yb[0]))]
+    for k in range(1, len(xs)):
+        d0, d1 = ya[k - 1] - yb[k - 1], ya[k] - yb[k]
         if (d0 < 0 < d1) or (d1 < 0 < d0):
-            xc = x0 + (x1 - x0) * d0 / (d0 - d1)
-            if x0 < xc < x1 and xc not in xs:
-                pts.append(xc)
-    xs = sorted(set(xs) | set(pts))
-    return _bp_simplify([(x, min(_bp_eval(a, x), _bp_eval(b, x))) for x in xs])
+            # both are linear on [xs[k-1], xs[k]] and cross once inside it
+            w = d0 / (d0 - d1)
+            pts.append((xs[k - 1] + (xs[k] - xs[k - 1]) * w, ya[k - 1] + (ya[k] - ya[k - 1]) * w))
+        pts.append((xs[k], min(ya[k], yb[k])))
+    return _bp_simplify(pts)
 
 
 def _bp_affine(bp: Sequence[tuple], mul: Frac, add: Frac) -> tuple:
@@ -397,8 +421,8 @@ def _bp_clamp(bp: Sequence[tuple], lo: Frac, hi: Frac) -> tuple:
         for level in (lo, hi):
             if (y0 - level) * (y1 - level) < 0:
                 xs.add(x0 + (x1 - x0) * (level - y0) / (y1 - y0))
-    out = [(x, min(hi, max(lo, _bp_eval(bp, x)))) for x in sorted(xs)]
-    return _bp_simplify(out)
+    xs = sorted(xs)
+    return _bp_simplify([(x, min(hi, max(lo, y))) for x, y in zip(xs, _bp_walk(bp, xs))])
 
 
 class PLFunction:
@@ -723,7 +747,11 @@ def _urysohn_check(f, zero_set, one_set, pin_low, pin_high) -> None:
 
 class PLMap:
     """A PL map described per domain edge: constant onto a point, or affine
-    onto a segment of one codomain edge."""
+    onto a segment of one codomain edge.
+
+    A map is immutable after construction: `preimage_of` reads an inverse
+    index built from `vertex_map` and `edge_map` on first use and never
+    rebuilt, so neither may change afterwards."""
 
     def __init__(
         self,
@@ -813,30 +841,78 @@ class PLMap:
                 intervals.setdefault(target, []).append((min(a, b), max(a, b)))
         return ClosedSet(self.codomain, intervals, verts)
 
-    def preimage_of(self, t: ClosedSet) -> ClosedSet:
-        if t.graph is not self.codomain:
-            raise UsageError("closed set not on the codomain")
-        intervals: dict[str, list] = {}
-        verts: set[str] = set()
-        for v in self.domain.vertices:
-            if t.contains_point(self.vertex_map[v]):
-                verts.add(v)
-        for eid, e in self.domain.edges.items():
-            entry = self.edge_map[eid]
+    @cached_property
+    def _fibres(self) -> tuple[dict, dict]:
+        """The inverse index behind `preimage_of`, built once per map on
+        first use.  Per codomain vertex: the domain vertices and `const`
+        edges (with their lengths) over it.  Per codomain edge: the domain
+        vertices and `const` edges over its interior points, with the
+        point's parameter, and its `affine` pieces as (edge, s0, length /
+        (s1 - s0), min(s0, s1), max(s0, s1), length)."""
+        at_vertex: dict[str, tuple[list, list]] = {}
+        at_edge: dict[str, tuple[list, list, list]] = {}
+
+        def vertex_slot(w: str) -> tuple[list, list]:
+            return at_vertex.setdefault(w, ([], []))
+
+        def edge_slot(eid: str) -> tuple[list, list, list]:
+            return at_edge.setdefault(eid, ([], [], []))
+
+        for v, p in self.vertex_map.items():
+            if p[0] == "v":
+                vertex_slot(p[1])[0].append(v)
+            else:
+                edge_slot(p[1])[0].append((p[2], v))
+        for eid, entry in self.edge_map.items():
+            L = self.domain.edges[eid].length
             if entry[0] == "const":
-                if t.contains_point(entry[1]):
-                    intervals.setdefault(eid, []).append((Frac(0), e.length))
+                p = entry[1]
+                if p[0] == "v":
+                    vertex_slot(p[1])[1].append((eid, L))
+                else:
+                    edge_slot(p[1])[1].append((p[2], eid, L))
                 continue
             _, target, s0, s1 = entry
-            L = e.length
-            lo_t, hi_t = min(s0, s1), max(s0, s1)
-            for lo, hi in t.intervals.get(target, ()):
-                lo2, hi2 = max(lo, lo_t), min(hi, hi_t)
-                if lo2 > hi2:
-                    continue
-                a = (lo2 - s0) * L / (s1 - s0)
-                b = (hi2 - s0) * L / (s1 - s0)
-                intervals.setdefault(eid, []).append((min(a, b), max(a, b)))
+            edge_slot(target)[2].append((eid, s0, L / (s1 - s0), min(s0, s1), max(s0, s1), L))
+        return at_vertex, at_edge
+
+    def preimage_of(self, t: ClosedSet) -> ClosedSet:
+        """The closed set of domain points mapped into `t`.
+
+        Costs the fibres of `t` only: the domain pieces over its vertices
+        and over the edges it has intervals on, read from an index built
+        once per map, not a scan of every domain vertex and edge."""
+        if t.graph is not self.codomain:
+            raise UsageError("closed set not on the codomain")
+        at_vertex, at_edge = self._fibres
+        zero = Frac(0)
+        intervals: dict[str, list] = {}
+        verts: set[str] = set()
+        for w in t.vertices:
+            if w in at_vertex:
+                vids, consts = at_vertex[w]
+                verts.update(vids)
+                for eid, L in consts:
+                    intervals[eid] = [(zero, L)]
+        for target, items in t.intervals.items():
+            if target not in at_edge:
+                continue
+            points, consts, pieces = at_edge[target]
+            for s, v in points:
+                if any(lo <= s <= hi for lo, hi in items):
+                    verts.add(v)
+            for s, eid, L in consts:
+                if any(lo <= s <= hi for lo, hi in items):
+                    intervals[eid] = [(zero, L)]
+            for eid, s0, scale, lo_t, hi_t, L in pieces:
+                for lo, hi in items:
+                    if lo <= lo_t and hi_t <= hi:
+                        # t covers the piece's whole image, either orientation
+                        intervals.setdefault(eid, []).append((zero, L))
+                    elif lo <= hi_t and lo_t <= hi:
+                        a = (max(lo, lo_t) - s0) * scale
+                        b = (min(hi, hi_t) - s0) * scale
+                        intervals.setdefault(eid, []).append((min(a, b), max(a, b)))
         return ClosedSet(self.domain, intervals, verts)
 
     def then(self, g: "PLMap") -> "PLMap":

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from crooked import lattice, metric_graph
@@ -17,3 +19,20 @@ def closure_calls(monkeypatch):
     for module in (lattice, metric_graph):
         monkeypatch.setattr(module, "generate_sublattice", counting)
     return calls
+
+
+@pytest.fixture
+def fibre_builds(monkeypatch):
+    """A list that gains the map itself each time a `PLMap` builds the
+    inverse index behind `preimage_of`, for the rest of the test."""
+    builds = []
+    build = metric_graph.PLMap._fibres.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(metric_graph.PLMap, "_fibres")
+    monkeypatch.setattr(metric_graph.PLMap, "_fibres", prop)
+    return builds

@@ -6,13 +6,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crooked import surgery
 from crooked.errors import InputError, PreconditionError, UsageError
 from crooked.folang import Const, conn, parse
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _cell_in_set, distance_to_set,
-    dump_graph, extract_sublattice, graph_from_dict, graph_to_dict, kappa_map,
-    point_distance, unit_segment, urysohn,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
+    _bp_min, _bp_simplify, _cell_in_set, distance_to_set, dump_graph, extract_sublattice,
+    graph_from_dict, graph_to_dict, kappa_map, point_distance, unit_segment, urysohn,
 )
+from test_tower import steered_crooked_tower
 
 
 @pytest.fixture
@@ -375,6 +377,56 @@ def test_plfunction_continuity_enforced(theta):
         PLFunction(theta, per_edge)
 
 
+def bp_combine_by_eval(a, b, fn):
+    """The pointwise reference for `_bp_combine`: evaluate both lists from
+    the start at every x of the union."""
+    xs = sorted({x for x, _ in a} | {x for x, _ in b})
+    return _bp_simplify([(x, fn(_bp_eval(a, x), _bp_eval(b, x))) for x in xs])
+
+
+def bp_min_by_eval(a, b):
+    """The pointwise reference for `_bp_min`."""
+    xs = sorted({x for x, _ in a} | {x for x, _ in b})
+    pts = []
+    for x0, x1 in zip(xs, xs[1:]):
+        d0 = _bp_eval(a, x0) - _bp_eval(b, x0)
+        d1 = _bp_eval(a, x1) - _bp_eval(b, x1)
+        if (d0 < 0 < d1) or (d1 < 0 < d0):
+            xc = x0 + (x1 - x0) * d0 / (d0 - d1)
+            if x0 < xc < x1 and xc not in xs:
+                pts.append(xc)
+    xs = sorted(set(xs) | set(pts))
+    return _bp_simplify([(x, min(_bp_eval(a, x), _bp_eval(b, x))) for x in xs])
+
+
+def bp_clamp_by_eval(bp, lo, hi):
+    """The pointwise reference for `_bp_clamp`."""
+    xs = {x for x, _ in bp}
+    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+        for level in (lo, hi):
+            if (y0 - level) * (y1 - level) < 0:
+                xs.add(x0 + (x1 - x0) * (level - y0) / (y1 - y0))
+    return _bp_simplify([(x, min(hi, max(lo, _bp_eval(bp, x)))) for x in sorted(xs)])
+
+
+@st.composite
+def breakpoint_lists(draw):
+    """A breakpoint list at twelfths over a random span inside [0, 4], with
+    quarter-step values, so that two lists may overlap only in part."""
+    xs = sorted(draw(st.sets(st.integers(0, 48), min_size=2, max_size=7)))
+    return tuple((F(x, 12), F(draw(st.integers(-8, 8)), 4)) for x in xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(breakpoint_lists(), breakpoint_lists(), st.integers(-4, 4), st.integers(0, 4))
+def test_breakpoint_merge_walks_match_pointwise_eval(a, b, lo, width):
+    lo, hi = F(lo, 4), F(lo + width, 4)
+    assert _bp_combine(a, b, lambda p, q: p + q) == bp_combine_by_eval(a, b, lambda p, q: p + q)
+    assert _bp_combine(a, b, lambda p, q: p - q) == bp_combine_by_eval(a, b, lambda p, q: p - q)
+    assert _bp_min(a, b) == bp_min_by_eval(a, b)
+    assert _bp_clamp(a, lo, hi) == bp_clamp_by_eval(a, lo, hi)
+
+
 # ------------------------------------------------------------- PL maps
 
 def test_plmap_identity_and_composition(theta):
@@ -518,11 +570,11 @@ _HYP_GRAPH = MetricGraph(
 
 
 @st.composite
-def closed_sets(draw):
+def closed_sets(draw, max_pieces=2):
     intervals = {}
     for eid in ("e1", "e2", "e3"):
         pieces = draw(st.lists(
-            st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=2,
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=max_pieces,
         ))
         items = [(F(min(p, q), 12), F(max(p, q), 12)) for p, q in pieces]
         if items:
@@ -554,3 +606,157 @@ def test_closed_set_components_partition(s, t):
     for i, c1 in enumerate(comps):
         for c2 in comps[i + 1:]:
             assert (c1 & c2).is_empty()
+
+
+def meet_by_nested_loop(s, t):
+    """The reference for `ClosedSet.__and__`: every pair of intervals on a
+    shared edge."""
+    intervals = {}
+    for eid in set(s.intervals) & set(t.intervals):
+        out = []
+        for lo1, hi1 in s.intervals[eid]:
+            for lo2, hi2 in t.intervals[eid]:
+                lo, hi = max(lo1, lo2), min(hi1, hi2)
+                if lo <= hi:
+                    out.append((lo, hi))
+        if out:
+            intervals[eid] = out
+    return ClosedSet(s.graph, intervals, s.vertices & t.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_sets(max_pieces=6), closed_sets(max_pieces=6))
+def test_closed_set_meet_walk_matches_nested_loop(s, t):
+    assert (s & t) == meet_by_nested_loop(s, t)
+    assert (s & t)._key == meet_by_nested_loop(s, t)._key
+
+
+# ------------------------------------------------------------- pullbacks
+
+def preimage_by_scan(m, t):
+    """The pullback by a scan of every domain vertex and edge: the reference
+    the fibre-indexed `PLMap.preimage_of` must equal."""
+    intervals = {}
+    verts = set()
+    for v in m.domain.vertices:
+        if t.contains_point(m.vertex_map[v]):
+            verts.add(v)
+    for eid, e in m.domain.edges.items():
+        entry = m.edge_map[eid]
+        if entry[0] == "const":
+            if t.contains_point(entry[1]):
+                intervals.setdefault(eid, []).append((F(0), e.length))
+            continue
+        _, target, s0, s1 = entry
+        L = e.length
+        lo_t, hi_t = min(s0, s1), max(s0, s1)
+        for lo, hi in t.intervals.get(target, ()):
+            lo2, hi2 = max(lo, lo_t), min(hi, hi_t)
+            if lo2 > hi2:
+                continue
+            a = (lo2 - s0) * L / (s1 - s0)
+            b = (hi2 - s0) * L / (s1 - s0)
+            intervals.setdefault(eid, []).append((min(a, b), max(a, b)))
+    return ClosedSet(m.domain, intervals, verts)
+
+
+@st.composite
+def pl_maps(draw):
+    """A PL map from a random tree onto _HYP_GRAPH, grown one edge at a
+    time from an existing vertex: the new edge is `const` at the image of
+    that vertex or `affine` along a codomain edge through it to another
+    twelfth, in either orientation, so vertices, constants and affine ends
+    land on codomain vertices and inside codomain edges alike.  Up to two
+    isolated vertices ride along, the only ones no incident edge's
+    pullback brings in."""
+    points = st.builds(
+        _HYP_GRAPH.point, st.sampled_from(sorted(_HYP_GRAPH.edges)),
+        st.integers(0, 12).map(lambda n: F(n, 12)),
+    )
+    vertex_map = {f"i{k}": draw(points) for k in range(draw(st.integers(0, 2)))}
+    vertex_map["d0"] = draw(points)
+    edges, edge_map = [], {}
+    for k in range(1, draw(st.integers(1, 8)) + 1):
+        parent = draw(st.sampled_from(sorted(v for v in vertex_map if v[0] == "d")))
+        p = vertex_map[parent]
+        if draw(st.booleans()):
+            edge_map[f"f{k}"], q = ("const", p), p
+        else:
+            if p[0] == "v":
+                target, end = draw(st.sampled_from(_HYP_GRAPH.adjacency[p[1]]))
+                s0 = F(end)
+            else:
+                target, s0 = p[1], p[2]
+            s1 = F(draw(st.integers(0, 12).filter(lambda n: F(n, 12) != s0)), 12)
+            edge_map[f"f{k}"], q = ("affine", target, s0, s1), _HYP_GRAPH.point(target, s1)
+        edges.append(Edge(f"f{k}", parent, f"d{k}", F(draw(st.integers(1, 4)), 2)))
+        vertex_map[f"d{k}"] = q
+    return PLMap(MetricGraph(vertex_map, edges), _HYP_GRAPH, vertex_map, edge_map)
+
+
+def pullback_probes(m, extra=()):
+    """Sets on the codomain of `m` to pull back: empty, whole, vertex-only,
+    each image point of a domain vertex or `const` edge alone and all of
+    them together, then `extra`."""
+    g = m.codomain
+    images = list(m.vertex_map.values())
+    images += [entry[1] for entry in m.edge_map.values() if entry[0] == "const"]
+    return [
+        g.empty_set(), g.whole_set(), ClosedSet(g, {}, {"a", "c"}), g.point_closed_set(images),
+        *(g.point_closed_set([p]) for p in images), *extra,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_maps(), closed_sets(max_pieces=3), closed_sets(max_pieces=3))
+def test_preimage_matches_full_scan(m, t, u):
+    for s in pullback_probes(m, (t, u, t | u)):
+        assert m.preimage_of(s) == preimage_by_scan(m, s), s
+
+
+def test_preimage_over_each_kind_of_piece():
+    # f1 const onto vertex a, f2 affine a -> e1@1/3, f3 const onto the
+    # interior point e1@1/3, f4 affine on to b, f5 reversed along all of e1,
+    # f6 affine a -> e3@2/3, whose end d6 lies inside a codomain edge
+    g = _HYP_GRAPH
+    third = ("e", "e1", F(1, 3))
+    dom = MetricGraph(
+        [f"d{k}" for k in range(7)],
+        [Edge(f"f{k}", f"d{k - 1}", f"d{k}", F(k, 2)) for k in range(1, 7)],
+    )
+    m = PLMap(
+        dom, g,
+        {"d0": ("v", "a"), "d1": ("v", "a"), "d2": third, "d3": third,
+         "d4": ("v", "b"), "d5": ("v", "a"), "d6": ("e", "e3", F(2, 3))},
+        {"f1": ("const", ("v", "a")), "f2": ("affine", "e1", 0, F(1, 3)),
+         "f3": ("const", third), "f4": ("affine", "e1", F(1, 3), 1),
+         "f5": ("affine", "e1", 1, 0), "f6": ("affine", "e3", 0, F(2, 3))},
+    )
+    two = ClosedSet(g, {"e1": [(F(0), F(1, 4)), (F(1, 2), F(3, 4))], "e3": [(F(1, 2), F(1))]}, set())
+    for s in pullback_probes(m, (two,)):
+        assert m.preimage_of(s) == preimage_by_scan(m, s), s
+    assert m.preimage_of(g.whole_set()) == dom.whole_set()
+    # the point e1@1/3 pulls back to all of f3 and one point each of f2,
+    # f4 (at its start) and the reversed f5
+    back = m.preimage_of(g.point_closed_set([third]))
+    assert back == ClosedSet(
+        dom, {"f3": [(F(0), F(3, 2))], "f5": [(F(5, 3), F(5, 3))]}, {"d2", "d3"}
+    )
+
+
+def test_crooked_step_pullback_matches_full_scan(monkeypatch):
+    # every constant crooked_step pulls back through a staircase bonding of
+    # the steered tower equals the full scan
+    pulled = []
+    step_fn = surgery.crooked_step
+
+    def checking(graph, a, b, c, d, interpretation, *args, **kwargs):
+        step = step_fn(graph, a, b, c, d, interpretation, *args, **kwargs)
+        for cid, s in interpretation.items():
+            assert step.interpretation[cid] == preimage_by_scan(step.bonding, s), cid
+        pulled.append(len(interpretation))
+        return step
+
+    monkeypatch.setattr(surgery, "crooked_step", checking)
+    steered_crooked_tower(6)
+    assert len(pulled) == 3 and all(pulled)

@@ -14,8 +14,8 @@ from crooked.metric_graph import (
 )
 from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
 from crooked.surgery import (
-    CrookedStep, TriangleStep, check_monotone, crooked_step, disjunctivity_point,
-    eval_ground_geometric, lift_connected, normal_cocover, nudge_edge_length,
+    CrookedStep, TriangleStep, base_interpretation, check_monotone, crooked_step,
+    disjunctivity_point, eval_ground_geometric, lift_connected, normal_cocover, nudge_edge_length,
     triangle_step, verify_on_sublattice, witness_fragment,
 )
 
@@ -450,10 +450,9 @@ def test_witness_fragment_full_pipeline():
     assert result.trace == result2.trace
 
 
-def test_witness_fragment_surgery_rich_pipeline(closure_calls):
-    # diagram through both schemata with enough budget that satisfiable
-    # instances exist: two fiber insertions and two staircases, everything
-    # re-verified true, deterministic across runs
+def surgery_rich_fragment(budget=96):
+    """The fragment through stage 5 of the three-point base at `budget`,
+    with its base graph and interpretation."""
     base = generate_sublattice({0, 1, 2}, [{0}, {2}, {0, 1, 2}], names=["g0", "g1", "g2"])
     g = seg()
     gen_sets = {
@@ -461,13 +460,17 @@ def test_witness_fragment_surgery_rich_pipeline(closure_calls):
         "g1": g.point_closed_set([("v", "b")]),
         "g2": g.whole_set(),
     }
-    from crooked.surgery import base_interpretation
-    from crooked.sigma import SigmaGenerator, fragment as take_fragment
     interp0 = base_interpretation(base, gen_sets, g)
-    gen = SigmaGenerator(base, budget=96)
-    records = gen.generate_through(5)
+    records = SigmaGenerator(base, budget=budget).generate_through(5)
     usable = len([r for r in records if not r.ignorable])
-    frag = take_fragment(records, usable)
+    return fragment(records, usable), g, interp0
+
+
+def test_witness_fragment_surgery_rich_pipeline(closure_calls):
+    # diagram through both schemata with enough budget that satisfiable
+    # instances exist: two fiber insertions and two staircases, everything
+    # re-verified true, deterministic across runs
+    frag, g, interp0 = surgery_rich_fragment()
     closure_calls.clear()
     result = witness_fragment(frag, g, interp0, cap=8192)
     assert result.ok, [line for line, ok in result.report if not ok][:3]
@@ -490,6 +493,16 @@ def test_witness_fragment_surgery_rich_pipeline(closure_calls):
         "a29db4fcc02f66c346bce21fa174cce2312a5333e6dc45e7aee92ea0a468fe07"
     )
 
+
+
+def test_witness_fragment_builds_each_pullback_index_once(fibre_builds):
+    # every bonding, stretch and renormalised map indexes its fibres at most
+    # once, however many constants are pulled back through it
+    frag, g, interp0 = surgery_rich_fragment()
+    result = witness_fragment(frag, g, interp0)
+    assert result.ok
+    assert fibre_builds
+    assert len({id(m) for m in fibre_builds}) == len(fibre_builds)
 
 def test_witness_fragment_triangle_trace():
     g = y_graph()

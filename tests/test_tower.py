@@ -436,6 +436,25 @@ def test_verify_steered_crooked_tower_without_closure(closure_calls):
     assert closure_calls == []
 
 
+def test_verify_tower_indexes_no_composed_map(monkeypatch, fibre_builds):
+    # the C(N, 3) functoriality composites are compared, never pulled back
+    # through, so none of them may pay for a preimage index
+    tower = steered_crooked_tower(4)
+    made = []
+    then = PLMap.then
+
+    def recording_then(self, other):
+        out = then(self, other)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(PLMap, "then", recording_then)
+    report = verify_tower(tower)
+    assert ("bonding functoriality", True) in report and made
+    built = {id(m) for m in fibre_builds}
+    assert not any(id(m) in built for m in made)
+
+
 def test_catalog_members_must_be_connected():
     g = seg()
     bad = ClosedSet(g, {"seg": [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]}, set())
