@@ -28,6 +28,7 @@ from .folang import Formula, Interpretation, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
+ZERO = Frac(0)
 
 # A graph point is ("v", vertex_id) or ("e", edge_id, param) with
 # 0 < param < length; edge endpoints normalize to their vertices.
@@ -40,7 +41,10 @@ def frac(value) -> Frac:
     if isinstance(value, int):
         return Frac(value)
     if isinstance(value, str):
-        return Frac(value)
+        try:
+            return Frac(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"not an exact rational: {value!r}")
 
 
@@ -67,6 +71,10 @@ class MetricGraph:
         for e in sorted(edges, key=lambda e: e.eid):
             if e.eid in self.edges:
                 raise InputError(f"duplicate edge id {e.eid!r}")
+            if e.eid == "vertices":
+                # a closed set's file entry keys its intervals by edge id
+                # beside its "vertices" list
+                raise InputError("edge id 'vertices' is reserved")
             if e.u not in vset or e.v not in vset:
                 raise InputError(f"edge {e.eid!r} references an unknown vertex")
             if e.u == e.v:
@@ -80,6 +88,19 @@ class MetricGraph:
             v: tuple(sorted(lst)) for v, lst in adj.items()
         }
         self.meta: dict = meta or {}
+
+    @cached_property
+    def _vertex_bit(self) -> dict[str, int]:
+        """Each vertex's cell index; vertex cells come first in every
+        arrangement, in `vertices` order."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _uncut_cells(self) -> tuple[tuple, ...]:
+        """The arrangement of no cuts: the vertex cells, then one open cell
+        ("o", eid, 0, length) per edge in edge-id order."""
+        return (*(("v", v) for v in self.vertices),
+                *(("o", eid, ZERO, e.length) for eid, e in self.edges.items()))
 
     # ---------------------------------------------------------------- points
 
@@ -216,9 +237,14 @@ class ClosedSet:
 
     Normal form: intervals sorted and merged, endpoint-degenerate intervals
     converted to vertex membership, interval endpoints at 0/length implying
-    the incident vertex is a member."""
+    the incident vertex is a member.
 
-    __slots__ = ("graph", "intervals", "vertices", "_key")
+    A set is immutable, so the part of its cell footprint that no
+    arrangement changes (`split`) is computed once, on the first extraction
+    that names it; every extraction then pays one shift per edge the set
+    covers whole and bisection of its other intervals only."""
+
+    __slots__ = ("graph", "intervals", "vertices", "_key", "_split")
 
     def __init__(self, graph: MetricGraph, intervals: Mapping[str, Sequence], vertices):
         self.graph = graph
@@ -263,6 +289,31 @@ class ClosedSet:
             tuple(sorted(self.vertices)),
             tuple((eid, self.intervals[eid]) for eid in sorted(self.intervals)),
         )
+        self._split = None
+
+    @property
+    def split(self) -> tuple[int, tuple[str, ...], tuple[tuple, ...]]:
+        """(vertex bitmask over `graph.vertices`, the edges covered whole,
+        and per other edge (eid, its intervals, their endpoints inside the
+        edge)), computed on first use."""
+        if self._split is None:
+            self._split = self._edge_split()
+        return self._split
+
+    def _edge_split(self) -> tuple[int, tuple[str, ...], tuple[tuple, ...]]:
+        vertex_bit = self.graph._vertex_bit
+        vmask = 0
+        for v in self.vertices:
+            vmask |= 1 << vertex_bit[v]
+        whole, partial = [], []
+        for eid, items in self.intervals.items():
+            L = self.graph.edges[eid].length
+            if items == ((0, L),):
+                whole.append(eid)
+            else:
+                inner = frozenset(t for lo, hi in items for t in (lo, hi) if 0 < t < L)
+                partial.append((eid, items, inner))
+        return vmask, tuple(whole), tuple(partial)
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
@@ -1047,27 +1098,35 @@ def _bits(mask: int) -> frozenset:
     return frozenset(i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
 
 
+def _arrangement(graph: MetricGraph, splits: Iterable[tuple]) -> tuple[list[tuple], dict]:
+    """`arrangement_cells` of the sets with these splits, and per edge its
+    first cell index, its cell count and its breakpoints with both ends
+    (None on an uncut edge), in one pass over the edges."""
+    cuts: dict[str, set] = {}
+    for _, _, partial in splits:
+        for eid, _, inner in partial:
+            cuts.setdefault(eid, set()).update(inner)
+    uncut = graph._uncut_cells
+    cells = list(uncut[:len(graph.vertices)])
+    layout: dict[str, tuple[int, int, list | None]] = {}
+    for cell in uncut[len(graph.vertices):]:
+        eid = cell[1]
+        if eid not in cuts:
+            layout[eid] = (len(cells), 1, None)
+            cells.append(cell)
+            continue
+        marks = [ZERO, *sorted(cuts[eid]), cell[3]]
+        layout[eid] = (len(cells), 2 * len(marks) - 3, marks)
+        cells.extend(("p", eid, t) for t in marks[1:-1])
+        cells.extend(("o", eid, lo, hi) for lo, hi in zip(marks, marks[1:]))
+    return cells, layout
+
+
 def arrangement_cells(graph: MetricGraph, sets: Iterable[ClosedSet]) -> list[tuple]:
     """Cells of the common refinement of all interval endpoints: vertices,
     then per edge its interior 0-cells followed by the open 1-cells between
     consecutive breakpoints."""
-    cuts: dict[str, set] = {eid: set() for eid in graph.edges}
-    for s in sets:
-        for eid, items in s.intervals.items():
-            e = graph.edges[eid]
-            for lo, hi in items:
-                for t in (lo, hi):
-                    if 0 < t < e.length:
-                        cuts[eid].add(t)
-    cells: list[tuple] = [("v", v) for v in graph.vertices]
-    for eid in sorted(graph.edges):
-        e = graph.edges[eid]
-        marks = [Frac(0)] + sorted(cuts[eid]) + [e.length]
-        for t in marks[1:-1]:
-            cells.append(("p", eid, t))
-        for lo, hi in zip(marks, marks[1:]):
-            cells.append(("o", eid, lo, hi))
-    return cells
+    return _arrangement(graph, [s.split for s in sets])[0]
 
 
 def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:
@@ -1079,31 +1138,19 @@ def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:
     return any(ilo <= lo and hi <= ihi for ilo, ihi in s.intervals.get(eid, ()))
 
 
-def _edge_layout(cells: list[tuple]) -> dict[str, tuple[int, list]]:
-    """Per edge, the index of its first cell and its sorted breakpoints,
-    both ends included, read off `arrangement_cells` order."""
-    layout: dict[str, tuple[int, list]] = {}
-    for i, cell in enumerate(cells):
-        if cell[0] == "v":
-            continue
-        if cell[1] not in layout:
-            layout[cell[1]] = (i, [Frac(0)])
-        if cell[0] == "o":
-            layout[cell[1]][1].append(cell[3])
-    return layout
-
-
-def _footprint(s: ClosedSet, vertex_bit: dict[str, int], layout) -> int:
-    """The cells inside `s` as a bitmask.  Every endpoint of an interval of s
-    is a breakpoint, so an interval covers a contiguous run of its edge's
-    0-cells and another of its 1-cells, found by bisection."""
-    mask = 0
-    for v in s.vertices:
-        mask |= 1 << vertex_bit[v]
-    for eid, items in s.intervals.items():
+def _footprint(split: tuple, layout: dict) -> int:
+    """The cells inside the set with this split as a bitmask: its vertex
+    bits, one run over all cells of each edge it covers whole, and for a
+    partial interval, whose endpoints are all breakpoints, a contiguous run
+    of its edge's 0-cells and another of its 1-cells found by bisection."""
+    mask, whole, partial = split
+    for eid in whole:
+        start, count, _ = layout[eid]
+        mask |= ((1 << count) - 1) << start
+    for eid, items, _ in partial:
         # the 0-cell at marks[j] is bit start + j - 1, the 1-cell after it
         # bit start + points + j
-        start, marks = layout[eid]
+        start, _, marks = layout[eid]
         points = len(marks) - 2
         for lo, hi in items:
             i, k = bisect_left(marks, lo), bisect_left(marks, hi)
@@ -1123,15 +1170,19 @@ def extract_sublattice(
     """The named sets at arrangement granularity: the cell decomposition
     induced by all interval endpoints, and each set's cell footprint as a
     bitmask.  `cap` bounds the sublattice closure, which happens only if the
-    result's lattice is read (see ExtractResult); deciding never reads it."""
+    result's lattice is read (see ExtractResult); deciding never reads it.
+
+    Each set's `split` is computed once per set, not per call; a call costs
+    one pass over the graph's edges to lay out the cells, one shift per
+    edge a set covers whole, and bisection for the partial intervals only.
+    Edges no set cuts cost no Fraction work."""
     names = sorted(named_sets)
     for name in names:
         if named_sets[name].graph is not graph:
             raise UsageError(f"set {name!r} lives on a different graph")
-    cells = arrangement_cells(graph, [named_sets[n] for n in names])
-    vertex_bit = {v: i for i, v in enumerate(graph.vertices)}
-    layout = _edge_layout(cells)
-    masks = {name: _footprint(named_sets[name], vertex_bit, layout) for name in names}
+    splits = [named_sets[name].split for name in names]
+    cells, layout = _arrangement(graph, splits)
+    masks = {name: _footprint(split, layout) for name, split in zip(names, splits)}
     return ExtractResult(graph, cells, masks, cap)
 
 

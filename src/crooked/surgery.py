@@ -99,7 +99,10 @@ def verify_on_sublattice(
     f: Formula, sets: dict[str, ClosedSet], graph: MetricGraph, cap: int = DEFAULT_ELEMENT_CAP
 ) -> bool:
     """Independent check of a sentence on the cell footprints of the sets it
-    mentions.  `cap` is accepted but not read, because perfbench passes it."""
+    mentions.  A call costs one `extract_sublattice` over those sets: a pass
+    over the graph's edges plus the sets' partial intervals, with each set's
+    edge split computed only on the first check that names it.  `cap` is
+    accepted but not read, because perfbench passes it."""
     named = {cid: sets[cid] for cid in constants_of(f)}
     return extract_sublattice(graph, named, cap=cap).decide(f)
 

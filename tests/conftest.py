@@ -36,3 +36,18 @@ def fibre_builds(monkeypatch):
     prop.__set_name__(metric_graph.PLMap, "_fibres")
     monkeypatch.setattr(metric_graph.PLMap, "_fibres", prop)
     return builds
+
+
+@pytest.fixture
+def split_builds(monkeypatch):
+    """A list that gains the set itself each time a `ClosedSet` computes the
+    split behind its cell footprints, for the rest of the test."""
+    builds = []
+    build = metric_graph.ClosedSet._edge_split
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(metric_graph.ClosedSet, "_edge_split", counting)
+    return builds

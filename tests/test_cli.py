@@ -409,6 +409,21 @@ def test_render_crooked_output_zigzag(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("length, interval, bad", [
+    ("x/2", ["0", "1/2"], "x/2"),
+    ("1", ["0", "1/0"], "1/0"),
+])
+def test_render_malformed_rational_exits_2(tmp_path, capsys, length, interval, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": length}],
+        "closed_sets": {"s": {"seg": [interval]}},
+    }))
+    assert main(["render", "--graph", str(path)]) == 2
+    assert bad in capsys.readouterr().err
+
+
 def test_render_requires_input():
     assert main(["render"]) == 2
 

@@ -1,6 +1,7 @@
 import heapq
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from crooked import surgery
 from crooked.errors import InputError, PreconditionError, UsageError
-from crooked.folang import Const, conn, parse
+from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
     _bp_min, _bp_simplify, _cell_in_set, distance_to_set, dump_graph, extract_sublattice,
     graph_from_dict, graph_to_dict, kappa_map, point_distance, unit_segment, urysohn,
 )
+from test_surgery import surgery_rich_fragment
 from test_tower import steered_crooked_tower
 
 
@@ -76,6 +78,19 @@ def test_interval_validation(seg):
         ClosedSet(seg, {"seg": [(F(0), F(2))]}, set())
     with pytest.raises(InputError):
         ClosedSet(seg, {"nope": [(F(0), F(1))]}, set())
+
+
+def test_edge_id_vertices_is_rejected():
+    # a closed set's file entry keeps its vertex list under "vertices" beside
+    # its intervals keyed by edge id, so such an edge's intervals would be lost
+    with pytest.raises(InputError, match="vertices"):
+        MetricGraph(["a", "b"], [Edge("vertices", "a", "b", F(1))])
+    data = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "vertices", "u": "a", "v": "b", "len": "1/1"}],
+    }
+    with pytest.raises(InputError, match="vertices"):
+        graph_from_dict(data)
 
 
 # ------------------------------------------------------------- distances
@@ -494,35 +509,145 @@ def test_extract_footprints_respect_meet_join(theta):
         assert res.closed_set_of(es.join(et)) == (s | t)
 
 
-TWO_EDGES = MetricGraph(
-    ["x", "y", "z"], [Edge("e1", "x", "y", F(1)), Edge("e2", "y", "z", F(3, 2))]
+def extract_by_bisection(graph, named_sets):
+    """The extraction before per-set splits, kept as an oracle: cut every edge
+    at every interval endpoint of every set, read each edge's breakpoints
+    back off the cells, and bisect every interval into them."""
+    cuts = {eid: set() for eid in graph.edges}
+    for s in named_sets.values():
+        for eid, items in s.intervals.items():
+            e = graph.edges[eid]
+            for lo, hi in items:
+                for t in (lo, hi):
+                    if 0 < t < e.length:
+                        cuts[eid].add(t)
+    cells = [("v", v) for v in graph.vertices]
+    for eid in sorted(graph.edges):
+        marks = [F(0)] + sorted(cuts[eid]) + [graph.edges[eid].length]
+        for t in marks[1:-1]:
+            cells.append(("p", eid, t))
+        for lo, hi in zip(marks, marks[1:]):
+            cells.append(("o", eid, lo, hi))
+    layout = {}
+    for i, cell in enumerate(cells):
+        if cell[0] == "v":
+            continue
+        if cell[1] not in layout:
+            layout[cell[1]] = (i, [F(0)])
+        if cell[0] == "o":
+            layout[cell[1]][1].append(cell[3])
+    vertex_bit = {v: i for i, v in enumerate(graph.vertices)}
+    masks = {}
+    for name, s in named_sets.items():
+        mask = 0
+        for v in s.vertices:
+            mask |= 1 << vertex_bit[v]
+        for eid, items in s.intervals.items():
+            start, marks = layout[eid]
+            points = len(marks) - 2
+            for lo, hi in items:
+                i, k = bisect_left(marks, lo), bisect_left(marks, hi)
+                first, last = max(i, 1), min(k, points)
+                if first <= last:
+                    mask |= ((1 << (last - first + 1)) - 1) << (start + first - 1)
+                if i < k:
+                    mask |= ((1 << (k - i)) - 1) << (start + points + i)
+        masks[name] = mask
+    return cells, masks
+
+
+EXTRACTION_GRAPHS = (
+    MetricGraph(["x", "y", "z"], [Edge("e1", "x", "y", F(1)), Edge("e2", "y", "z", F(3, 2))]),
+    # a triangle and an isolated vertex
+    MetricGraph(
+        ["p", "q", "r", "w"],
+        [Edge("a", "p", "q", F(1, 3)), Edge("b", "q", "r", F(2)), Edge("c", "p", "r", F(5, 4))],
+    ),
 )
 
 
 @st.composite
-def two_edge_sets(draw):
-    """One to four named closed sets on TWO_EDGES, endpoints at eighths."""
+def edge_sets(draw, graph, names):
+    """Closed sets on `graph` under `names`, endpoints at eighths of an edge.
+    A quarter of them are vertex-only; on each edge the others have nothing,
+    the whole edge, up to three intervals or up to three points, each as
+    often, so whole-edge, partial and point-only sets are all common."""
+    eighths = st.integers(0, 8)
     sets = {}
-    for name in "stuv"[:draw(st.integers(min_value=1, max_value=4))]:
+    for name in names:
         intervals = {}
-        for eid, e in TWO_EDGES.edges.items():
-            ends = st.tuples(st.integers(0, 8), st.integers(0, 8))
-            items = [tuple(sorted(pair)) for pair in draw(st.lists(ends, max_size=3))]
-            if items:
-                intervals[eid] = [(F(lo, 8) * e.length, F(hi, 8) * e.length) for lo, hi in items]
-        verts = draw(st.sets(st.sampled_from(TWO_EDGES.vertices)))
-        sets[name] = ClosedSet(TWO_EDGES, intervals, verts)
+        if draw(st.integers(0, 3)):
+            for eid, e in graph.edges.items():
+                shape = draw(st.sampled_from(("none", "whole", "intervals", "points")))
+                if shape == "whole":
+                    intervals[eid] = [(0, e.length)]
+                elif shape == "intervals":
+                    pairs = draw(st.lists(st.tuples(eighths, eighths), min_size=1, max_size=3))
+                    intervals[eid] = [(F(min(p), 8) * e.length, F(max(p), 8) * e.length)
+                                      for p in pairs]
+                elif shape == "points":
+                    ts = draw(st.lists(eighths, min_size=1, max_size=3))
+                    intervals[eid] = [(F(t, 8) * e.length,) * 2 for t in ts]
+        verts = draw(st.sets(st.sampled_from(graph.vertices)))
+        sets[name] = ClosedSet(graph, intervals, verts)
     return sets
 
 
-@settings(max_examples=100, deadline=None)
-@given(two_edge_sets())
-def test_bisected_footprints_match_cell_membership(sets):
-    res = extract_sublattice(TWO_EDGES, sets)
-    assert res.full == (1 << len(res.cells)) - 1
-    for name, s in sets.items():
-        expected = sum(1 << i for i, cell in enumerate(res.cells) if _cell_in_set(cell, s))
-        assert res.masks[name] == expected, name
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bisected_footprints_match_cell_membership(data):
+    graph = data.draw(st.sampled_from(EXTRACTION_GRAPHS))
+    sets = data.draw(edge_sets(graph, "stuv"[:data.draw(st.integers(1, 4))]))
+    # the same set objects again among other companions: a split cached by
+    # the first extraction must fit the second arrangement too
+    kept = data.draw(st.sets(st.sampled_from(sorted(sets))))
+    companions = data.draw(edge_sets(graph, "wx"[:data.draw(st.integers(0, 2))]))
+    for family in (sets, {**{n: sets[n] for n in kept}, **companions}):
+        res = extract_sublattice(graph, family)
+        assert (res.cells, res.masks) == extract_by_bisection(graph, family)
+        assert res.full == (1 << len(res.cells)) - 1
+        for name, s in family.items():
+            expected = sum(1 << i for i, cell in enumerate(res.cells) if _cell_in_set(cell, s))
+            assert res.masks[name] == expected, name
+
+
+def _reloaded_w1_model():
+    """The W1 fragment and its witnessed model, reloaded from its file."""
+    frag, g, interp0 = surgery_rich_fragment()
+    result = surgery.witness_fragment(frag, g, interp0)
+    assert result.ok
+    graph, sets = graph_from_dict(json.loads(dump_graph(result.graph, result.interpretation)))
+    return frag, graph, sets
+
+
+def test_w1_extractions_match_bisection(monkeypatch):
+    # every extraction the witnessing makes (post-checks, line checks, the
+    # report) and every ground sentence decided on the reloaded model
+    checked = []
+
+    def checking(graph, named_sets, **kwargs):
+        res = extract_sublattice(graph, named_sets, **kwargs)
+        assert (res.cells, res.masks) == extract_by_bisection(graph, named_sets)
+        checked.append(len(named_sets))
+        return res
+
+    monkeypatch.setattr(surgery, "extract_sublattice", checking)
+    frag, graph, sets = _reloaded_w1_model()
+    built = len(checked)
+    for rec in frag:
+        if is_ground(rec.formula):
+            assert surgery.verify_on_sublattice(rec.formula, sets, graph)
+    assert built and len(checked) > built
+
+
+def test_deciding_w1_splits_each_set_once(split_builds):
+    frag, graph, sets = _reloaded_w1_model()
+    ground = [rec.formula for rec in frag if is_ground(rec.formula)]
+    split_builds.clear()
+    for _ in range(2):
+        assert all(surgery.verify_on_sublattice(f, sets, graph) for f in ground)
+    named = {id(sets[c]) for f in ground for c in constants_of(f)}
+    assert sorted(map(id, split_builds)) == sorted(named)
 
 
 def test_extract_closes_the_lattice_only_when_read(seg, closure_calls):
