@@ -21,7 +21,6 @@ from .errors import (
     InputError,
     InvariantViolationError,
     PreconditionError,
-    ResourceLimitError,
     UsageError,
 )
 from .folang import Formula, Interpretation, eval_masks
@@ -141,25 +140,6 @@ class MetricGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
-
-    def total_length(self) -> Frac:
-        return sum((e.length for e in self.edges.values()), Frac(0))
-
-    def scaled(self, factor) -> "MetricGraph":
-        factor = frac(factor)
-        if factor <= 0:
-            raise InputError("scale factor must be positive")
-        return MetricGraph(
-            self.vertices,
-            [Edge(e.eid, e.u, e.v, e.length * factor) for e in self.edges.values()],
-            dict(self.meta),
-        )
-
-    def normalized(self) -> "MetricGraph":
-        """Rescale so the intrinsic diameter is at most 1 (total length is an
-        exact upper bound for the diameter of a connected graph)."""
-        total = self.total_length()
-        return self.scaled(Frac(1, 1) / total) if total > 1 else self
 
     # -------------------------------------------------------------- closures
 
@@ -382,13 +362,20 @@ class ClosedSet:
 
     @staticmethod
     def from_dict(graph: MetricGraph, data: Mapping) -> "ClosedSet":
+        if not isinstance(data, dict):
+            raise InputError(f"a closed set must be an object, not {data!r}")
+        verts = data.get("vertices", [])
+        if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
+            raise InputError(f"closed-set vertices must be a list of strings: {verts!r}")
         intervals = {}
-        verts = []
         for key, value in data.items():
             if key == "vertices":
-                verts = list(value)
-            else:
-                intervals[key] = [(frac(lo), frac(hi)) for lo, hi in value]
+                continue
+            if not isinstance(value, list) or not all(
+                isinstance(item, list) and len(item) == 2 for item in value
+            ):
+                raise InputError(f"intervals on edge {key!r} must be [lo, hi] pairs: {value!r}")
+            intervals[key] = [(frac(lo), frac(hi)) for lo, hi in value]
         return ClosedSet(graph, intervals, verts)
 
     def __repr__(self) -> str:
@@ -678,10 +665,6 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
             envelope = _bp_min(envelope, _bp_simplify(local))
         per_edge[eid] = envelope
     return PLFunction(graph, per_edge)
-
-
-def point_distance(graph: MetricGraph, p: Point, q: Point) -> Frac:
-    return distance_to_set(graph, graph.point_closed_set([p])).eval(q)
 
 
 @dataclass(frozen=True)
@@ -1019,14 +1002,17 @@ class PLMap:
         def pt(d):
             return ("v", d["v"]) if "v" in d else ("e", d["e"], frac(d["t"]))
 
-        vmap = {v: pt(p) for v, p in data["vertex_map"].items()}
-        emap = {}
-        for eid, entry in data["edge_map"].items():
-            if entry["kind"] == "const":
-                emap[eid] = ("const", pt(entry["point"]))
-            else:
-                emap[eid] = ("affine", entry["edge"], frac(entry["s0"]), frac(entry["s1"]))
-        return PLMap(domain, codomain, vmap, emap)
+        try:
+            vmap = {v: pt(p) for v, p in data["vertex_map"].items()}
+            emap = {}
+            for eid, entry in data["edge_map"].items():
+                if entry["kind"] == "const":
+                    emap[eid] = ("const", pt(entry["point"]))
+                else:
+                    emap[eid] = ("affine", entry["edge"], frac(entry["s0"]), frac(entry["s1"]))
+            return PLMap(domain, codomain, vmap, emap)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed map file: {exc!r}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -1226,11 +1212,10 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph file: {exc}") from exc
     graph = MetricGraph(vertices, edges, dict(data.get("meta", {})))
-    sets = {
-        name: ClosedSet.from_dict(graph, spec)
-        for name, spec in data.get("closed_sets", {}).items()
-    }
-    return graph, sets
+    specs = data.get("closed_sets", {})
+    if not isinstance(specs, dict):
+        raise InputError(f"closed_sets must be an object, not {specs!r}")
+    return graph, {name: ClosedSet.from_dict(graph, spec) for name, spec in specs.items()}
 
 
 def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:

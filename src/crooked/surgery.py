@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .folang import (
-    And, Const, Eq, Formula, Implies, Neq, Not, Or, Zero, One,
+    And, Const, Eq, Formula, Implies, Neq, Not, Or,
     constants_of, is_ground, psi, theta, zeta,
 )
 from .lattice import DEFAULT_ELEMENT_CAP
@@ -152,14 +152,6 @@ class TriangleStep:
     locus: list[Point]
     fibers: list[dict]
     kind: str = "triangle"
-
-
-def triangle_radial(xi: tuple, t) -> tuple:
-    """The radial homotopy of the barycentric triangle: boundary point xi at
-    parameter 0, the barycenter at parameter 1."""
-    t = Frac(t)
-    third = Frac(1, 3)
-    return tuple(x * (1 - t) + t * third for x in (Frac(c) for c in xi))
 
 
 def _one_sided_slope(fn: PLFunction, eid: str, t: Frac, direction: int) -> Frac:

@@ -1,6 +1,5 @@
 """Inverse-sequence driver: schedules, alternating dimension/crookedness
-stages, limit-base bookkeeping, weak-confluence threads, and the independent
-cover-search oracles.
+stages, weak-confluence threads, and the independent cover-search oracles.
 
 A tower is a finite prefix of the inverse sequence: stage graphs, onto
 bonding maps, and named closed-set bases where every stage base contains the
@@ -68,10 +67,6 @@ def schedule_s(n: int) -> tuple[int, int]:
 def schedule_t(n: int) -> tuple[int, int]:
     _, q, r = triple_enum(n)
     return (q, r) if n >= max(q, r) else (0, 0)
-
-
-def schedule_r(n: int) -> tuple[int, int]:
-    return schedule_s(n // 2) if n % 2 == 0 else schedule_t(n // 2)
 
 
 # --------------------------------------------------------------------------
@@ -330,37 +325,44 @@ def _noop(prev: Stage) -> Stage:
     return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
 
 
-def _pull_instance(tower: Tower, n: int, sch: tuple[int, int], kind: str, names) -> tuple[dict, list]:
+def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, names, cover=None) -> Stage:
+    """The stage for instance m of `kind` over the stage-k base, (k, m) =
+    `sch`: `names(base, m)` gives its operand names, None past the end of the
+    enumeration (a no-op stage).  Before surgery, `cover` (if given) may find
+    witnesses on the existing graph."""
     k, m = sch
+    prev = tower.stages[n - 1]
+    if k >= n:
+        raise UsageError("schedule points past the current stage")
+    picked = names(tower.base(k), m)
+    if picked is None:
+        return _noop(prev)
     instance = {
         "stage": n, "kind": kind, "schedule": [k, m],
-        "operands": list(names),
+        "operands": list(picked),
         "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
     }
-    return instance, [tower.pull(tower.base(k)[nm], k, n - 1) for nm in names]
+    ops = [tower.pull(tower.base(k)[nm], k, n - 1) for nm in picked]
+    resolved = resolve_shortcut(kind, prev.graph, ops)
+    if resolved is None and cover is not None:
+        try:
+            found = cover(prev.graph, *ops)
+            resolved = None if found is None else ("existing-cover", found)
+        except ResourceLimitError:
+            pass
+    return instance_stage(prev, instance, ops, resolved)
+
+
+def _empty_triple(base: dict[str, ClosedSet], m: int) -> tuple[str, str, str] | None:
+    triples = empty_triples(base)
+    return triples[m] if m < len(triples) else None
 
 
 def dim_step(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
     """One dimension stage: resolve the scheduled triple, reuse an existing
     cover when the oracle finds one, otherwise surger.  The oracle only
     spares a surgery, so an arrangement too fine for it is surgered too."""
-    k, m = sch
-    prev = tower.stages[n - 1]
-    if k >= n:
-        raise UsageError("schedule points past the current stage")
-    triples = empty_triples(tower.base(k))
-    if m >= len(triples):
-        return _noop(prev)
-    instance, ops = _pull_instance(tower, n, sch, "zeta", triples[m])
-    resolved = resolve_shortcut("zeta", prev.graph, ops)
-    if resolved is None:
-        try:
-            cover = search_dim_cover(prev.graph, *ops)
-        except ResourceLimitError:
-            cover = None
-        if cover is not None:
-            resolved = ("existing-cover", cover)
-    return instance_stage(prev, instance, ops, resolved)
+    return _scheduled_stage(tower, n, sch, "zeta", _empty_triple, cover=search_dim_cover)
 
 
 def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
@@ -368,15 +370,9 @@ def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
     dimension step, satisfiable instances always go through the staircase
     construction; search_her_indec_cover stays an independent oracle over
     the outputs, not a builder shortcut."""
-    k, m = sch
-    prev = tower.stages[n - 1]
-    if k >= n:
-        raise UsageError("schedule points past the current stage")
-    names = quad_by_index(sorted(tower.base(k)), m)
-    if names is None:
-        return _noop(prev)
-    instance, ops = _pull_instance(tower, n, sch, "theta", names)
-    return instance_stage(prev, instance, ops, resolve_shortcut("theta", prev.graph, ops))
+    return _scheduled_stage(
+        tower, n, sch, "theta", lambda base, m: quad_by_index(sorted(base), m)
+    )
 
 
 def build_tower(
@@ -408,7 +404,7 @@ def build_tower(
 
 
 # --------------------------------------------------------------------------
-# Verification, threads, limit base
+# Verification and threads
 # --------------------------------------------------------------------------
 
 def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str, bool]]:
@@ -426,37 +422,25 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
             continue
         n = inst["stage"]
         kind = inst["kind"]
+        roles = [*zip("abcd", inst["operands"]), *zip("xyz", inst["witnesses"])]
         for at_stage in sorted({n, N}):
-            sets = {}
-            ok = True
-            for role, nm in zip("abcd", inst["operands"]):
-                sets[role] = tower.base(at_stage).get(nm)
-                if sets[role] is None:
-                    ok = False
-            for role, nm in zip("xyz", inst["witnesses"]):
-                sets[role] = tower.base(at_stage).get(nm)
-                if sets[role] is None:
-                    ok = False
+            base = tower.base(at_stage)
+            sets = {role: base.get(nm) for role, nm in roles}
+            ok = None not in sets.values()
             if ok:
                 ground = ZETA_GROUND if kind == "zeta" else THETA_GROUND
                 ok = verify_on_sublattice(ground, sets, tower.graph(at_stage))
             label = f"stage {n} {kind} schedule={inst['schedule']} at stage {at_stage}"
             report.append((label, ok))
     for name, sets in tower.catalog.items():
-        ok = True
-        for n in range(1, N + 1):
-            if tower.stages[n].bonding.image_of(sets[n]) != sets[n - 1]:
-                ok = False
+        ok = all(tower.stages[n].bonding.image_of(sets[n]) == sets[n - 1] for n in range(1, N + 1))
         report.append((f"thread {name} exact images", ok))
-    table = tower.composed_maps()
-    func_ok = True
-    for n in range(2, N + 1):
-        for mid in range(1, n):
-            for m in range(0, mid):
-                right = table[n, mid].then(table[mid, m])
-                if table[n, m].to_dict() != right.to_dict():
-                    func_ok = False
     if N >= 2:
+        table = tower.composed_maps()
+        func_ok = all(
+            table[n, m].to_dict() == table[n, mid].then(table[mid, m]).to_dict()
+            for n in range(2, N + 1) for mid in range(1, n) for m in range(mid)
+        )
         report.append(("bonding functoriality", func_ok))
     conn_ok = extract_sublattice(tower.graph(N), tower.base(N)).decide(LIBRARY["CONN1"])
     report.append((f"CONN(1) on the stage-{N} base sublattice", conn_ok))
@@ -479,57 +463,6 @@ def weak_confluence_witness(tower: Tower, c: ClosedSet) -> Thread:
             raise InvariantViolationError(f"thread image mismatch at stage {n}")
         sets.append(lifted)
     return Thread(sets)
-
-
-@dataclass(frozen=True)
-class LimitBaseElement:
-    """The symbolic limit-base element pi_n^{-1}(F), normalized by pulling
-    to deeper stages; equality and the lattice operations are computed at
-    the deepest stage involved."""
-
-    tower: Tower
-    stage: int
-    closed_set: ClosedSet
-
-    def at_stage(self, m: int) -> ClosedSet:
-        return self.tower.pull(self.closed_set, self.stage, m)
-
-    def normalized(self) -> "LimitBaseElement":
-        N = self.tower.depth
-        return LimitBaseElement(self.tower, N, self.at_stage(N))
-
-    def meet(self, other: "LimitBaseElement") -> "LimitBaseElement":
-        m = max(self.stage, other.stage)
-        return LimitBaseElement(self.tower, m, self.at_stage(m) & other.at_stage(m))
-
-    def join(self, other: "LimitBaseElement") -> "LimitBaseElement":
-        m = max(self.stage, other.stage)
-        return LimitBaseElement(self.tower, m, self.at_stage(m) | other.at_stage(m))
-
-    def is_zero(self) -> bool:
-        return self.closed_set.is_empty()
-
-    def is_one(self) -> bool:
-        N = self.tower.depth
-        return self.at_stage(N) == self.tower.graph(N).whole_set()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LimitBaseElement) or other.tower is not self.tower:
-            return NotImplemented
-        m = max(self.stage, other.stage)
-        return self.at_stage(m) == other.at_stage(m)
-
-    def __hash__(self):
-        n = self.normalized()
-        return hash((id(self.tower), n.closed_set))
-
-
-def limit_base(tower: Tower, n: int, f: ClosedSet) -> LimitBaseElement:
-    if not 0 <= n <= tower.depth:
-        raise InputError(f"stage {n} outside the tower")
-    if f.graph is not tower.graph(n):
-        raise UsageError("closed set does not live on the requested stage")
-    return LimitBaseElement(tower, n, f)
 
 
 # --------------------------------------------------------------------------
@@ -562,24 +495,27 @@ def save_tower(tower: Tower, directory: str) -> None:
 
 
 def load_tower(directory: str) -> Tower:
-    with open(os.path.join(directory, "trace.json"), "r", encoding="utf-8") as fh:
-        trace = json.load(fh)
-    depth = trace["depth"]
-    stages: list[Stage] = []
-    for n in range(depth + 1):
-        with open(os.path.join(directory, f"stage{n}.json"), "r", encoding="utf-8") as fh:
-            graph, base = graph_from_dict(json.load(fh))
-        bonding = None
-        if n > 0:
-            with open(os.path.join(directory, f"bonding{n}.json"), "r", encoding="utf-8") as fh:
-                bonding = PLMap.from_dict(graph, stages[n - 1].graph, json.load(fh))
-        meta = trace["stages"][n]
-        stages.append(
-            Stage(graph, bonding, base, meta["kind"], instance=meta["instance"],
-                  nudges=meta["nudges"])
-        )
-    catalog = {
-        name: [ClosedSet.from_dict(stages[n].graph, spec) for n, spec in enumerate(specs)]
-        for name, specs in trace.get("catalog", {}).items()
-    }
+    def read(name: str):
+        with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    trace = read("trace.json")
+    try:
+        stages: list[Stage] = []
+        for n in range(trace["depth"] + 1):
+            graph, base = graph_from_dict(read(f"stage{n}.json"))
+            bonding = None
+            if n > 0:
+                bonding = PLMap.from_dict(graph, stages[n - 1].graph, read(f"bonding{n}.json"))
+            meta = trace["stages"][n]
+            stages.append(
+                Stage(graph, bonding, base, meta["kind"], instance=meta["instance"],
+                      nudges=meta["nudges"])
+            )
+        catalog = {
+            name: [ClosedSet.from_dict(stages[n].graph, spec) for n, spec in enumerate(specs)]
+            for name, specs in trace.get("catalog", {}).items()
+        }
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed tower directory {directory}: {exc!r}") from exc
     return Tower(stages, catalog)

@@ -424,6 +424,46 @@ def test_render_malformed_rational_exits_2(tmp_path, capsys, length, interval, b
     assert bad in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("closed_sets", [
+    {"s": {"seg": [["0"]]}},
+    {"s": {"seg": "01"}},
+    ["s"],
+    {"s": ["seg"]},
+    {"s": {"vertices": "a"}},
+    {"s": {"vertices": [["a"]]}},
+])
+def test_render_malformed_closed_sets_exit_2(tmp_path, capsys, closed_sets):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1"}],
+        "closed_sets": closed_sets,
+    }))
+    assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("trace.json", lambda data: data.pop("depth")),
+    ("bonding1.json", lambda data: data["edge_map"]["seg"].pop("edge")),
+], ids=["trace-without-depth", "bonding-without-edge"])
+def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys, name, corrupt):
+    # a missing key is bad input (exit 2), not a false verification (exit 1)
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    capsys.readouterr()
+    path = towerdir / name
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    assert main(["tower-verify", str(towerdir)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed ")
+
+
 def test_render_requires_input():
     assert main(["render"]) == 2
 

@@ -41,15 +41,6 @@ def psi_ground():
 
 # ------------------------------------------------------------- triangle
 
-def test_triangle_radial_identities():
-    from crooked.surgery import triangle_radial
-    for xi in ((F(0), F(1), F(0)), (F(1, 2), F(1, 2), F(0)), (F(0), F(1, 4), F(3, 4))):
-        assert triangle_radial(xi, 1) == (F(1, 3), F(1, 3), F(1, 3))
-        assert triangle_radial(xi, 0) == xi
-        mid = triangle_radial(xi, F(1, 2))
-        assert sum(mid) == 1
-
-
 def test_triangle_no_locus_reinterprets_in_place():
     g = seg()
     a = g.point_closed_set([("v", "a")])

@@ -13,8 +13,7 @@ from crooked.metric_graph import (
 from crooked.surgery import crooked_step, verify_on_sublattice
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step, empty_triples,
-    limit_base, load_tower, quad_by_index, save_tower, schedule_r, schedule_s,
-    schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
+    load_tower, quad_by_index, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
     verify_tower, weak_confluence_witness,
 )
 
@@ -61,12 +60,6 @@ def test_schedule_s_onto_window():
     for a in range(5):
         for b in range(5):
             assert (a, b) in hits
-
-
-def test_schedule_r_interleaves():
-    for n in range(100):
-        assert schedule_r(2 * n) == schedule_s(n)
-        assert schedule_r(2 * n + 1) == schedule_t(n)
 
 
 # ------------------------------------------------------------- oracles
@@ -300,24 +293,6 @@ def test_weak_confluence_threads():
         weak_confluence_witness(tower, g.empty_set())
 
 
-def test_limit_base_normalization():
-    g = seg()
-    tower = build_tower(g, base_family(g), {}, 2)
-    one = limit_base(tower, 0, g.whole_set())
-    assert one.is_one()
-    zero = limit_base(tower, 1, tower.graph(1).empty_set())
-    assert zero.is_zero()
-    f0 = limit_base(tower, 0, ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()))
-    g1 = limit_base(tower, 1, tower.pull(ClosedSet(g, {"seg": [(F(1, 4), F(1))]}, set()), 0, 1))
-    met = f0.meet(g1)
-    assert met.stage == 1
-    expected = tower.pull(ClosedSet(g, {"seg": [(F(1, 4), F(1, 2))]}, set()), 0, 1)
-    assert met.closed_set == expected
-    # the normalized family is closed under meet and join at depth
-    met_n = met.normalized()
-    assert met_n == met
-
-
 def test_limit_base_separates_threads_from_disjoint_sets():
     g = seg()
     base = base_family(g)
@@ -325,13 +300,9 @@ def test_limit_base_separates_threads_from_disjoint_sets():
     tower = build_tower(g, base, {"left": left}, 4)
     N = tower.depth
     thread = weak_confluence_witness(tower, left)
-    el_thread = limit_base(tower, N, thread.sets[N])
-    el_q = limit_base(tower, 0, base["q"])  # q = [3/4, 1], disjoint from left
-    assert el_thread.meet(el_q).is_zero()
-    assert not el_thread.meet(limit_base(tower, 0, left)).is_zero()
-    # the normalized family is closed under the lattice operations
-    join = el_thread.join(el_q).normalized()
-    assert join.stage == N
+    # q = [3/4, 1] is disjoint from left, so its pullback misses the thread
+    assert (thread.sets[N] & tower.pull(base["q"], 0, N)).is_empty()
+    assert not (thread.sets[N] & tower.pull(left, 0, N)).is_empty()
 
 
 def test_composed_maps_functorial():
