@@ -40,6 +40,14 @@ def _header(args, extra: dict | None = None) -> str:
     return "\n".join(f"{k}: {v}" for k, v in fields.items())
 
 
+def _report(args, extra: dict, lines) -> tuple[str, bool]:
+    """A verification report (the header, one pass/FAIL line per (label, ok)
+    in `lines`, the all-true line) and whether every line holds."""
+    ok = all(good for _, good in lines)
+    body = [f"{'pass' if good else 'FAIL'}: {label}" for label, good in lines]
+    return "\n".join([_header(args, extra), *body, f"all-true: {ok}"]) + "\n", ok
+
+
 def _write(path: str | None, text: str) -> None:
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -89,36 +97,23 @@ def cmd_wallman(args) -> int:
     return 0
 
 
-def _generator(args) -> SigmaGenerator:
+def cmd_sigma(args) -> int:
+    """`sigma-gen`, or `sigma-fragment` when `--size` is given."""
     base, _ = load_lattice(args.base)
-    return SigmaGenerator(
+    gen = SigmaGenerator(
         base,
         budget=args.budget,
         axiom_cap=args.axiom_cap,
         continuum_constants=args.continuum_constants,
         hat_size=args.hat_size,
     )
-
-
-def cmd_sigma_gen(args) -> int:
-    gen = _generator(args)
     records = gen.generate_through(args.stages)
-    header = "\n".join(
-        f"# {line}" for line in _header(args, {"stages": args.stages}).splitlines()
-    )
+    extra = {"stages": args.stages}
+    if getattr(args, "size", None) is not None:
+        records = fragment(records, args.size)
+        extra["size"] = args.size
+    header = "\n".join(f"# {line}" for line in _header(args, extra).splitlines())
     _write(args.out, header + "\n" + dump_sentences(records))
-    return 0
-
-
-def cmd_sigma_fragment(args) -> int:
-    gen = _generator(args)
-    records = gen.generate_through(args.stages)
-    frag = fragment(records, args.size)
-    header = "\n".join(
-        f"# {line}"
-        for line in _header(args, {"stages": args.stages, "size": args.size}).splitlines()
-    )
-    _write(args.out, header + "\n" + dump_sentences(frag))
     return 0
 
 
@@ -139,21 +134,13 @@ def cmd_sigma_witness(args) -> int:
     with open(args.fragment, "r", encoding="utf-8") as fh:
         records = parse_sentence_dump(fh.read())
     result = witness_fragment(records, graph, interp0)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_graph(result.graph, result.interpretation))
-    with open(os.path.join(args.out, "trace.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.trace, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    lines = [_header(args, {"fragment": os.path.basename(args.fragment)})]
-    for sentence, ok in result.report:
-        lines.append(f"{'pass' if ok else 'FAIL'}: {sentence}")
-    lines.append(f"all-true: {result.ok}")
-    report = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report)
-    sys.stdout.write(report)
-    return 0 if result.ok else 1
+    _write(os.path.join(args.out, "model.json"), dump_graph(result.graph, result.interpretation))
+    _write(os.path.join(args.out, "trace.json"),
+           json.dumps(result.trace, indent=2, sort_keys=True) + "\n")
+    text, ok = _report(args, {"fragment": os.path.basename(args.fragment)}, result.report)
+    _write(os.path.join(args.out, "report.txt"), text)
+    sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def cmd_tower_build(args) -> int:
@@ -169,28 +156,17 @@ def cmd_tower_build(args) -> int:
             raise InputError(f"catalog member {name!r} is not a named closed set")
     tower = build_tower(graph, sets, catalog, args.depth)
     save_tower(tower, args.out)
-    report = verify_tower(tower)
-    lines = [_header(args, {"depth": args.depth})]
-    for label, ok in report:
-        lines.append(f"{'pass' if ok else 'FAIL'}: {label}")
-    all_ok = all(ok for _, ok in report)
-    lines.append(f"all-true: {all_ok}")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    text, ok = _report(args, {"depth": args.depth}, verify_tower(tower))
+    _write(os.path.join(args.out, "report.txt"), text)
     sys.stdout.write(text)
-    return 0 if all_ok else 1
+    return 0 if ok else 1
 
 
 def cmd_tower_verify(args) -> int:
     tower = load_tower(args.directory)
-    report = verify_tower(tower)
-    print(_header(args, {"depth": tower.depth}))
-    for label, ok in report:
-        print(f"{'pass' if ok else 'FAIL'}: {label}")
-    all_ok = all(ok for _, ok in report)
-    print(f"all-true: {all_ok}")
-    return 0 if all_ok else 1
+    text, ok = _report(args, {"depth": tower.depth}, verify_tower(tower))
+    sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def cmd_tower_thread(args) -> int:
@@ -243,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_wallman)
 
-    for name, func, extra in (
-        ("sigma-gen", cmd_sigma_gen, ()),
-        ("sigma-fragment", cmd_sigma_fragment, ("size",)),
-    ):
+    for name in ("sigma-gen", "sigma-fragment"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} from a base lattice")
         p.add_argument("--base", required=True, help="base lattice file")
         p.add_argument("--stages", type=int, default=5)
@@ -254,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--axiom-cap", type=int, default=64)
         p.add_argument("--continuum-constants", type=int, default=0)
         p.add_argument("--hat-size", type=int, default=None)
-        if "size" in extra:
+        if name == "sigma-fragment":
             p.add_argument("--size", type=int, required=True)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("sigma-witness", help="build a geometric model of a fragment")
     p.add_argument("--base", required=True)
@@ -304,10 +277,7 @@ def main(argv=None) -> int:
     except (InvariantViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CrookedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (CrookedError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

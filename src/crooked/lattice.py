@@ -49,14 +49,6 @@ class LatticeElement:
     def le(self, other: "LatticeElement") -> bool:
         return self.meet(other) == self
 
-    @property
-    def is_zero(self) -> bool:
-        return self.index == self.lattice.bottom_index
-
-    @property
-    def is_one(self) -> bool:
-        return self.index == self.lattice.top_index
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LatticeElement)
@@ -145,9 +137,6 @@ class FiniteLattice:
         self._check_pair(a, b)
         return LatticeElement(self, self._index[a.points | b.points])
 
-    def le(self, a: LatticeElement, b: LatticeElement) -> bool:
-        return self.meet(a, b) == a
-
     def atoms(self) -> list[LatticeElement]:
         """Minimal nonzero elements, in index order."""
         out = []
@@ -164,12 +153,6 @@ class FiniteLattice:
             if minimal:
                 out.append(LatticeElement(self, i))
         return out
-
-    def permuted(self, perm: Sequence[int]) -> "FiniteLattice":
-        """The same lattice with elements listed in a permuted order."""
-        if sorted(perm) != list(range(self.size)):
-            raise UsageError("not a permutation of element indices")
-        return FiniteLattice([self.elements[i] for i in perm])
 
     def __eq__(self, other) -> bool:
         return (

@@ -127,19 +127,7 @@ class MetricGraph:
     # ------------------------------------------------------------ structure
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for eid, end in self.adjacency[v]:
-                e = self.edges[eid]
-                w = e.v if end == 0 else e.u
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self.components_of(self.whole_set())) <= 1
 
     # -------------------------------------------------------------- closures
 
@@ -217,14 +205,15 @@ class ClosedSet:
 
     Normal form: intervals sorted and merged, endpoint-degenerate intervals
     converted to vertex membership, interval endpoints at 0/length implying
-    the incident vertex is a member.
+    the incident vertex is a member.  Each point set has one normal form,
+    so equality and hashing compare `vertices` and `intervals` directly.
 
     A set is immutable, so the part of its cell footprint that no
     arrangement changes (`split`) is computed once, on the first extraction
     that names it; every extraction then pays one shift per edge the set
     covers whole and bisection of its other intervals only."""
 
-    __slots__ = ("graph", "intervals", "vertices", "_key", "_split")
+    __slots__ = ("graph", "intervals", "vertices", "_split")
 
     def __init__(self, graph: MetricGraph, intervals: Mapping[str, Sequence], vertices):
         self.graph = graph
@@ -265,10 +254,6 @@ class ClosedSet:
             raise InputError(f"unknown vertices in closed set: {sorted(unknown)}")
         self.intervals: dict[str, tuple] = norm
         self.vertices: frozenset[str] = frozenset(verts)
-        self._key = (
-            tuple(sorted(self.vertices)),
-            tuple((eid, self.intervals[eid]) for eid in sorted(self.intervals)),
-        )
         self._split = None
 
     @property
@@ -302,11 +287,12 @@ class ClosedSet:
         return (
             isinstance(other, ClosedSet)
             and other.graph is self.graph
-            and other._key == self._key
+            and other.vertices == self.vertices
+            and other.intervals == self.intervals
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.graph), self._key))
+        return hash((id(self.graph), self.vertices, frozenset(self.intervals.items())))
 
     def _check(self, other: "ClosedSet") -> None:
         if not isinstance(other, ClosedSet) or other.graph is not self.graph:
@@ -544,22 +530,8 @@ class PLFunction:
             for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
                 if side == "le":
                     ok0, ok1 = y0 <= level, y1 <= level
-                elif side == "ge":
-                    ok0, ok1 = y0 >= level, y1 >= level
                 else:
-                    ok0, ok1 = y0 == level, y1 == level
-                if side == "eq":
-                    if ok0 and ok1:
-                        pieces.append((x0, x1))
-                    else:
-                        if ok0:
-                            pieces.append((x0, x0))
-                        if ok1:
-                            pieces.append((x1, x1))
-                        if (y0 - level) * (y1 - level) < 0:
-                            xc = x0 + (x1 - x0) * (level - y0) / (y1 - y0)
-                            pieces.append((xc, xc))
-                    continue
+                    ok0, ok1 = y0 >= level, y1 >= level
                 if ok0 and ok1:
                     pieces.append((x0, x1))
                 elif ok0 or ok1:
@@ -576,7 +548,9 @@ class PLFunction:
         return self._region(frac(level), "ge")
 
     def level_set(self, level) -> ClosedSet:
-        return self._region(frac(level), "eq")
+        """The points where the function equals `level`: the intersection of
+        the sublevel and superlevel sets at it."""
+        return self.band(level, level)
 
     def band(self, lo, hi) -> ClosedSet:
         return self.sublevel_set(hi) & self.superlevel_set(lo)
@@ -1063,22 +1037,6 @@ class ExtractResult:
         sentences and conn(t) (see `eval_masks`); other quantifiers raise."""
         return eval_masks(f, self.masks, self.full)
 
-    def closed_set_of(self, element) -> ClosedSet:
-        """Geometric realization of a lattice element: the union of its
-        (closed) cells."""
-        index = element if isinstance(element, int) else element.index
-        intervals: dict[str, list] = {}
-        verts: set[str] = set()
-        for ci in self.lattice.elements[index]:
-            cell = self.cells[ci]
-            if cell[0] == "v":
-                verts.add(cell[1])
-            elif cell[0] == "p":
-                intervals.setdefault(cell[1], []).append((cell[2], cell[2]))
-            else:
-                intervals.setdefault(cell[1], []).append((cell[2], cell[3]))
-        return ClosedSet(self.graph, intervals, verts)
-
 
 def _bits(mask: int) -> frozenset:
     return frozenset(i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
@@ -1113,6 +1071,20 @@ def arrangement_cells(graph: MetricGraph, sets: Iterable[ClosedSet]) -> list[tup
     then per edge its interior 0-cells followed by the open 1-cells between
     consecutive breakpoints."""
     return _arrangement(graph, [s.split for s in sets])[0]
+
+
+def cells_closed_set(graph: MetricGraph, cells: Iterable[tuple]) -> ClosedSet:
+    """The union of these arrangement cells, each taken with its closure."""
+    intervals: dict[str, list] = {}
+    verts: set[str] = set()
+    for cell in cells:
+        if cell[0] == "v":
+            verts.add(cell[1])
+        elif cell[0] == "p":
+            intervals.setdefault(cell[1], []).append((cell[2], cell[2]))
+        else:
+            intervals.setdefault(cell[1], []).append((cell[2], cell[3]))
+    return ClosedSet(graph, intervals, verts)
 
 
 def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:

@@ -24,7 +24,7 @@ from .errors import (
 from .folang import LIBRARY
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
-    ClosedSet, MetricGraph, PLMap, arrangement_cells, _cell_in_set,
+    ClosedSet, MetricGraph, PLMap, arrangement_cells, cells_closed_set, _cell_in_set,
     extract_sublattice, graph_from_dict, graph_to_dict,
 )
 from .surgery import (
@@ -173,21 +173,10 @@ def _search_cover(graph, named, conditions, subsets, cap):
 
     if not assign(0):
         return None
-    out = {}
-    for letter in "xyz":
-        intervals: dict[str, list] = {}
-        verts = set()
-        for i, cell in enumerate(cells):
-            if letter not in labels[i]:
-                continue
-            if cell[0] == "v":
-                verts.add(cell[1])
-            elif cell[0] == "p":
-                intervals.setdefault(cell[1], []).append((cell[2], cell[2]))
-            else:
-                intervals.setdefault(cell[1], []).append((cell[2], cell[3]))
-        out[letter] = ClosedSet(graph, intervals, verts)
-    return out["x"], out["y"], out["z"]
+    return tuple(
+        cells_closed_set(graph, (cell for i, cell in enumerate(cells) if letter in labels[i]))
+        for letter in "xyz"
+    )
 
 
 def search_dim_cover(graph, a, b, c, cap: int = DEFAULT_CELL_CAP):
@@ -508,9 +497,20 @@ def load_tower(directory: str) -> Tower:
             if n > 0:
                 bonding = PLMap.from_dict(graph, stages[n - 1].graph, read(f"bonding{n}.json"))
             meta = trace["stages"][n]
+            inst = meta["instance"]
+            # an instance is null or the record `verify_tower` reads; a missing
+            # key, or an instance that is not an object, raises LookupError or
+            # TypeError, which the except clause turns into InputError
+            if inst is not None and not (
+                isinstance(inst["stage"], int) and inst["kind"] in ("zeta", "theta")
+                and isinstance(inst["schedule"], list)
+                and [type(k) for k in inst["schedule"]] == [int, int]
+                and all(isinstance(inst[key], list) and all(isinstance(x, str) for x in inst[key])
+                        for key in ("operands", "witnesses"))
+            ):
+                raise InputError(f"malformed tower directory {directory}: stage {n} instance {inst!r}")
             stages.append(
-                Stage(graph, bonding, base, meta["kind"], instance=meta["instance"],
-                      nudges=meta["nudges"])
+                Stage(graph, bonding, base, meta["kind"], instance=inst, nudges=meta["nudges"])
             )
         catalog = {
             name: [ClosedSet.from_dict(stages[n].graph, spec) for n, spec in enumerate(specs)]

@@ -447,7 +447,10 @@ def test_render_malformed_closed_sets_exit_2(tmp_path, capsys, closed_sets):
 @pytest.mark.parametrize("name, corrupt", [
     ("trace.json", lambda data: data.pop("depth")),
     ("bonding1.json", lambda data: data["edge_map"]["seg"].pop("edge")),
-], ids=["trace-without-depth", "bonding-without-edge"])
+    ("trace.json", lambda data: next(
+        st["instance"] for st in data["stages"] if st["instance"]
+    ).pop("operands")),
+], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands"])
 def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys, name, corrupt):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
     towerdir = tmp_path / "tower"
@@ -462,6 +465,46 @@ def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys,
     path.write_text(json.dumps(data))
     assert main(["tower-verify", str(towerdir)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed ")
+
+
+# sha256 of the files and stdout of the README's sigma commands and of a
+# depth-6 tower on the bundled segment: pins the bytes of every report and
+# of every file these commands write.
+CLI_OUTPUT_DIGESTS = {
+    "tower-build": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
+    "tower/report.txt": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
+    "tower-verify": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
+    "sigma-gen": "ba435c99f1f8ecabe820d2a3b8c830d2aeef3cbe8d7c3f6dc1bf26c50f779bb5",
+    "sigma.txt": "ba435c99f1f8ecabe820d2a3b8c830d2aeef3cbe8d7c3f6dc1bf26c50f779bb5",
+    "sigma-fragment": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "frag.txt": "7cda152a6cbb541a07342e065403a8f9991c22724570831e1548837c491fd9c7",
+    "sigma-witness": "2bb8c39807cf264b81d53c5a3df7ddb3c2f63ab0591f1d64c8ea8c567c46833c",
+    "model/model.json": "f7e0a0cfa1eeeb8e80ef9b1c38c5d4249a4d2fb80ff39653bed5add906f4b1c6",
+    "model/trace.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "model/report.txt": "2bb8c39807cf264b81d53c5a3df7ddb3c2f63ab0591f1d64c8ea8c567c46833c",
+}
+
+
+def test_cli_outputs_pinned(tmp_path, capsys):
+    base = ["--base", str(INPUTS / "chain3.json")]
+    runs = [
+        ["tower-build", "--graph", str(INPUTS / "segment.json"), "--depth", "6",
+         "--catalog", "whole", "--out", str(tmp_path / "tower")],
+        ["tower-verify", str(tmp_path / "tower")],
+        ["sigma-gen", *base, "--stages", "10", "--budget", "8", "--out", str(tmp_path / "sigma.txt")],
+        ["sigma-gen", *base, "--stages", "10", "--budget", "8"],
+        ["sigma-fragment", *base, "--stages", "5", "--size", "38", "--out", str(tmp_path / "frag.txt")],
+        ["sigma-witness", *base, "--fragment", str(tmp_path / "frag.txt"),
+         "--graph", str(INPUTS / "segment.json"), "--out", str(tmp_path / "model")],
+    ]
+    got = {}
+    for argv in runs:
+        assert main(argv) == 0, argv
+        got[argv[0]] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for name in ("tower/report.txt", "sigma.txt", "frag.txt",
+                 "model/model.json", "model/trace.json", "model/report.txt"):
+        got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == CLI_OUTPUT_DIGESTS
 
 
 def test_render_requires_input():

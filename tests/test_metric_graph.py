@@ -12,8 +12,8 @@ from crooked.errors import InputError, PreconditionError, UsageError
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
-    _bp_min, _bp_simplify, _cell_in_set, distance_to_set, dump_graph, extract_sublattice,
-    graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
+    _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
+    extract_sublattice, graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
 )
 from test_surgery import surgery_rich_fragment
 from test_tower import steered_crooked_tower
@@ -488,13 +488,19 @@ def test_plmap_const_edges(seg):
 
 # ------------------------------------------------------------- extraction
 
+def closed_set_of(res, element):
+    """Geometric realization of an element of `res.lattice`: the union of
+    its cells."""
+    return cells_closed_set(res.graph, [res.cells[i] for i in element.points])
+
+
 def test_extract_single_set(seg):
     s = ClosedSet(seg, {"seg": [(F(0), F(1, 2))]}, set())
     res = extract_sublattice(seg, {"s": s})
     assert res.lattice.size <= 4
     elt = res.interpretation.value("s")
-    assert res.closed_set_of(elt) == s
-    assert res.closed_set_of(res.lattice.top) == seg.whole_set()
+    assert closed_set_of(res, elt) == s
+    assert closed_set_of(res, res.lattice.top) == seg.whole_set()
 
 
 def test_extract_no_sets(seg):
@@ -509,8 +515,8 @@ def test_extract_footprints_respect_meet_join(theta):
         t = rational_set(theta, rng, denom=8)
         res = extract_sublattice(theta, {"s": s, "t": t})
         es, et = res.interpretation.value("s"), res.interpretation.value("t")
-        assert res.closed_set_of(es.meet(et)) == (s & t)
-        assert res.closed_set_of(es.join(et)) == (s | t)
+        assert closed_set_of(res, es.meet(et)) == (s & t)
+        assert closed_set_of(res, es.join(et)) == (s | t)
 
 
 def extract_by_bisection(graph, named_sets):
@@ -663,7 +669,7 @@ def test_extract_closes_the_lattice_only_when_read(seg, closure_calls):
     with pytest.raises(UsageError):
         res.decide(parse("exists x. x != s", constants={"s"}))
     assert closure_calls == []
-    assert res.closed_set_of(res.interpretation.value("s")) == s
+    assert closed_set_of(res, res.interpretation.value("s")) == s
     assert res.lattice.size == 3
     assert closure_calls == [1]
 
@@ -751,8 +757,46 @@ def meet_by_nested_loop(s, t):
 @settings(max_examples=150, deadline=None)
 @given(closed_sets(max_pieces=6), closed_sets(max_pieces=6))
 def test_closed_set_meet_walk_matches_nested_loop(s, t):
-    assert (s & t) == meet_by_nested_loop(s, t)
-    assert (s & t)._key == meet_by_nested_loop(s, t)._key
+    meet, oracle = s & t, meet_by_nested_loop(s, t)
+    assert meet == oracle
+    assert (meet.vertices, meet.intervals) == (oracle.vertices, oracle.intervals)
+
+
+@st.composite
+def pl_functions(draw):
+    """A PL function on `_HYP_GRAPH` with small integer values at vertices
+    and breakpoints, so flat pieces and levels at vertices are common."""
+    value = st.integers(-2, 2)
+    at = {v: F(draw(value)) for v in _HYP_GRAPH.vertices}
+    per_edge = {}
+    for eid, e in _HYP_GRAPH.edges.items():
+        xs = sorted(draw(st.sets(st.integers(1, 7), max_size=4)))
+        inner = [(F(x, 8) * e.length, F(draw(value))) for x in xs]
+        per_edge[eid] = [(F(0), at[e.u]), *inner, (e.length, at[e.v])]
+    return PLFunction(_HYP_GRAPH, per_edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_level_set_matches_point_evaluation(data):
+    f = data.draw(pl_functions())
+    levels = sorted({y for bp in f.per_edge.values() for _, y in bp})
+    level = data.draw(st.sampled_from(levels))
+    ls = f.level_set(level)
+    probes = [("v", v) for v in _HYP_GRAPH.vertices]
+    for eid, bp in f.per_edge.items():
+        for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+            probes += [("e", eid, x0), ("e", eid, (x0 + x1) / 2)]
+            if (y0 - level) * (y1 - level) < 0:
+                probes.append(("e", eid, x0 + (x1 - x0) * (level - y0) / (y1 - y0)))
+    for p in probes:
+        assert ls.contains_point(p) == (f.eval(p) == level), p
+    for eid, items in ls.intervals.items():
+        for lo, hi in items:
+            if lo < hi:
+                # PL, so flat iff level at both ends and every breakpoint between
+                assert f.eval(("e", eid, lo)) == f.eval(("e", eid, hi)) == level
+                assert all(y == level for x, y in f.per_edge[eid] if lo < x < hi)
 
 
 # ------------------------------------------------------------- pullbacks

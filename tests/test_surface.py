@@ -1,10 +1,12 @@
-"""Every module-level function and class in src/crooked has a caller.
+"""Every module-level function and class in src/crooked, and every method
+of such a class, has a caller.
 
 A definition counts as used when some code outside its own body loads its
 name: a name, an attribute or an import anywhere in src/, or an identifier
 or a TARGETS string in perfbench/.  Tests do not count, so a helper that
-only its own tests call fails here.  The declared independent oracles are
-the exceptions: they exist to check the library from outside it.
+only its own tests call fails here.  Dunder methods are exempt, since the
+language calls them.  The declared independent oracles are the exceptions:
+they exist to check the library from outside it.
 """
 
 import ast
@@ -16,7 +18,8 @@ ORACLES = {
     "eval_bruteforce", "check_monotone", "search_her_indec_cover",
     "check_contimage_conditions",
 }
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def _trees(directory: str) -> dict:
@@ -36,6 +39,21 @@ def _loads(node) -> Counter:
         elif isinstance(sub, ast.alias):
             names[sub.name] += 1
     return names
+
+
+def _definitions(tree):
+    """(label, node) for every module-level function and class, and every
+    method of a module-level class that is not a dunder."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def _target_names(tree) -> set:
@@ -61,10 +79,10 @@ def test_every_library_definition_has_a_caller():
         bench_names |= set(_loads(tree)) | _target_names(tree)
     dead = []
     for module, tree in src.items():
-        for node in tree.body:
-            if not isinstance(node, DEFINITIONS) or node.name in ORACLES:
+        for label, node in _definitions(tree):
+            if node.name in ORACLES:
                 continue
             outside = src_loads[node.name] - _loads(node)[node.name]
             if outside == 0 and node.name not in bench_names:
-                dead.append(f"{module}:{node.name}")
+                dead.append(f"{module}:{label}")
     assert not dead, f"defined but never called: {dead}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from crooked.folang import Const, psi, zeta
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLMap, dump_graph, unit_segment,
 )
-from crooked.surgery import crooked_step, verify_on_sublattice
+from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_fragment
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step, empty_triples,
     load_tower, quad_by_index, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
@@ -431,3 +432,83 @@ def test_catalog_members_must_be_connected():
     bad = ClosedSet(g, {"seg": [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]}, set())
     with pytest.raises(PreconditionError):
         build_tower(g, base_family(g), {"bad": bad}, 1)
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (["a", "b", "c", "d"], [Edge("ab", "a", "b", F(1)), Edge("cd", "c", "d", F(1))]),
+    (["a", "b", "c"], [Edge("ab", "a", "b", F(1))]),
+], ids=["two-components", "isolated-vertex"])
+def test_drivers_need_a_connected_base(vertices, edges):
+    g = MetricGraph(vertices, edges)
+    with pytest.raises(PreconditionError, match="connected"):
+        build_tower(g, {}, {}, 1)
+    with pytest.raises(PreconditionError, match="connected"):
+        witness_fragment([], g, {})
+
+
+# ------------------------------------------------------ negative controls
+# Each control corrupts a copy of a tower that verifies and checks that
+# exactly the expected `verify_tower` lines go red, and no others.
+
+@pytest.fixture(scope="module")
+def steered4():
+    return steered_crooked_tower(4)
+
+
+def _red_lines(tower, clean):
+    report = verify_tower(tower)
+    assert [label for label, _ in report] == [label for label, _ in verify_tower(clean)]
+    return [label for label, ok in report if not ok]
+
+
+def test_control_tower_is_green(steered4):
+    assert _red_lines(steered4, steered4) == []
+
+
+def test_verify_tower_flags_a_rebound_witness(steered4):
+    stages = list(steered4.stages)
+    base = dict(stages[1].base)
+    base["w1.x"] = base["w1.z"]
+    stages[1] = dataclasses.replace(stages[1], base=base)
+    bad = Tower(stages, steered4.catalog)
+    assert _red_lines(bad, steered4) == ["stage 1 theta schedule=[0, 180] at stage 1"]
+
+
+def test_verify_tower_flags_a_shrunk_thread_set(steered4):
+    lifts = list(steered4.catalog["left"])
+    s = lifts[2]
+    eid = min(s.intervals)
+    (lo, hi), *rest = s.intervals[eid]
+    lifts[2] = ClosedSet(s.graph, {**s.intervals, eid: [(lo, (lo + hi) / 2), *rest]}, s.vertices)
+    assert lifts[2].is_subset_of(s) and lifts[2] != s
+    bad = Tower(steered4.stages, {**steered4.catalog, "left": lifts})
+    assert _red_lines(bad, steered4) == ["thread left exact images"]
+
+
+def test_verify_tower_flags_a_non_functorial_table(steered4, monkeypatch):
+    # the flip of the segment after f^4_0: a different onto map between the
+    # same two graphs
+    g0 = steered4.graph(0)
+    flip = PLMap(g0, g0, {"a": ("v", "b"), "b": ("v", "a")}, {"seg": ("affine", "seg", 1, 0)})
+    composed = Tower.composed_maps
+
+    def skewed(tower):
+        table = composed(tower)
+        table[4, 0] = table[4, 0].then(flip)
+        return table
+
+    monkeypatch.setattr(Tower, "composed_maps", skewed)
+    assert _red_lines(steered4, steered4) == ["bonding functoriality"]
+
+
+def test_verify_tower_flags_a_disconnected_base():
+    g = MetricGraph(
+        ["a", "b", "c", "d"], [Edge("ab", "a", "b", F(1)), Edge("cd", "c", "d", F(1))]
+    )
+    left = ClosedSet(g, {"ab": [(F(0), F(1))]}, set())
+    right = ClosedSet(g, {"cd": [(F(0), F(1))]}, set())
+    tower = Tower([Stage(g, None, {"left": left, "right": right}, "base")], {"left": [left]})
+    assert verify_tower(tower) == [
+        ("thread left exact images", True),
+        ("CONN(1) on the stage-0 base sublattice", False),
+    ]
