@@ -6,9 +6,9 @@ normalized distance triple sits at the barycenter, reinterprets the three
 witnesses by the radial-projection rule, and bonds monotonically back.  The
 crookedness step threads the space through a five-segment staircase over a
 separating function and keeps the unique component that still covers the
-base.  Both return the new space, the bonding map, the witness sets, and the
-lifted interpretation; every postcondition is re-checked independently of the
-construction bookkeeping, on the cell footprints of the sets' arrangement.
+base.  Both return the new space, the bonding map and the witness sets; every
+postcondition is re-checked independently of the construction bookkeeping,
+on the cell footprints of the sets' arrangement.
 Sentences are decided there as bitmasks (meet and join are `&` and `|`,
 conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
 applies, not even for a fragment's hat-mode lines.
@@ -16,7 +16,8 @@ applies, not even for a fragment's hat-mode lines.
 Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
 scheduled instance through the same shortcut table (`resolve_shortcut`), turn
 it into a new `Stage` through the same step (`instance_stage`, which runs the
-nudge-retry loop `surgery_with_nudges`), and lift connected sets through its
+nudge-retry loop `surgery_with_nudges` and is the one place a stage's base is
+pulled back through the new bonding), and lift connected sets through that
 bonding by the same component search (`lift_through`).
 """
 
@@ -144,11 +145,9 @@ def stretch_map(nudged: MetricGraph, original: MetricGraph) -> PLMap:
 
 @dataclass
 class TriangleStep:
-    input_graph: MetricGraph
     output_graph: MetricGraph
     bonding: PLMap                     # output -> input, monotone and closed
     witnesses: dict[str, ClosedSet]    # keys "x", "y", "z" on the output
-    interpretation: dict[str, ClosedSet]
     locus: list[Point]
     fibers: list[dict]
     kind: str = "triangle"
@@ -210,7 +209,6 @@ def triangle_step(
     a: ClosedSet,
     b: ClosedSet,
     c: ClosedSet,
-    interpretation: dict[str, ClosedSet],
 ) -> TriangleStep:
     """Make the dimension witnesses exist: each isolated barycenter point of
     the distance triple is blown up into a circle fiber, and x, y, z are the
@@ -242,7 +240,6 @@ def triangle_step(
         out = graph
         bonding = PLMap.identity(graph)
         witnesses = {"x": regions[0], "y": regions[1], "z": regions[2]}
-        new_interp = dict(interpretation)
         fibers: list[dict] = []
     else:
         locus_vertices = {p[1] for p in locus if p[0] == "v"}
@@ -314,14 +311,11 @@ def triangle_step(
                 segs.append((seg_id, lo, hi))
             segments[eid] = segs
         out = MetricGraph(new_vertices, new_edges, dict(graph.meta))
-        out.meta = dict(graph.meta)
         out.meta["fibers"] = [
             {"center": f["center"], "edges": sorted(sum(f["arcs"].values(), []))}
             for f in fibers
         ]
         bonding = PLMap(out, graph, vertex_map, edge_map)
-
-        cut_params = {eid: set(ts) for eid, ts in cuts.items()}
 
         def transport_without_fibers(s: ClosedSet) -> ClosedSet:
             intervals: dict[str, list] = {}
@@ -332,7 +326,7 @@ def triangle_step(
                         plo, phi = max(slo, lo), min(shi, hi)
                         if plo > phi:
                             continue
-                        if plo == phi and plo in cut_params.get(eid, ()):
+                        if plo == phi and plo in cuts.get(eid, ()):
                             continue  # the removed barycenter point itself
                         intervals.setdefault(seg_id, []).append((plo - lo, phi - lo))
             return ClosedSet(out, intervals, verts)
@@ -347,16 +341,11 @@ def triangle_step(
                     intervals[arc_eid] = [(Frac(0), Frac(1, 6))]
             w = w | ClosedSet(out, intervals, frozenset())
             witnesses[wname] = w
-        new_interp = {
-            cid: bonding.preimage_of(s) for cid, s in interpretation.items()
-        }
 
     step = TriangleStep(
-        input_graph=graph,
         output_graph=out,
         bonding=bonding,
         witnesses=witnesses,
-        interpretation=new_interp,
         locus=locus,
         fibers=fibers,
     )
@@ -386,7 +375,7 @@ def _check_triangle_post(step: TriangleStep, a, b, c) -> None:
 def check_monotone(step: TriangleStep) -> bool:
     """Every bonding fiber is connected: full circles over the blown-up
     points, singletons over sampled regular points."""
-    g = step.input_graph
+    g = step.bonding.codomain
     sample: list[Point] = [("v", v) for v in g.vertices]
     sample.extend(step.locus)
     for eid, e in g.edges.items():
@@ -425,12 +414,10 @@ def check_monotone(step: TriangleStep) -> bool:
 
 @dataclass
 class CrookedStep:
-    input_graph: MetricGraph
     output_graph: MetricGraph          # the unique onto component
     bonding: PLMap                     # output -> input (the projection)
     separating: PLFunction             # the Urysohn function on the input
     witnesses: dict[str, ClosedSet]
-    interpretation: dict[str, ClosedSet]
     component_count: int
     staircase_graph: MetricGraph = None
     kind: str = "crooked"
@@ -441,8 +428,6 @@ class _Copy:
     region of the base graph."""
 
     def __init__(self, graph: MetricGraph, region: ClosedSet, cut_points: list[Point], prefix: str):
-        self.graph = graph
-        self.region = region
         self.prefix = prefix
         cut_params: dict[str, set] = {}
         for p in cut_points:
@@ -450,12 +435,9 @@ class _Copy:
                 cut_params.setdefault(p[1], set()).add(p[2])
         self.vertices: dict[str, Point] = {}
         self.edges: list[tuple] = []  # (eid, u, v, length, base_eid, p, q)
-        self.segments: dict[str, list[tuple]] = {}
         for v in sorted(region.vertices):
             self.vertices[f"{prefix}|{v}"] = ("v", v)
         for eid in sorted(region.intervals):
-            e = graph.edges[eid]
-            segs = []
             for lo, hi in region.intervals[eid]:
                 if lo == hi:
                     name = self._vertex_name(("e", eid, lo))
@@ -471,9 +453,6 @@ class _Copy:
                     self.vertices.setdefault(v, graph.normalize_point(("e", eid, q)))
                     seg_id = f"{self.prefix}|{eid}:{k}:{frac_str(p)}"
                     self.edges.append((seg_id, u, v, q - p, eid, p, q))
-                    segs.append((seg_id, p, q))
-            if segs:
-                self.segments[eid] = segs
 
     def _vertex_name(self, p: Point) -> str:
         return f"{self.prefix}|{point_token(p)}"
@@ -484,25 +463,6 @@ class _Copy:
             raise InvariantViolationError(f"level point {p} missing from copy {self.prefix}")
         return name
 
-    def transport(self, s: ClosedSet, target: MetricGraph) -> ClosedSet:
-        """The copy of s ∩ region, in copy coordinates on `target`."""
-        intervals: dict[str, list] = {}
-        verts = {
-            self._vertex_name(("v", v))
-            for v in (s.vertices & self.region.vertices)
-        }
-        for eid, segs in self.segments.items():
-            for slo, shi in s.intervals.get(eid, ()):
-                for seg_id, p, q in segs:
-                    lo, hi = max(slo, p), min(shi, q)
-                    if lo <= hi:
-                        intervals.setdefault(seg_id, []).append((lo - p, hi - p))
-        # isolated points of the region carried as bare vertices
-        for name, base_pt in self.vertices.items():
-            if base_pt[0] == "e" and s.contains_point(base_pt):
-                verts.add(name)
-        return ClosedSet(target, intervals, verts)
-
 
 def crooked_step(
     graph: MetricGraph,
@@ -510,7 +470,6 @@ def crooked_step(
     b: ClosedSet,
     c: ClosedSet,
     d: ClosedSet,
-    interpretation: dict[str, ClosedSet],
     separating: PLFunction | None = None,
 ) -> CrookedStep:
     """Thread the space through the five-segment staircase over a separating
@@ -557,7 +516,6 @@ def crooked_step(
         for seg_id, u, v, length, base_eid, p, q in copy.edges:
             edges.append(Edge(seg_id, u, v, length))
             edge_map[seg_id] = ("affine", base_eid, p, q)
-    h_edges: list[str] = []
     for level, pair in ((two_thirds, (c14, c12)), (third, (c12, c34))):
         tag = "h23" if level == two_thirds else "h13"
         for p in levels[level]:
@@ -566,7 +524,6 @@ def crooked_step(
             v = pair[1].vertex_for(p)
             edges.append(Edge(eid, u, v, Frac(1, 4)))
             edge_map[eid] = ("const", p)
-            h_edges.append(eid)
     staircase = MetricGraph(vertices, edges)
     projection = PLMap(staircase, graph, vertex_map, edge_map)
 
@@ -587,7 +544,7 @@ def crooked_step(
         [e for e in edges if e.eid in comp_edges],
         dict(graph.meta),
     )
-    _attach_staircase_layout(out, graph, vertex_map, edge_map)
+    _attach_staircase_layout(out, graph, vertex_map)
     bonding = PLMap(
         out,
         graph,
@@ -597,47 +554,33 @@ def crooked_step(
     if not bonding.is_surjective():
         raise InvariantViolationError("selected component lost surjectivity")
 
-    def restrict(s: ClosedSet) -> ClosedSet:
-        return ClosedSet(
-            out,
-            {eid: items for eid, items in s.intervals.items() if eid in comp_edges},
-            s.vertices & comp_vertices,
-        )
-
-    def on_out(pieces: list[ClosedSet]) -> ClosedSet:
-        total = None
-        for piece in pieces:
-            total = piece if total is None else total | piece
-        return total if total is not None else staircase.empty_set()
+    def part(*tags: str) -> ClosedSet:
+        """The closed part of `out` made of the edges and vertices whose
+        names start with one of `tags`."""
+        intervals = {
+            eid: [(Frac(0), e.length)]
+            for eid, e in out.edges.items() if eid.split("|", 1)[0] in tags
+        }
+        return ClosedSet(out, intervals, {v for v in out.vertices if v.split("|", 1)[0] in tags})
 
     # Witness bands cut along the separating values: the x/y boundary sits at
     # value 3/8 on the low level and the y/z boundary at 5/8 on the high one,
-    # so the pinned sets c and d stay clear of the double intersections.
-    x_plus = c14.transport(f.sublevel_set(Frac(3, 8)), staircase)
-    z_plus = c34.transport(f.superlevel_set(Frac(5, 8)), staircase)
-    y_pieces = [
-        c14.transport(f.band(Frac(3, 8), two_thirds), staircase),
-        c12.transport(mid, staircase),
-        c34.transport(f.band(third, Frac(5, 8)), staircase),
-        ClosedSet(
-            staircase,
-            {eid: [(Frac(0), Frac(1, 4))] for eid in h_edges},
-            frozenset(),
-        ),
-    ]
+    # so the pinned sets c and d stay clear of the double intersections.  On
+    # each level `bonding` is the projection, so a band there is the pullback
+    # of the base band cut to that level.
+    t14, t34 = part("t14"), part("t34")
     witnesses = {
-        "x": restrict(x_plus),
-        "y": restrict(on_out(y_pieces)),
-        "z": restrict(z_plus),
+        "x": bonding.preimage_of(f.sublevel_set(Frac(3, 8))) & t14,
+        "y": (bonding.preimage_of(f.band(Frac(3, 8), two_thirds)) & t14)
+        | part("t12", "h23", "h13")
+        | (bonding.preimage_of(f.band(third, Frac(5, 8))) & t34),
+        "z": bonding.preimage_of(f.superlevel_set(Frac(5, 8))) & t34,
     }
-    new_interp = {cid: bonding.preimage_of(s) for cid, s in interpretation.items()}
     step = CrookedStep(
-        input_graph=graph,
         output_graph=out,
         bonding=bonding,
         separating=f,
         witnesses=witnesses,
-        interpretation=new_interp,
         component_count=len(comps),
         staircase_graph=staircase,
     )
@@ -645,7 +588,7 @@ def crooked_step(
     return step
 
 
-def _attach_staircase_layout(out, base, vertex_map, edge_map) -> None:
+def _attach_staircase_layout(out, base, vertex_map) -> None:
     """Cosmetic position hints: horizontal = the staircase parameter,
     vertical = an arc-length linearization of the base graph."""
     offsets: dict[str, Frac] = {}
@@ -792,31 +735,24 @@ def resolve_shortcut(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
     return None
 
 
-def surgery_with_nudges(
-    kind: str,
-    graph: MetricGraph,
-    ops: list[ClosedSet],
-    interpretation: dict[str, ClosedSet],
-):
+def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
     """Run the instance's surgery (a triangle step for "zeta", a crooked step
     for "theta"), retrying after minimal edge-length nudges.
 
-    Each nudge is a genuine reparametrization: every set is transported
+    Each nudge is a genuine reparametrization: the operands are transported
     through `stretch_map`, and the maps compose into `renorm` (nudged space
-    -> `graph`, None without nudges), so a bonding chain stays exact.  Nudge
-    targets rotate so symmetric configurations get broken even when the
-    degenerate edge itself is not the culprit.  Returns the step, `renorm`,
-    the nudged edge ids, and the interpretation on `step.input_graph`."""
+    -> `graph`), so a bonding chain stays exact.  Nudge targets rotate so
+    symmetric configurations get broken even when the degenerate edge itself
+    is not the culprit.  Returns the step, its bonding onto `graph` (the
+    step's own bonding followed by `renorm`), and the nudged edge ids."""
     candidates = None
     nudged: list[str] = []
     renorm: PLMap | None = None
     while True:
         try:
-            if kind == "zeta":
-                step = triangle_step(graph, *ops, interpretation)
-            else:
-                step = crooked_step(graph, *ops, interpretation)
-            return step, renorm, nudged, interpretation
+            step = (triangle_step if kind == "zeta" else crooked_step)(graph, *ops)
+            bonding = step.bonding if renorm is None else step.bonding.then(renorm)
+            return step, bonding, nudged
         except DegeneracyError as exc:
             if len(nudged) >= MAX_NUDGES or exc.edge_id is None:
                 raise
@@ -828,9 +764,6 @@ def surgery_with_nudges(
             lengthened = nudge_edge_length(graph, target)
             stretch = stretch_map(lengthened, graph)
             ops = [stretch.preimage_of(s) for s in ops]
-            interpretation = {
-                name: stretch.preimage_of(s) for name, s in interpretation.items()
-            }
             renorm = stretch if renorm is None else stretch.then(renorm)
             graph = lengthened
             nudged.append(target)
@@ -854,18 +787,20 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
     """The stage for one dimension ("zeta") or crookedness ("theta")
     instance: its witnesses on the previous graph when `resolved` is
     `(mode, (x, y, z))`, otherwise the surgery with any nudges folded into
-    the bonding.  The witnesses join the base under the names
-    `instance["witnesses"]`, and `instance["mode"]` records the resolution."""
+    the bonding, and the previous base pulled back through that bonding
+    (the only place a base crosses a surgery).  The witnesses join the base
+    under the names `instance["witnesses"]`, and `instance["mode"]` records
+    the resolution."""
     nudged: list[str] = []
     if resolved is not None:
         mode, witnesses = resolved
         graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
         kind = "identity" if mode == "existing-cover" else mode
     else:
-        step, renorm, nudged, _ = surgery_with_nudges(instance["kind"], prev.graph, ops, prev.base)
+        step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
         mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
-        graph, base, kind = step.output_graph, step.interpretation, step.kind
-        bonding = step.bonding if renorm is None else step.bonding.then(renorm)
+        graph, kind = step.output_graph, step.kind
+        base = {cid: bonding.preimage_of(s) for cid, s in prev.base.items()}
     instance["mode"] = mode
     base_n = dict(base)
     base_n.update(zip(instance["witnesses"], witnesses))

@@ -516,6 +516,12 @@ def load_tower(directory: str) -> Tower:
             name: [ClosedSet.from_dict(stages[n].graph, spec) for n, spec in enumerate(specs)]
             for name, specs in trace.get("catalog", {}).items()
         }
+        for name, sets in catalog.items():
+            if len(sets) != len(stages):
+                raise InputError(
+                    f"malformed tower directory {directory}: catalog {name!r} has "
+                    f"{len(sets)} sets for {len(stages)} stages"
+                )
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise InputError(f"malformed tower directory {directory}: {exc!r}") from exc
     return Tower(stages, catalog)

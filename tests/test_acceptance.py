@@ -224,8 +224,8 @@ def triangle_instances():
 
 
 def _run_triangle(graph, a, b, c, interp):
-    step, _, _, _ = surgery_with_nudges("zeta", graph, [a, b, c], interp)
-    return step
+    step, bonding, _ = surgery_with_nudges("zeta", graph, [a, b, c])
+    return step, {cid: bonding.preimage_of(s) for cid, s in interp.items()}
 
 
 def test_acceptance_3_triangle_step():
@@ -240,12 +240,12 @@ def test_acceptance_3_triangle_step():
         ]
         for f in prior:
             assert verify_on_sublattice(f, interp, graph)
-        step = _run_triangle(graph, a, b, c, interp)
+        step, lifted = _run_triangle(graph, a, b, c, interp)
         ok = step.bonding.is_surjective() and check_monotone(step)
         sets = {
-            "a": step.interpretation["a"],
-            "b": step.interpretation["b"],
-            "c": step.interpretation["c"],
+            "a": lifted["a"],
+            "b": lifted["b"],
+            "c": lifted["c"],
             "x": step.witnesses["x"],
             "y": step.witnesses["y"],
             "z": step.witnesses["z"],
@@ -253,7 +253,7 @@ def test_acceptance_3_triangle_step():
         ground = zeta(*(Const(k) for k in ("a", "b", "c", "x", "y", "z")))
         ok = ok and verify_on_sublattice(ground, sets, step.output_graph)
         for f in prior:
-            ok = ok and verify_on_sublattice(f, step.interpretation, step.output_graph)
+            ok = ok and verify_on_sublattice(f, lifted, step.output_graph)
         if not ok:
             failures.append(idx)
         count += 1
@@ -309,9 +309,11 @@ def _run_crooked(graph, a, b, c, d, f):
     interp = {"a": a, "b": b, "c": c, "d": d}
     if f is not None:
         # a given separating function pins the graph: no nudging
-        return crooked_step(graph, a, b, c, d, interp, separating=f)
-    step, _, _, _ = surgery_with_nudges("theta", graph, [a, b, c, d], interp)
-    return step
+        step = crooked_step(graph, a, b, c, d, separating=f)
+        bonding = step.bonding
+    else:
+        step, bonding, _ = surgery_with_nudges("theta", graph, [a, b, c, d])
+    return step, {cid: bonding.preimage_of(s) for cid, s in interp.items()}
 
 
 STEPS_FOR_ORACLE = []
@@ -322,10 +324,10 @@ def test_acceptance_4_crooked_step():
     count = 0
     identity_checked = False
     for name, graph, a, b, c, d, f in crooked_instances():
-        step = _run_crooked(graph, a, b, c, d, f)
+        step, lifted = _run_crooked(graph, a, b, c, d, f)
         sets = {
-            "a": step.interpretation["a"], "b": step.interpretation["b"],
-            "c": step.interpretation["c"], "d": step.interpretation["d"],
+            "a": lifted["a"], "b": lifted["b"],
+            "c": lifted["c"], "d": lifted["d"],
             "x": step.witnesses["x"], "y": step.witnesses["y"],
             "z": step.witnesses["z"],
         }
@@ -346,7 +348,7 @@ def test_acceptance_4_crooked_step():
             ok = ok and identity_checked
         if not ok:
             failures.append(name)
-        STEPS_FOR_ORACLE.append(step)
+        STEPS_FOR_ORACLE.append((step, lifted))
         count += 1
     _report(4, "crooked step", count >= 10 and not failures and identity_checked,
             f"{count} instances, failures={failures}")
@@ -454,9 +456,9 @@ def test_acceptance_7_cover_search_oracles():
     if not STEPS_FOR_ORACLE:
         test_acceptance_4_crooked_step()
     her_failures = []
-    for i, step in enumerate(STEPS_FOR_ORACLE):
-        la, lb = step.interpretation["a"], step.interpretation["b"]
-        lc, ld = step.interpretation["c"], step.interpretation["d"]
+    for i, (step, lifted) in enumerate(STEPS_FOR_ORACLE):
+        la, lb = lifted["a"], lifted["b"]
+        lc, ld = lifted["c"], lifted["d"]
         cover = search_her_indec_cover(step.output_graph, la, lb, lc, ld, cap=256)
         if cover is None:
             her_failures.append(i)

@@ -1,0 +1,52 @@
+"""A fixed sample of the benchmark's inputs must still produce the bytes
+recorded in perfbench/digests.json.
+
+perfbench/run.py fails an operation whose output digest differs from the
+recorded one; this test rebuilds a sample of those outputs (one
+fragment-surgery key, three tower-deep keys, thirty tower-crooked keys) so
+that a change to any output byte fails the test suite first.  The library is
+the already-imported `crooked` package: `run.load_library` would import it
+afresh and leave other tests holding classes of the old import.
+"""
+
+import importlib
+import json
+import os
+from contextlib import nullcontext
+from types import SimpleNamespace
+
+import pytest
+
+from test_bench_targets import ROOT, _load
+
+RUN = _load("run")
+LIB = SimpleNamespace(**{m: importlib.import_module(f"{RUN.PACKAGE}.{m}") for m in RUN.MODULES})
+WORKLOADS = RUN.workloads.WORKLOADS
+with open(os.path.join(ROOT, "perfbench", "digests.json"), encoding="utf-8") as fh:
+    RECORDED = json.load(fh)
+
+SAMPLE_SIZES = {"fragment-surgery": 1, "tower-deep": 3, "tower-crooked": 30}
+
+
+def _sample(name: str) -> list[str]:
+    """Keys spread evenly over the workload's pool, first key included."""
+    pool = WORKLOADS[name].pool()
+    stride = len(pool) // SAMPLE_SIZES[name]
+    return pool[::stride][: SAMPLE_SIZES[name]]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_SIZES))
+def test_sampled_outputs_match_recorded_digests(name, tmp_path):
+    workload = WORKLOADS[name]
+    shared = workload.prepare_shared(LIB)
+    keys = _sample(name)
+    assert len(keys) == SAMPLE_SIZES[name]
+    mismatched = []
+    for i, key in enumerate(keys):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        inp = workload.prepare(LIB, shared, key)
+        _, paths = workload.produce(LIB, inp, str(workdir), lambda _: nullcontext())
+        if RUN.workloads.digest_files(paths) != RECORDED[name][key]:
+            mismatched.append(key)
+    assert not mismatched

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crooked import cli
+from crooked import cli, surgery
 from crooked.cli import main
 from crooked.folang import LIBRARY
 from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
@@ -269,6 +269,136 @@ def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_pat
         assert "line 2" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------- sigma-witness
+# negative controls: each corrupts one sentence kind of a fragment that runs
+# no surgery (so no per-surgery re-check raises) and expects exactly that
+# kind's satisfiable lines to turn FAIL
+
+def _control_report(base, tmp_path, capsys, sets, fragment):
+    """Run sigma-witness on `fragment` (a file path, or the lines of one) over
+    `sets` on the unit segment; the exit code and the report's FAIL labels
+    (stage token and index, e.g. "S2 0")."""
+    g = unit_segment()
+    graph_path = tmp_path / "control-graph.json"
+    graph_path.write_text(dump_graph(g, {name: make(g) for name, make in sets.items()}))
+    if not isinstance(fragment, str):
+        path = tmp_path / "control-frag.txt"
+        path.write_text("\n".join(fragment) + "\n")
+        fragment = str(path)
+    capsys.readouterr()
+    code = main([
+        "sigma-witness", "--base", base, "--fragment", fragment,
+        "--graph", str(graph_path), "--out", str(tmp_path / "control-model"),
+    ])
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"all-true: {code == 0}"
+    trace = json.loads((tmp_path / "control-model" / "trace.json").read_text())
+    assert trace == []  # no surgery ran
+    return code, [line.split(": ")[1] for line in out if line.startswith("FAIL: ")]
+
+
+def _interval(lo, hi):
+    return lambda g: ClosedSet(g, {"seg": [(lo, hi)]}, set())
+
+
+# chain3 in hat mode through stage 5: every sentence kind, and every dimension
+# and crookedness instance resolves by a shortcut or a failed premise, since
+# k(-2,1) and the bottom k(-1,2) are empty and the rest form a chain
+CHAIN3_SETS = {"g0": _interval(F(0), F(1, 2)), "g1": lambda g: g.whole_set(),
+               "k(-2,0)": _interval(F(0), F(1, 4))}
+
+
+@pytest.fixture
+def chain3_control(chain3, tmp_path):
+    frag = tmp_path / "chain3-hat-frag.txt"
+    assert main([
+        "sigma-fragment", "--base", chain3, "--stages", "5", "--budget", "32", "--size", "96",
+        "--continuum-constants", "1", "--hat-size", "2", "--out", str(frag),
+    ]) == 0
+    text = frag.read_text()
+    for token in ("S-1^0 ", "S0 ", "S1^0 ", "S2 ", "S3^0 ", "S3^1 ", "S4 ", "S5 "):
+        assert f"\n{token}" in text
+    return chain3, str(frag)
+
+
+# powerset2's atoms a and b as disjoint intervals, and a hat-conn line that
+# bounds k(-2,0) by the top k(-1,3) = a v b; the diagram lines pin the top
+POWERSET2_SETS = {"a": _interval(F(0), F(1, 4)), "b": _interval(F(3, 4), F(1)),
+                  "k(-2,0)": _interval(F(0), F(1, 4))}
+POWERSET2_FRAGMENT = [
+    "S-1^0 0: (forall x y. x ^ y = 0 & x v y = k(-2,0) -> x = k(-2,0) | x = 0)"
+    " & k(-2,0) ^ k(-1,3) = k(-2,0)",
+    "S0 0: k(-1,0) ^ k(-1,1) = k(-1,2)",
+    "S0 0: k(-1,0) v k(-1,1) = k(-1,3)",
+]
+
+
+def test_sigma_witness_controls_are_green(chain3_control, powerset2, tmp_path, capsys):
+    base, frag = chain3_control
+    assert _control_report(base, tmp_path, capsys, CHAIN3_SETS, frag) == (0, [])
+    assert _control_report(powerset2, tmp_path, capsys, POWERSET2_SETS,
+                           POWERSET2_FRAGMENT) == (0, [])
+
+
+def test_sigma_witness_flags_a_broken_normal_cocover(chain3_control, tmp_path, capsys, monkeypatch):
+    # empty co-covers fail exactly the normality lines whose pair is disjoint
+    # (those with an empty member)
+    monkeypatch.setattr(surgery, "normal_cocover", lambda g, mn, mx: (g.empty_set(), g.empty_set()))
+    base, frag = chain3_control
+    assert _control_report(base, tmp_path, capsys, CHAIN3_SETS, frag) == (
+        1, ["S2 0", "S2 3", "S2 4", "S2 5", "S2 6", "S2 8", "S2 9"],
+    )
+
+
+def test_sigma_witness_flags_a_missing_disjunctivity_point(chain3_control, tmp_path, capsys,
+                                                             monkeypatch):
+    # an empty point fails exactly the disjunctivity lines whose big set is
+    # not inside the small one
+    monkeypatch.setattr(surgery, "disjunctivity_point", lambda g, big, small: g.empty_set())
+    base, frag = chain3_control
+    assert _control_report(base, tmp_path, capsys, CHAIN3_SETS, frag) == (
+        1, ["S3^1 0", "S3^0 1", "S3^0 2", "S3^1 3", "S3^0 4", "S3^0 5", "S3^0 7", "S3^1 8",
+            "S3^1 9"],
+    )
+
+
+def test_sigma_witness_flags_a_wrong_diagram(chain3_control, tmp_path, capsys):
+    # a top generator short of the whole segment fails only the diagram line
+    # that pins the top, k(-1,1) = 1
+    base, frag = chain3_control
+    sets = {**CHAIN3_SETS, "g1": _interval(F(0), F(3, 4))}
+    assert _control_report(base, tmp_path, capsys, sets, frag) == (1, ["S0 1"])
+
+
+def test_sigma_witness_flags_wrong_instance_witnesses(chain3_control, tmp_path, capsys,
+                                                        monkeypatch):
+    # empty shortcut witnesses fail exactly the dimension instances whose
+    # premise holds; the crookedness instances all have a failed premise
+    resolve = surgery.resolve_shortcut
+
+    def emptied(kind, graph, ops):
+        resolved = resolve(kind, graph, ops)
+        if resolved is None:
+            return None
+        return resolved[0], (graph.empty_set(),) * 3
+
+    monkeypatch.setattr(surgery, "resolve_shortcut", emptied)
+    base, frag = chain3_control
+    assert _control_report(base, tmp_path, capsys, CHAIN3_SETS, frag) == (
+        1, ["S4 0", "S4 1", "S4 2", "S4 4", "S4 5", "S4 6", "S4 7", "S4 8", "S4 9"],
+    )
+
+
+def test_sigma_witness_flags_a_disconnected_hat_constant(powerset2, tmp_path, capsys):
+    # k(-2,0) = a v b still lies under the top, but splits into the disjoint
+    # lattice elements a and b: only the conn half of the hat-conn line fails
+    sets = {**POWERSET2_SETS, "k(-2,0)": lambda g: ClosedSet(
+        g, {"seg": [(F(0), F(1, 4)), (F(3, 4), F(1))]}, set())}
+    assert _control_report(powerset2, tmp_path, capsys, sets, POWERSET2_FRAGMENT) == (
+        1, ["S-1^0 0"],
+    )
+
+
 def test_cap_only_where_it_is_read(chain3, tmp_path, capsys):
     # no command closes a lattice to build or check a model, so none takes
     # --cap and no report prints one
@@ -390,7 +520,7 @@ def test_render_crooked_output_zigzag(tmp_path):
     b = g.point_closed_set([("v", "b")])
     c = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
     d = ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set())
-    step = crooked_step(g, a, b, c, d, {})
+    step = crooked_step(g, a, b, c, d)
     path = tmp_path / "staircase.json"
     path.write_text(dump_graph(step.output_graph, {}))
     out = tmp_path / "staircase.svg"
@@ -450,7 +580,9 @@ def test_render_malformed_closed_sets_exit_2(tmp_path, capsys, closed_sets):
     ("trace.json", lambda data: next(
         st["instance"] for st in data["stages"] if st["instance"]
     ).pop("operands")),
-], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands"])
+    ("trace.json", lambda data: data["catalog"]["whole"].pop()),
+], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands",
+        "catalog-too-short"])
 def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys, name, corrupt):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
     towerdir = tmp_path / "tower"

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crooked import surgery
+from crooked import surgery, tower
 from crooked.errors import InputError, PreconditionError, UsageError
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
@@ -15,7 +15,7 @@ from crooked.metric_graph import (
     _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
     extract_sublattice, graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
 )
-from test_surgery import surgery_rich_fragment
+from test_surgery import nudged_triangle_fragment, surgery_rich_fragment
 from test_tower import steered_crooked_tower
 
 
@@ -912,19 +912,29 @@ def test_preimage_over_each_kind_of_piece():
     )
 
 
-def test_crooked_step_pullback_matches_full_scan(monkeypatch):
-    # every constant crooked_step pulls back through a staircase bonding of
-    # the steered tower equals the full scan
+def test_surgery_stage_pullback_matches_full_scan(monkeypatch):
+    # every base set a surgery stage pulls back through its new bonding
+    # equals the full scan: staircase and fibre bondings of the steered
+    # tower and the surgery-rich fragment, and a bonding with two nudges
+    # folded in
     pulled = []
-    step_fn = surgery.crooked_step
+    stage_fn = surgery.instance_stage
 
-    def checking(graph, a, b, c, d, interpretation, *args, **kwargs):
-        step = step_fn(graph, a, b, c, d, interpretation, *args, **kwargs)
-        for cid, s in interpretation.items():
-            assert step.interpretation[cid] == preimage_by_scan(step.bonding, s), cid
-        pulled.append(len(interpretation))
-        return step
+    def checking(prev, instance, ops, resolved):
+        stage = stage_fn(prev, instance, ops, resolved)
+        if resolved is None:
+            for cid, s in prev.base.items():
+                if cid not in instance["witnesses"]:
+                    assert stage.base[cid] == preimage_by_scan(stage.bonding, s), cid
+            pulled.append((stage.kind, len(stage.nudges), len(prev.base)))
+        return stage
 
-    monkeypatch.setattr(surgery, "crooked_step", checking)
-    steered_crooked_tower(6)
-    assert len(pulled) == 3 and all(pulled)
+    monkeypatch.setattr(surgery, "instance_stage", checking)
+    monkeypatch.setattr(tower, "instance_stage", checking)
+    steered_crooked_tower(4)
+    surgery.witness_fragment(*surgery_rich_fragment())
+    surgery.witness_fragment(*nudged_triangle_fragment())
+    kinds = [kind for kind, _, _ in pulled]
+    assert kinds.count("triangle") >= 3 and kinds.count("crooked") >= 4
+    assert any(nudges for _, nudges, _ in pulled)
+    assert all(size for _, _, size in pulled)

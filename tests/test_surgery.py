@@ -46,13 +46,13 @@ def test_triangle_no_locus_reinterprets_in_place():
     a = g.point_closed_set([("v", "a")])
     b = g.point_closed_set([("v", "b")])
     c = g.point_closed_set([("e", "seg", F(1, 2))])
-    step = triangle_step(g, a, b, c, {"a0": a})
+    step = triangle_step(g, a, b, c)
     assert step.output_graph is g
     assert step.locus == []
     assert step.witnesses["x"].intervals["seg"] == ((F(0), F(1, 4)),)
     assert step.witnesses["y"].intervals["seg"] == ((F(3, 4), F(1)),)
     assert step.witnesses["z"].intervals["seg"] == ((F(1, 4), F(3, 4)),)
-    assert step.interpretation["a0"] == a
+    assert step.bonding.preimage_of(a) == a
 
 
 def test_triangle_inserts_fiber_on_y_graph():
@@ -60,7 +60,7 @@ def test_triangle_inserts_fiber_on_y_graph():
     a = g.point_closed_set([("v", "ta")])
     b = g.point_closed_set([("v", "tb")])
     c = g.point_closed_set([("v", "tc")])
-    step = triangle_step(g, a, b, c, {"A": a, "B": b, "C": c})
+    step = triangle_step(g, a, b, c)
     out = step.output_graph
     assert step.locus == [("v", "c")]
     assert len(out.edges) == 9  # three legs plus a six-edge circle
@@ -73,9 +73,9 @@ def test_triangle_inserts_fiber_on_y_graph():
     assert out.edges["lc"].u == "fib0.mC"
     # independent check of the dimension schema
     sets = {
-        "a": step.interpretation["A"],
-        "b": step.interpretation["B"],
-        "c": step.interpretation["C"],
+        "a": step.bonding.preimage_of(a),
+        "b": step.bonding.preimage_of(b),
+        "c": step.bonding.preimage_of(c),
         "x": step.witnesses["x"],
         "y": step.witnesses["y"],
         "z": step.witnesses["z"],
@@ -97,10 +97,11 @@ def test_triangle_preserves_prior_sentences():
     ]
     for f in prior:
         assert eval_ground_geometric(f, interp, g)
-    step = triangle_step(g, a, b, c, interp)
+    step = triangle_step(g, a, b, c)
+    lifted = {cid: step.bonding.preimage_of(s) for cid, s in interp.items()}
     for f in prior:
-        assert eval_ground_geometric(f, step.interpretation, step.output_graph)
-        assert verify_on_sublattice(f, step.interpretation, step.output_graph)
+        assert eval_ground_geometric(f, lifted, step.output_graph)
+        assert verify_on_sublattice(f, lifted, step.output_graph)
 
 
 def test_triangle_two_fibers_on_barbell():
@@ -118,15 +119,15 @@ def test_triangle_two_fibers_on_barbell():
     a = g.point_closed_set([("v", "ta"), ("v", "tc")])
     b = g.point_closed_set([("v", "tb"), ("v", "td")])
     c = g.point_closed_set([("e", "m", F(1))])
-    step = triangle_step(g, a, b, c, {"A": a, "B": b, "C": c})
+    step = triangle_step(g, a, b, c)
     assert step.locus == [("v", "u"), ("v", "v")]
     assert len(step.fibers) == 2
     assert step.bonding.is_surjective()
     assert check_monotone(step)
     sets = {
-        "a": step.interpretation["A"],
-        "b": step.interpretation["B"],
-        "c": step.interpretation["C"],
+        "a": step.bonding.preimage_of(a),
+        "b": step.bonding.preimage_of(b),
+        "c": step.bonding.preimage_of(c),
         "x": step.witnesses["x"],
         "y": step.witnesses["y"],
         "z": step.witnesses["z"],
@@ -150,7 +151,7 @@ def test_triangle_fiber_ids_skip_existing():
     a = g.point_closed_set([("v", "ta")])
     b = g.point_closed_set([("v", "tb")])
     c = g.point_closed_set([("v", "tc")])
-    step = triangle_step(g, a, b, c, {})
+    step = triangle_step(g, a, b, c)
     assert step.locus == [("v", "c")]
     out = step.output_graph
     assert "fib0.A0" in out.edges  # the pre-existing edge is untouched
@@ -161,7 +162,7 @@ def test_triangle_fiber_ids_skip_existing():
 def test_triangle_requires_nonempty_inputs():
     g = seg()
     with pytest.raises(PreconditionError):
-        triangle_step(g, g.empty_set(), g.whole_set(), g.whole_set(), {})
+        triangle_step(g, g.empty_set(), g.whole_set(), g.whole_set())
 
 
 def test_triangle_degenerate_locus_reports_edge():
@@ -180,7 +181,7 @@ def test_triangle_degenerate_locus_reports_edge():
     b = g.point_closed_set([("v", "w2")])
     c = g.point_closed_set([("v", "w3")])
     with pytest.raises(DegeneracyError) as exc:
-        triangle_step(g, a, b, c, {})
+        triangle_step(g, a, b, c)
     assert exc.value.edge_id == "tail"
     # the documented denominator-doubling nudge on a symmetry-breaking edge
     g2 = nudge_edge_length(g, "k1")
@@ -188,7 +189,7 @@ def test_triangle_degenerate_locus_reports_edge():
     a2 = g2.point_closed_set([("v", "w1")])
     b2 = g2.point_closed_set([("v", "w2")])
     c2 = g2.point_closed_set([("v", "w3")])
-    step = triangle_step(g2, a2, b2, c2, {})
+    step = triangle_step(g2, a2, b2, c2)
     assert len(step.locus) == 1
     assert check_monotone(step)
 
@@ -206,7 +207,7 @@ def crooked_identity_instance():
 
 def test_crooked_identity_reproduces_staircase():
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {"A": a, "B": b, "C": c, "D": d})
+    step = crooked_step(g, a, b, c, d)
     # the separating function on this instance is the identity
     assert step.separating.per_edge["seg"] == ((F(0), F(0)), (F(1), F(1)))
     out = step.output_graph
@@ -219,7 +220,7 @@ def test_crooked_identity_reproduces_staircase():
 
 def test_crooked_membership_fiber_over_zero_level():
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {})
+    step = crooked_step(g, a, b, c, d)
     # points with separating value 0 lift only to the first vertical level
     lifted_a = step.bonding.preimage_of(a)
     assert len(lifted_a.vertices) == 1
@@ -230,13 +231,13 @@ def test_crooked_membership_fiber_over_zero_level():
 
 def test_crooked_witnesses_satisfy_psi():
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {"A": a, "B": b, "C": c, "D": d})
+    step = crooked_step(g, a, b, c, d)
     out = step.output_graph
     sets = {
-        "a": step.interpretation["A"],
-        "b": step.interpretation["B"],
-        "c": step.interpretation["C"],
-        "d": step.interpretation["D"],
+        "a": step.bonding.preimage_of(a),
+        "b": step.bonding.preimage_of(b),
+        "c": step.bonding.preimage_of(c),
+        "d": step.bonding.preimage_of(d),
         "x": step.witnesses["x"],
         "y": step.witnesses["y"],
         "z": step.witnesses["z"],
@@ -251,7 +252,7 @@ def test_crooked_t_band_witnesses_fail_psi():
     # The staircase bands cut by the new coordinate hit the pinned sets in
     # the double intersections; this pins the choice of value-cut witnesses.
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {"A": a, "B": b, "C": c, "D": d})
+    step = crooked_step(g, a, b, c, d)
     out = step.output_graph
     t_of_prefix = {"t14": F(1, 4), "t12": F(1, 2), "t34": F(3, 4)}
 
@@ -278,10 +279,10 @@ def test_crooked_t_band_witnesses_fail_psi():
         "z": t_band(F(5, 8), F(1)),
     }
     sets = {
-        "a": step.interpretation["A"],
-        "b": step.interpretation["B"],
-        "c": step.interpretation["C"],
-        "d": step.interpretation["D"],
+        "a": step.bonding.preimage_of(a),
+        "b": step.bonding.preimage_of(b),
+        "c": step.bonding.preimage_of(c),
+        "d": step.bonding.preimage_of(d),
         **bands,
     }
     assert not verify_on_sublattice(psi_ground(), sets, out)
@@ -299,7 +300,7 @@ def test_crooked_unique_onto_component_among_many():
         {"seg": [(F(0), F(0)), (F(1, 4), F(1)), (F(3, 8), F(2, 5)),
                  (F(1, 2), F(1)), (F(1), F(1))]},
     )
-    step = crooked_step(g, a, b, g.empty_set(), g.empty_set(), {}, separating=f)
+    step = crooked_step(g, a, b, g.empty_set(), g.empty_set(), separating=f)
     assert step.component_count == 2
     assert step.bonding.is_surjective()
 
@@ -312,21 +313,21 @@ def test_crooked_degenerate_level_set():
         g, {"seg": [(F(0), F(0)), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1))]}
     )
     with pytest.raises(DegeneracyError) as exc:
-        crooked_step(g, a, b, g.empty_set(), g.empty_set(), {}, separating=f)
+        crooked_step(g, a, b, g.empty_set(), g.empty_set(), separating=f)
     assert exc.value.edge_id == "seg"
 
 
 def test_crooked_phi_precondition():
     g, a, b, c, d = crooked_identity_instance()
     with pytest.raises(PreconditionError):
-        crooked_step(g, a, b, d, c, {})  # swapped pins violate a # d
+        crooked_step(g, a, b, d, c)  # swapped pins violate a # d
 
 
 # ------------------------------------------------------------- lifts
 
 def test_lift_connected_whole_and_point():
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {})
+    step = crooked_step(g, a, b, c, d)
     whole = lift_connected(step, g.whole_set())
     assert whole == step.output_graph.whole_set()
     pt = lift_connected(step, a)
@@ -335,7 +336,7 @@ def test_lift_connected_whole_and_point():
 
 def test_lift_connected_case_one_interval():
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {})
+    step = crooked_step(g, a, b, c, d)
     low = ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set())
     lifted = lift_connected(step, low)
     assert step.bonding.image_of(lifted) == low
@@ -349,7 +350,7 @@ def test_lift_connected_triangle_full_preimage():
     a = g.point_closed_set([("v", "ta")])
     b = g.point_closed_set([("v", "tb")])
     c = g.point_closed_set([("v", "tc")])
-    step = triangle_step(g, a, b, c, {})
+    step = triangle_step(g, a, b, c)
     sub = ClosedSet(g, {"la": [(F(0), F(1, 2))], "lb": [(F(0), F(1, 2))]}, {"c"})
     lifted = lift_connected(step, sub)
     assert step.bonding.image_of(lifted) == sub
@@ -615,15 +616,18 @@ def test_surgery_outputs_model_connectivity_sentence():
     from crooked.folang import LIBRARY
     from crooked.metric_graph import extract_sublattice
     g, a, b, c, d = crooked_identity_instance()
-    step = crooked_step(g, a, b, c, d, {"A": a, "B": b, "C": c, "D": d})
-    named = dict(step.interpretation)
+    step = crooked_step(g, a, b, c, d)
+    named = {cid: step.bonding.preimage_of(s) for cid, s in zip("ABCD", (a, b, c, d))}
     named.update(step.witnesses)
     res = extract_sublattice(step.output_graph, named)
     assert eval_formula(LIBRARY["CONN1"], res.lattice).value
     assert step.output_graph.is_connected()
 
 
-def test_witness_fragment_nudges_degenerate_instance(closure_calls):
+def nudged_triangle_fragment():
+    """A hat-conn line and one dimension instance whose barycenter locus
+    runs along an edge until two edges are nudged, with its base graph and
+    interpretation."""
     g = MetricGraph(
         ["u", "w1", "w2", "w3", "v"],
         [
@@ -649,7 +653,12 @@ def test_witness_fragment_nudges_degenerate_instance(closure_calls):
         zeta(Const("A"), Const("B"), Const("C"), Const("x0"), Const("y0"), Const("z0")),
         operands=("A", "B", "C"), fresh=("x0", "y0", "z0"),
     )
-    result = witness_fragment([hat, rec], g, interp0)
+    return [hat, rec], g, interp0
+
+
+def test_witness_fragment_nudges_degenerate_instance(closure_calls):
+    frag, g, interp0 = nudged_triangle_fragment()
+    result = witness_fragment(frag, g, interp0)
     # the hat-conn line is decided by Birkhoff duality on the final masks
     assert result.ok and result.report[0][1]
     assert closure_calls == []

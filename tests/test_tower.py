@@ -121,10 +121,9 @@ def test_search_her_indec_on_crooked_output():
     b = g.point_closed_set([("v", "b")])
     c = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
     d = ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set())
-    step = crooked_step(g, a, b, c, d, {"A": a, "B": b, "C": c, "D": d})
+    step = crooked_step(g, a, b, c, d)
     out = step.output_graph
-    la, lb = step.interpretation["A"], step.interpretation["B"]
-    lc, ld = step.interpretation["C"], step.interpretation["D"]
+    la, lb, lc, ld = (step.bonding.preimage_of(s) for s in (a, b, c, d))
     cover = search_her_indec_cover(out, la, lb, lc, ld)
     assert cover is not None
     x, y, z = cover
