@@ -20,7 +20,7 @@ from . import __version__
 from .errors import (
     CrookedError, InputError, InvariantViolationError, ResourceLimitError,
 )
-from .folang import LIBRARY, Interpretation, eval_formula, parse, print_formula
+from .folang import LIBRARY, eval_formula, parse, print_formula
 from .lattice import load_lattice
 from .metric_graph import dump_graph, load_graph
 from .render import render_svg
@@ -57,8 +57,8 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _element_repr(element) -> str:
-    return "{" + ",".join(str(p) for p in sorted(element.points)) + "}"
+def _element_repr(points) -> str:
+    return "{" + ",".join(str(p) for p in sorted(points)) + "}"
 
 
 def cmd_lattice_check(args) -> int:
@@ -67,8 +67,7 @@ def cmd_lattice_check(args) -> int:
         formula = LIBRARY[args.sentence]
     else:
         formula = parse(args.sentence, constants=set(names))
-    interp = Interpretation({name: lattice.element(idx) for name, idx in names.items()})
-    result = eval_formula(formula, lattice, interp)
+    result = eval_formula(formula, lattice, names)
     print(_header(args))
     print(f"sentence: {print_formula(formula)}")
     print(f"verdict: {'true' if result.value else 'false'}")
@@ -118,10 +117,10 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_sigma_witness(args) -> int:
-    base, name_to_index = load_lattice(args.base)
+    base, generators = load_lattice(args.base)
     graph, sets = load_graph(args.graph)
     gen_sets = {}
-    for name in name_to_index:
+    for name in generators:
         if name not in sets:
             raise InputError(
                 f"graph file must interpret base generator {name!r} as a closed set"
@@ -144,6 +143,8 @@ def cmd_sigma_witness(args) -> int:
 
 
 def cmd_tower_build(args) -> int:
+    if args.depth < 0:
+        raise InputError(f"--depth {args.depth} is negative")
     graph, sets = load_graph(args.graph)
     catalog_names = [n for n in (args.catalog or "").split(",") if n]
     catalog = {}
@@ -194,6 +195,8 @@ def cmd_render(args) -> int:
     if args.tower:
         tower = load_tower(args.tower)
         stage = args.stage if args.stage is not None else tower.depth
+        if not 0 <= stage <= tower.depth:
+            raise InputError(f"--stage {stage} is outside 0..{tower.depth}")
         graph = tower.graph(stage)
         sets = tower.base(stage)
     else:

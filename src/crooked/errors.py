@@ -10,7 +10,7 @@ class InputError(CrookedError):
 
 
 class UsageError(CrookedError):
-    """API misuse, e.g. mixing elements of two different lattices."""
+    """API misuse, e.g. looking up a set that is not an element of a lattice."""
 
 
 class ParseError(InputError):

@@ -3,12 +3,14 @@
 Terms are built from variables, named constants, 0, 1, meet (^) and join (v);
 formulas from equalities, the usual connectives, and quantifier prefixes.
 One short-circuiting walk evaluates the language on set values, meet and
-join being & and |.  `eval_formula` runs it over the frozensets of a closed
-lattice, quantifiers ranging over its elements, and reports a witness or
-counterexample for the outermost quantifier block; `eval_masks` runs it over
-int bitmask generators without closing their lattice, deciding conn(t) by
-Birkhoff duality.  `eval_bruteforce` is a deliberately separate,
-pruning-free code path on element indices, used as an independent oracle.
+join being & and |.  `eval_formula` runs it over a closed lattice, whose
+elements are frozensets, with the constants given as a name -> set map;
+quantifiers range over the elements, and it reports a witness or
+counterexample (each variable's set) for the outermost quantifier block.
+`eval_masks` runs it over int bitmask generators without closing their
+lattice, deciding conn(t) by Birkhoff duality.  `eval_bruteforce` is a
+deliberately separate, pruning-free code path on element indices, used as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, ParseError, UnboundVariableError, UsageError
-from .lattice import FiniteLattice, LatticeElement, conn_by_birkhoff
+from .lattice import FiniteLattice, conn_by_birkhoff
 
 
 # --------------------------------------------------------------------------
@@ -436,23 +438,6 @@ def parse(text: str, constants: set[str] | None = None) -> Formula:
 
 
 # --------------------------------------------------------------------------
-# Interpretation
-# --------------------------------------------------------------------------
-
-class Interpretation:
-    """Partial map from constant ids to the LatticeElements they denote."""
-
-    def __init__(self, mapping: dict | None = None):
-        self.mapping: dict = dict(mapping) if mapping else {}
-
-    def value(self, cid: str):
-        try:
-            return self.mapping[cid]
-        except KeyError:
-            raise EvaluationError(f"constant {cid!r} has no interpretation") from None
-
-
-# --------------------------------------------------------------------------
 # Evaluation
 # --------------------------------------------------------------------------
 
@@ -460,20 +445,23 @@ class Interpretation:
 class EvalResult:
     value: bool
     # Witness for a true outermost existential block, or counterexample for a
-    # false outermost universal block; None otherwise.
-    assignment: dict[str, LatticeElement] | None
+    # false outermost universal block, each variable mapped to its set; None
+    # otherwise.
+    assignment: dict[str, frozenset] | None
 
     def __bool__(self) -> bool:
         return self.value
 
 
-def _const_index(L: FiniteLattice, I: Interpretation, cid: str) -> int:
-    v = I.value(cid)
-    if not isinstance(v, LatticeElement) or v.lattice is not L:
+def _const_index(L: FiniteLattice, consts: Mapping[str, frozenset], cid: str) -> int:
+    if cid not in consts:
+        raise EvaluationError(f"constant {cid!r} has no interpretation")
+    try:
+        return L.index_of(consts[cid])
+    except UsageError:
         raise EvaluationError(
             f"constant {cid!r} is not interpreted in the evaluation lattice"
-        )
-    return v.index
+        ) from None
 
 
 class _Model(NamedTuple):
@@ -560,25 +548,27 @@ def _assignments(names: tuple[str, ...], size: int, env: dict[str, int]):
             return
 
 
-def eval_formula(f: Formula, L: FiniteLattice, I: Interpretation | None = None) -> EvalResult:
-    """Tarskian truth over a finite lattice, quantifiers ranging over all
-    elements in index order.  Every constant of `f` must be interpreted in
-    `L`.  Short-circuits; reports an assignment for the outermost quantifier
-    block (witness if existential and true, counterexample if universal and
-    false)."""
-    I = I or Interpretation()
+def eval_formula(
+    f: Formula, L: FiniteLattice, consts: Mapping[str, frozenset] | None = None
+) -> EvalResult:
+    """Tarskian truth over a finite lattice of sets, quantifiers ranging over
+    all elements in index order.  `consts` maps each constant of `f` to its
+    set, which must be an element of `L`.  Short-circuits; reports an
+    assignment of sets to the outermost quantifier block (witness if
+    existential and true, counterexample if universal and false)."""
+    consts = consts or {}
     fv = free_vars(f)
     if fv:
         raise EvaluationError(f"formula has free variables: {sorted(fv)}")
     elements = L.elements
-    consts = {cid: elements[_const_index(L, I, cid)] for cid in sorted(constants_of(f))}
-    m = _Model(consts, elements[L.bottom_index], elements[L.top_index], elements)
+    values = {cid: elements[_const_index(L, consts, cid)] for cid in sorted(constants_of(f))}
+    m = _Model(values, elements[L.bottom_index], elements[L.top_index], elements)
     if not isinstance(f, (ForAll, Exists)):
         return EvalResult(_holds(f, m, {}), None)
     decisive = isinstance(f, Exists)   # the verdict one assignment can settle
     for idx in itertools.product(range(L.size), repeat=len(f.vars)):
         if _holds(f.body, m, {n: elements[i] for n, i in zip(f.vars, idx)}) == decisive:
-            return EvalResult(decisive, {n: L.element(i) for n, i in zip(f.vars, idx)})
+            return EvalResult(decisive, {n: elements[i] for n, i in zip(f.vars, idx)})
     return EvalResult(not decisive, None)
 
 
@@ -591,64 +581,65 @@ def eval_masks(f: Formula, masks: Mapping[str, int], full: int) -> bool:
     return _holds(f, _Model(masks, 0, full, None), {})
 
 
-def _brute_term(t: Term, L: FiniteLattice, I, env) -> int:
+def _brute_term(t: Term, L: FiniteLattice, consts, env) -> int:
     # Independent oracle path: no memoization of any kind.
     if isinstance(t, Var):
         if t.name not in env:
             raise EvaluationError(f"unbound variable {t.name!r}")
         return env[t.name]
     if isinstance(t, Const):
-        return _const_index(L, I, t.cid)
+        return _const_index(L, consts, t.cid)
     if isinstance(t, Zero):
         return L.bottom_index
     if isinstance(t, One):
         return L.top_index
     if isinstance(t, Meet):
-        a = _brute_term(t.left, L, I, env)
-        b = _brute_term(t.right, L, I, env)
-        return L._index[L.elements[a] & L.elements[b]]
+        a = _brute_term(t.left, L, consts, env)
+        b = _brute_term(t.right, L, consts, env)
+        return L.index_of(L.elements[a] & L.elements[b])
     if isinstance(t, Join):
-        a = _brute_term(t.left, L, I, env)
-        b = _brute_term(t.right, L, I, env)
-        return L._index[L.elements[a] | L.elements[b]]
+        a = _brute_term(t.left, L, consts, env)
+        b = _brute_term(t.right, L, consts, env)
+        return L.index_of(L.elements[a] | L.elements[b])
     raise UsageError(f"not a term: {t!r}")
 
 
-def _brute(f: Formula, L: FiniteLattice, I, env) -> bool:
+def _brute(f: Formula, L: FiniteLattice, consts, env) -> bool:
     if isinstance(f, Eq):
-        return _brute_term(f.left, L, I, env) == _brute_term(f.right, L, I, env)
+        return _brute_term(f.left, L, consts, env) == _brute_term(f.right, L, consts, env)
     if isinstance(f, Neq):
-        return _brute_term(f.left, L, I, env) != _brute_term(f.right, L, I, env)
+        return _brute_term(f.left, L, consts, env) != _brute_term(f.right, L, consts, env)
     if isinstance(f, Not):
-        return not _brute(f.sub, L, I, env)
+        return not _brute(f.sub, L, consts, env)
     if isinstance(f, And):
-        a = _brute(f.left, L, I, env)
-        b = _brute(f.right, L, I, env)
+        a = _brute(f.left, L, consts, env)
+        b = _brute(f.right, L, consts, env)
         return a and b
     if isinstance(f, Or):
-        a = _brute(f.left, L, I, env)
-        b = _brute(f.right, L, I, env)
+        a = _brute(f.left, L, consts, env)
+        b = _brute(f.right, L, consts, env)
         return a or b
     if isinstance(f, Implies):
-        a = _brute(f.left, L, I, env)
-        b = _brute(f.right, L, I, env)
+        a = _brute(f.left, L, consts, env)
+        b = _brute(f.right, L, consts, env)
         return (not a) or b
     if isinstance(f, (ForAll, Exists)):
         results = []
         for env2 in _assignments(f.vars, L.size, env):
-            results.append(_brute(f.body, L, I, env2))
+            results.append(_brute(f.body, L, consts, env2))
         return min(results, default=True) if isinstance(f, ForAll) else max(results, default=False)
     raise UsageError(f"not a formula: {f!r}")
 
 
-def eval_bruteforce(f: Formula, L: FiniteLattice, I: Interpretation | None = None) -> bool:
+def eval_bruteforce(
+    f: Formula, L: FiniteLattice, consts: Mapping[str, frozenset] | None = None
+) -> bool:
     """Full enumeration with no pruning or short-circuiting; every quantifier
     body is evaluated for every assignment."""
-    I = I or Interpretation()
     fv = free_vars(f)
     if fv:
         raise EvaluationError(f"formula has free variables: {sorted(fv)}")
-    return _brute(f, L, I, {})
+    return _brute(f, L, consts or {}, {})
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Finite bounded distributive lattices realized concretely.
 
-Elements are subsets of a finite ground set; meet and join are set
-intersection and union, computed on the sets.  Every lattice made here
+Every finite distributive lattice is a ring of sets (G. Birkhoff, "Rings of
+sets", Duke Math. J. 3 (1937)), so an element here is its own frozenset of
+points of a finite ground set, meet and join are `&` and `|`, and no handle
+wraps it; `index_of` finds an element's index.  Every lattice made here
 carries a derivation for each element (generator, bottom, top, or a
 meet/join of earlier elements) so interpretations of the elements can be
 replayed in another lattice of sets, e.g. the closed sets of a metric graph.
@@ -25,50 +27,12 @@ DEFAULT_ELEMENT_CAP = 4096
 Derivation = tuple
 
 
-class LatticeElement:
-    """A handle on one element of a FiniteLattice."""
-
-    __slots__ = ("lattice", "index")
-
-    def __init__(self, lattice: "FiniteLattice", index: int):
-        if not 0 <= index < lattice.size:
-            raise UsageError(f"element index {index} out of range")
-        self.lattice = lattice
-        self.index = index
-
-    @property
-    def points(self) -> frozenset:
-        return self.lattice.elements[self.index]
-
-    def meet(self, other: "LatticeElement") -> "LatticeElement":
-        return self.lattice.meet(self, other)
-
-    def join(self, other: "LatticeElement") -> "LatticeElement":
-        return self.lattice.join(self, other)
-
-    def le(self, other: "LatticeElement") -> bool:
-        return self.meet(other) == self
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticeElement)
-            and other.lattice is self.lattice
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.lattice), self.index))
-
-    def __repr__(self) -> str:
-        return f"<elt {self.index}:{sorted(self.points)}>"
-
-
 class FiniteLattice:
     """A family of subsets closed under intersection and union.
 
     The family must contain the empty set (bottom) and the union of all its
-    members (top); each pair is checked once at construction.  Meet and
-    join are computed on the sets and looked up in the index.
+    members (top); each pair is checked once at construction.  An element
+    is its frozenset, so meet and join are `&` and `|` on `elements`.
     """
 
     def __init__(
@@ -104,55 +68,16 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def ground(self) -> frozenset:
-        return self.elements[self.top_index]
-
-    def element(self, index: int) -> LatticeElement:
-        return LatticeElement(self, index)
-
-    def element_for(self, points: Iterable) -> LatticeElement:
+    def index_of(self, points: Iterable) -> int:
+        """The index of the element `points`."""
         key = frozenset(points)
         if key not in self._index:
             raise UsageError(f"{sorted(key)} is not an element of this lattice")
-        return LatticeElement(self, self._index[key])
+        return self._index[key]
 
-    @property
-    def bottom(self) -> LatticeElement:
-        return LatticeElement(self, self.bottom_index)
-
-    @property
-    def top(self) -> LatticeElement:
-        return LatticeElement(self, self.top_index)
-
-    def _check_pair(self, a: LatticeElement, b: LatticeElement) -> None:
-        if a.lattice is not self or b.lattice is not self:
-            raise UsageError("elements belong to different lattices")
-
-    def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        self._check_pair(a, b)
-        return LatticeElement(self, self._index[a.points & b.points])
-
-    def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        self._check_pair(a, b)
-        return LatticeElement(self, self._index[a.points | b.points])
-
-    def atoms(self) -> list[LatticeElement]:
+    def atoms(self) -> list[frozenset]:
         """Minimal nonzero elements, in index order."""
-        out = []
-        for i, e in enumerate(self.elements):
-            if i == self.bottom_index:
-                continue
-            minimal = True
-            for j, f in enumerate(self.elements):
-                if j in (i, self.bottom_index):
-                    continue
-                if f < e:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(LatticeElement(self, i))
-        return out
+        return [e for e in self.elements if e and not any(f and f < e for f in self.elements)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,7 +88,7 @@ class FiniteLattice:
         return hash(tuple(self.elements))
 
     def __repr__(self) -> str:
-        return f"<FiniteLattice size={self.size} ground={len(self.ground)}>"
+        return f"<FiniteLattice size={self.size} ground={len(self.elements[self.top_index])}>"
 
 
 def generate_sublattice(
@@ -259,11 +184,11 @@ def conn_by_birkhoff(generators: Iterable[int], t: int) -> bool:
     return not rest
 
 
-def load_lattice(source) -> tuple[FiniteLattice, dict[str, int]]:
+def load_lattice(source) -> tuple[FiniteLattice, dict[str, frozenset]]:
     """Build a lattice from the structured-text file format.
 
     Format: {"ground": n, "generators": {name: [point indices]}}.  Returns the
-    lattice and a map from generator name to element index.
+    lattice and a map from generator name to its set (an element).
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -284,8 +209,4 @@ def load_lattice(source) -> tuple[FiniteLattice, dict[str, int]]:
         if not isinstance(pts, list) or not all(isinstance(p, int) for p in pts):
             raise InputError(f"generator {name} must be a list of point indices")
         sets.append(frozenset(pts))
-    lat = generate_sublattice(n, sets, names=names)
-    name_to_index = {
-        name: lat._index[sets[i]] for i, name in enumerate(names)
-    }
-    return lat, name_to_index
+    return generate_sublattice(n, sets, names=names), dict(zip(names, sets))

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     UsageError,
 )
-from .folang import Formula, Interpretation, eval_masks
+from .folang import Formula, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
@@ -648,11 +648,6 @@ class KappaMap:
     d_b: PLFunction
     d_c: PLFunction
 
-    def values(self, p: Point) -> tuple[Frac, Frac, Frac]:
-        da, db, dc = self.d_a.eval(p), self.d_b.eval(p), self.d_c.eval(p)
-        den = da + db + dc
-        return (da / den, db / den, dc / den)
-
     def barycenter_locus(self) -> ClosedSet:
         """Points where all three distances agree, i.e. the kappa triple is
         the barycenter (1/3, 1/3, 1/3)."""
@@ -1000,9 +995,9 @@ class ExtractResult:
     as an int bitmask over them (bit i stands for `cells[i]`); `full` is the
     whole graph.  `decide` works on the masks alone and closes no lattice.
     The finite sublattice the footprints generate, with the whole graph
-    adjoined as top, and its interpretation are an oracle for tests and
-    perfbench, closed under `cap` when `.lattice` or `.interpretation` is
-    first read; nothing else reads `cap`."""
+    adjoined as top, and `.interpretation`, each name's footprint as a set of
+    cell indices, are an oracle for tests and perfbench, closed under `cap`
+    when first read; nothing else reads `cap`."""
 
     def __init__(self, graph: MetricGraph, cells: list[tuple], masks: dict[str, int], cap: int):
         self.graph = graph
@@ -1012,24 +1007,21 @@ class ExtractResult:
         self.cap = cap
 
     @cached_property
-    def _closure(self) -> tuple[FiniteLattice, Interpretation]:
+    def _closure(self) -> tuple[FiniteLattice, dict[str, frozenset]]:
         names = sorted(self.masks)
         footprints = [_bits(self.masks[name]) for name in names]
         footprints.append(frozenset(range(len(self.cells))))
         lattice = generate_sublattice(
             range(len(self.cells)), footprints, names=names + ["__whole__"], cap=self.cap
         )
-        interp = Interpretation(
-            {name: lattice.element_for(fp) for name, fp in zip(names, footprints)}
-        )
-        return lattice, interp
+        return lattice, dict(zip(names, footprints))
 
     @property
     def lattice(self) -> FiniteLattice:
         return self._closure[0]
 
     @property
-    def interpretation(self) -> Interpretation:
+    def interpretation(self) -> dict[str, frozenset]:
         return self._closure[1]
 
     def decide(self, f: Formula) -> bool:

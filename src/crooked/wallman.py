@@ -38,14 +38,10 @@ def wallman_space(L: FiniteLattice) -> tuple[FiniteSpace, list[frozenset[str]]]:
     disjunctive."""
     atoms = L.atoms()
     point_names = tuple(f"p{i}" for i in range(len(atoms)))
-    hom: list[frozenset[str]] = []
-    for i in range(L.size):
-        e = L.element(i)
-        hom.append(
-            frozenset(
-                point_names[j] for j, atom in enumerate(atoms) if atom.le(e)
-            )
-        )
+    hom = [
+        frozenset(point_names[j] for j, atom in enumerate(atoms) if atom <= e)
+        for e in L.elements
+    ]
     base = {f"L{i}": hom[i] for i in range(L.size)}
     return FiniteSpace(point_names, base), hom
 

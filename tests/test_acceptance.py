@@ -14,7 +14,7 @@ import pytest
 
 from crooked.cli import main
 from crooked.folang import (
-    And, Const, Eq, Exists, ForAll, Implies, Interpretation, Join, LIBRARY,
+    And, Const, Eq, Exists, ForAll, Implies, Join, LIBRARY,
     Meet, Neq, Not, Or, Var, Zero, One, eval_bruteforce, eval_formula, psi,
     zeta,
 )
@@ -92,9 +92,7 @@ def test_acceptance_1_evaluator_soundness():
     for _ in range(500):
         lat = _random_sublattice(rng)
         consts = ["p", "q"]
-        interp = Interpretation(
-            {c: lat.element(rng.randrange(lat.size)) for c in consts}
-        )
+        interp = {c: lat.elements[rng.randrange(lat.size)] for c in consts}
         f = _random_sentence(rng, lat.size, consts)
         if eval_formula(f, lat, interp).value != eval_bruteforce(f, lat, interp):
             disagreements += 1

@@ -8,7 +8,7 @@ import pytest
 
 from crooked import cli, surgery
 from crooked.cli import main
-from crooked.folang import LIBRARY
+from crooked.folang import LIBRARY, Const, print_formula, theta
 from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
 from crooked.surgery import crooked_step, witness_fragment
 
@@ -399,6 +399,77 @@ def test_sigma_witness_flags_a_disconnected_hat_constant(powerset2, tmp_path, ca
     )
 
 
+def test_sigma_witness_flags_a_hat_constant_no_named_set_splits(chain3_control, tmp_path,
+                                                                 capsys):
+    # k(-2,0) = [0, 1/8] u [3/16, 1/4] lies under g0 and no named set cuts
+    # the gap, so it is one join-irreducible of the lattice; its own two
+    # components still fail the hat-conn line
+    base, frag = chain3_control
+    sets = {**CHAIN3_SETS, "k(-2,0)": lambda g: ClosedSet(
+        g, {"seg": [(F(0), F(1, 8)), (F(3, 16), F(1, 4))]}, set())}
+    assert _control_report(base, tmp_path, capsys, sets, frag) == (1, ["S-1^0 0"])
+
+
+# a hat-mode fragment whose one crookedness instance is the crooked identity
+# instance on the unit segment (a, b its end vertices, c = [0, 1/2],
+# d = [1/2, 1]; the top k(-1,5) is the whole segment), so it runs the
+# staircase surgery; the staircase's full preimage of k(-2,0) = [2/5, 3/5]
+# has three components, and the hat-conn line keeps it connected
+CROOKED_BASE = {"ground": 4, "generators": {"a": [0], "b": [3], "c": [0, 1], "d": [1, 2, 3]}}
+CROOKED_FRAGMENT = [
+    "S-1^0 0: (forall x y. x ^ y = 0 & x v y = k(-2,0) -> x = k(-2,0) | x = 0)"
+    " & k(-2,0) ^ k(-1,5) = k(-2,0)",
+    "S5 0: " + print_formula(theta(*map(Const, (
+        "k(-1,0)", "k(-1,1)", "k(-1,2)", "k(-1,3)", "k(5,0)", "k(5,1)", "k(5,2)")))),
+]
+
+
+def _surgering_report(tmp_path, capsys):
+    """Run sigma-witness on CROOKED_FRAGMENT; the exit code, the report's
+    FAIL labels and the trace's actions."""
+    base = tmp_path / "crooked-base.json"
+    base.write_text(json.dumps(CROOKED_BASE))
+    g = unit_segment()
+    sets = {
+        "a": g.point_closed_set([("v", "a")]), "b": g.point_closed_set([("v", "b")]),
+        "c": _interval(F(0), F(1, 2))(g), "d": _interval(F(1, 2), F(1))(g),
+        "k(-2,0)": _interval(F(2, 5), F(3, 5))(g),
+    }
+    graph_path = tmp_path / "crooked-graph.json"
+    graph_path.write_text(dump_graph(g, sets))
+    frag = tmp_path / "crooked-frag.txt"
+    frag.write_text("\n".join(CROOKED_FRAGMENT) + "\n")
+    outdir = tmp_path / "crooked-model"
+    capsys.readouterr()
+    code = main([
+        "sigma-witness", "--base", str(base), "--fragment", str(frag),
+        "--graph", str(graph_path), "--out", str(outdir),
+    ])
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"all-true: {code == 0}"
+    trace = json.loads((outdir / "trace.json").read_text())
+    fails = [line.split(": ")[1] for line in out if line.startswith("FAIL: ")]
+    return code, fails, [t["action"] for t in trace]
+
+
+def test_sigma_witness_surgering_control_is_green(tmp_path, capsys):
+    assert _surgering_report(tmp_path, capsys) == (0, [], ["crooked"])
+
+
+def test_sigma_witness_flags_a_disconnected_lift(tmp_path, capsys, monkeypatch):
+    # a lift that keeps the whole preimage fails only the hat-conn line
+    components = []
+
+    def full_preimage(stage, s):
+        lifted = stage.bonding.preimage_of(s)
+        components.append(len(stage.graph.components_of(lifted)))
+        return lifted
+
+    monkeypatch.setattr(surgery, "lift_connected", full_preimage)
+    assert _surgering_report(tmp_path, capsys) == (1, ["S-1^0 0"], ["crooked"])
+    assert components == [3]
+
+
 def test_cap_only_where_it_is_read(chain3, tmp_path, capsys):
     # no command closes a lattice to build or check a model, so none takes
     # --cap and no report prints one
@@ -432,6 +503,16 @@ def test_tower_build_verify_thread(tower_graph, tmp_path, capsys):
     ]) == 0
     payload = json.loads(thread_out.read_text())
     assert len(payload["stages"]) == 3
+
+
+def test_tower_build_negative_depth_exits_2(tower_graph, tmp_path, capsys):
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "-3",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 2
+    assert "--depth -3" in capsys.readouterr().err
+    assert not towerdir.exists()
 
 
 def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
@@ -637,6 +718,21 @@ def test_cli_outputs_pinned(tmp_path, capsys):
                  "model/model.json", "model/trace.json", "model/report.txt"):
         got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == CLI_OUTPUT_DIGESTS
+
+
+@pytest.mark.parametrize("stage", ["9", "3", "-1"])
+def test_render_stage_outside_the_tower_exits_2(tower_graph, tmp_path, capsys, stage):
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "stage.svg"
+    assert main(["render", "--tower", str(towerdir), "--stage", stage, "--out", str(out)]) == 2
+    assert "outside 0..2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["render", "--tower", str(towerdir), "--stage", "2", "--out", str(out)]) == 0
 
 
 def test_render_requires_input():

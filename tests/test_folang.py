@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crooked.errors import EvaluationError, ParseError, UnboundVariableError, UsageError
 from crooked.folang import (
-    And, Const, Eq, Exists, ForAll, Implies, Interpretation, Join, Meet, Neq,
+    And, Const, Eq, Exists, ForAll, Implies, Join, Meet, Neq,
     Not, One, Or, Var, Zero, LIBRARY, conn, constants_of, eval_bruteforce,
     eval_formula, eval_masks, parse, print_formula, substitute, theta, zeta,
 )
@@ -121,9 +121,9 @@ def test_eval_conn1_counterexample_on_discrete_pair():
     assert res.value is False
     cx = res.assignment
     assert set(cx) == {"x", "y"}
-    assert cx["x"].points and cx["y"].points
-    assert cx["x"].points | cx["y"].points == lat.ground
-    assert not cx["x"].points & cx["y"].points
+    assert cx["x"] and cx["y"]
+    assert cx["x"] | cx["y"] == lat.elements[lat.top_index]
+    assert not cx["x"] & cx["y"]
 
 
 def test_eval_norm_on_chain():
@@ -135,7 +135,7 @@ def test_eval_witness_for_outer_existential():
     f = Exists(("x",), And(Neq(Var("x"), Zero()), Neq(Var("x"), One())))
     res = eval_formula(f, lat)
     assert res.value is True
-    assert res.assignment["x"].points in ({0}, {1}, frozenset({0}), frozenset({1}))
+    assert res.assignment["x"] in ({0}, {1}, frozenset({0}), frozenset({1}))
 
 
 def test_eval_uncovered_constant():
@@ -215,9 +215,7 @@ def test_differential_eval_vs_bruteforce():
     for _ in range(200):
         lat = random_sublattice(rng)
         consts = ["p", "q"]
-        interp = Interpretation(
-            {c: lat.element(rng.randrange(lat.size)) for c in consts}
-        )
+        interp = {c: lat.elements[rng.randrange(lat.size)] for c in consts}
         f = random_sentence(rng, lat.size, consts)
         if eval_formula(f, lat, interp).value != eval_bruteforce(f, lat, interp):
             disagreements += 1
@@ -338,7 +336,7 @@ def _check_against_closure(n: int, gens: tuple[int, ...]) -> int:
         assert conn_by_birkhoff(family, t) == (e not in split), (gens, t)
         # t is an element, so naming it leaves the generated lattice as it is
         assert eval_masks(CONN_T, {**masks, "t": t}, full) == (e not in split), (gens, t)
-    interp = Interpretation({nm: lat.element_for(_points(g, n)) for nm, g in masks.items()})
+    interp = {nm: _points(g, n) for nm, g in masks.items()}
     for f in MASK_SENTENCES:
         if constants_of(f) <= set(names):
             assert eval_masks(f, masks, full) == eval_bruteforce(f, lat, interp), f

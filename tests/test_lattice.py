@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crooked.errors import InputError, ResourceLimitError, UsageError
+from crooked.errors import EvaluationError, InputError, ResourceLimitError, UsageError
+from crooked.folang import eval_bruteforce, eval_formula, parse
 from crooked.lattice import FiniteLattice, generate_sublattice, load_lattice
 
 
@@ -48,20 +49,26 @@ def test_cap_enforced():
 
 
 def test_meet_join_examples():
+    # an element is its set: meet and join are & and |, looked up by index_of
     lat = generate_sublattice({1, 2, 3}, [{1}, {2, 3}])
-    a = lat.element_for({1})
-    b = lat.element_for({2, 3})
-    assert a.meet(b) == lat.bottom
-    assert a.join(b) == lat.top
-    for e in map(lat.element, range(lat.size)):
-        assert e.meet(lat.top) == e
+    a, b = frozenset({1}), frozenset({2, 3})
+    assert lat.index_of(a & b) == lat.bottom_index
+    assert lat.index_of(a | b) == lat.top_index
+    top = lat.elements[lat.top_index]
+    for e in lat.elements:
+        assert e & top == e
+    with pytest.raises(UsageError, match="not an element"):
+        lat.index_of({2})
 
 
-def test_cross_lattice_usage_rejected():
-    lat1 = generate_sublattice({1}, [{1}])
-    lat2 = generate_sublattice({1}, [{1}])
-    with pytest.raises(UsageError):
-        lat1.meet(lat1.top, lat2.top)
+def test_constant_outside_lattice_rejected():
+    # {1} is a subset of the ground set but not an element of the lattice
+    lat = generate_sublattice({1, 2}, [{1, 2}])
+    for evaluate in (eval_formula, eval_bruteforce):
+        with pytest.raises(EvaluationError, match="not interpreted in the evaluation lattice"):
+            evaluate(parse("p = 0"), lat, {"p": frozenset({1})})
+        with pytest.raises(EvaluationError, match="has no interpretation"):
+            evaluate(parse("p = 0"), lat, {"q": frozenset({1, 2})})
 
 
 def test_family_not_closed_under_meet_rejected():
@@ -77,15 +84,15 @@ def test_family_not_closed_under_join_rejected():
 
 
 def test_atoms_examples():
-    assert [sorted(a.points) for a in powerset_lattice(3).atoms()] == [[0], [1], [2]]
+    assert [sorted(a) for a in powerset_lattice(3).atoms()] == [[0], [1], [2]]
     chain = FiniteLattice([frozenset(), frozenset({1}), frozenset({1, 2})])
-    assert [sorted(a.points) for a in chain.atoms()] == [[1]]
+    assert [sorted(a) for a in chain.atoms()] == [[1]]
     assert generate_sublattice({1}, []).atoms() == []
 
 
 def test_regeneration_idempotent():
     lat = generate_sublattice(range(4), [{0, 1}, {1, 2}, {3}])
-    again = generate_sublattice(lat.ground, lat.elements)
+    again = generate_sublattice(lat.elements[lat.top_index], lat.elements)
     assert set(again.elements) == set(lat.elements)
     assert again.size == lat.size
 
@@ -116,8 +123,8 @@ def test_load_lattice_roundtrip(tmp_path):
     path.write_text('{"ground": 3, "generators": {"a": [0], "b": [1, 2]}}')
     lat, names = load_lattice(str(path))
     assert lat.size == 4
-    assert lat.elements[names["a"]] == frozenset({0})
-    assert lat.elements[names["b"]] == frozenset({1, 2})
+    assert names == {"a": frozenset({0}), "b": frozenset({1, 2})}
+    assert sorted(map(lat.index_of, names.values())) == [0, 1]
 
 
 def test_load_lattice_malformed():

@@ -7,6 +7,11 @@ or a TARGETS string in perfbench/.  Tests do not count, so a helper that
 only its own tests call fails here.  Dunder methods are exempt, since the
 language calls them.  The declared independent oracles are the exceptions:
 they exist to check the library from outside it.
+
+A method named like an attribute of a builtin type (`values`, `join`,
+`count`, ...) is loaded wherever a dict, str or list uses that attribute,
+so a load of its name proves no caller.  Each such method must be listed in
+SHARED_NAMES with the library function that calls it.
 """
 
 import ast
@@ -18,6 +23,14 @@ ORACLES = {
     "eval_bruteforce", "check_monotone", "search_her_indec_cover",
     "check_contimage_conditions",
 }
+# method -> (module, function) of its library caller
+SHARED_NAMES = {
+    "ClosedSet.split": ("metric_graph.py", "extract_sublattice"),
+    "ConstantRegistry.count": ("sigma.py", "remaining"),
+}
+BUILTIN_NAMES = set().union(
+    *(dir(t) for t in (dict, set, frozenset, list, tuple, str, int, bytes))
+)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
@@ -86,3 +99,16 @@ def test_every_library_definition_has_a_caller():
             if outside == 0 and node.name not in bench_names:
                 dead.append(f"{module}:{label}")
     assert not dead, f"defined but never called: {dead}"
+
+
+def test_methods_sharing_a_builtin_name_are_declared():
+    src = _trees("src/crooked")
+    shared = {
+        label for tree in src.values() for label, node in _definitions(tree)
+        if "." in label and node.name in BUILTIN_NAMES
+    }
+    assert shared == set(SHARED_NAMES), "declare each with its caller in SHARED_NAMES"
+    for label, (module, caller) in SHARED_NAMES.items():
+        bodies = [node for node in ast.walk(src[module])
+                  if isinstance(node, FUNCTIONS) and node.name == caller]
+        assert any(_loads(body)[label.split(".")[1]] for body in bodies), (label, caller)

@@ -29,7 +29,7 @@ def test_chain_space_collapses():
     space, hom = wallman_space(CHAIN3)
     assert len(space.points) == 1
     assert hom[CHAIN3.bottom_index] == frozenset()
-    mid = CHAIN3.element_for({1}).index
+    mid = CHAIN3.index_of({1})
     assert hom[mid] == hom[CHAIN3.top_index] == frozenset(space.points)
 
 
@@ -97,9 +97,10 @@ def test_hom_is_lattice_homomorphism():
     for _ in range(12):
         lat = _random_lattice(rng)
         _, hom = wallman_space(lat)
-        for a, b in itertools.product(map(lat.element, range(lat.size)), repeat=2):
-            assert hom[lat.meet(a, b).index] == hom[a.index] & hom[b.index]
-            assert hom[lat.join(a, b).index] == hom[a.index] | hom[b.index]
+        for a, b in itertools.product(range(lat.size), repeat=2):
+            x, y = lat.elements[a], lat.elements[b]
+            assert hom[lat.index_of(x & y)] == hom[a] & hom[b]
+            assert hom[lat.index_of(x | y)] == hom[a] | hom[b]
 
 
 def test_norm_iff_hausdorff_on_disjunctive_corpus():
