@@ -120,12 +120,21 @@ def cmd_sigma_witness(args) -> int:
     base, generators = load_lattice(args.base)
     graph, sets = load_graph(args.graph)
     gen_sets = {}
-    for name in generators:
+    first_with_points: dict[frozenset, str] = {}
+    for name, points in generators.items():
         if name not in sets:
             raise InputError(
                 f"graph file must interpret base generator {name!r} as a closed set"
             )
         gen_sets[name] = sets[name]
+        # the lattice keeps one element per point set, so generators with
+        # the same points must be the same closed set
+        first = first_with_points.setdefault(points, name)
+        if gen_sets[first] != gen_sets[name]:
+            raise InputError(
+                f"base generators {first!r} and {name!r} have the same points "
+                f"but different closed sets"
+            )
     interp0 = base_interpretation(base, gen_sets, graph)
     for name, s in sets.items():
         if name.startswith("k(-2,"):
@@ -192,6 +201,8 @@ def cmd_tower_thread(args) -> int:
 def cmd_render(args) -> int:
     if not args.tower and not args.graph:
         raise InputError("render needs --graph or --tower")
+    if args.stage is not None and not args.tower:
+        raise InputError("--stage needs --tower")
     if args.tower:
         tower = load_tower(args.tower)
         stage = args.stage if args.stage is not None else tower.depth

@@ -106,18 +106,18 @@ def generate_sublattice(
     """
     points = frozenset(range(ground)) if isinstance(ground, int) else frozenset(ground)
     gens: list[frozenset] = []
+    derivs: list[Derivation] = []
     for g_i, g in enumerate(generators):
         gs = frozenset(g)
+        label = names[g_i] if names else str(g_i)
         if not gs <= points:
-            label = names[g_i] if names else str(g_i)
             raise InputError(f"generator {label} is not a subset of the ground set")
         if gs not in gens:
+            # a repeated set keeps the first name it came with
             gens.append(gs)
+            derivs.append(("gen", label))
     family: list[frozenset] = list(gens)
     seen = set(family)
-    derivs: list[Derivation] = [
-        ("gen", names[i] if names else str(i)) for i in range(len(family))
-    ]
 
     def add(e: frozenset, d: Derivation) -> None:
         if e not in seen:

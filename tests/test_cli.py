@@ -269,6 +269,38 @@ def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_pat
         assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h_set, code", [
+    ({"seg": [["3/4", "1/1"]], "vertices": ["b"]}, 2),
+    ({"seg": [["0/1", "1/2"]], "vertices": ["a"]}, 0),
+], ids=["different-set", "same-set"])
+def test_sigma_witness_same_points_need_the_same_closed_set(tmp_path, capsys, h_set, code):
+    # h has g0's points; the lattice keeps one element for both, so their
+    # closed sets must agree or the report would never look at h's
+    base = tmp_path / "base.json"
+    base.write_text('{"ground": 2, "generators": {"g0": [0], "g1": [0, 1], "h": [0]}}')
+    graph = json.loads((INPUTS / "segment.json").read_text())
+    graph["closed_sets"]["h"] = h_set
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(graph))
+    frag = tmp_path / "frag.txt"
+    assert main([
+        "sigma-fragment", "--base", str(base), "--stages", "1", "--size", "10",
+        "--out", str(frag),
+    ]) == 0
+    outdir = tmp_path / "model"
+    capsys.readouterr()
+    assert main([
+        "sigma-witness", "--base", str(base), "--fragment", str(frag),
+        "--graph", str(graph_path), "--out", str(outdir),
+    ]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "'g0' and 'h'" in captured.err
+        assert not outdir.exists()
+    else:
+        assert captured.out.endswith("all-true: True\n")
+
+
 # ------------------------------------------------------------- sigma-witness
 # negative controls: each corrupts one sentence kind of a fragment that runs
 # no surgery (so no per-surgery re-check raises) and expects exactly that
@@ -733,6 +765,13 @@ def test_render_stage_outside_the_tower_exits_2(tower_graph, tmp_path, capsys, s
     assert "outside 0..2" in capsys.readouterr().err
     assert not out.exists()
     assert main(["render", "--tower", str(towerdir), "--stage", "2", "--out", str(out)]) == 0
+
+
+def test_render_stage_needs_a_tower(segment_graph, tmp_path, capsys):
+    out = tmp_path / "seg.svg"
+    assert main(["render", "--graph", segment_graph, "--stage", "7", "--out", str(out)]) == 2
+    assert "--stage needs --tower" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_requires_input():

@@ -27,6 +27,15 @@ def test_generate_empty_generators_collapses():
     assert lat.elements == [frozenset()]
 
 
+def test_repeated_generator_keeps_later_names():
+    # a repeated set is dropped with its own name, not the next one's
+    lat = generate_sublattice(3, [[0], [0], [0, 1, 2]], names=["g0", "h", "g1"])
+    assert lat.elements[:2] == [frozenset({0}), frozenset({0, 1, 2})]
+    assert lat.derivations[:2] == [("gen", "g0"), ("gen", "g1")]
+    lat, _ = load_lattice({"ground": 3, "generators": {"a": [0], "b": [0], "c": [0, 1, 2]}})
+    assert lat.derivations[lat.index_of({0, 1, 2})] == ("gen", "c")
+
+
 def test_generate_boolean_four():
     lat = generate_sublattice({1, 2}, [{1}, {2}])
     assert lat.size == 4

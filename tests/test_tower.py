@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crooked.errors import InputError, PreconditionError
 from crooked.folang import Const, psi, zeta
@@ -15,7 +16,7 @@ from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_f
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step, empty_triples,
     load_tower, quad_by_index, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
-    verify_tower, weak_confluence_witness,
+    table_agrees_pointwise, verify_tower, weak_confluence_witness,
 )
 
 
@@ -375,7 +376,7 @@ def test_composed_maps_table_matches_composed_map():
     assert tower.composed_maps() is not table
 
 
-def test_verify_tower_then_calls_are_cubic(monkeypatch):
+def test_verify_tower_then_calls_are_quadratic(monkeypatch):
     g = seg()
     N = 8
     tower = build_tower(g, base_family(g), {}, N)
@@ -389,8 +390,88 @@ def test_verify_tower_then_calls_are_cubic(monkeypatch):
     monkeypatch.setattr(PLMap, "then", counting_then)
     report = verify_tower(tower)
     assert ("bonding functoriality", True) in report
-    # C(N, 2) to fill the table, then one per triple m < mid < n
-    assert len(calls) == math.comb(N + 1, 3) + math.comb(N, 2)
+    # C(N, 2) to fill the table; functoriality evaluates points, composes none
+    assert len(calls) == math.comb(N, 2)
+
+
+def triples_compose(table, N):
+    """The former functoriality check, kept as an oracle: f^n_m equals
+    f^mid_m after f^n_mid for every m < mid < n, by composing maps."""
+    return all(
+        table[n, m].to_dict() == table[n, mid].then(table[mid, m]).to_dict()
+        for n in range(2, N + 1) for mid in range(1, n) for m in range(mid)
+    )
+
+
+def _subdivide(h, pieces):
+    """H with each edge cut into `pieces[eid]` equal edges."""
+    vertices = list(h.vertices)
+    edges = []
+    for eid, e in h.edges.items():
+        k = pieces[eid]
+        ends = [e.u, *(f"{eid}.{i}" for i in range(1, k)), e.v]
+        vertices += ends[1:-1]
+        edges += [Edge(f"{eid}.{i}", ends[i], ends[i + 1], e.length / k) for i in range(k)]
+    return MetricGraph(vertices, edges)
+
+
+def _zigzag(draw, g, h, pieces):
+    """A random map from `g = _subdivide(h, pieces)` to H: the pieces of
+    each edge of H run in turn along that edge, or along a parallel one,
+    from its start to its end, folding back or resting on a point."""
+    vmap = {v: ("v", v) for v in h.vertices}
+    emap = {}
+    for eid, e in h.edges.items():
+        k = pieces[eid]
+        target = draw(st.sampled_from(
+            [f for f, d in h.edges.items() if (d.u, d.v) == (e.u, e.v)]
+        ))
+        L = h.edges[target].length
+        s = [F(0), *(draw(st.integers(0, 4)) * L / 4 for _ in range(k - 1)), L]
+        for i in range(k):
+            if i:
+                vmap[f"{eid}.{i}"] = h.point(target, s[i])
+            emap[f"{eid}.{i}"] = (
+                ("const", h.point(target, s[i])) if s[i] == s[i + 1]
+                else ("affine", target, s[i], s[i + 1])
+            )
+    return PLMap(g, h, vmap, emap)
+
+
+THETA = MetricGraph(["n", "s"], [Edge(f"e{i}", "n", "s", F(i)) for i in (1, 2, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pointwise_functoriality_agrees_with_the_triple_oracle(data):
+    draw = data.draw
+    h = draw(st.sampled_from([unit_segment(), THETA]))
+    stages = [Stage(h, None, {}, "base")]
+    subdivisions = [None]
+    for _ in range(draw(st.integers(2, 4))):
+        h = stages[-1].graph
+        pieces = {eid: draw(st.integers(1, 2)) for eid in h.edges}
+        g = _subdivide(h, pieces)
+        stages.append(Stage(g, _zigzag(draw, g, h, pieces), {}, "identity"))
+        subdivisions.append(pieces)
+    tower = Tower(stages, {})
+    N = tower.depth
+    table = tower.composed_maps()
+    assert table_agrees_pointwise(tower, table) and triples_compose(table, N)
+    # corrupt a composite entry: f^n_m rebuilt with one bonding b_k redrawn.
+    # An entry (n, n - 1) is the bonding itself, which the triple identity
+    # alone cannot pin down, so m < n - 1.
+    n = draw(st.integers(2, N))
+    m = draw(st.integers(0, n - 2))
+    k = draw(st.integers(m + 1, n))
+    bondings = [stage.bonding for stage in stages]
+    bondings[k] = _zigzag(draw, tower.graph(k), tower.graph(k - 1), subdivisions[k])
+    bad = bondings[n]
+    for j in range(n - 1, m, -1):
+        bad = bad.then(bondings[j])
+    table[n, m] = bad
+    intact = bad.to_dict() == tower.composed_map(n, m).to_dict()
+    assert table_agrees_pointwise(tower, table) == triples_compose(table, N) == intact
 
 
 def test_verify_steered_crooked_tower_without_closure(closure_calls):
@@ -496,8 +577,38 @@ def test_verify_tower_flags_a_non_functorial_table(steered4, monkeypatch):
         table[4, 0] = table[4, 0].then(flip)
         return table
 
+    assert triples_compose(composed(steered4), 4)
+    assert not triples_compose(skewed(steered4), 4)
     monkeypatch.setattr(Tower, "composed_maps", skewed)
     assert _red_lines(steered4, steered4) == ["bonding functoriality"]
+
+
+def test_verify_tower_flags_a_composite_on_a_parallel_edge(monkeypatch):
+    # on a theta graph, f^2_0 with e2 sent along e1 instead of e3 agrees
+    # with the composite at every vertex; only the midpoint of e2 tells the
+    # two maps apart
+    g = THETA
+    rotate = PLMap(g, g, {"n": ("v", "n"), "s": ("v", "s")}, {
+        "e1": ("affine", "e2", 0, 2), "e2": ("affine", "e3", 0, 3), "e3": ("affine", "e1", 0, 1),
+    })
+    base = {"whole": g.whole_set()}
+    clean = Tower(
+        [Stage(g, None, base, "base"), Stage(g, rotate, base, "identity"),
+         Stage(g, PLMap.identity(g), base, "identity")],
+        {"whole": [g.whole_set()] * 3},
+    )
+    composed = Tower.composed_maps
+
+    def skewed(tower):
+        table = composed(tower)
+        f = table[2, 0]
+        table[2, 0] = PLMap(g, g, f.vertex_map, {**f.edge_map, "e2": ("affine", "e1", 0, 1)})
+        return table
+
+    assert _red_lines(clean, clean) == []
+    assert not triples_compose(skewed(clean), 2)
+    monkeypatch.setattr(Tower, "composed_maps", skewed)
+    assert _red_lines(clean, clean) == ["bonding functoriality"]
 
 
 def test_verify_tower_flags_a_disconnected_base():
