@@ -202,6 +202,8 @@ def load_lattice(source) -> tuple[FiniteLattice, dict[str, frozenset]]:
         raise InputError(f"malformed lattice file: {exc}") from exc
     if n < 0:
         raise InputError("ground size must be nonnegative")
+    if not isinstance(gens, dict):
+        raise InputError(f"generators must be an object, not {gens!r}")
     names = sorted(gens)
     sets = []
     for name in names:

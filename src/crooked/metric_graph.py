@@ -1175,7 +1175,10 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
         ]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph file: {exc}") from exc
-    graph = MetricGraph(vertices, edges, dict(data.get("meta", {})))
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InputError(f"meta must be an object, not {meta!r}")
+    graph = MetricGraph(vertices, edges, dict(meta))
     specs = data.get("closed_sets", {})
     if not isinstance(specs, dict):
         raise InputError(f"closed_sets must be an object, not {specs!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction as Frac
 from math import gcd
 
+from .errors import InputError
 from .metric_graph import ClosedSet, MetricGraph, frac
 
 PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085",
@@ -37,6 +38,10 @@ def _square_layout(vertices: list[str]) -> dict[str, tuple[Frac, Frac]]:
 
 def _layout(graph: MetricGraph) -> dict[str, tuple[Frac, Frac]]:
     hints = graph.meta.get("pos", {})
+    if not isinstance(hints, dict) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in hints.values()
+    ):
+        raise InputError(f"position hints must map vertices to [x, y], not {hints!r}")
     if hints and all(v in hints for v in graph.vertices):
         return {v: (frac(hints[v][0]), frac(hints[v][1])) for v in graph.vertices}
     return _square_layout(list(graph.vertices))
@@ -49,10 +54,16 @@ def _interp(p, q, t: Frac):
 def render_svg(graph: MetricGraph, closed_sets: dict[str, ClosedSet] | None = None) -> str:
     closed_sets = closed_sets or {}
     pos = _layout(graph)
-    fiber_edges = set()
     fibers = graph.meta.get("fibers", [])
-    for fib in fibers:
-        fiber_edges.update(fib["edges"])
+    if not isinstance(fibers, list) or not all(
+        isinstance(fib, dict) and isinstance(fib.get("edges"), list)
+        and all(isinstance(eid, str) for eid in fib["edges"]) for fib in fibers
+    ):
+        raise InputError(f"fibre hints must be objects with an edge list, not {fibers!r}")
+    # a later surgery renames the edges of an earlier fibre, so a hint is
+    # drawn only while the graph has all of its edges
+    fibers = [fib for fib in fibers if fib["edges"] and set(fib["edges"]) <= graph.edges.keys()]
+    fiber_edges = {eid for fib in fibers for eid in fib["edges"]}
 
     shapes: list[tuple] = []  # (kind, payload) with rational coordinates
     for eid in sorted(graph.edges):

@@ -17,8 +17,8 @@ Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
 scheduled instance through the same shortcut table (`resolve_shortcut`), turn
 it into a new `Stage` through the same step (`instance_stage`, which runs the
 nudge-retry loop `surgery_with_nudges` and is the one place a stage's base is
-pulled back through the new bonding), and lift connected sets through that
-bonding by the same component search (`lift_through`).
+pulled back through the new bonding), bind each fresh name once (`Stage.bind`),
+and lift connected sets through that bonding by one search (`lift_through`).
 """
 
 from __future__ import annotations
@@ -782,6 +782,13 @@ class Stage:
     instance: dict | None = None
     nudges: list = field(default_factory=list)
 
+    def bind(self, names, sets) -> None:
+        """Add each name to the base; a name already bound is an input error."""
+        for name, s in zip(names, sets):
+            if name in self.base:
+                raise InputError(f"{name!r} is already bound in the stage base")
+            self.base[name] = s
+
 
 def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
     """The stage for one dimension ("zeta") or crookedness ("theta")
@@ -802,9 +809,9 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
         graph, kind = step.output_graph, step.kind
         base = {cid: bonding.preimage_of(s) for cid, s in prev.base.items()}
     instance["mode"] = mode
-    base_n = dict(base)
-    base_n.update(zip(instance["witnesses"], witnesses))
-    return Stage(graph, bonding, base_n, kind, instance=instance, nudges=nudged)
+    stage = Stage(graph, bonding, dict(base), kind, instance=instance, nudges=nudged)
+    stage.bind(instance["witnesses"], witnesses)
+    return stage
 
 
 # --------------------------------------------------------------------------
@@ -902,18 +909,18 @@ def witness_fragment(
             stage.base[rec.operands[0]] = stage.graph.empty_set()
         elif kind in ("meet", "join"):
             a, b = (need(cid) for cid in rec.operands)
-            stage.base[rec.fresh[0]] = (a & b) if kind == "meet" else (a | b)
+            stage.bind(rec.fresh, [(a & b) if kind == "meet" else (a | b)])
         elif kind == "normal":
             mn, mx = (need(cid) for cid in rec.operands)
-            stage.base.update(zip(rec.fresh, normal_cocover(stage.graph, mn, mx)))
+            stage.bind(rec.fresh, normal_cocover(stage.graph, mn, mx))
         elif kind in ("disj0", "disj1"):
             big, small = (need(cid) for cid in rec.operands)
-            stage.base[rec.fresh[0]] = disjunctivity_point(stage.graph, big, small)
+            stage.bind(rec.fresh, [disjunctivity_point(stage.graph, big, small)])
         elif kind in ("zeta", "theta"):
             ops = [need(cid) for cid in rec.operands]
             resolved = resolve_shortcut(kind, stage.graph, ops)
             if resolved is not None:
-                stage.base.update(zip(rec.fresh, resolved[1]))
+                stage.bind(rec.fresh, resolved[1])
             else:
                 prev = stage
                 stage = instance_stage(prev, {"kind": kind, "witnesses": rec.fresh}, ops, None)

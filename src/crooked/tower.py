@@ -2,8 +2,9 @@
 stages, weak-confluence threads, and the independent cover-search oracles.
 
 A tower is a finite prefix of the inverse sequence: stage graphs, onto
-bonding maps, and named closed-set bases where every stage base contains the
-pullbacks of its predecessor plus the stage witnesses.  Limit statements are
+bonding maps, and named closed-set bases.  A base keeps its predecessor's
+names, pulled back, and binds each stage witness once (`Stage.bind`), so an
+instance reads its operands from the previous base.  Limit statements are
 phrased over the normalized base family; no limit point set is materialized.
 """
 
@@ -259,13 +260,6 @@ class Tower:
     def base(self, n: int) -> dict[str, ClosedSet]:
         return self.stages[n].base
 
-    def pull(self, s: ClosedSet, from_stage: int, to_stage: int) -> ClosedSet:
-        if to_stage < from_stage:
-            raise UsageError("can only pull closed sets forward in the sequence")
-        for j in range(from_stage + 1, to_stage + 1):
-            s = self.stages[j].bonding.preimage_of(s)
-        return s
-
     def composed_map(self, n: int, m: int) -> PLMap:
         """f^n_m: stage n -> stage m for m < n."""
         if not 0 <= m < n <= self.depth:
@@ -317,7 +311,9 @@ def _noop(prev: Stage) -> Stage:
 def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, names, cover=None) -> Stage:
     """The stage for instance m of `kind` over the stage-k base, (k, m) =
     `sch`: `names(base, m)` gives its operand names, None past the end of the
-    enumeration (a no-op stage).  Before surgery, `cover` (if given) may find
+    enumeration (a no-op stage).  The operands are those names' sets in the
+    stage n-1 base, which are their pullbacks from stage k because a base
+    binds each name once.  Before surgery, `cover` (if given) may find
     witnesses on the existing graph."""
     k, m = sch
     prev = tower.stages[n - 1]
@@ -331,7 +327,7 @@ def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, name
         "operands": list(picked),
         "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
     }
-    ops = [tower.pull(tower.base(k)[nm], k, n - 1) for nm in picked]
+    ops = [prev.base[nm] for nm in picked]
     resolved = resolve_shortcut(kind, prev.graph, ops)
     if resolved is None and cover is not None:
         try:
@@ -426,13 +422,10 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
     """Re-evaluate every scheduled instance on its stage arrangement and
     again at the final stage, check thread images, functoriality, and global
     connectivity, all independently of the construction: instances on cell
-    footprints, CONN(1) by Birkhoff duality on the final base's footprints.
-    Functoriality holds when each composed map f^n_m of `composed_maps`
-    agrees with the single bondings b_{m+1}, ..., b_n applied in turn at
-    every vertex of G_n and the midpoint of every edge; those points fix a
-    map that is affine or constant on each edge (`table_agrees_pointwise`).
-    Nothing here closes a sublattice, so `cap` is accepted but not read,
-    because perfbench passes it."""
+    footprints, functoriality by point evaluation (`table_agrees_pointwise`),
+    CONN(1) by Birkhoff duality on the final base's footprints.  Nothing here
+    closes a sublattice, so `cap` is accepted but not read, because perfbench
+    passes it."""
     report: list[tuple[str, bool]] = []
     N = tower.depth
     for st in tower.stages:

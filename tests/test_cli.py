@@ -10,7 +10,8 @@ from crooked import cli, surgery
 from crooked.cli import main
 from crooked.folang import LIBRARY, Const, print_formula, theta
 from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
-from crooked.surgery import crooked_step, witness_fragment
+from crooked.render import render_svg
+from crooked.surgery import crooked_step, triangle_step, witness_fragment
 
 
 @pytest.fixture
@@ -118,6 +119,14 @@ def test_lattice_check_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["lattice-check", str(bad), "DISJ"]) == 2
+
+
+@pytest.mark.parametrize("generators", [["a"], []], ids=["names", "empty"])
+def test_lattice_check_generators_must_be_an_object(tmp_path, capsys, generators):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ground": 1, "generators": generators}))
+    assert main(["lattice-check", str(path), "DISJ"]) == 2
+    assert "generators must be an object" in capsys.readouterr().err
 
 
 def test_lattice_check_bad_formula(powerset2):
@@ -267,6 +276,20 @@ def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_pat
             "--graph", segment_graph, "--out", str(outdir),
         ]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def test_sigma_witness_rejects_a_rebound_base_constant(tmp_path, capsys):
+    # the meet's fresh name is the base constant k(-1,1) (g1, the whole
+    # segment); rebound to g0 it would make a false sentence pass
+    frag = tmp_path / "frag.txt"
+    frag.write_text("S1^0 0: k(-1,0) ^ k(-1,1) = k(-1,1)\n")
+    outdir = tmp_path / "model"
+    assert main([
+        "sigma-witness", "--base", str(INPUTS / "chain3.json"), "--fragment", str(frag),
+        "--graph", str(INPUTS / "segment.json"), "--out", str(outdir),
+    ]) == 2
+    assert "'k(-1,1)'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("h_set, code", [
@@ -547,6 +570,22 @@ def test_tower_build_negative_depth_exits_2(tower_graph, tmp_path, capsys):
     assert not towerdir.exists()
 
 
+def test_tower_build_rejects_an_input_named_like_a_witness(tmp_path, capsys):
+    # stage 2 binds its witnesses as w2.x, w2.y, w2.z; an input set named
+    # w2.x would be silently replaced in every later base
+    graph = json.loads((INPUTS / "segment.json").read_text())
+    graph["closed_sets"]["w2.x"] = graph["closed_sets"]["mid"]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", str(path), "--depth", "4",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 2
+    assert "'w2.x'" in capsys.readouterr().err
+    assert not towerdir.exists()
+
+
 def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
     towerdir = tmp_path / "tower"
     main([
@@ -681,6 +720,40 @@ def test_render_malformed_closed_sets_exit_2(tmp_path, capsys, closed_sets):
         "vertices": ["a", "b"],
         "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1"}],
         "closed_sets": closed_sets,
+    }))
+    assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_render_skips_a_fibre_hint_a_later_surgery_renamed():
+    # a crooked surgery after a triangle surgery renames the fibre's edges
+    # but keeps the hint; a hint is drawn only while the graph has its edges
+    g = unit_segment()
+    a, b = g.point_closed_set([("v", "a")]), g.point_closed_set([("v", "b")])
+    tri = triangle_step(g, a, a, b)
+    out = tri.output_graph
+    assert render_svg(out).count('fill="none"') == 1
+    step = crooked_step(
+        out, tri.bonding.preimage_of(a), tri.bonding.preimage_of(b),
+        out.empty_set(), out.empty_set(),
+    )
+    assert step.output_graph.meta["fibers"] and "fib0.A0" not in step.output_graph.edges
+    svg = render_svg(step.output_graph)
+    assert svg.startswith("<svg") and 'fill="none"' not in svg
+
+
+@pytest.mark.parametrize("meta", [
+    [1, 2],
+    {"pos": {"a": 1, "b": 2}},
+    {"fibers": 5},
+], ids=["meta-list", "pos-numbers", "fibers-number"])
+def test_render_malformed_meta_exits_2(tmp_path, capsys, meta):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1"}],
+        "meta": meta,
     }))
     assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

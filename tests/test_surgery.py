@@ -1,10 +1,11 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from crooked.errors import DegeneracyError, InvariantViolationError, PreconditionError
+from crooked.errors import DegeneracyError, InputError, InvariantViolationError, PreconditionError
 from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, psi, zeta
 from crooked import surgery
 from crooked.lattice import generate_sublattice
@@ -440,6 +441,20 @@ def test_witness_fragment_full_pipeline():
     result2 = witness_fragment(frag, g, interp0)
     assert result.report == result2.report
     assert result.trace == result2.trace
+
+
+@pytest.mark.parametrize("kind", ["meet", "join", "normal", "disj0", "disj1", "zeta", "theta"])
+def test_witness_fragment_binds_each_fresh_name_once(kind):
+    # a fresh name that is already bound (here by the input) is an input
+    # error naming it, never a silent replacement of the bound set
+    base, g, interp0 = chain3_setup()
+    records = SigmaGenerator(base, budget=16).generate_through(5)
+    rec = next(r for r in records if r.kind == kind)
+    upto = [r for r in records[: records.index(rec) + 1] if not r.ignorable]
+    taken = rec.fresh[-1]
+    with pytest.raises(InputError, match=re.escape(repr(taken))):
+        witness_fragment(upto, g, {**interp0, taken: g.empty_set()})
+    assert witness_fragment(upto, g, interp0).ok
 
 
 def surgery_rich_fragment(budget=96):

@@ -302,8 +302,8 @@ def test_limit_base_separates_threads_from_disjoint_sets():
     N = tower.depth
     thread = weak_confluence_witness(tower, left)
     # q = [3/4, 1] is disjoint from left, so its pullback misses the thread
-    assert (thread.sets[N] & tower.pull(base["q"], 0, N)).is_empty()
-    assert not (thread.sets[N] & tower.pull(left, 0, N)).is_empty()
+    assert (thread.sets[N] & tower.composed_map(N, 0).preimage_of(base["q"])).is_empty()
+    assert not (thread.sets[N] & tower.composed_map(N, 0).preimage_of(left)).is_empty()
 
 
 def test_composed_maps_functorial():
@@ -363,6 +363,23 @@ def test_dim_step_surgers_when_the_cover_probe_overflows():
         th = weak_confluence_witness(tower, lifts[0])
         for n in range(1, tower.depth + 1):
             assert tower.stages[n].bonding.image_of(th.sets[n]) == th.sets[n - 1], name
+
+
+def test_scheduled_operands_are_pullbacks_of_their_stage_k_sets():
+    # the scheduler reads each operand from the stage n-1 base; pulling the
+    # stage-k set back through the composed bonding must give the same set
+    tower = steered_crooked_tower(6)
+    assert {"crooked", "identity", "triangle"} <= {st.kind for st in tower.stages}
+    gaps = set()
+    for inst in tower.instances():
+        n, k = inst["stage"], inst["schedule"][0]
+        gaps.add(n - 1 - k)
+        for nm in inst["operands"]:
+            want = tower.base(k)[nm]
+            if k < n - 1:
+                want = tower.composed_map(n - 1, k).preimage_of(want)
+            assert tower.base(n - 1)[nm] == want, (n, k, nm)
+    assert max(gaps) >= 2
 
 
 def test_composed_maps_table_matches_composed_map():
@@ -489,8 +506,8 @@ def test_verify_steered_crooked_tower_without_closure(closure_calls):
 
 
 def test_verify_tower_indexes_no_composed_map(monkeypatch, fibre_builds):
-    # the C(N, 3) functoriality composites are compared, never pulled back
-    # through, so none of them may pay for a preimage index
+    # the C(N, 2) composites of the functoriality table are evaluated at
+    # points, never pulled back through, so none may pay for a preimage index
     tower = steered_crooked_tower(4)
     made = []
     then = PLMap.then
