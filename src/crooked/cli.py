@@ -22,7 +22,7 @@ from .errors import (
 )
 from .folang import LIBRARY, eval_formula, parse, print_formula
 from .lattice import load_lattice
-from .metric_graph import dump_graph, load_graph
+from .metric_graph import dump_graph, dump_json, load_graph
 from .render import render_svg
 from .sigma import SigmaGenerator, dump_sentences, fragment, parse_sentence_dump
 from .surgery import base_interpretation, witness_fragment
@@ -143,8 +143,7 @@ def cmd_sigma_witness(args) -> int:
         records = parse_sentence_dump(fh.read())
     result = witness_fragment(records, graph, interp0)
     _write(os.path.join(args.out, "model.json"), dump_graph(result.graph, result.interpretation))
-    _write(os.path.join(args.out, "trace.json"),
-           json.dumps(result.trace, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(args.out, "trace.json"), dump_json(result.trace))
     text, ok = _report(args, {"fragment": os.path.basename(args.fragment)}, result.report)
     _write(os.path.join(args.out, "report.txt"), text)
     sys.stdout.write(text)
@@ -194,7 +193,7 @@ def cmd_tower_thread(args) -> int:
         "set": args.set,
         "stages": [s.to_dict() for s in thread.sets],
     }
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dump_json(payload))
     return 0
 
 

@@ -196,19 +196,20 @@ def load_lattice(source) -> tuple[FiniteLattice, dict[str, frozenset]]:
     else:
         data = source
     try:
-        n = int(data["ground"])
+        n = data["ground"]
         gens = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed lattice file: {exc}") from exc
-    if n < 0:
-        raise InputError("ground size must be nonnegative")
+    # `type(...) is int`: `bool` subclasses `int`, and `true` is no index
+    if type(n) is not int or n < 0:
+        raise InputError(f"ground size must be a nonnegative integer, not {n!r}")
     if not isinstance(gens, dict):
         raise InputError(f"generators must be an object, not {gens!r}")
     names = sorted(gens)
     sets = []
     for name in names:
         pts = gens[name]
-        if not isinstance(pts, list) or not all(isinstance(p, int) for p in pts):
+        if not isinstance(pts, list) or not all(type(p) is int for p in pts):
             raise InputError(f"generator {name} must be a list of point indices")
         sets.append(frozenset(pts))
     return generate_sublattice(n, sets, names=names), dict(zip(names, sets))

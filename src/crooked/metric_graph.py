@@ -1168,13 +1168,15 @@ def _meta_to_json(meta):
 
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
     try:
-        vertices = list(data["vertices"])
+        vertices = data["vertices"]
         edges = [
             Edge(str(e["id"]), str(e["u"]), str(e["v"]), frac(e["len"]))
             for e in data["edges"]
         ]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph file: {exc}") from exc
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise InputError(f"vertices must be a list of strings, not {vertices!r}")
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise InputError(f"meta must be an object, not {meta!r}")
@@ -1190,8 +1192,13 @@ def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:
         return graph_from_dict(json.load(fh))
 
 
+def dump_json(obj) -> str:
+    """The JSON text of every file the package writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_graph(graph: MetricGraph, closed_sets=None) -> str:
-    return json.dumps(graph_to_dict(graph, closed_sets), indent=2, sort_keys=True) + "\n"
+    return dump_json(graph_to_dict(graph, closed_sets))
 
 
 def unit_segment(name: str = "seg") -> MetricGraph:

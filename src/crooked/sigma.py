@@ -423,6 +423,8 @@ class SigmaGenerator:
     def generate_through(self, max_stage: int) -> list[SentenceRecord]:
         """All sentences of stages up to `max_stage`, in the global order:
         stage, then enumeration index, then family."""
+        if max_stage < 0:
+            raise InputError(f"stage count {max_stage} is negative")
         out: list[SentenceRecord] = []
         if self.registry.count(-2):
             out.extend(self.gen_stage(-1))
@@ -436,6 +438,8 @@ def fragment(records: list[SentenceRecord], size: int) -> list[SentenceRecord]:
     """The first `size` sentences in the well order, skipping the families
     that are automatically true in every set-backed model (stage-5n+1
     associativity, distributivity, absorption, and connectivity guards)."""
+    if size < 0:
+        raise InputError(f"fragment size {size} is negative")
     usable = [r for r in records if not r.ignorable]
     if size > len(usable):
         raise InputError(f"fragment size {size} exceeds the {len(usable)} generated sentences")

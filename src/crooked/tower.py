@@ -26,7 +26,7 @@ from .folang import LIBRARY
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, cells_closed_set, _cell_in_set,
-    extract_sublattice, graph_from_dict, graph_to_dict,
+    dump_json, extract_sublattice, graph_from_dict, graph_to_dict,
 )
 from .surgery import (
     THETA_GROUND, ZETA_GROUND, Stage, instance_stage, lift_through,
@@ -287,41 +287,25 @@ class Tower:
         return [st.instance for st in self.stages if st.instance is not None]
 
 
-def empty_triples(base: dict[str, ClosedSet]) -> list[tuple[str, str, str]]:
-    names = sorted(base)
-    return [
-        trip
-        for trip in itertools.combinations(names, 3)
-        if ((base[trip[0]] & base[trip[1]]) & base[trip[2]]).is_empty()
-    ]
+def _nth(items, m: int):
+    """Item m of the iterator `items`, or None past its end."""
+    return next(itertools.islice(items, m, None), None)
 
 
-def quad_by_index(names: list[str], m: int) -> tuple[str, str, str, str] | None:
-    L = len(names)
-    if L == 0 or m >= L ** 4:
-        return None
-    digits = (m // L ** 3 % L, m // L ** 2 % L, m // L % L, m % L)
-    return tuple(names[i] for i in digits)
-
-
-def _noop(prev: Stage) -> Stage:
-    return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
-
-
-def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, names, cover=None) -> Stage:
+def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, candidates, cover=None) -> Stage:
     """The stage for instance m of `kind` over the stage-k base, (k, m) =
-    `sch`: `names(base, m)` gives its operand names, None past the end of the
-    enumeration (a no-op stage).  The operands are those names' sets in the
-    stage n-1 base, which are their pullbacks from stage k because a base
-    binds each name once.  Before surgery, `cover` (if given) may find
-    witnesses on the existing graph."""
+    `sch`: item m of `candidates(base)`, the operand-name tuples of `kind`
+    in order, or a no-op stage past their end.  The operands are those
+    names' sets in the stage n-1 base, which are their pullbacks from stage
+    k because a base binds each name once.  Before surgery, `cover` (if
+    given) may find witnesses on the existing graph."""
     k, m = sch
     prev = tower.stages[n - 1]
     if k >= n:
         raise UsageError("schedule points past the current stage")
-    picked = names(tower.base(k), m)
+    picked = _nth(candidates(tower.base(k)), m)
     if picked is None:
-        return _noop(prev)
+        return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
     instance = {
         "stage": n, "kind": kind, "schedule": [k, m],
         "operands": list(picked),
@@ -338,25 +322,27 @@ def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, name
     return instance_stage(prev, instance, ops, resolved)
 
 
-def _empty_triple(base: dict[str, ClosedSet], m: int) -> tuple[str, str, str] | None:
-    triples = empty_triples(base)
-    return triples[m] if m < len(triples) else None
-
-
 def dim_step(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
-    """One dimension stage: resolve the scheduled triple, reuse an existing
+    """One dimension stage: resolve the scheduled triple, an item of the
+    lexicographic name triples whose sets meet emptily, reuse an existing
     cover when the oracle finds one, otherwise surger.  The oracle only
     spares a surgery, so an arrangement too fine for it is surgered too."""
-    return _scheduled_stage(tower, n, sch, "zeta", _empty_triple, cover=search_dim_cover)
+    return _scheduled_stage(
+        tower, n, sch, "zeta",
+        lambda base: (t for t in itertools.combinations(sorted(base), 3)
+                      if (base[t[0]] & base[t[1]] & base[t[2]]).is_empty()),
+        cover=search_dim_cover,
+    )
 
 
 def crooked_step_stage(tower: Tower, n: int, sch: tuple[int, int]) -> Stage:
-    """One crookedness stage for the scheduled quadruple.  Unlike the
-    dimension step, satisfiable instances always go through the staircase
+    """One crookedness stage for the scheduled quadruple, an item of the
+    lexicographic product of the sorted base names.  Unlike the dimension
+    step, satisfiable instances always go through the staircase
     construction; search_her_indec_cover stays an independent oracle over
     the outputs, not a builder shortcut."""
     return _scheduled_stage(
-        tower, n, sch, "theta", lambda base, m: quad_by_index(sorted(base), m)
+        tower, n, sch, "theta", lambda base: itertools.product(sorted(base), repeat=4)
     )
 
 
@@ -479,14 +465,15 @@ def weak_confluence_witness(tower: Tower, c: ClosedSet) -> Thread:
 
 def save_tower(tower: Tower, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
+
+    def write(name: str, obj) -> None:
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(dump_json(obj))
+
     for n, st in enumerate(tower.stages):
-        with open(os.path.join(directory, f"stage{n}.json"), "w", encoding="utf-8") as fh:
-            json.dump(graph_to_dict(st.graph, st.base), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write(f"stage{n}.json", graph_to_dict(st.graph, st.base))
         if st.bonding is not None:
-            with open(os.path.join(directory, f"bonding{n}.json"), "w", encoding="utf-8") as fh:
-                json.dump(st.bonding.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write(f"bonding{n}.json", st.bonding.to_dict())
     trace = {
         "depth": tower.depth,
         "stages": [
@@ -497,9 +484,7 @@ def save_tower(tower: Tower, directory: str) -> None:
             name: [s.to_dict() for s in sets] for name, sets in tower.catalog.items()
         },
     }
-    with open(os.path.join(directory, "trace.json"), "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write("trace.json", trace)
 
 
 def load_tower(directory: str) -> Tower:

@@ -129,6 +129,18 @@ def test_lattice_check_generators_must_be_an_object(tmp_path, capsys, generators
     assert "generators must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"ground": 2.7, "generators": {"a": [0]}},
+    {"ground": True, "generators": {"a": [0]}},
+    {"ground": 2, "generators": {"a": [True]}},
+], ids=["fractional-ground", "boolean-ground", "boolean-point"])
+def test_lattice_check_rejects_non_integer_values(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["lattice-check", str(path), "DISJ"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lattice_check_bad_formula(powerset2):
     assert main(["lattice-check", powerset2, "forall x. (x v"]) == 2
 
@@ -175,6 +187,18 @@ def test_sigma_fragment_size_zero(chain3, tmp_path):
     ]) == 0
     body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert body == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sigma-fragment", "--stages", "1", "--size", "-1"], "fragment size -1 is negative"),
+    (["sigma-gen", "--stages", "-3"], "stage count -3 is negative"),
+], ids=["size", "stages"])
+def test_sigma_negative_counts_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    base = str(INPUTS / "chain3.json")
+    assert main([argv[0], "--base", base, *argv[1:], "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sigma_witness_end_to_end(chain3, segment_graph, tmp_path, capsys):
@@ -757,6 +781,18 @@ def test_render_malformed_meta_exits_2(tmp_path, capsys, meta):
     }))
     assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_render_string_vertices_exit_2(tmp_path, capsys):
+    # a string is iterable, so "ab" would read as the vertices a and b
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": "ab",
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1"}],
+    }))
+    assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+    assert "vertices must be a list of strings" in capsys.readouterr().err
     assert not (tmp_path / "o.svg").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -14,8 +15,8 @@ from crooked.metric_graph import (
 )
 from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_fragment
 from crooked.tower import (
-    Tower, build_tower, crooked_step_stage, dim_step, empty_triples,
-    load_tower, quad_by_index, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
+    Tower, build_tower, crooked_step_stage, dim_step,
+    load_tower, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
     table_agrees_pointwise, verify_tower, weak_confluence_witness,
 )
 
@@ -135,13 +136,25 @@ def test_search_her_indec_on_crooked_output():
 
 # ------------------------------------------------------------- stages
 
-def test_quad_by_index_lexicographic():
-    names = ["a", "b"]
-    assert quad_by_index(names, 0) == ("a", "a", "a", "a")
-    assert quad_by_index(names, 1) == ("a", "a", "a", "b")
-    assert quad_by_index(names, 2) == ("a", "a", "b", "a")
-    assert quad_by_index(names, 15) == ("b", "b", "b", "b")
-    assert quad_by_index(names, 16) is None
+def test_crooked_stage_quads_are_lexicographic():
+    g = seg()
+    base = {"a": g.point_closed_set([("v", "a")]), "b": g.point_closed_set([("v", "b")])}
+    tower = Tower([_stage0(g, base)], {})
+    quads = list(itertools.product("ab", repeat=4))
+    for m, quad in zip((0, 1, 2, 15), (("a",) * 4, ("a", "a", "a", "b"), ("a", "a", "b", "a"), ("b",) * 4)):
+        assert quads[m] == quad
+        assert crooked_step_stage(tower, 1, (0, m)).instance["operands"] == list(quad)
+    assert crooked_step_stage(tower, 1, (0, 16)).kind == "noop"
+
+
+def _empty_triple_index(base, triple):
+    """The position of `triple` among the sorted name triples of `base`
+    whose sets meet emptily, the order `dim_step` schedules them in."""
+    empty = [
+        t for t in itertools.combinations(sorted(base), 3)
+        if (base[t[0]] & base[t[1]] & base[t[2]]).is_empty()
+    ]
+    return empty.index(triple)
 
 
 def test_dim_step_identity_with_existing_cover():
@@ -152,8 +165,7 @@ def test_dim_step_identity_with_existing_cover():
         "m": g.point_closed_set([("e", "seg", F(1, 2))]),
     }
     tower = Tower([_stage0(g, base)], {})
-    triples = empty_triples(base)
-    idx = triples.index(("m", "p", "q"))
+    idx = _empty_triple_index(base, ("m", "p", "q"))
     stage = dim_step(tower, 1, (0, idx))
     assert stage.kind == "identity"
     assert stage.graph is g
@@ -174,12 +186,31 @@ def test_dim_step_shortcut_on_empty_member():
         "q": g.point_closed_set([("v", "b")]),
     }
     tower = Tower([_stage0(g, base)], {})
-    triples = empty_triples(base)
-    idx = triples.index(("e", "p", "q"))
+    idx = _empty_triple_index(base, ("e", "p", "q"))
     stage = dim_step(tower, 1, (0, idx))
     assert stage.kind == "shortcut"
     assert stage.base["w1.x"].is_empty()
     assert stage.base["w1.y"] == g.whole_set()
+
+
+def test_dim_step_meets_only_the_triples_it_passes(monkeypatch):
+    # 30 disjoint points have C(30, 3) = 4,060 empty triples; instance 0 is
+    # the first, so scheduling it must not intersect the other 4,059
+    g = seg()
+    base = {f"s{i:02d}": g.point_closed_set([("e", "seg", F(i, 31))]) for i in range(1, 31)}
+    tower = Tower([_stage0(g, base)], {})
+    calls = 0
+    meet = ClosedSet.__and__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return meet(self, other)
+
+    monkeypatch.setattr(ClosedSet, "__and__", counted)
+    stage = dim_step(tower, 1, (0, 0))
+    assert stage.instance["operands"] == ["s01", "s02", "s03"]
+    assert calls < 100, calls
 
 
 def test_crooked_stage_vacuous_on_phi_violation():
@@ -202,13 +233,11 @@ def test_crooked_stage_surgery_path():
         "lo": ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()),
         "hi": ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set()),
     }
-    names = sorted(base)  # hi, lo, p, q
-    L = len(names)
-    digits = [names.index("p"), names.index("q"), names.index("lo"), names.index("hi")]
-    idx = digits[0] * L**3 + digits[1] * L**2 + digits[2] * L + digits[3]
-    assert quad_by_index(names, idx) == ("p", "q", "lo", "hi")
+    quads = list(itertools.product(sorted(base), repeat=4))
+    idx = quads.index(("p", "q", "lo", "hi"))
     tower = Tower([_stage0(g, base)], {})
     stage = crooked_step_stage(tower, 1, (0, idx))
+    assert stage.instance["operands"] == ["p", "q", "lo", "hi"]
     assert stage.kind == "crooked"
     assert stage.bonding.is_surjective()
     tower.stages.append(stage)
