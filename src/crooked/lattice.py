@@ -3,10 +3,11 @@
 Every finite distributive lattice is a ring of sets (G. Birkhoff, "Rings of
 sets", Duke Math. J. 3 (1937)), so an element here is its own frozenset of
 points of a finite ground set, meet and join are `&` and `|`, and no handle
-wraps it; `index_of` finds an element's index.  Every lattice made here
-carries a derivation for each element (generator, bottom, top, or a
-meet/join of earlier elements) so interpretations of the elements can be
-replayed in another lattice of sets, e.g. the closed sets of a metric graph.
+wraps it; `index_of` finds an element's index.  A lattice is made one
+way: `generate_sublattice` closes a generator family once, and records a
+derivation for each element (generator, bottom, top, or a meet/join of
+earlier elements) so interpretations of the elements can be replayed in
+another lattice of sets, e.g. the closed sets of a metric graph.
 
 Closing a lattice is the expensive path and is bounded by an element cap.
 `join_irreducibles` and `conn_by_birkhoff` read a generated lattice's
@@ -28,41 +29,21 @@ Derivation = tuple
 
 
 class FiniteLattice:
-    """A family of subsets closed under intersection and union.
+    """A family of subsets closed under intersection and union, with a
+    derivation for each element.
 
-    The family must contain the empty set (bottom) and the union of all its
-    members (top); each pair is checked once at construction.  An element
-    is its frozenset, so meet and join are `&` and `|` on `elements`.
+    `generate_sublattice` is the one constructor: it closes the family,
+    adjoins bottom (the empty set) and top (the union of the members), and
+    records the derivations, so the family is taken as given here.  An
+    element is its frozenset, so meet and join are `&` and `|` on `elements`.
     """
 
-    def __init__(
-        self,
-        elements: Sequence[Iterable],
-        derivations: Sequence[Derivation] | None = None,
-    ):
-        elems = [frozenset(e) for e in elements]
-        if len(set(elems)) != len(elems):
-            raise InputError("duplicate elements in lattice family")
-        if not elems:
-            raise InputError("lattice needs at least one element")
-        self.elements: list[frozenset] = elems
-        self._index = {e: i for i, e in enumerate(elems)}
-        if frozenset() not in self._index:
-            raise InputError("lattice family must contain the empty set")
+    def __init__(self, elements: list[frozenset], derivations: list[Derivation]):
+        self.elements = elements
+        self.derivations = derivations
+        self._index = {e: i for i, e in enumerate(elements)}
         self.bottom_index = self._index[frozenset()]
-        top = frozenset().union(*elems)
-        if top not in self._index:
-            raise InputError("lattice family must contain the union of its members")
-        self.top_index = self._index[top]
-        for j, b in enumerate(elems):
-            for i in range(j + 1):
-                if elems[i] & b not in self._index or elems[i] | b not in self._index:
-                    raise InputError(
-                        f"family not closed under meet/join at pair ({i},{j})"
-                    )
-        self.derivations: list[Derivation] = (
-            list(derivations) if derivations is not None else [None] * len(elems)
-        )
+        self.top_index = self._index[frozenset().union(*elements)]
 
     @property
     def size(self) -> int:
@@ -78,14 +59,6 @@ class FiniteLattice:
     def atoms(self) -> list[frozenset]:
         """Minimal nonzero elements, in index order."""
         return [e for e in self.elements if e and not any(f and f < e for f in self.elements)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteLattice) and other.elements == self.elements
-        )
-
-    def __hash__(self):
-        return hash(tuple(self.elements))
 
     def __repr__(self) -> str:
         return f"<FiniteLattice size={self.size} ground={len(self.elements[self.top_index])}>"
@@ -130,7 +103,7 @@ def generate_sublattice(
             derivs.append(d)
 
     add(frozenset(), ("bottom",))
-    add(frozenset().union(*gens) if gens else frozenset(), ("top",))
+    add(frozenset().union(*gens), ("top",))
 
     # Fixed-point closure: scan pairs (i, j) with j growing, i <= j, meets
     # before joins, so indices only depend on the generator order.

@@ -1166,13 +1166,18 @@ def _meta_to_json(meta):
     return meta
 
 
+def _edge_from_dict(e: Mapping) -> Edge:
+    names = [e[key] for key in ("id", "u", "v")]
+    for key, name in zip(("id", "u", "v"), names):
+        if not isinstance(name, str):
+            raise InputError(f"edge {key} must be a string, not {name!r}")
+    return Edge(*names, frac(e["len"]))
+
+
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
     try:
         vertices = data["vertices"]
-        edges = [
-            Edge(str(e["id"]), str(e["u"]), str(e["v"]), frac(e["len"]))
-            for e in data["edges"]
-        ]
+        edges = [_edge_from_dict(e) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph file: {exc}") from exc
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):

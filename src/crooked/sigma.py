@@ -40,18 +40,6 @@ def constant_id(level: int, ordinal: int) -> str:
     return f"k({level},{ordinal})"
 
 
-_CID_RE = re.compile(r"^k\((-?\d+),(\d+)\)$")
-
-
-def constant_key(cid: str) -> tuple[int, int]:
-    """The position of a registry constant in the natural order: by level,
-    then by ordinal."""
-    m = _CID_RE.match(cid)
-    if not m:
-        raise InputError(f"not a registry constant: {cid!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
 class ConstantRegistry:
     """Budgeted levels of constants with the strict total order given by
     (level, ordinal)."""
@@ -96,6 +84,8 @@ class ConstantRegistry:
         return [constant_id(level, m) for m in range(self.count(level))]
 
     def constants_upto(self, max_level: int) -> list[str]:
+        """The constants of levels <= max_level in the constant order:
+        levels ascending, ordinals ascending within a level."""
         out = []
         for level in sorted(self.counts):
             if level <= max_level:
@@ -144,9 +134,7 @@ def enumerate_new_tuples(registry: ConstantRegistry, n: int, k: int, limit: int 
     if k not in (2, 3, 4):
         raise UsageError("tuple size must be 2, 3 or 4")
     universe = registry.constants_upto(5 * n)
-    universe.sort(key=constant_key)
-    old_cut = 5 * (n - 1)
-    old = {c for c in universe if constant_key(c)[0] <= old_cut}
+    old = set(registry.constants_upto(5 * (n - 1)))
     combos = itertools.combinations(universe, k) if k < 4 else itertools.product(universe, repeat=4)
     new = (combo for combo in combos if any(c not in old for c in combo))
     return list(itertools.islice(new, limit))
@@ -310,6 +298,10 @@ class SigmaGenerator:
         self.continuum_constants = continuum_constants
         if continuum_constants < 0:
             raise InputError("continuum constant count must be nonnegative")
+        if axiom_cap < 0:
+            raise InputError(f"axiom cap {axiom_cap} is negative")
+        if hat_size is not None and hat_size < 0:
+            raise InputError(f"hat size {hat_size} is negative")
         hat = continuum_constants > 0 or (hat_size or 0) > 0
         hat_n = (hat_size if hat_size is not None else budget) if hat else 0
         if continuum_constants > hat_n:
@@ -392,7 +384,7 @@ class SigmaGenerator:
         return recs
 
     def _axioms(self, stage: int, n: int) -> list[SentenceRecord]:
-        universe = sorted(self.registry.constants_upto(5 * n), key=constant_key)
+        universe = self.registry.constants_upto(5 * n)
         recs = []
         for family, (kind, arity, ignorable) in enumerate(_AXIOMS, start=2):
             idx = 0

@@ -828,9 +828,7 @@ def base_interpretation(
     from .sigma import constant_id
 
     realized: list[ClosedSet] = []
-    for idx, deriv in enumerate(base.derivations):
-        if deriv is None:
-            raise UsageError("base lattice carries no derivations; build it with generate_sublattice")
+    for deriv in base.derivations:
         tag = deriv[0]
         if tag == "gen":
             name = deriv[1]

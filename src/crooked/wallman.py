@@ -8,7 +8,8 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import FiniteLattice, generate_sublattice
 
@@ -17,13 +18,14 @@ from .lattice import FiniteLattice, generate_sublattice
 class FiniteSpace:
     points: tuple[str, ...]
     closed_base: dict[str, frozenset[str]]
-    closed_sets: frozenset[frozenset[str]] = field(default=frozenset())
 
-    def __post_init__(self):
-        if not self.closed_sets:
-            self.closed_sets = frozenset(generate_sublattice(
-                self.points, [*self.closed_base.values(), self.full]
-            ).elements)
+    @cached_property
+    def closed_sets(self) -> frozenset[frozenset[str]]:
+        """The closed sets: `closed_base` and the whole space, closed under
+        finite intersection and union."""
+        return frozenset(generate_sublattice(
+            self.points, [*self.closed_base.values(), self.full]
+        ).elements)
 
     @property
     def full(self) -> frozenset[str]:

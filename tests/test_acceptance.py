@@ -18,7 +18,7 @@ from crooked.folang import (
     Meet, Neq, Not, Or, Var, Zero, One, eval_bruteforce, eval_formula, psi,
     zeta,
 )
-from crooked.lattice import FiniteLattice, generate_sublattice
+from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, dump_graph, unit_segment,
 )
@@ -126,8 +126,8 @@ def test_acceptance_2_wallman_correspondences():
     while len(disjunctive) < 20:
         n = rng.randint(0, 5)
         pts = range(n)
-        lat = FiniteLattice(
-            [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
+        lat = generate_sublattice(
+            pts, [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
         )
         assert eval_formula(LIBRARY["DISJ"], lat).value
         disjunctive.append(lat)

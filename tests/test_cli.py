@@ -192,7 +192,9 @@ def test_sigma_fragment_size_zero(chain3, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["sigma-fragment", "--stages", "1", "--size", "-1"], "fragment size -1 is negative"),
     (["sigma-gen", "--stages", "-3"], "stage count -3 is negative"),
-], ids=["size", "stages"])
+    (["sigma-gen", "--stages", "2", "--axiom-cap", "-1"], "axiom cap -1 is negative"),
+    (["sigma-gen", "--stages", "2", "--hat-size", "-1"], "hat size -1 is negative"),
+], ids=["size", "stages", "axiom-cap", "hat-size"])
 def test_sigma_negative_counts_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
     base = str(INPUTS / "chain3.json")
@@ -793,6 +795,19 @@ def test_render_string_vertices_exit_2(tmp_path, capsys):
     }))
     assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
     assert "vertices must be a list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("key", ["id", "u", "v"])
+def test_render_non_string_edge_field_exit_2(tmp_path, capsys, key):
+    # str() would read null as the name "None"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1", key: None}],
+    }))
+    assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+    assert f"edge {key} must be a string, not None" in capsys.readouterr().err
     assert not (tmp_path / "o.svg").exists()
 
 

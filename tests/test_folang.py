@@ -10,18 +10,16 @@ from crooked.folang import (
     Not, One, Or, Var, Zero, LIBRARY, conn, constants_of, eval_bruteforce,
     eval_formula, eval_masks, parse, print_formula, substitute, theta, zeta,
 )
-from crooked.lattice import (
-    FiniteLattice, conn_by_birkhoff, generate_sublattice, join_irreducibles,
-)
+from crooked.lattice import conn_by_birkhoff, generate_sublattice, join_irreducibles
 
 
 def powerset_lattice(n):
     pts = range(n)
     subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
-    return FiniteLattice(subsets)
+    return generate_sublattice(pts, subsets)
 
 
-CHAIN3 = FiniteLattice([frozenset(), frozenset({1}), frozenset({1, 2})])
+CHAIN3 = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
 
 
 # ---------------------------------------------------------------- parser
@@ -235,7 +233,7 @@ def test_eval_invariant_under_reindexing():
         lat = random_sublattice(rng, max_ground=4)
         perm = list(range(lat.size))
         rng.shuffle(perm)
-        lat2 = FiniteLattice([lat.elements[i] for i in perm])
+        lat2 = generate_sublattice(lat.elements[lat.top_index], [lat.elements[i] for i in perm])
         for name in ("DISJ", "NORM", "CONN1"):
             assert (
                 eval_formula(LIBRARY[name], lat).value

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from crooked.errors import EvaluationError, InputError, ResourceLimitError, UsageError
 from crooked.folang import eval_bruteforce, eval_formula, parse
-from crooked.lattice import FiniteLattice, generate_sublattice, load_lattice
+from crooked.lattice import generate_sublattice, load_lattice
 
 
 def powerset_lattice(n):
     pts = range(n)
     subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
-    return FiniteLattice(subsets)
+    return generate_sublattice(pts, subsets)
 
 
 def test_generate_two_generators_closure():
@@ -80,23 +80,19 @@ def test_constant_outside_lattice_rejected():
             evaluate(parse("p = 0"), lat, {"q": frozenset({1, 2})})
 
 
-def test_family_not_closed_under_meet_rejected():
-    # {0,1} and {1,2} meet in {1}, which is missing
-    with pytest.raises(InputError, match=r"not closed under meet/join at pair \(1,2\)"):
-        FiniteLattice([set(), {0, 1}, {1, 2}, {0, 1, 2}])
-
-
-def test_family_not_closed_under_join_rejected():
-    # {0} and {1} join in {0,1}, which is missing
-    with pytest.raises(InputError, match=r"not closed under meet/join at pair \(1,2\)"):
-        FiniteLattice([set(), {0}, {1}, {0, 1, 2}])
-
-
 def test_atoms_examples():
     assert [sorted(a) for a in powerset_lattice(3).atoms()] == [[0], [1], [2]]
-    chain = FiniteLattice([frozenset(), frozenset({1}), frozenset({1, 2})])
+    chain = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
     assert [sorted(a) for a in chain.atoms()] == [[1]]
     assert generate_sublattice({1}, []).atoms() == []
+
+
+def test_closed_family_keeps_its_order():
+    family = [frozenset({0, 1, 2}), frozenset({1}), frozenset(), frozenset({0, 1}), frozenset({1, 2})]
+    lat = generate_sublattice(3, family)
+    assert lat.elements == family
+    assert lat.derivations == [("gen", str(i)) for i in range(len(family))]
+    assert (lat.bottom_index, lat.top_index) == (2, 0)
 
 
 def test_regeneration_idempotent():
@@ -107,14 +103,43 @@ def test_regeneration_idempotent():
 
 
 @st.composite
-def random_generators(draw):
-    ground = draw(st.integers(min_value=1, max_value=5))
-    k = draw(st.integers(min_value=0, max_value=4))
+def random_generators(draw, max_ground=5, max_gens=4):
+    ground = draw(st.integers(min_value=1, max_value=max_ground))
+    k = draw(st.integers(min_value=0, max_value=max_gens))
     gens = [
         frozenset(draw(st.sets(st.integers(min_value=0, max_value=ground - 1))))
         for _ in range(k)
     ]
     return ground, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_generators(max_ground=6, max_gens=6))
+def test_generated_family_is_closed(gs):
+    # the closure guarantee every other lattice user relies on
+    ground, gens = gs
+    lat = generate_sublattice(ground, gens)
+    elems = lat.elements
+    assert len(set(elems)) == len(elems)
+    top = frozenset().union(*gens)
+    assert elems[lat.bottom_index] == frozenset() and elems[lat.top_index] == top
+    members = set(elems)
+    for a, b in itertools.product(elems, repeat=2):
+        assert a & b in members and a | b in members
+    assert len(lat.derivations) == len(elems)
+    replayed = []
+    for d in lat.derivations:
+        tag = d[0]
+        if tag == "gen":
+            replayed.append(frozenset(gens[int(d[1])]))
+        elif tag == "bottom":
+            replayed.append(frozenset())
+        elif tag == "top":
+            replayed.append(top)
+        else:
+            a, b = replayed[d[1]], replayed[d[2]]
+            replayed.append(a & b if tag == "meet" else a | b)
+    assert replayed == elems
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,9 +5,9 @@ import pytest
 
 from crooked.errors import InputError, ResourceLimitError
 from crooked.folang import Const, parse, print_formula, theta
-from crooked.lattice import FiniteLattice, generate_sublattice, load_lattice
+from crooked.lattice import generate_sublattice, load_lattice
 from crooked.sigma import (
-    ConstantRegistry, SigmaGenerator, constant_key, dump_sentences,
+    ConstantRegistry, SigmaGenerator, dump_sentences,
     enumerate_new_tuples, fragment, parse_sentence_dump,
 )
 
@@ -17,7 +17,7 @@ def boolean4():
 
 
 def chain2():
-    return FiniteLattice([frozenset(), frozenset({1})])
+    return generate_sublattice({1}, [frozenset(), frozenset({1})])
 
 
 def trivial():
@@ -26,9 +26,21 @@ def trivial():
 
 # ------------------------------------------------------------- registry
 
-def test_constant_order():
-    assert constant_key("k(-2,3)") < constant_key("k(-1,0)") < constant_key("k(1,5)")
-    assert constant_key("k(1,2)") < constant_key("k(1,10)")
+def constant_key(cid):
+    """(level, ordinal) of a registry constant k(level,ordinal)."""
+    level, ordinal = cid[2:-1].split(",")
+    return int(level), int(ordinal)
+
+
+def test_registry_lists_constants_in_order():
+    reg = ConstantRegistry(default_budget=16)
+    reg.populate(1, 11)
+    reg.populate(-1, 2)
+    reg.populate(-2, 4)
+    order = reg.constants_upto(1)
+    assert order.index("k(-2,3)") < order.index("k(-1,0)") < order.index("k(1,5)")
+    assert order.index("k(1,2)") < order.index("k(1,10)")
+    assert order == sorted(order, key=constant_key)
 
 
 def test_registry_budget():

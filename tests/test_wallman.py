@@ -2,7 +2,7 @@ import itertools
 import random
 
 from crooked.folang import LIBRARY, eval_formula
-from crooked.lattice import FiniteLattice, generate_sublattice
+from crooked.lattice import generate_sublattice
 from crooked.wallman import (
     FiniteSpace, check_contimage_conditions, is_T1, is_hausdorff_like, wallman_space,
 )
@@ -11,10 +11,10 @@ from crooked.wallman import (
 def powerset_lattice(n):
     pts = range(n)
     subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
-    return FiniteLattice(subsets)
+    return generate_sublattice(pts, subsets)
 
 
-CHAIN3 = FiniteLattice([frozenset(), frozenset({1}), frozenset({1, 2})])
+CHAIN3 = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
 
 
 def test_powerset_space_is_discrete_identity():
