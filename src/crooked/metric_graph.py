@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -28,6 +28,7 @@ from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
 
 Frac = Fraction
 ZERO = Frac(0)
+NO_EDGES: frozenset[str] = frozenset()  # shared: each empty frozenset takes 216 bytes
 
 # A graph point is ("v", vertex_id) or ("e", edge_id, param) with
 # 0 < param < length; edge endpoints normalize to their vertices.
@@ -37,7 +38,7 @@ Point = tuple
 def frac(value) -> Frac:
     if isinstance(value, Frac):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Frac(value)
     if isinstance(value, str):
         try:
@@ -95,6 +96,11 @@ class MetricGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _whole_items(self) -> dict[str, tuple]:
+        """Per edge, the intervals of every set that covers it whole."""
+        return {eid: ((ZERO, e.length),) for eid, e in self.edges.items()}
+
+    @cached_property
     def _uncut_cells(self) -> tuple[tuple, ...]:
         """The arrangement of no cuts: the vertex cells, then one open cell
         ("o", eid, 0, length) per edge in edge-id order."""
@@ -135,11 +141,7 @@ class MetricGraph:
         return ClosedSet(self, {}, frozenset())
 
     def whole_set(self) -> "ClosedSet":
-        return ClosedSet(
-            self,
-            {eid: [(Frac(0), e.length)] for eid, e in self.edges.items()},
-            frozenset(self.vertices),
-        )
+        return ClosedSet(self, {}, self.vertices, whole=self.edges)
 
     def point_closed_set(self, points: Iterable[Point]) -> "ClosedSet":
         intervals: dict[str, list] = {}
@@ -208,21 +210,32 @@ class ClosedSet:
     the incident vertex is a member.  Each point set has one normal form,
     so equality and hashing compare `vertices` and `intervals` directly.
 
+    `whole` holds the edges covered entirely, exactly those whose normal
+    form is `((0, length),)` in `intervals`.  A producer passes such an edge
+    by id, with no Fraction work; intervals that merge to it count too.
+
     A set is immutable, so the part of its cell footprint that no
     arrangement changes (`split`) is computed once, on the first extraction
     that names it; every extraction then pays one shift per edge the set
     covers whole and bisection of its other intervals only."""
 
-    __slots__ = ("graph", "intervals", "vertices", "_split")
+    __slots__ = ("graph", "intervals", "vertices", "whole", "_split")
 
-    def __init__(self, graph: MetricGraph, intervals: Mapping[str, Sequence], vertices):
+    def __init__(self, graph: MetricGraph, intervals: Mapping[str, Sequence], vertices,
+                 whole: Iterable[str] = ()):
         self.graph = graph
         verts = set(vertices)
+        whole = set(whole)
+        full = graph._whole_items
         norm: dict[str, tuple] = {}
-        for eid in sorted(intervals):
+        for eid in sorted({*intervals, *whole}):
             if eid not in graph.edges:
                 raise InputError(f"unknown edge {eid!r} in closed set")
             e = graph.edges[eid]
+            if eid in whole:
+                verts.update((e.u, e.v))
+                norm[eid] = full[eid]
+                continue
             items = []
             for lo, hi in intervals[eid]:
                 lo, hi = frac(lo), frac(hi)
@@ -247,17 +260,21 @@ class ClosedSet:
                 if lo == hi and (lo == 0 or hi == e.length):
                     continue  # endpoint point = the vertex itself
                 final.append((lo, hi))
-            if final:
+            if final == [(0, e.length)]:
+                whole.add(eid)
+                norm[eid] = full[eid]
+            elif final:
                 norm[eid] = tuple(final)
         unknown = verts - set(graph.vertices)
         if unknown:
             raise InputError(f"unknown vertices in closed set: {sorted(unknown)}")
         self.intervals: dict[str, tuple] = norm
         self.vertices: frozenset[str] = frozenset(verts)
+        self.whole: frozenset[str] = frozenset(whole) if whole else NO_EDGES
         self._split = None
 
     @property
-    def split(self) -> tuple[int, tuple[str, ...], tuple[tuple, ...]]:
+    def split(self) -> tuple[int, frozenset[str], tuple[tuple, ...]]:
         """(vertex bitmask over `graph.vertices`, the edges covered whole,
         and per other edge (eid, its intervals, their endpoints inside the
         edge)), computed on first use."""
@@ -265,20 +282,18 @@ class ClosedSet:
             self._split = self._edge_split()
         return self._split
 
-    def _edge_split(self) -> tuple[int, tuple[str, ...], tuple[tuple, ...]]:
+    def _edge_split(self) -> tuple[int, frozenset[str], tuple[tuple, ...]]:
         vertex_bit = self.graph._vertex_bit
         vmask = 0
         for v in self.vertices:
             vmask |= 1 << vertex_bit[v]
-        whole, partial = [], []
+        partial = []
         for eid, items in self.intervals.items():
-            L = self.graph.edges[eid].length
-            if items == ((0, L),):
-                whole.append(eid)
-            else:
+            if eid not in self.whole:
+                L = self.graph.edges[eid].length
                 inner = frozenset(t for lo, hi in items for t in (lo, hi) if 0 < t < L)
                 partial.append((eid, items, inner))
-        return vmask, tuple(whole), tuple(partial)
+        return vmask, self.whole, tuple(partial)
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
@@ -304,12 +319,14 @@ class ClosedSet:
         for src in (self.intervals, other.intervals):
             for eid, items in src.items():
                 intervals.setdefault(eid, []).extend(items)
-        return ClosedSet(self.graph, intervals, self.vertices | other.vertices)
+        return ClosedSet(self.graph, intervals, self.vertices | other.vertices,
+                         self.whole | other.whole)
 
     def __and__(self, other: "ClosedSet") -> "ClosedSet":
         self._check(other)
         intervals: dict[str, list] = {}
-        for eid in set(self.intervals) & set(other.intervals):
+        whole = self.whole & other.whole
+        for eid in (set(self.intervals) & set(other.intervals)) - whole:
             # both sides are sorted and disjoint: one merge walk, stepping
             # past whichever interval ends first
             xs, ys = self.intervals[eid], other.intervals[eid]
@@ -326,7 +343,7 @@ class ClosedSet:
                     j += 1
             if out:
                 intervals[eid] = out
-        return ClosedSet(self.graph, intervals, self.vertices & other.vertices)
+        return ClosedSet(self.graph, intervals, self.vertices & other.vertices, whole)
 
     def is_subset_of(self, other: "ClosedSet") -> bool:
         return (self & other) == self
@@ -347,7 +364,9 @@ class ClosedSet:
         return payload
 
     @staticmethod
-    def from_dict(graph: MetricGraph, data: Mapping) -> "ClosedSet":
+    def from_dict(graph: MetricGraph, data: Mapping,
+                  parse: Callable[[object], Frac] = frac) -> "ClosedSet":
+        """The set a file entry describes, each endpoint read by `parse`."""
         if not isinstance(data, dict):
             raise InputError(f"a closed set must be an object, not {data!r}")
         verts = data.get("vertices", [])
@@ -361,8 +380,10 @@ class ClosedSet:
                 isinstance(item, list) and len(item) == 2 for item in value
             ):
                 raise InputError(f"intervals on edge {key!r} must be [lo, hi] pairs: {value!r}")
-            intervals[key] = [(frac(lo), frac(hi)) for lo, hi in value]
-        return ClosedSet(graph, intervals, verts)
+            intervals[key] = [(parse(lo), parse(hi)) for lo, hi in value]
+        whole = [eid for eid, pairs in intervals.items()
+                 if eid in graph.edges and pairs == [(0, graph.edges[eid].length)]]
+        return ClosedSet(graph, intervals, verts, whole)
 
     def __repr__(self) -> str:
         return f"<ClosedSet verts={sorted(self.vertices)} intervals={dict(self.intervals)}>"
@@ -525,13 +546,15 @@ class PLFunction:
 
     def _region(self, level: Frac, side: str) -> ClosedSet:
         intervals: dict[str, list] = {}
+        whole = []
         for eid, bp in self.per_edge.items():
+            # each breakpoint compared with the level once
+            ok = [y <= level for _, y in bp] if side == "le" else [y >= level for _, y in bp]
+            if all(ok):
+                whole.append(eid)  # linear between breakpoints
+                continue
             pieces = []
-            for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
-                if side == "le":
-                    ok0, ok1 = y0 <= level, y1 <= level
-                else:
-                    ok0, ok1 = y0 >= level, y1 >= level
+            for (x0, y0), (x1, y1), ok0, ok1 in zip(bp, bp[1:], ok, ok[1:]):
                 if ok0 and ok1:
                     pieces.append((x0, x1))
                 elif ok0 or ok1:
@@ -539,7 +562,7 @@ class PLFunction:
                     pieces.append((x0, xc) if ok0 else (xc, x1))
             if pieces:
                 intervals[eid] = pieces
-        return ClosedSet(self.graph, intervals, frozenset())
+        return ClosedSet(self.graph, intervals, frozenset(), whole)
 
     def sublevel_set(self, level) -> ClosedSet:
         return self._region(frac(level), "le")
@@ -822,6 +845,7 @@ class PLMap:
             raise UsageError("closed set not on the domain")
         intervals: dict[str, list] = {}
         verts: set[str] = set()
+        whole: set[str] = set()
 
         def add_point(p: Point) -> None:
             if p[0] == "v":
@@ -837,21 +861,24 @@ class PLMap:
                 add_point(entry[1])
                 continue
             _, target, s0, s1 = entry
+            if eid in s.whole and sorted((s0, s1)) == [0, self.codomain.edges[target].length]:
+                whole.add(target)
+                continue
             L = self.domain.edges[eid].length
             for lo, hi in items:
                 a = s0 + (s1 - s0) * lo / L
                 b = s0 + (s1 - s0) * hi / L
                 intervals.setdefault(target, []).append((min(a, b), max(a, b)))
-        return ClosedSet(self.codomain, intervals, verts)
+        return ClosedSet(self.codomain, intervals, verts, whole)
 
     @cached_property
     def _fibres(self) -> tuple[dict, dict]:
         """The inverse index behind `preimage_of`, built once per map on
         first use.  Per codomain vertex: the domain vertices and `const`
-        edges (with their lengths) over it.  Per codomain edge: the domain
-        vertices and `const` edges over its interior points, with the
-        point's parameter, and its `affine` pieces as (edge, s0, length /
-        (s1 - s0), min(s0, s1), max(s0, s1), length)."""
+        edges over it.  Per codomain edge: the domain vertices and `const`
+        edges over its interior points, with the point's parameter, and its
+        `affine` pieces as (edge, s0, length / (s1 - s0), min(s0, s1),
+        max(s0, s1))."""
         at_vertex: dict[str, tuple[list, list]] = {}
         at_edge: dict[str, tuple[list, list, list]] = {}
 
@@ -867,16 +894,16 @@ class PLMap:
             else:
                 edge_slot(p[1])[0].append((p[2], v))
         for eid, entry in self.edge_map.items():
-            L = self.domain.edges[eid].length
             if entry[0] == "const":
                 p = entry[1]
                 if p[0] == "v":
-                    vertex_slot(p[1])[1].append((eid, L))
+                    vertex_slot(p[1])[1].append(eid)
                 else:
-                    edge_slot(p[1])[1].append((p[2], eid, L))
+                    edge_slot(p[1])[1].append((p[2], eid))
                 continue
             _, target, s0, s1 = entry
-            edge_slot(target)[2].append((eid, s0, L / (s1 - s0), min(s0, s1), max(s0, s1), L))
+            L = self.domain.edges[eid].length
+            edge_slot(target)[2].append((eid, s0, L / (s1 - s0), min(s0, s1), max(s0, s1)))
         return at_vertex, at_edge
 
     def preimage_of(self, t: ClosedSet) -> ClosedSet:
@@ -884,39 +911,45 @@ class PLMap:
 
         Costs the fibres of `t` only: the domain pieces over its vertices
         and over the edges it has intervals on, read from an index built
-        once per map, not a scan of every domain vertex and edge."""
+        once per map, not a scan of every domain vertex and edge.  A domain
+        edge that lands inside `t` is passed on whole, by id."""
         if t.graph is not self.codomain:
             raise UsageError("closed set not on the codomain")
         at_vertex, at_edge = self._fibres
-        zero = Frac(0)
         intervals: dict[str, list] = {}
         verts: set[str] = set()
+        whole: set[str] = set()
         for w in t.vertices:
             if w in at_vertex:
                 vids, consts = at_vertex[w]
                 verts.update(vids)
-                for eid, L in consts:
-                    intervals[eid] = [(zero, L)]
+                whole.update(consts)
         for target, items in t.intervals.items():
             if target not in at_edge:
                 continue
             points, consts, pieces = at_edge[target]
+            if target in t.whole:
+                # everything over a whole edge lands in t
+                verts.update(v for _, v in points)
+                whole.update(eid for _, eid in consts)
+                whole.update(piece[0] for piece in pieces)
+                continue
             for s, v in points:
                 if any(lo <= s <= hi for lo, hi in items):
                     verts.add(v)
-            for s, eid, L in consts:
+            for s, eid in consts:
                 if any(lo <= s <= hi for lo, hi in items):
-                    intervals[eid] = [(zero, L)]
-            for eid, s0, scale, lo_t, hi_t, L in pieces:
+                    whole.add(eid)
+            for eid, s0, scale, lo_t, hi_t in pieces:
                 for lo, hi in items:
                     if lo <= lo_t and hi_t <= hi:
                         # t covers the piece's whole image, either orientation
-                        intervals.setdefault(eid, []).append((zero, L))
+                        whole.add(eid)
                     elif lo <= hi_t and lo_t <= hi:
                         a = (max(lo, lo_t) - s0) * scale
                         b = (min(hi, hi_t) - s0) * scale
                         intervals.setdefault(eid, []).append((min(a, b), max(a, b)))
-        return ClosedSet(self.domain, intervals, verts)
+        return ClosedSet(self.domain, intervals, verts, whole)
 
     def then(self, g: "PLMap") -> "PLMap":
         """Composition g after self."""
@@ -1166,18 +1199,23 @@ def _meta_to_json(meta):
     return meta
 
 
-def _edge_from_dict(e: Mapping) -> Edge:
+def _edge_from_dict(e: Mapping, parse: Callable[[object], Frac]) -> Edge:
     names = [e[key] for key in ("id", "u", "v")]
     for key, name in zip(("id", "u", "v"), names):
         if not isinstance(name, str):
             raise InputError(f"edge {key} must be a string, not {name!r}")
-    return Edge(*names, frac(e["len"]))
+    return Edge(*names, parse(e["len"]))
 
 
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
+    parsed = cache(frac)  # each distinct string of the file is parsed once
+
+    def parse(value) -> Frac:
+        return parsed(value) if isinstance(value, str) else frac(value)
+
     try:
         vertices = data["vertices"]
-        edges = [_edge_from_dict(e) for e in data["edges"]]
+        edges = [_edge_from_dict(e, parse) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph file: {exc}") from exc
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
@@ -1189,7 +1227,7 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
     specs = data.get("closed_sets", {})
     if not isinstance(specs, dict):
         raise InputError(f"closed_sets must be an object, not {specs!r}")
-    return graph, {name: ClosedSet.from_dict(graph, spec) for name, spec in specs.items()}
+    return graph, {name: ClosedSet.from_dict(graph, spec, parse) for name, spec in specs.items()}
 
 
 def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:

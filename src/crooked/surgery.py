@@ -557,11 +557,8 @@ def crooked_step(
     def part(*tags: str) -> ClosedSet:
         """The closed part of `out` made of the edges and vertices whose
         names start with one of `tags`."""
-        intervals = {
-            eid: [(Frac(0), e.length)]
-            for eid, e in out.edges.items() if eid.split("|", 1)[0] in tags
-        }
-        return ClosedSet(out, intervals, {v for v in out.vertices if v.split("|", 1)[0] in tags})
+        whole = [eid for eid in out.edges if eid.split("|", 1)[0] in tags]
+        return ClosedSet(out, {}, {v for v in out.vertices if v.split("|", 1)[0] in tags}, whole)
 
     # Witness bands cut along the separating values: the x/y boundary sits at
     # value 3/8 on the low level and the y/z boundary at 5/8 on the high one,

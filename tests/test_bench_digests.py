@@ -50,3 +50,18 @@ def test_sampled_outputs_match_recorded_digests(name, tmp_path):
         if RUN.workloads.digest_files(paths) != RECORDED[name][key]:
             mismatched.append(key)
     assert not mismatched
+
+
+def test_fragment_sample_reloads_to_the_built_sets(tmp_path):
+    # the digests pin the bytes written; this pins what loading them reads
+    workload = WORKLOADS["fragment-surgery"]
+    inp = workload.prepare(LIB, workload.prepare_shared(LIB), _sample("fragment-surgery")[0])
+    result, paths = workload.produce(LIB, inp, str(tmp_path), lambda _: nullcontext())
+    graph, sets = LIB.metric_graph.load_graph(paths[0])
+    assert (graph.vertices, graph.edges) == (result.graph.vertices, result.graph.edges)
+    assert sorted(sets) == sorted(result.interpretation)
+    for name, built in result.interpretation.items():
+        got = sets[name]
+        assert (got.vertices, got.intervals, got.whole) == (
+            built.vertices, built.intervals, built.whole), name
+    assert any(s.whole for s in sets.values())

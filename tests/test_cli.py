@@ -720,6 +720,9 @@ def test_render_crooked_output_zigzag(tmp_path):
 @pytest.mark.parametrize("length, interval, bad", [
     ("x/2", ["0", "1/2"], "x/2"),
     ("1", ["0", "1/0"], "1/0"),
+    # a JSON boolean is a Python int, but not a rational
+    (True, ["0", "1/2"], "True"),
+    ("1", [True, "1"], "True"),
 ])
 def test_render_malformed_rational_exits_2(tmp_path, capsys, length, interval, bad):
     path = tmp_path / "bad.json"
@@ -749,6 +752,25 @@ def test_render_malformed_closed_sets_exit_2(tmp_path, capsys, closed_sets):
     }))
     assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("intervals, message", [
+    ({"nope": [["0", "1"]]}, "unknown edge 'nope'"),
+    ({"seg": [["1/2", "1/4"]]}, "inverted interval"),
+    ({"seg": [["0", "3/2"]]}, "outside edge"),
+    ({"seg": [["0", "1"]], "vertices": ["a", "z"]}, "unknown vertices"),
+    ({"seg": [[False, "1"]]}, "not an exact rational: False"),
+], ids=["unknown-edge", "inverted", "outside", "unknown-vertex", "boolean"])
+def test_render_rejected_intervals_exit_2(tmp_path, capsys, intervals, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1"}],
+        "closed_sets": {"s": intervals},
+    }))
+    assert main(["render", "--graph", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o.svg").exists()
 
 

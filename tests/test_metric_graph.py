@@ -789,7 +789,7 @@ def test_level_set_matches_point_evaluation(data):
     f = data.draw(pl_functions())
     levels = sorted({y for bp in f.per_edge.values() for _, y in bp})
     level = data.draw(st.sampled_from(levels))
-    ls = f.level_set(level)
+    ls, sub, sup = f.level_set(level), f.sublevel_set(level), f.superlevel_set(level)
     probes = [("v", v) for v in _HYP_GRAPH.vertices]
     for eid, bp in f.per_edge.items():
         for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
@@ -798,6 +798,8 @@ def test_level_set_matches_point_evaluation(data):
                 probes.append(("e", eid, x0 + (x1 - x0) * (level - y0) / (y1 - y0)))
     for p in probes:
         assert ls.contains_point(p) == (f.eval(p) == level), p
+        assert sub.contains_point(p) == (f.eval(p) <= level), p
+        assert sup.contains_point(p) == (f.eval(p) >= level), p
     for eid, items in ls.intervals.items():
         for lo, hi in items:
             if lo < hi:
@@ -945,3 +947,106 @@ def test_surgery_stage_pullback_matches_full_scan(monkeypatch):
     assert kinds.count("triangle") >= 3 and kinds.count("crooked") >= 4
     assert any(nudges for _, nudges, _ in pulled)
     assert all(size for _, _, size in pulled)
+
+
+# ------------------------------------------------------------- whole edges
+
+def whole_by_points(s):
+    """The edges `s` covers entirely, read from its intervals alone."""
+    return {eid for eid, items in s.intervals.items()
+            if items == ((0, s.graph.edges[eid].length),)}
+
+
+@st.composite
+def covering_specs(draw):
+    """(intervals, vertices, whole ids) on `_HYP_GRAPH`: each edge is left
+    out, named whole by id, covered by two pieces that meet, or given up to
+    three pieces at twelfths, so whole edges are common either way."""
+    twelfths = st.integers(0, 12).map(lambda n: F(n, 12))
+    intervals, whole = {}, []
+    for eid in sorted(_HYP_GRAPH.edges):
+        shape = draw(st.sampled_from(("none", "id", "meeting", "pieces")))
+        if shape == "id":
+            whole.append(eid)
+        elif shape == "meeting":
+            cut = draw(twelfths)
+            intervals[eid] = [(cut, F(1)), (F(0), cut)]
+        elif shape == "pieces":
+            pairs = draw(st.lists(st.tuples(twelfths, twelfths), min_size=1, max_size=3))
+            intervals[eid] = [(min(p), max(p)) for p in pairs]
+    return intervals, draw(st.sets(st.sampled_from(_HYP_GRAPH.vertices))), whole
+
+
+def covering_set(spec, by_id=True):
+    """The set of a `covering_specs` spec, its whole edges passed by id or
+    as the interval (0, L)."""
+    intervals, verts, whole = spec
+    if by_id:
+        return ClosedSet(_HYP_GRAPH, intervals, verts, whole)
+    full = {eid: [(F(0), _HYP_GRAPH.edges[eid].length)] for eid in whole}
+    return ClosedSet(_HYP_GRAPH, {**intervals, **full}, verts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_specs(), covering_specs(), pl_maps(), st.data())
+def test_whole_is_the_edges_covered_entirely(spec_s, spec_t, m, data):
+    s, t = covering_set(spec_s), covering_set(spec_t)
+    for spec, x in ((spec_s, s), (spec_t, t)):
+        y = covering_set(spec, by_id=False)
+        assert x == y and hash(x) == hash(y)
+        assert x.whole == y.whole
+    f = data.draw(pl_functions())
+    level = data.draw(st.sampled_from(sorted({y for bp in f.per_edge.values() for _, y in bp})))
+    g = _HYP_GRAPH
+    pulled = m.preimage_of(s)
+    produced = [
+        s, t, s & t, s | t, g.whole_set(), g.empty_set(), *g.components_of(s | t),
+        f.sublevel_set(level), f.superlevel_set(level), f.level_set(level),
+        ClosedSet.from_dict(g, s.to_dict()), pulled, m.preimage_of(t & s),
+        *m.domain.components_of(pulled), m.image_of(pulled), m.image_of(m.domain.whole_set()),
+    ]
+    for x in produced:
+        assert x.whole == whole_by_points(x), x
+    # the oracles read intervals and vertices only, never `whole`
+    assert s & t == meet_by_nested_loop(s, t)
+    # image_of is the lower adjoint of preimage_of, whose oracle is the scan
+    assert m.image_of(pulled).is_subset_of(s)
+    for x in (pulled, m.domain.whole_set()):
+        assert x.is_subset_of(preimage_by_scan(m, m.image_of(x))), x
+    for x in (s, t, s | t, s & t):
+        assert m.preimage_of(x) == preimage_by_scan(m, x), x
+
+
+def test_whole_rejects_an_unknown_edge(seg):
+    with pytest.raises(InputError, match="nope"):
+        ClosedSet(seg, {}, set(), whole=["nope"])
+    s = ClosedSet(seg, {}, set(), whole=["seg"])
+    assert s == seg.whole_set() and s.vertices == {"a", "b"}
+
+
+def test_load_reads_every_spelling_of_a_rational():
+    g, sets = graph_from_dict({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": "e1", "u": "a", "v": "b", "len": "2/2"},
+                  {"id": "e2", "u": "b", "v": "c", "len": 2}],
+        "closed_sets": {
+            "unreduced": {"e1": [["0/3", "2/4"]], "e2": [["3/3", "4/2"]]},
+            "integers": {"e1": [[0, 1]], "e2": [[1, 1]]},
+            "overlapping": {"e1": [["0", "1/2"], ["1/4", "1"]]},
+            **{f"shared{k}": {"e1": [["1/3", "1/3"]], "e2": [["1/3", "2"]]} for k in range(4)},
+        },
+    })
+    assert (g.edges["e1"].length, g.edges["e2"].length) == (1, 2)
+    half, third = F(1, 2), F(1, 3)
+    expected = {
+        "unreduced": ClosedSet(g, {"e1": [(F(0), half)], "e2": [(F(1), F(2))]}, set()),
+        "integers": ClosedSet(g, {"e2": [(F(1), F(1))]}, set(), whole=["e1"]),
+        "overlapping": ClosedSet(g, {"e1": [(F(0), F(1))]}, set()),
+        **{f"shared{k}": ClosedSet(g, {"e1": [(third, third)], "e2": [(third, F(2))]}, set())
+           for k in range(4)},
+    }
+    assert sets == expected
+    for name, s in sets.items():
+        assert s.whole == whole_by_points(s) == expected[name].whole, name
+    assert sets["integers"].whole == sets["overlapping"].whole == {"e1"}
+    assert sets["unreduced"].vertices == {"a", "c"}
