@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     except (InvariantViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CrookedError, OSError, json.JSONDecodeError) as exc:
+    except (CrookedError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

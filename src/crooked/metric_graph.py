@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -99,6 +100,13 @@ class MetricGraph:
     def _whole_items(self) -> dict[str, tuple]:
         """Per edge, the intervals of every set that covers it whole."""
         return {eid: ((ZERO, e.length),) for eid, e in self.edges.items()}
+
+    @cached_property
+    def _whole_entries(self) -> dict[str, list]:
+        """Per edge, the file entry of every set that covers it whole.  The
+        one list is shared, never mutated: `dump_json` renders it once per
+        depth and `ClosedSet.from_dict` knows it by one comparison."""
+        return {eid: [["0/1", frac_str(e.length)]] for eid, e in self.edges.items()}
 
     @cached_property
     def _uncut_cells(self) -> tuple[tuple, ...]:
@@ -356,9 +364,11 @@ class ClosedSet:
         return any(lo <= t <= hi for lo, hi in self.intervals.get(eid, ()))
 
     def to_dict(self) -> dict:
+        entries = self.graph._whole_entries
         payload: dict = {
-            eid: [[frac_str(lo), frac_str(hi)] for lo, hi in self.intervals[eid]]
-            for eid in sorted(self.intervals)
+            eid: entries[eid] if eid in self.whole
+            else [[frac_str(lo), frac_str(hi)] for lo, hi in items]
+            for eid, items in self.intervals.items()
         }
         payload["vertices"] = sorted(self.vertices)
         return payload
@@ -366,23 +376,26 @@ class ClosedSet:
     @staticmethod
     def from_dict(graph: MetricGraph, data: Mapping,
                   parse: Callable[[object], Frac] = frac) -> "ClosedSet":
-        """The set a file entry describes, each endpoint read by `parse`."""
+        """The set a file entry describes, each endpoint read by `parse`; an
+        edge entry spelled as `to_dict` writes a whole edge is taken by id."""
         if not isinstance(data, dict):
             raise InputError(f"a closed set must be an object, not {data!r}")
         verts = data.get("vertices", [])
         if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
             raise InputError(f"closed-set vertices must be a list of strings: {verts!r}")
-        intervals = {}
+        entries = graph._whole_entries
+        intervals, whole = {}, []
         for key, value in data.items():
             if key == "vertices":
+                continue
+            if value == entries.get(key):
+                whole.append(key)
                 continue
             if not isinstance(value, list) or not all(
                 isinstance(item, list) and len(item) == 2 for item in value
             ):
                 raise InputError(f"intervals on edge {key!r} must be [lo, hi] pairs: {value!r}")
             intervals[key] = [(parse(lo), parse(hi)) for lo, hi in value]
-        whole = [eid for eid, pairs in intervals.items()
-                 if eid in graph.edges and pairs == [(0, graph.edges[eid].length)]]
         return ClosedSet(graph, intervals, verts, whole)
 
     def __repr__(self) -> str:
@@ -1235,9 +1248,59 @@ def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:
         return graph_from_dict(json.load(fh))
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(o) -> str:
+    """A leaf as `json.dumps` writes it, tested in json.encoder's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _JSON_NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(obj) -> str:
-    """The JSON text of every file the package writes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The JSON text of every file the package writes: byte for byte
+    `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, whose pure-Python
+    indenting encoder is several times slower.  A list that recurs at one
+    depth (a shared whole-edge entry) is rendered once."""
+    breaks = ["\n"]  # newline plus the indent of each depth
+    memo: dict[tuple[int, int], str] = {}
+
+    def wrap(parts: list[str], depth: int, ends: str) -> str:
+        if not parts:
+            return ends
+        while len(breaks) <= depth + 1:
+            breaks.append(breaks[-1] + "  ")
+        inner = breaks[depth + 1]
+        return f"{ends[0]}{inner}{(',' + inner).join(parts)}{breaks[depth]}{ends[1]}"
+
+    def emit(o, depth: int) -> str:
+        if isinstance(o, dict):
+            return wrap([
+                f"{encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))}: "
+                f"{emit(v, depth + 1)}"
+                for k, v in sorted(o.items())
+            ], depth, "{}")
+        if not isinstance(o, (list, tuple)):
+            return _json_scalar(o)
+        key = (id(o), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = wrap(
+                [encode_basestring_ascii(v) if isinstance(v, str) else emit(v, depth + 1)
+                 for v in o], depth, "[]")
+        return text
+
+    return emit(obj, 0) + "\n"
 
 
 def dump_graph(graph: MetricGraph, closed_sets=None) -> str:

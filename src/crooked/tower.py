@@ -494,8 +494,12 @@ def load_tower(directory: str) -> Tower:
 
     trace = read("trace.json")
     try:
+        depth = trace["depth"]
+        # `type(...) is int`: `bool` subclasses `int`, and `true` is no depth
+        if type(depth) is not int or depth < 0:
+            raise InputError(f"malformed tower directory {directory}: depth {depth!r}")
         stages: list[Stage] = []
-        for n in range(trace["depth"] + 1):
+        for n in range(depth + 1):
             graph, base = graph_from_dict(read(f"stage{n}.json"))
             bonding = None
             if n > 0:

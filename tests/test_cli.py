@@ -858,6 +858,43 @@ def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: malformed ")
 
 
+@pytest.mark.parametrize("depth", [True, -1], ids=["boolean", "negative"])
+def test_tower_verify_rejects_a_bad_depth(tower_graph, tmp_path, capsys, depth):
+    # `true` read as depth 1 and verified, -1 crashed `verify_tower`
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "1",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    capsys.readouterr()
+    path = towerdir / "trace.json"
+    data = json.loads(path.read_text())
+    data["depth"] = depth
+    path.write_text(json.dumps(data))
+    assert main(["tower-verify", str(towerdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed tower directory {towerdir}: depth {depth!r}\n")
+
+
+@pytest.mark.parametrize("command", ["render", "lattice-check", "sigma-witness", "tower-verify"])
+def test_a_file_that_is_not_utf8_exits_2(chain3, segment_graph, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    towerdir = tmp_path / "tower"
+    towerdir.mkdir()
+    (towerdir / "trace.json").write_bytes(b"\xff\xfe{}")
+    argv = {
+        "render": ["render", "--graph", str(bad), "--out", str(tmp_path / "o.svg")],
+        "lattice-check": ["lattice-check", str(bad), "DISJ"],
+        "sigma-witness": ["sigma-witness", "--base", chain3, "--fragment", str(bad),
+                          "--graph", segment_graph, "--out", str(tmp_path / "model")],
+        "tower-verify": ["tower-verify", str(towerdir)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
 # sha256 of the files and stdout of the README's sigma commands and of a
 # depth-6 tower on the bundled segment: pins the bytes of every report and
 # of every file these commands write.

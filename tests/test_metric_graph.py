@@ -13,7 +13,7 @@ from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
     _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
-    extract_sublattice, graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
+    dump_json, extract_sublattice, graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
 )
 from test_surgery import nudged_triangle_fragment, surgery_rich_fragment
 from test_tower import steered_crooked_tower
@@ -1050,3 +1050,61 @@ def test_load_reads_every_spelling_of_a_rational():
         assert s.whole == whole_by_points(s) == expected[name].whole, name
     assert sets["integers"].whole == sets["overlapping"].whole == {"e1"}
     assert sets["unreduced"].vertices == {"a", "c"}
+
+
+@pytest.mark.parametrize("entry", [
+    [["0", "1/2"]], [[0, "1/2"]], [["0/1", "2/4"]], [["0/1", "1/4"], ["1/4", "1/2"]],
+], ids=["zero-string", "zero-int", "unreduced-length", "two-pieces"])
+def test_load_reads_any_spelling_of_a_whole_edge(entry):
+    g, sets = graph_from_dict({
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e", "u": "a", "v": "b", "len": "1/2"}],
+        "closed_sets": {"s": {"e": entry, "vertices": []}},
+    })
+    assert sets["s"] == g.whole_set() and sets["s"].whole == {"e"}
+    # every set covering the edge whole hands out the one file entry
+    assert sets["s"].to_dict()["e"] == [["0/1", "1/2"]]
+    assert sets["s"].to_dict()["e"] is g.whole_set().to_dict()["e"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"0/1": "1/2"}, {"0/1": 0, "1/2": 1}, [["0/1", "1/2", "1/2"]], [["0/1"]], ["0/1", "1/2"],
+    [["0/1", "1/2"], "x"],
+], ids=["dict", "dict-of-endpoints", "triple", "single", "flat", "trailing-junk"])
+def test_load_rejects_a_whole_entry_of_another_shape(entry):
+    with pytest.raises(InputError, match="must be \\[lo, hi\\] pairs"):
+        graph_from_dict({
+            "vertices": ["a", "b"],
+            "edges": [{"id": "e", "u": "a", "v": "b", "len": "1/2"}],
+            "closed_sets": {"s": {"e": entry}},
+        })
+
+
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',:[]{}"\\\n\t\x00\x7f')))
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200), st.booleans(), st.none(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_JSON_TEXT, kids, max_size=4), st.dictionaries(st.integers(), kids, max_size=3),
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES, st.lists(_JSON_TREES, max_size=3))
+def test_dump_json_is_the_stdlib_indented_text(tree, items):
+    shared = [*items, "shared"]
+    # one sublist at depths 1, 2 (twice) and 3, as whole-edge entries recur
+    for obj in (tree, [shared, {"a": shared, "b": [shared]}, (shared,)]):
+        assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    F(1, 2), {"a": [1, F(1, 2)]}, {(1, 2): 0}, [{1, 2}], {"a": 0, 1: 0},
+], ids=["fraction", "nested-fraction", "tuple-key", "set", "mixed-keys"])
+def test_dump_json_rejects_what_json_cannot_encode(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dump_json(obj)
