@@ -12,13 +12,12 @@ lattice files given as input, under the default element cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
 from .errors import (
-    CrookedError, InputError, InvariantViolationError, ResourceLimitError,
+    CrookedError, InputError, InvariantViolationError, ResourceLimitError, read_input,
 )
 from .folang import LIBRARY, eval_formula, parse, print_formula
 from .lattice import load_lattice
@@ -139,8 +138,7 @@ def cmd_sigma_witness(args) -> int:
     for name, s in sets.items():
         if name.startswith("k(-2,"):
             interp0[name] = s
-    with open(args.fragment, "r", encoding="utf-8") as fh:
-        records = parse_sentence_dump(fh.read())
+    records = read_input(args.fragment, parse_sentence_dump)
     result = witness_fragment(records, graph, interp0)
     _write(os.path.join(args.out, "model.json"), dump_graph(result.graph, result.interpretation))
     _write(os.path.join(args.out, "trace.json"), dump_json(result.trace))
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     except (InvariantViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CrookedError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (CrookedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of input
+files, which reports a file that does not decode as an InputError."""
+
+import json
 
 
 class CrookedError(Exception):
@@ -48,3 +51,14 @@ class ResourceLimitError(CrookedError):
 
 class InvariantViolationError(CrookedError):
     """A property the theory guarantees failed; signals a bug, not bad input."""
+
+
+def read_input(path: str, parse=json.loads):
+    """`parse` applied to the UTF-8 text of the file at `path`.  A file that
+    is not UTF-8, or that is not JSON when `parse` reads JSON, is an
+    InputError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc

@@ -17,10 +17,9 @@ bitmask generators directly, without closing it.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
-from .errors import InputError, ResourceLimitError, UsageError
+from .errors import InputError, ResourceLimitError, UsageError, read_input
 
 DEFAULT_ELEMENT_CAP = 4096
 
@@ -163,11 +162,7 @@ def load_lattice(source) -> tuple[FiniteLattice, dict[str, frozenset]]:
     Format: {"ground": n, "generators": {name: [point indices]}}.  Returns the
     lattice and a map from generator name to its set (an element).
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = read_input(source) if isinstance(source, str) else source
     try:
         n = data["ground"]
         gens = data["generators"]

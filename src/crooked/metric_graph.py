@@ -10,7 +10,6 @@ lengths, not any ambient embedding.
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
     UsageError,
+    read_input,
 )
 from .folang import Formula, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP, FiniteLattice, generate_sublattice
@@ -273,7 +273,7 @@ class ClosedSet:
                 norm[eid] = full[eid]
             elif final:
                 norm[eid] = tuple(final)
-        unknown = verts - set(graph.vertices)
+        unknown = verts.difference(graph._vertex_bit)
         if unknown:
             raise InputError(f"unknown vertices in closed set: {sorted(unknown)}")
         self.intervals: dict[str, tuple] = norm
@@ -1244,8 +1244,7 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
 
 
 def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(read_input(path))
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

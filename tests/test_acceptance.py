@@ -10,13 +10,9 @@ import re
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from crooked.cli import main
 from crooked.folang import (
-    And, Const, Eq, Exists, ForAll, Implies, Join, LIBRARY,
-    Meet, Neq, Not, Or, Var, Zero, One, eval_bruteforce, eval_formula, psi,
-    zeta,
+    Const, Eq, Join, LIBRARY, Meet, Zero, eval_bruteforce, eval_formula, psi, zeta,
 )
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
@@ -28,6 +24,7 @@ from crooked.surgery import (
 from crooked.tower import (
     search_dim_cover, search_her_indec_cover, weak_confluence_witness,
 )
+from test_folang import random_sentence, random_sublattice
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -41,59 +38,15 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 # 1. Evaluator soundness
 # --------------------------------------------------------------------------
 
-def _random_sublattice(rng, max_ground=5):
-    n = rng.randint(1, max_ground)
-    gens = [
-        frozenset(p for p in range(n) if rng.random() < 0.5)
-        for _ in range(rng.randint(0, 3))
-    ]
-    return generate_sublattice(n, gens)
-
-
-def _random_sentence(rng, lattice_size, consts, budget=1200):
-    max_q = 1
-    while lattice_size ** (max_q + 1) <= budget and max_q < 7:
-        max_q += 1
-
-    def rand_term(depth, vars_):
-        if depth == 0 or rng.random() < 0.4:
-            pool = [Zero(), One()] + [Var(v) for v in vars_] + [Const(c) for c in consts]
-            return rng.choice(pool)
-        cls = rng.choice([Meet, Join])
-        return cls(rand_term(depth - 1, vars_), rand_term(depth - 1, vars_))
-
-    def rand_formula(depth, vars_, q_left):
-        r = rng.random()
-        if depth == 0 or r < 0.3:
-            cls = rng.choice([Eq, Neq])
-            return cls(rand_term(2, vars_), rand_term(2, vars_))
-        if r < 0.55 and q_left > 0:
-            width = rng.randint(1, min(2, q_left))
-            fresh = tuple(f"q{len(vars_) + i}" for i in range(width))
-            cls = rng.choice([ForAll, Exists])
-            return cls(fresh, rand_formula(depth - 1, vars_ + list(fresh), q_left - width))
-        kind = rng.randrange(4)
-        if kind == 0:
-            return Not(rand_formula(depth - 1, vars_, q_left))
-        cls = [And, Or, Implies][kind - 1]
-        half = q_left // 2
-        return cls(
-            rand_formula(depth - 1, vars_, half),
-            rand_formula(depth - 1, vars_, q_left - half),
-        )
-
-    return rand_formula(3, [], max_q)
-
-
 def test_acceptance_1_evaluator_soundness():
     start = time.monotonic()
     rng = random.Random(0xACCE551)
     disagreements = 0
     for _ in range(500):
-        lat = _random_sublattice(rng)
+        lat = random_sublattice(rng)
         consts = ["p", "q"]
         interp = {c: lat.elements[rng.randrange(lat.size)] for c in consts}
-        f = _random_sentence(rng, lat.size, consts)
+        f = random_sentence(rng, lat.size, consts, budget=1200)
         if eval_formula(f, lat, interp).value != eval_bruteforce(f, lat, interp):
             disagreements += 1
     elapsed = time.monotonic() - start
@@ -112,7 +65,7 @@ def test_acceptance_2_wallman_correspondences():
     from crooked.wallman import is_hausdorff_like, wallman_space
 
     rng = random.Random(0xACCE552)
-    mixed = [_random_sublattice(rng, max_ground=6) for _ in range(25)]
+    mixed = [random_sublattice(rng, max_ground=6) for _ in range(25)]
     exceptions = 0
     for lat in mixed:
         _, hom = wallman_space(lat)

@@ -60,6 +60,18 @@ def tower_graph(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def towerdir(tower_graph, tmp_path, capsys):
+    """A depth-2 tower over `tower_graph` threading `whole`, built by the CLI."""
+    out = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    return out
+
+
 # ------------------------------------------------------------- lattice-check
 
 def test_lattice_check_conn1_false(powerset2, capsys):
@@ -612,44 +624,35 @@ def test_tower_build_rejects_an_input_named_like_a_witness(tmp_path, capsys):
     assert not towerdir.exists()
 
 
-def test_tower_verify_detects_corruption(tower_graph, tmp_path, capsys):
-    towerdir = tmp_path / "tower"
-    main([
-        "tower-build", "--graph", tower_graph, "--depth", "2",
-        "--catalog", "whole", "--out", str(towerdir),
-    ])
-    capsys.readouterr()
+def test_tower_verify_detects_corruption(towerdir, tmp_path, capsys):
     trace_path = towerdir / "trace.json"
     trace = json.loads(trace_path.read_text())
-    # corrupt the stage-1 thread witness
-    trace["catalog"]["whole"][1] = {"vertices": ["a"]}
+    # corrupt the stage-1 thread witness: one vertex of stage 1 for all of it
+    vertex = json.loads((towerdir / "stage1.json").read_text())["vertices"][0]
+    trace["catalog"]["whole"][1] = {"vertices": [vertex]}
     trace_path.write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n")
     assert main(["tower-verify", str(towerdir)]) == 1
     out = capsys.readouterr().out
     assert "FAIL: thread whole" in out
 
 
-def test_internal_failures_exit_3(tower_graph, tmp_path, capsys):
+def test_internal_failures_exit_3(towerdir, tmp_path, capsys):
     # a lattice file past the element cap: 13 singleton generators close to
     # the 8,192 subsets of 13 points, ResourceLimitError
     big = tmp_path / "powerset13.json"
     big.write_text(json.dumps({"ground": 13, "generators": {f"p{i:02}": [i] for i in range(13)}}))
     assert main(["lattice-check", str(big), "CONN1"]) == 3
     assert "element cap" in capsys.readouterr().err
-    towerdir = tmp_path / "tower"
-    assert main([
-        "tower-build", "--graph", tower_graph, "--depth", "2",
-        "--catalog", "whole", "--out", str(towerdir),
-    ]) == 0
-    capsys.readouterr()
-    # a bonding that is no longer onto: InvariantViolationError on threading
+    # a bonding that is no longer onto, stage 1 sent to one vertex of stage
+    # 0: InvariantViolationError on threading
+    stage1 = json.loads((towerdir / "stage1.json").read_text())
+    point = {"v": json.loads((towerdir / "stage0.json").read_text())["vertices"][0]}
     (towerdir / "bonding1.json").write_text(json.dumps({
-        "vertex_map": {"a": {"v": "a"}, "b": {"e": "seg", "t": "1/2"}},
-        "edge_map": {"seg": {"kind": "affine", "edge": "seg", "s0": "0/1", "s1": "1/2"}},
+        "vertex_map": {v: point for v in stage1["vertices"]},
+        "edge_map": {e["id"]: {"kind": "const", "point": point} for e in stage1["edges"]},
     }))
     assert main(["tower-thread", str(towerdir), "--set", "whole"]) == 3
     assert "maps onto" in capsys.readouterr().err
-
 
 
 def test_tower_thread_takes_no_cap(chain3, segment_graph, tower_graph, tmp_path, capsys):
@@ -835,21 +838,17 @@ def test_render_non_string_edge_field_exit_2(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("name, corrupt", [
     ("trace.json", lambda data: data.pop("depth")),
-    ("bonding1.json", lambda data: data["edge_map"]["seg"].pop("edge")),
+    ("bonding1.json", lambda data: next(
+        entry for entry in data["edge_map"].values() if entry["kind"] == "affine"
+    ).pop("edge")),
     ("trace.json", lambda data: next(
         st["instance"] for st in data["stages"] if st["instance"]
     ).pop("operands")),
     ("trace.json", lambda data: data["catalog"]["whole"].pop()),
 ], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands",
         "catalog-too-short"])
-def test_tower_verify_malformed_directory_exits_2(tower_graph, tmp_path, capsys, name, corrupt):
+def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, name, corrupt):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
-    towerdir = tmp_path / "tower"
-    assert main([
-        "tower-build", "--graph", tower_graph, "--depth", "2",
-        "--catalog", "whole", "--out", str(towerdir),
-    ]) == 0
-    capsys.readouterr()
     path = towerdir / name
     data = json.loads(path.read_text())
     corrupt(data)
@@ -876,13 +875,14 @@ def test_tower_verify_rejects_a_bad_depth(tower_graph, tmp_path, capsys, depth):
         f"error: malformed tower directory {towerdir}: depth {depth!r}\n")
 
 
-@pytest.mark.parametrize("command", ["render", "lattice-check", "sigma-witness", "tower-verify"])
-def test_a_file_that_is_not_utf8_exits_2(chain3, segment_graph, tmp_path, capsys, command):
+def _run_on_a_bad_file(command, content, chain3, segment_graph, tmp_path, capsys):
+    """Exit code and stderr of `command` reading a file that holds
+    `content`, and that file's path."""
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{}")
+    bad.write_bytes(content)
     towerdir = tmp_path / "tower"
     towerdir.mkdir()
-    (towerdir / "trace.json").write_bytes(b"\xff\xfe{}")
+    (towerdir / "trace.json").write_bytes(content)
     argv = {
         "render": ["render", "--graph", str(bad), "--out", str(tmp_path / "o.svg")],
         "lattice-check": ["lattice-check", str(bad), "DISJ"],
@@ -890,9 +890,26 @@ def test_a_file_that_is_not_utf8_exits_2(chain3, segment_graph, tmp_path, capsys
                           "--graph", segment_graph, "--out", str(tmp_path / "model")],
         "tower-verify": ["tower-verify", str(towerdir)],
     }[command]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    code = main(argv)
+    path = towerdir / "trace.json" if command == "tower-verify" else bad
+    return code, capsys.readouterr().err, path
+
+
+@pytest.mark.parametrize("command", ["render", "lattice-check", "sigma-witness", "tower-verify"])
+def test_a_file_that_is_not_utf8_exits_2(chain3, segment_graph, tmp_path, capsys, command):
+    code, err, path = _run_on_a_bad_file(
+        command, b"\xff\xfe{}", chain3, segment_graph, tmp_path, capsys)
+    assert code == 2
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", ["render", "lattice-check", "tower-verify"])
+def test_a_truncated_json_file_exits_2(chain3, segment_graph, tmp_path, capsys, command):
+    code, err, path = _run_on_a_bad_file(command, b"{", chain3, segment_graph, tmp_path, capsys)
+    assert code == 2
+    assert err == (f"error: {path}: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)\n")
 
 
 # sha256 of the files and stdout of the README's sigma commands and of a
@@ -936,13 +953,7 @@ def test_cli_outputs_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stage", ["9", "3", "-1"])
-def test_render_stage_outside_the_tower_exits_2(tower_graph, tmp_path, capsys, stage):
-    towerdir = tmp_path / "tower"
-    assert main([
-        "tower-build", "--graph", tower_graph, "--depth", "2",
-        "--catalog", "whole", "--out", str(towerdir),
-    ]) == 0
-    capsys.readouterr()
+def test_render_stage_outside_the_tower_exits_2(towerdir, tmp_path, capsys, stage):
     out = tmp_path / "stage.svg"
     assert main(["render", "--tower", str(towerdir), "--stage", stage, "--out", str(out)]) == 2
     assert "outside 0..2" in capsys.readouterr().err

@@ -11,15 +11,7 @@ from crooked.folang import (
     eval_formula, eval_masks, parse, print_formula, substitute, theta, zeta,
 )
 from crooked.lattice import conn_by_birkhoff, generate_sublattice, join_irreducibles
-
-
-def powerset_lattice(n):
-    pts = range(n)
-    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
-    return generate_sublattice(pts, subsets)
-
-
-CHAIN3 = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
+from test_lattice import CHAIN3, powerset_lattice
 
 
 # ---------------------------------------------------------------- parser

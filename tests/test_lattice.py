@@ -14,6 +14,9 @@ def powerset_lattice(n):
     return generate_sublattice(pts, subsets)
 
 
+CHAIN3 = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
+
+
 def test_generate_two_generators_closure():
     lat = generate_sublattice({1, 2, 3}, [{1}, {2, 3}])
     assert sorted(sorted(e) for e in lat.elements) == [[], [1], [1, 2, 3], [2, 3]]
@@ -82,8 +85,7 @@ def test_constant_outside_lattice_rejected():
 
 def test_atoms_examples():
     assert [sorted(a) for a in powerset_lattice(3).atoms()] == [[0], [1], [2]]
-    chain = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
-    assert [sorted(a) for a in chain.atoms()] == [[1]]
+    assert [sorted(a) for a in CHAIN3.atoms()] == [[1]]
     assert generate_sublattice({1}, []).atoms() == []
 
 

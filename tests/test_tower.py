@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,16 +7,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crooked.errors import InputError, PreconditionError
+from crooked.cli import main
+from crooked.errors import PreconditionError
 from crooked.folang import Const, psi, zeta
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLMap, dump_graph, unit_segment,
+    ClosedSet, Edge, MetricGraph, PLMap, unit_segment,
 )
 from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_fragment
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step,
     load_tower, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
-    table_agrees_pointwise, verify_tower, weak_confluence_witness,
+    table_agrees_pointwise, theta_candidates, verify_tower, weak_confluence_witness, zeta_candidates,
 )
 
 
@@ -147,16 +147,6 @@ def test_crooked_stage_quads_are_lexicographic():
     assert crooked_step_stage(tower, 1, (0, 16)).kind == "noop"
 
 
-def _empty_triple_index(base, triple):
-    """The position of `triple` among the sorted name triples of `base`
-    whose sets meet emptily, the order `dim_step` schedules them in."""
-    empty = [
-        t for t in itertools.combinations(sorted(base), 3)
-        if (base[t[0]] & base[t[1]] & base[t[2]]).is_empty()
-    ]
-    return empty.index(triple)
-
-
 def test_dim_step_identity_with_existing_cover():
     g = seg()
     base = {
@@ -165,7 +155,7 @@ def test_dim_step_identity_with_existing_cover():
         "m": g.point_closed_set([("e", "seg", F(1, 2))]),
     }
     tower = Tower([_stage0(g, base)], {})
-    idx = _empty_triple_index(base, ("m", "p", "q"))
+    idx = list(zeta_candidates(base)).index(("m", "p", "q"))
     stage = dim_step(tower, 1, (0, idx))
     assert stage.kind == "identity"
     assert stage.graph is g
@@ -174,8 +164,30 @@ def test_dim_step_identity_with_existing_cover():
 
 
 def _stage0(g, base):
-    from crooked.tower import Stage
     return Stage(g, None, dict(base), "base")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_stage_schedules_item_m_of_its_candidates(data):
+    # instance (0, m) of either kind has as operands item m of the kind's
+    # candidates over the stage-0 base, and is a no-op past their end
+    g = seg()
+    quarters = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted).map(
+        lambda ends: ClosedSet(g, {"seg": [(F(ends[0], 4), F(ends[1], 4))]}, set()))
+    base = data.draw(st.dictionaries(
+        st.sampled_from("pqrs"), st.one_of(st.just(g.empty_set()), quarters),
+        min_size=2, max_size=4))
+    step, candidates = data.draw(st.sampled_from(
+        [(dim_step, zeta_candidates), (crooked_step_stage, theta_candidates)]))
+    items = list(candidates(base))
+    m = data.draw(st.integers(0, len(items)))
+    stage = step(Tower([_stage0(g, base)], {}), 1, (0, m))
+    if m < len(items):
+        assert stage.instance["operands"] == list(items[m])
+        assert stage.instance["schedule"] == [0, m]
+    else:
+        assert stage.kind == "noop" and stage.instance is None
 
 
 def test_dim_step_shortcut_on_empty_member():
@@ -186,7 +198,7 @@ def test_dim_step_shortcut_on_empty_member():
         "q": g.point_closed_set([("v", "b")]),
     }
     tower = Tower([_stage0(g, base)], {})
-    idx = _empty_triple_index(base, ("e", "p", "q"))
+    idx = list(zeta_candidates(base)).index(("e", "p", "q"))
     stage = dim_step(tower, 1, (0, idx))
     assert stage.kind == "shortcut"
     assert stage.base["w1.x"].is_empty()
@@ -217,27 +229,34 @@ def test_crooked_stage_vacuous_on_phi_violation():
     g = seg()
     base = base_family(g)
     tower = Tower([_stage0(g, base)], {})
-    names = sorted(base)
     # quad (p, p, p, p): a = b, so the hypotheses fail
-    idx = 0
+    idx = list(theta_candidates(base)).index(("p",) * 4)
     stage = crooked_step_stage(tower, 1, (0, idx))
     assert stage.kind == "vacuous"
     assert stage.base["w1.x"].is_empty()
 
 
-def test_crooked_stage_surgery_path():
-    g = seg()
-    base = {
+# a satisfiable crookedness instance on the segment: its staircase surgery
+# runs whenever the quad (p, q, lo, hi) is scheduled
+STAIRCASE_QUAD = ("p", "q", "lo", "hi")
+
+
+def staircase_base(g):
+    return {
         "p": g.point_closed_set([("v", "a")]),
         "q": g.point_closed_set([("v", "b")]),
         "lo": ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()),
         "hi": ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set()),
     }
-    quads = list(itertools.product(sorted(base), repeat=4))
-    idx = quads.index(("p", "q", "lo", "hi"))
+
+
+def test_crooked_stage_surgery_path():
+    g = seg()
+    base = staircase_base(g)
+    idx = list(theta_candidates(base)).index(STAIRCASE_QUAD)
     tower = Tower([_stage0(g, base)], {})
     stage = crooked_step_stage(tower, 1, (0, idx))
-    assert stage.instance["operands"] == ["p", "q", "lo", "hi"]
+    assert stage.instance["operands"] == list(STAIRCASE_QUAD)
     assert stage.kind == "crooked"
     assert stage.bonding.is_surjective()
     tower.stages.append(stage)
@@ -350,16 +369,8 @@ def steered_crooked_tower(depth):
     # Steer the quadruple schedule straight at a satisfiable crookedness
     # instance so every odd stage runs an actual staircase surgery.
     g = seg()
-    base = {
-        "p": g.point_closed_set([("v", "a")]),
-        "q": g.point_closed_set([("v", "b")]),
-        "lo": ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()),
-        "hi": ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set()),
-    }
-    names = sorted(base)
-    L = len(names)
-    digits = [names.index("p"), names.index("q"), names.index("lo"), names.index("hi")]
-    idx = digits[0] * L**3 + digits[1] * L**2 + digits[2] * L + digits[3]
+    base = staircase_base(g)
+    idx = list(theta_candidates(base)).index(STAIRCASE_QUAD)
     catalog = {
         "whole": g.whole_set(),
         "left": ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set()),
@@ -597,7 +608,8 @@ def test_verify_tower_flags_a_rebound_witness(steered4):
     base["w1.x"] = base["w1.z"]
     stages[1] = dataclasses.replace(stages[1], base=base)
     bad = Tower(stages, steered4.catalog)
-    assert _red_lines(bad, steered4) == ["stage 1 theta schedule=[0, 180] at stage 1"]
+    m = list(theta_candidates(steered4.base(0))).index(STAIRCASE_QUAD)
+    assert _red_lines(bad, steered4) == [f"stage 1 theta schedule={[0, m]} at stage 1"]
 
 
 def test_verify_tower_flags_a_shrunk_thread_set(steered4):
@@ -609,6 +621,22 @@ def test_verify_tower_flags_a_shrunk_thread_set(steered4):
     assert lifts[2].is_subset_of(s) and lifts[2] != s
     bad = Tower(steered4.stages, {**steered4.catalog, "left": lifts})
     assert _red_lines(bad, steered4) == ["thread left exact images"]
+
+
+def test_verify_tower_flags_a_disconnected_thread(steered4, tmp_path, capsys):
+    # the full preimages of k = [0, 3/8] have exact images but split into
+    # components; a thread must be connected
+    k = ClosedSet(steered4.graph(0), {"seg": [(F(0), F(3, 8))]}, set())
+    preimages = [k]
+    for stage in steered4.stages[1:]:
+        preimages.append(stage.bonding.preimage_of(preimages[-1]))
+    assert [len(s.graph.components_of(s)) for s in preimages] == [1, 2, 2, 5, 5]
+    clean = Tower(steered4.stages, {**steered4.catalog, "k": weak_confluence_witness(steered4, k).sets})
+    bad = Tower(steered4.stages, {**steered4.catalog, "k": preimages})
+    assert _red_lines(bad, clean) == ["thread k exact images"]
+    save_tower(bad, str(tmp_path / "t"))
+    assert main(["tower-verify", str(tmp_path / "t")]) == 1
+    assert "FAIL: thread k exact images" in capsys.readouterr().out
 
 
 def test_verify_tower_flags_a_non_functorial_table(steered4, monkeypatch):

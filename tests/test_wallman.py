@@ -6,15 +6,7 @@ from crooked.lattice import generate_sublattice
 from crooked.wallman import (
     FiniteSpace, check_contimage_conditions, is_T1, is_hausdorff_like, wallman_space,
 )
-
-
-def powerset_lattice(n):
-    pts = range(n)
-    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
-    return generate_sublattice(pts, subsets)
-
-
-CHAIN3 = generate_sublattice({1, 2}, [frozenset(), frozenset({1}), frozenset({1, 2})])
+from test_lattice import CHAIN3, powerset_lattice
 
 
 def test_powerset_space_is_discrete_identity():
