@@ -799,6 +799,8 @@ class PLMap:
         vertex_map: Mapping[str, Point],
         edge_map: Mapping[str, tuple],
     ):
+        """Checks every entry; continuity at an edge's two ends is read off
+        the entry itself: its point, or its `s0` and `s1`."""
         self.domain = domain
         self.codomain = codomain
         self.vertex_map = {
@@ -812,7 +814,8 @@ class PLMap:
                 raise InputError(f"edge map missing edge {eid!r}")
             entry = edge_map[eid]
             if entry[0] == "const":
-                entry = ("const", codomain.normalize_point(entry[1]))
+                got_u = got_v = codomain.normalize_point(entry[1])
+                entry = ("const", got_u)
             elif entry[0] == "affine":
                 _, target, s0, s1 = entry
                 s0, s1 = frac(s0), frac(s1)
@@ -822,21 +825,12 @@ class PLMap:
                 if s0 == s1:
                     raise InputError("degenerate affine entry; use const")
                 entry = ("affine", target, s0, s1)
+                got_u, got_v = codomain.point(target, s0), codomain.point(target, s1)
             else:
                 raise InputError(f"unknown edge map kind {entry[0]!r}")
             self.edge_map[eid] = entry
-            got_u = self._edge_point(eid, Frac(0))
-            got_v = self._edge_point(eid, e.length)
             if got_u != self.vertex_map[e.u] or got_v != self.vertex_map[e.v]:
                 raise InputError(f"edge map discontinuous at edge {eid!r}")
-
-    def _edge_point(self, eid: str, t: Frac) -> Point:
-        entry = self.edge_map[eid]
-        if entry[0] == "const":
-            return entry[1]
-        _, target, s0, s1 = entry
-        L = self.domain.edges[eid].length
-        return self.codomain.point(target, s0 + (s1 - s0) * t / L)
 
     @staticmethod
     def identity(graph: MetricGraph) -> "PLMap":
@@ -851,7 +845,11 @@ class PLMap:
         p = self.domain.normalize_point(p)
         if p[0] == "v":
             return self.vertex_map[p[1]]
-        return self._edge_point(p[1], p[2])
+        entry = self.edge_map[p[1]]
+        if entry[0] == "const":
+            return entry[1]
+        _, target, s0, s1 = entry
+        return self.codomain.point(target, s0 + (s1 - s0) * p[2] / self.domain.edges[p[1]].length)
 
     def image_of(self, s: ClosedSet) -> ClosedSet:
         if s.graph is not self.domain:
@@ -1169,16 +1167,18 @@ def extract_sublattice(
     result's lattice is read (see ExtractResult); deciding never reads it.
 
     Each set's `split` is computed once per set, not per call; a call costs
-    one pass over the graph's edges to lay out the cells, one shift per
-    edge a set covers whole, and bisection for the partial intervals only.
-    Edges no set cuts cost no Fraction work."""
+    one pass over the graph's edges to lay out the cells and, per distinct
+    set object, one shift per edge it covers whole and bisection of its
+    partial intervals.  Edges no set cuts cost no Fraction work."""
     names = sorted(named_sets)
     for name in names:
         if named_sets[name].graph is not graph:
             raise UsageError(f"set {name!r} lives on a different graph")
     splits = [named_sets[name].split for name in names]
-    cells, layout = _arrangement(graph, splits)
-    masks = {name: _footprint(split, layout) for name, split in zip(names, splits)}
+    distinct = {id(split): split for split in splits}
+    cells, layout = _arrangement(graph, distinct.values())
+    footprints = {key: _footprint(split, layout) for key, split in distinct.items()}
+    masks = {name: footprints[id(split)] for name, split in zip(names, splits)}
     return ExtractResult(graph, cells, masks, cap)
 
 

@@ -794,7 +794,14 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
     the bonding, and the previous base pulled back through that bonding
     (the only place a base crosses a surgery).  The witnesses join the base
     under the names `instance["witnesses"]`, and `instance["mode"]` records
-    the resolution."""
+    the resolution.
+
+    The pullback costs one `preimage_of` per distinct point set, not per
+    name: every name bound to a set shares its one preimage object.  A set
+    is looked up by `id` first and, the first time an object is met, by
+    equality.  A bonding is onto, so distinct sets keep distinct preimages
+    and equal names stay one object: from the second surgery on, the `id`
+    lookup answers for every name pulled back before."""
     nudged: list[str] = []
     if resolved is not None:
         mode, witnesses = resolved
@@ -804,7 +811,17 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
         step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
         mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
         graph, kind = step.output_graph, step.kind
-        base = {cid: bonding.preimage_of(s) for cid, s in prev.base.items()}
+        by_id: dict[int, ClosedSet] = {}
+        by_value: dict[ClosedSet, ClosedSet] = {}
+        base = {}
+        for cid, s in prev.base.items():
+            pre = by_id.get(id(s))
+            if pre is None:
+                pre = by_value.get(s)
+                if pre is None:
+                    pre = by_value[s] = bonding.preimage_of(s)
+                by_id[id(s)] = pre
+            base[cid] = pre
     instance["mode"] = mode
     stage = Stage(graph, bonding, dict(base), kind, instance=instance, nudges=nudged)
     stage.bind(instance["witnesses"], witnesses)
@@ -866,7 +883,8 @@ def witness_fragment(
     """Process a well-ordered fragment, building a model sentence by
     sentence: fresh sets for the bookkeeping stages, a triangle step per
     satisfiable dimension instance, a crooked step per satisfiable
-    crookedness instance; `hat-conn` constants are lifted as connected sets.
+    crookedness instance; `hat-conn` constants are lifted as connected sets,
+    and a `hat-zero` line binds its constant to the empty set once.
     Each surgery re-checks the ground sentences processed so far, and the
     report re-evaluates every sentence on one arrangement of all fragment
     constants, both on cell footprints, so no lattice is closed and `cap` is
@@ -880,7 +898,10 @@ def witness_fragment(
     stage = Stage(graph0, None, dict(interp0), "base")
     connected: set[str] = set()
     trace: list[dict] = []
-    processed: list[SentenceRecord] = []
+    # the ground sentences processed so far and their constants, which each
+    # surgery re-checks
+    ground: list[SentenceRecord] = []
+    ground_cids: set[str] = set()
 
     def need(cid: str) -> ClosedSet:
         if cid not in stage.base:
@@ -901,7 +922,7 @@ def witness_fragment(
                 )
             connected.add(k2)
         elif kind == "hat-zero":
-            stage.base[rec.operands[0]] = stage.graph.empty_set()
+            stage.bind(rec.operands, [stage.graph.empty_set()])
         elif kind in ("meet", "join"):
             a, b = (need(cid) for cid in rec.operands)
             stage.bind(rec.fresh, [(a & b) if kind == "meet" else (a | b)])
@@ -937,9 +958,7 @@ def witness_fragment(
                         "witnesses": list(rec.fresh),
                     }
                 )
-                ground = [r for r in processed if is_ground(r.formula)]
-                cids = {cid for r in ground for cid in constants_of(r.formula)}
-                check = extract_sublattice(stage.graph, {cid: need(cid) for cid in cids})
+                check = extract_sublattice(stage.graph, {cid: need(cid) for cid in ground_cids})
                 for r in ground:
                     if not check.decide(r.formula):
                         raise InvariantViolationError(
@@ -947,7 +966,9 @@ def witness_fragment(
                         )
         else:
             raise UsageError(f"fragment contains an unknown sentence kind {kind!r}")
-        processed.append(rec)
+        if is_ground(rec.formula):
+            ground.append(rec)
+            ground_cids.update(constants_of(rec.formula))
 
     # One arrangement over every fragment constant decides the whole report:
     # refining the cells keeps each verdict.

@@ -9,7 +9,7 @@ import pytest
 from crooked import cli, surgery
 from crooked.cli import main
 from crooked.folang import LIBRARY, Const, print_formula, theta
-from crooked.metric_graph import ClosedSet, dump_graph, unit_segment
+from crooked.metric_graph import ClosedSet, dump_graph, load_graph, unit_segment
 from crooked.render import render_svg
 from crooked.surgery import crooked_step, triangle_step, witness_fragment
 
@@ -298,6 +298,23 @@ def test_sigma_witness_hat_mode(chain3, tmp_path, capsys, monkeypatch, closure_c
     verdicts = [l.split(":")[0] for l in capsys.readouterr().out.splitlines()[2:-1]]
     assert verdicts == ["FAIL", "pass", "pass", "pass", "pass"]
     assert inside == [0, 0]
+
+
+def test_sigma_witness_rejects_an_interpreted_hat_zero_constant(chain3, tmp_path, capsys):
+    # the hat-zero line k(-2,1) = 0 binds k(-2,1); given in the graph file as
+    # the whole segment, it used to come out empty in the model
+    frag, graph_path = _hat_fragment(chain3, tmp_path)
+    assert "S-1^2 0: k(-2,1) = 0" in frag.read_text()
+    g, sets = load_graph(str(graph_path))
+    sets["k(-2,1)"] = g.whole_set()
+    graph_path.write_text(dump_graph(g, sets))
+    outdir = tmp_path / "model"
+    assert main([
+        "sigma-witness", "--base", chain3, "--fragment", str(frag),
+        "--graph", str(graph_path), "--out", str(outdir),
+    ]) == 2
+    assert "'k(-2,1)' is already bound" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_sigma_witness_malformed_fragment_exits_2(chain3, segment_graph, tmp_path, capsys):
@@ -855,6 +872,19 @@ def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, na
     path.write_text(json.dumps(data))
     assert main(["tower-verify", str(towerdir)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed ")
+
+
+def test_tower_verify_rejects_a_discontinuous_bonding(towerdir, capsys):
+    # s0 = 1/2 sends the end a of seg to the midpoint while the vertex map
+    # keeps a at a: the map is torn there, which is bad input (exit 2)
+    path = towerdir / "bonding1.json"
+    data = json.loads(path.read_text())
+    entry = data["edge_map"]["seg"]
+    assert entry["kind"] == "affine" and entry["s0"] == "0/1"
+    entry["s0"] = "1/2"
+    path.write_text(json.dumps(data))
+    assert main(["tower-verify", str(towerdir)]) == 2
+    assert "edge map discontinuous at edge 'seg'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth", [True, -1], ids=["boolean", "negative"])

@@ -492,6 +492,33 @@ def test_plmap_const_edges(seg):
     assert pre == seg.whole_set()
 
 
+@pytest.mark.parametrize("vertex_map, entry, message", [
+    ({"a": ("v", "a"), "b": ("v", "a")}, ("const", ("e", "seg", F(1, 2))),
+     "discontinuous at edge 'seg'"),
+    ({"a": ("v", "a"), "b": ("v", "b")}, ("affine", "seg", F(1, 4), F(1)),
+     "discontinuous at edge 'seg'"),
+    ({"a": ("v", "a"), "b": ("v", "b")}, ("affine", "seg", F(0), F(3, 4)),
+     "discontinuous at edge 'seg'"),
+    ({"a": ("v", "a"), "b": ("v", "b")}, ("affine", "seg", F(0), F(2)),
+     "affine image outside edge 'seg'"),
+    ({"a": ("e", "seg", F(1, 2)), "b": ("e", "seg", F(1, 2))},
+     ("affine", "seg", F(1, 2), F(1, 2)), "degenerate affine entry"),
+], ids=["const-point", "affine-s0", "affine-s1", "affine-outside", "affine-degenerate"])
+def test_plmap_rejects_an_invalid_edge_entry(seg, vertex_map, entry, message):
+    # negative controls for the checks `PLMap.__init__` makes on every edge
+    with pytest.raises(InputError, match=message):
+        PLMap(seg, seg, vertex_map, {"seg": entry})
+
+
+def test_plmap_continuity_reads_each_end_off_the_entry(seg):
+    # a reversed affine entry meets its ends swapped, and a const entry
+    # given as an edge point at an end is that end's vertex
+    flip = PLMap(seg, seg, {"a": ("v", "b"), "b": ("v", "a")}, {"seg": ("affine", "seg", 1, 0)})
+    assert flip.image_point(("e", "seg", F(1, 4))) == ("e", "seg", F(3, 4))
+    crush = PLMap(seg, seg, {"a": ("v", "b"), "b": ("v", "b")}, {"seg": ("const", ("e", "seg", 1))})
+    assert crush.edge_map["seg"] == ("const", ("v", "b"))
+
+
 # ------------------------------------------------------------- extraction
 
 def closed_set_of(res, element):
@@ -619,13 +646,22 @@ def test_bisected_footprints_match_cell_membership(data):
     # the first extraction must fit the second arrangement too
     kept = data.draw(st.sets(st.sampled_from(sorted(sets))))
     companions = data.draw(edge_sets(graph, "wx"[:data.draw(st.integers(0, 2))]))
-    for family in (sets, {**{n: sets[n] for n in kept}, **companions}):
+    # several names for one set object, next to a fresh copy of that set:
+    # the names share one footprint, which must be the copy's
+    aliased = data.draw(st.sets(st.sampled_from(sorted(sets)), min_size=1))
+    with_aliases = dict(sets)
+    for n in aliased:
+        with_aliases.update({n + "1": sets[n], n + "2": sets[n],
+                        n + "c": ClosedSet(graph, sets[n].intervals, sets[n].vertices)})
+    for family in (sets, {**{n: sets[n] for n in kept}, **companions}, with_aliases):
         res = extract_sublattice(graph, family)
         assert (res.cells, res.masks) == extract_by_bisection(graph, family)
         assert res.full == (1 << len(res.cells)) - 1
         for name, s in family.items():
             expected = sum(1 << i for i, cell in enumerate(res.cells) if _cell_in_set(cell, s))
             assert res.masks[name] == expected, name
+    for n in aliased:
+        assert res.masks[n] == res.masks[n + "1"] == res.masks[n + "2"] == res.masks[n + "c"]
 
 
 def _reloaded_w1_model():

@@ -10,7 +10,7 @@ from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, 
 from crooked import surgery
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, dump_graph, extract_sublattice,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, extract_sublattice,
     unit_segment,
 )
 from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
@@ -443,15 +443,19 @@ def test_witness_fragment_full_pipeline():
     assert result.trace == result2.trace
 
 
-@pytest.mark.parametrize("kind", ["meet", "join", "normal", "disj0", "disj1", "zeta", "theta"])
+@pytest.mark.parametrize(
+    "kind", ["hat-zero", "meet", "join", "normal", "disj0", "disj1", "zeta", "theta"]
+)
 def test_witness_fragment_binds_each_fresh_name_once(kind):
-    # a fresh name that is already bound (here by the input) is an input
-    # error naming it, never a silent replacement of the bound set
+    # a name a line binds (a fresh name, or the constant a hat-zero line
+    # zeroes) that is already bound (here by the input) is an input error
+    # naming it, never a silent replacement of the bound set
     base, g, interp0 = chain3_setup()
-    records = SigmaGenerator(base, budget=16).generate_through(5)
+    hat = {"hat_size": 1} if kind == "hat-zero" else {}
+    records = SigmaGenerator(base, budget=16, **hat).generate_through(5)
     rec = next(r for r in records if r.kind == kind)
     upto = [r for r in records[: records.index(rec) + 1] if not r.ignorable]
-    taken = rec.fresh[-1]
+    taken = (rec.fresh or rec.operands)[-1]
     with pytest.raises(InputError, match=re.escape(repr(taken))):
         witness_fragment(upto, g, {**interp0, taken: g.empty_set()})
     assert witness_fragment(upto, g, interp0).ok
@@ -510,6 +514,60 @@ def test_witness_fragment_builds_each_pullback_index_once(fibre_builds):
     assert result.ok
     assert fibre_builds
     assert len({id(m) for m in fibre_builds}) == len(fibre_builds)
+
+
+def test_instance_stage_pulls_back_each_distinct_set_once(monkeypatch):
+    # a base with names aliasing one set object and with equal but distinct
+    # objects, through two staircases: each name's set is the per-name
+    # pullback, equal sets share one preimage object, and `preimage_of` runs
+    # once per distinct point set
+    g, a, b, c, d = crooked_identity_instance()
+    mid = ClosedSet(g, {"seg": [(F(1, 3), F(2, 3))]}, set())
+    base = {
+        "A": a, "A2": a, "B": b, "C": c, "D": d,
+        "M1": mid, "M2": mid, "M3": ClosedSet(g, {"seg": [(F(1, 3), F(2, 3))]}, set()),
+        "E1": g.empty_set(), "E2": g.empty_set(),
+        "W1": g.whole_set(), "W2": ClosedSet(g, {"seg": [(F(0), F(1))]}, set()),
+    }
+    real_preimage, real_hash = PLMap.preimage_of, ClosedSet.__hash__
+    real_surgery = surgery.surgery_with_nudges
+    calls, hashed = [], []
+
+    def counting_preimage(self, t):
+        calls.append(t)
+        return real_preimage(self, t)
+
+    def counting_hash(self):
+        hashed.append(self)
+        return real_hash(self)
+
+    def surgery_then_count(*args):
+        # the surgery's own preimages and post-checks are not the pullback
+        out = real_surgery(*args)
+        calls.clear()
+        hashed.clear()
+        return out
+
+    monkeypatch.setattr(PLMap, "preimage_of", counting_preimage)
+    monkeypatch.setattr(ClosedSet, "__hash__", counting_hash)
+    monkeypatch.setattr(surgery, "surgery_with_nudges", surgery_then_count)
+    prev = surgery.Stage(g, None, base, "base")
+    for n in (1, 2):
+        instance = {"kind": "theta", "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"]}
+        ops = [prev.base[name] for name in "ABCD"]
+        stage = surgery.instance_stage(prev, instance, ops, None)
+        looked_up = [id(s) for s in hashed]
+        assert stage.kind == "crooked"
+        assert len(calls) == len(set(prev.base.values())) == len(set(calls))
+        for cid, s in prev.base.items():
+            assert stage.base[cid] == real_preimage(stage.bonding, s), cid
+            for other, t in prev.base.items():
+                assert (stage.base[cid] is stage.base[other]) == (s == t), (cid, other)
+        # the value lookups meet each distinct object of the base, and from
+        # the second surgery on equal sets are one object
+        assert set(looked_up) == {id(s) for s in prev.base.values()}
+        prev = stage
+    assert len(prev.base) == len(base) + 6
 
 def test_witness_fragment_triangle_trace():
     g = y_graph()
