@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
+from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -128,14 +129,11 @@ class MetricGraph:
             return ("v", e.v)
         return ("e", eid, t)
 
-    def vertex_point(self, vid: str) -> Point:
-        if vid not in self.adjacency:
-            raise InputError(f"unknown vertex {vid!r}")
-        return ("v", vid)
-
     def normalize_point(self, p: Point) -> Point:
         if p[0] == "v":
-            return self.vertex_point(p[1])
+            if p[1] not in self.adjacency:
+                raise InputError(f"unknown vertex {p[1]!r}")
+            return ("v", p[1])
         return self.point(p[1], p[2])
 
     # ------------------------------------------------------------ structure
@@ -528,20 +526,14 @@ class PLFunction:
             return self._end_value(*adj[0])
         return _bp_eval(self.per_edge[p[1]], p[2])
 
-    def combine(self, other: "PLFunction", fn: Callable) -> "PLFunction":
+    def __sub__(self, other: "PLFunction") -> "PLFunction":
         if other.graph is not self.graph:
             raise UsageError("PL functions on different graphs")
         return PLFunction(
             self.graph,
-            {eid: _bp_combine(self.per_edge[eid], other.per_edge[eid], fn)
+            {eid: _bp_combine(self.per_edge[eid], other.per_edge[eid], sub)
              for eid in self.per_edge},
         )
-
-    def __add__(self, other: "PLFunction") -> "PLFunction":
-        return self.combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "PLFunction") -> "PLFunction":
-        return self.combine(other, lambda a, b: a - b)
 
     def affine(self, mul, add) -> "PLFunction":
         mul, add = frac(mul), frac(add)
@@ -679,7 +671,6 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
 
 @dataclass(frozen=True)
 class KappaMap:
-    graph: MetricGraph
     d_a: PLFunction
     d_b: PLFunction
     d_c: PLFunction
@@ -713,7 +704,7 @@ def kappa_map(graph: MetricGraph, a: ClosedSet, b: ClosedSet, c: ClosedSet) -> K
             raise PreconditionError(f"kappa input {name} is empty; use the shortcut")
     if not ((a & b) & c).is_empty():
         raise PreconditionError("kappa inputs must have empty triple intersection")
-    return KappaMap(graph, distance_to_set(graph, a), distance_to_set(graph, b),
+    return KappaMap(distance_to_set(graph, a), distance_to_set(graph, b),
                     distance_to_set(graph, c))
 
 
@@ -725,22 +716,23 @@ def urysohn(
     graph: MetricGraph,
     zero_set: ClosedSet,
     one_set: ClosedSet,
-    pin_low: ClosedSet | None = None,
-    pin_high: ClosedSet | None = None,
+    pin_low: ClosedSet,
+    pin_high: ClosedSet,
 ) -> PLFunction:
     """An exact PL function that is 0 on `zero_set`, 1 on `one_set`, at most
-    1/2 on `pin_low` and at least 1/2 on `pin_high`.
+    1/2 on `pin_low` and at least 1/2 on `pin_high`; pass an empty set for a
+    side with no pin.
 
     Built as a clamped affine image of d(., zero u pin_low) - d(., one u
     pin_high); the slope is chosen exactly so the clamps engage on the
     mandatory sets.  Postconditions are verified before returning."""
-    low = zero_set if pin_low is None else zero_set | pin_low
-    high = one_set if pin_high is None else one_set | pin_high
+    low = zero_set | pin_low
+    high = one_set | pin_high
     if not (zero_set & one_set).is_empty():
         raise PreconditionError("zero and one sets must be disjoint")
-    if pin_high is not None and not (zero_set & pin_high).is_empty():
+    if not (zero_set & pin_high).is_empty():
         raise PreconditionError("zero set meets the high pin")
-    if pin_low is not None and not (one_set & pin_low).is_empty():
+    if not (one_set & pin_low).is_empty():
         raise PreconditionError("one set meets the low pin")
     if low.is_empty() and high.is_empty():
         return PLFunction.constant(graph, Frac(1, 2))
@@ -772,10 +764,10 @@ def _urysohn_check(f, zero_set, one_set, pin_low, pin_high) -> None:
         raise InvariantViolationError("urysohn: not 0 on the zero set")
     if not one_set.is_empty() and f.min_over(one_set) != 1:
         raise InvariantViolationError("urysohn: not 1 on the one set")
-    if pin_low is not None and not pin_low.is_empty():
+    if not pin_low.is_empty():
         if f.max_over(pin_low) > Frac(1, 2):
             raise InvariantViolationError("urysohn: low pin violated")
-    if pin_high is not None and not pin_high.is_empty():
+    if not pin_high.is_empty():
         if f.min_over(pin_high) < Frac(1, 2):
             raise InvariantViolationError("urysohn: high pin violated")
 
@@ -1038,10 +1030,10 @@ class ExtractResult:
     `cells` are the arrangement cells and `masks` each named set's footprint
     as an int bitmask over them (bit i stands for `cells[i]`); `full` is the
     whole graph.  `decide` works on the masks alone and closes no lattice.
-    The finite sublattice the footprints generate, with the whole graph
-    adjoined as top, and `.interpretation`, each name's footprint as a set of
-    cell indices, are an oracle for tests and perfbench, closed under `cap`
-    when first read; nothing else reads `cap`."""
+    `.interpretation` is each name's footprint as a set of cell indices, read
+    off its mask.  `.lattice`, the finite sublattice the footprints generate
+    with the whole graph adjoined as top, is an oracle for tests and
+    perfbench, closed under `cap` when first read; nothing else reads `cap`."""
 
     def __init__(self, graph: MetricGraph, cells: list[tuple], masks: dict[str, int], cap: int):
         self.graph = graph
@@ -1051,22 +1043,16 @@ class ExtractResult:
         self.cap = cap
 
     @cached_property
-    def _closure(self) -> tuple[FiniteLattice, dict[str, frozenset]]:
-        names = sorted(self.masks)
-        footprints = [_bits(self.masks[name]) for name in names]
-        footprints.append(frozenset(range(len(self.cells))))
-        lattice = generate_sublattice(
-            range(len(self.cells)), footprints, names=names + ["__whole__"], cap=self.cap
-        )
-        return lattice, dict(zip(names, footprints))
-
-    @property
-    def lattice(self) -> FiniteLattice:
-        return self._closure[0]
-
-    @property
     def interpretation(self) -> dict[str, frozenset]:
-        return self._closure[1]
+        return {name: _bits(mask) for name, mask in sorted(self.masks.items())}
+
+    @cached_property
+    def lattice(self) -> FiniteLattice:
+        cells = range(len(self.cells))
+        return generate_sublattice(
+            cells, [*self.interpretation.values(), frozenset(cells)],
+            names=[*self.interpretation, "__whole__"], cap=self.cap,
+        )
 
     def decide(self, f: Formula) -> bool:
         """A sentence over the named sets, decided on the masks: ground

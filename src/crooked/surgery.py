@@ -354,19 +354,13 @@ def triangle_step(
 
 
 def _check_triangle_post(step: TriangleStep, a, b, c) -> None:
-    out = step.output_graph
-    x, y, z = (step.witnesses[k] for k in ("x", "y", "z"))
-    a2 = step.bonding.preimage_of(a)
-    b2 = step.bonding.preimage_of(b)
-    c2 = step.bonding.preimage_of(c)
-    if not (a2.is_subset_of(x) and b2.is_subset_of(y) and c2.is_subset_of(z)):
-        raise InvariantViolationError("triangle witnesses do not cover the inputs")
-    if not ((x & y) & z).is_empty():
-        raise InvariantViolationError("triangle witnesses have a common point")
-    if ((x | y) | z) != out.whole_set():
-        raise InvariantViolationError("triangle witnesses do not cover the space")
-    sets = {"a": a2, "b": b2, "c": c2, "x": x, "y": y, "z": z}
-    if not verify_on_sublattice(ZETA_GROUND, sets, out):
+    """The dimension schema on cell footprints (its premise holds, since the
+    inputs' preimages meet emptily, so it decides that each input lies in its
+    witness and the witnesses cover the space with no common point), and an
+    onto bonding."""
+    sets = {k: step.bonding.preimage_of(s) for k, s in (("a", a), ("b", b), ("c", c))}
+    sets.update(step.witnesses)
+    if not verify_on_sublattice(ZETA_GROUND, sets, step.output_graph):
         raise InvariantViolationError("dimension schema failed on the cell footprints")
     if not step.bonding.is_surjective():
         raise InvariantViolationError("triangle bonding is not onto")
@@ -637,30 +631,31 @@ def _check_crooked_post(step: CrookedStep, a, b, c, d) -> None:
 # Connected lifts
 # --------------------------------------------------------------------------
 
-def lift_through(stage, s: ClosedSet) -> ClosedSet:
-    """A connected onto lift through one bonding: the component of the
-    preimage with the exact image.  Works from the bonding alone, so a built
-    or loaded `Stage`, a `TriangleStep` and a `CrookedStep` lift alike."""
+def lift_through(stage, s: ClosedSet, pre: ClosedSet) -> ClosedSet:
+    """A connected onto lift through one bonding: the component of `pre`,
+    the preimage of `s`, with the exact image.  Works from the bonding alone,
+    so a built or loaded `Stage`, a `TriangleStep` and a `CrookedStep` lift
+    alike."""
     bonding = stage.bonding
     if s.is_empty():
         return bonding.domain.empty_set()
-    pre = bonding.preimage_of(s)
     for comp in bonding.domain.components_of(pre):
         if bonding.image_of(comp) == s:
             return comp
     raise InvariantViolationError("no component of the preimage maps onto the set")
 
 
-def lift_connected(step, s: ClosedSet) -> ClosedSet:
-    """A connected closed set in the new space mapping exactly onto `s`.
+def lift_connected(step, s: ClosedSet, pre: ClosedSet) -> ClosedSet:
+    """A connected closed set in the new space mapping exactly onto `s`,
+    given `pre`, the preimage of `s` that the caller has already pulled back.
 
     Monotone (triangle) bondings lift by full preimage, which must be one
     component; crooked bondings keep the component of the preimage with the
     exact image, which the construction guarantees to exist."""
     if not s.is_empty() and len(step.bonding.codomain.components_of(s)) != 1:
         raise PreconditionError("lift_connected needs a connected set")
-    lifted = lift_through(step, s)
-    if step.kind == "triangle" and lifted != step.bonding.preimage_of(s):
+    lifted = lift_through(step, s, pre)
+    if step.kind == "triangle" and lifted != pre:
         raise InvariantViolationError("monotone bonding produced a disconnected preimage")
     return lifted
 
@@ -690,7 +685,7 @@ def normal_cocover(
 def disjunctivity_point(graph: MetricGraph, big: ClosedSet, small: ClosedSet) -> ClosedSet:
     """A point of `big` outside `small`; empty when `big` lies inside
     `small` (a vacuous premise)."""
-    if (big & small) == big:
+    if big.is_subset_of(small):
         return graph.empty_set()
     return graph.point_closed_set([_point_outside(graph, big, small)])
 
@@ -943,7 +938,7 @@ def witness_fragment(
                 for cid in sorted(connected):
                     if cid in prev.base and not prev.base[cid].is_empty():
                         try:
-                            stage.base[cid] = lift_connected(stage, prev.base[cid])
+                            stage.base[cid] = lift_connected(stage, prev.base[cid], stage.base[cid])
                         except PreconditionError:
                             pass  # not connected after all; the report will say so
                 trace.extend(

@@ -70,64 +70,6 @@ def is_hausdorff_like(space: FiniteSpace) -> bool:
     return True
 
 
-def _is_empty(s) -> bool:
-    if hasattr(s, "is_empty"):
-        return s.is_empty()
-    return len(s) == 0
-
-
-def check_contimage_conditions(
-    base: dict[str, frozenset],
-    y_full: frozenset,
-    phi: dict,
-    x_full,
-    arity_cap: int = 3,
-) -> list[tuple]:
-    """Verify the three conditions that make a base assignment induce a
-    continuous surjection.
-
-    (1) phi(empty) is empty and phi(F) is nonempty for nonempty F;
-    (2) co-covers map to co-covers: F u G = Y implies phi(F) u phi(G) = X;
-    (3) empty intersections of up to `arity_cap` base sets map to empty
-        intersections.
-
-    `phi` values may be frozensets or any set-like values supporting &, |
-    and equality (e.g. metric-graph closed sets).  Returns violation
-    records; empty means all conditions hold."""
-    report: list[tuple] = []
-    names = sorted(base)
-    for name in names:
-        if name not in phi:
-            report.append(("total", (name,), "phi is not defined on this base set"))
-    if report:
-        return report
-    for name in names:
-        F = base[name]
-        if _is_empty(F) and not _is_empty(phi[name]):
-            report.append(("1", (name,), "phi(empty) must be empty"))
-        if not _is_empty(F) and _is_empty(phi[name]):
-            report.append(("1", (name,), "phi must send nonempty to nonempty"))
-    for i, n1 in enumerate(names):
-        for n2 in names[i:]:
-            if base[n1] | base[n2] == y_full:
-                if (phi[n1] | phi[n2]) != x_full:
-                    report.append(("2", (n1, n2), "co-cover not preserved"))
-    import itertools as _it
-
-    for r in range(2, arity_cap + 1):
-        for combo in _it.combinations(names, r):
-            inter = base[combo[0]]
-            for nm in combo[1:]:
-                inter = inter & base[nm]
-            if _is_empty(inter):
-                img = phi[combo[0]]
-                for nm in combo[1:]:
-                    img = img & phi[nm]
-                if not _is_empty(img):
-                    report.append(("3", combo, "empty intersection not preserved"))
-    return report
-
-
 def space_dump(space: FiniteSpace) -> str:
     """Structured-text dump: points, then named base sets."""
     lines = [f"points: {' '.join(space.points)}"]

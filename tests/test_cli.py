@@ -570,10 +570,9 @@ def test_sigma_witness_flags_a_disconnected_lift(tmp_path, capsys, monkeypatch):
     # a lift that keeps the whole preimage fails only the hat-conn line
     components = []
 
-    def full_preimage(stage, s):
-        lifted = stage.bonding.preimage_of(s)
-        components.append(len(stage.graph.components_of(lifted)))
-        return lifted
+    def full_preimage(stage, s, pre):
+        components.append(len(stage.graph.components_of(pre)))
+        return pre
 
     monkeypatch.setattr(surgery, "lift_connected", full_preimage)
     assert _surgering_report(tmp_path, capsys) == (1, ["S-1^0 0"], ["crooked"])

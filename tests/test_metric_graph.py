@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crooked import surgery, tower
-from crooked.errors import InputError, PreconditionError, UsageError
+from crooked.errors import InputError, PreconditionError, ResourceLimitError, UsageError
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
@@ -336,7 +336,7 @@ def test_components_match_grid_oracle_on_six_edge_graph():
 def test_urysohn_identity_on_segment(seg):
     a = seg.point_closed_set([("v", "a")])
     b = seg.point_closed_set([("v", "b")])
-    f = urysohn(seg, a, b)
+    f = urysohn(seg, a, b, seg.empty_set(), seg.empty_set())
     assert f.per_edge["seg"] == ((F(0), F(0)), (F(1), F(1)))
 
 
@@ -344,9 +344,9 @@ def test_urysohn_disjointness_required(seg):
     s = ClosedSet(seg, {"seg": [(F(0), F(1, 2))]}, set())
     t = ClosedSet(seg, {"seg": [(F(1, 2), F(1))]}, set())
     with pytest.raises(PreconditionError):
-        urysohn(seg, s, t & s)
+        urysohn(seg, s, t & s, seg.empty_set(), seg.empty_set())
     with pytest.raises(PreconditionError):
-        urysohn(seg, s, t)  # they share the point 1/2
+        urysohn(seg, s, t, seg.empty_set(), seg.empty_set())  # they share the point 1/2
 
 
 def test_urysohn_pins_on_star():
@@ -373,10 +373,11 @@ def test_urysohn_pins_on_star():
 
 
 def test_urysohn_empty_sides(seg):
-    f = urysohn(seg, seg.empty_set(), seg.empty_set())
+    none = seg.empty_set()
+    f = urysohn(seg, none, none, none, none)
     assert f.eval(("e", "seg", F(1, 3))) == F(1, 2)
     z = ClosedSet(seg, {"seg": [(F(0), F(1, 4))]}, set())
-    f0 = urysohn(seg, z, seg.empty_set())
+    f0 = urysohn(seg, z, none, none, none)
     assert f0.max_over(seg.whole_set()) == 0
 
 
@@ -551,6 +552,20 @@ def test_extract_footprints_respect_meet_join(theta):
         assert {es & et, es | et} <= set(res.lattice.elements)
         assert closed_set_of(res, es & et) == (s & t)
         assert closed_set_of(res, es | et) == (s | t)
+
+
+def test_extract_interpretation_closes_nothing(seg, closure_calls):
+    # three points and the whole segment close to 9 elements, over a cap of 4
+    ts = {f"p{i}": F(i, 4) for i in (1, 2, 3)}
+    res = extract_sublattice(
+        seg, {name: seg.point_closed_set([("e", "seg", t)]) for name, t in ts.items()}, cap=4
+    )
+    assert res.interpretation == {
+        name: frozenset({res.cells.index(("p", "seg", t))}) for name, t in ts.items()
+    }
+    assert closure_calls == []
+    with pytest.raises(ResourceLimitError):
+        res.lattice
 
 
 def extract_by_bisection(graph, named_sets):

@@ -6,7 +6,9 @@ name: a name, an attribute or an import anywhere in src/, or an identifier
 or a TARGETS string in perfbench/.  Tests do not count, so a helper that
 only its own tests call fails here.  Dunder methods are exempt, since the
 language calls them.  The declared independent oracles are the exceptions:
-they exist to check the library from outside it.
+they exist to check the library from outside it.  A definition earns that
+exemption only when some test compares library output against it, and each
+name in ORACLES must still be defined in src/.
 
 A method named like an attribute of a builtin type (`values`, `join`,
 `count`, ...) is loaded wherever a dict, str or list uses that attribute,
@@ -19,10 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ORACLES = {
-    "eval_bruteforce", "check_monotone", "search_her_indec_cover",
-    "check_contimage_conditions",
-}
+ORACLES = {"eval_bruteforce", "check_monotone", "search_her_indec_cover"}
 # method -> (module, function) of its library caller
 SHARED_NAMES = {
     "ClosedSet.split": ("metric_graph.py", "extract_sublattice"),
@@ -99,6 +98,14 @@ def test_every_library_definition_has_a_caller():
             if outside == 0 and node.name not in bench_names:
                 dead.append(f"{module}:{label}")
     assert not dead, f"defined but never called: {dead}"
+
+
+def test_every_oracle_is_defined():
+    defined = {
+        node.name for tree in _trees("src/crooked").values()
+        for _, node in _definitions(tree)
+    }
+    assert ORACLES <= defined, f"stale ORACLES entries: {sorted(ORACLES - defined)}"
 
 
 def test_methods_sharing_a_builtin_name_are_declared():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -83,6 +84,22 @@ def test_triangle_inserts_fiber_on_y_graph():
     }
     assert verify_on_sublattice(zeta_ground(), sets, out)
     assert ((sets["x"] & sets["y"]) & sets["z"]).is_empty()
+
+
+@pytest.mark.parametrize("fault", ["input uncovered", "common point", "space uncovered"])
+def test_triangle_postcondition_rejects_a_bad_witness(fault):
+    g = y_graph()
+    a, b, c = (g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc"))
+    step = triangle_step(g, a, b, c)
+    out = step.output_graph
+    bad = {
+        "input uncovered": {"x": out.empty_set()},
+        "common point": {"x": out.whole_set()},
+        "space uncovered": {"z": step.bonding.preimage_of(c)},
+    }[fault]
+    broken = dataclasses.replace(step, witnesses={**step.witnesses, **bad})
+    with pytest.raises(InvariantViolationError):
+        surgery._check_triangle_post(broken, a, b, c)
 
 
 def test_triangle_preserves_prior_sentences():
@@ -329,9 +346,9 @@ def test_crooked_phi_precondition():
 def test_lift_connected_whole_and_point():
     g, a, b, c, d = crooked_identity_instance()
     step = crooked_step(g, a, b, c, d)
-    whole = lift_connected(step, g.whole_set())
+    whole = lift_connected(step, g.whole_set(), step.bonding.preimage_of(g.whole_set()))
     assert whole == step.output_graph.whole_set()
-    pt = lift_connected(step, a)
+    pt = lift_connected(step, a, step.bonding.preimage_of(a))
     assert step.bonding.image_of(pt) == a
 
 
@@ -339,7 +356,7 @@ def test_lift_connected_case_one_interval():
     g, a, b, c, d = crooked_identity_instance()
     step = crooked_step(g, a, b, c, d)
     low = ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set())
-    lifted = lift_connected(step, low)
+    lifted = lift_connected(step, low, step.bonding.preimage_of(low))
     assert step.bonding.image_of(lifted) == low
     assert len(step.output_graph.components_of(lifted)) == 1
     # the lift lives on the first vertical level
@@ -353,11 +370,11 @@ def test_lift_connected_triangle_full_preimage():
     c = g.point_closed_set([("v", "tc")])
     step = triangle_step(g, a, b, c)
     sub = ClosedSet(g, {"la": [(F(0), F(1, 2))], "lb": [(F(0), F(1, 2))]}, {"c"})
-    lifted = lift_connected(step, sub)
+    lifted = lift_connected(step, sub, step.bonding.preimage_of(sub))
     assert step.bonding.image_of(lifted) == sub
     assert len(step.output_graph.components_of(lifted)) == 1
     with pytest.raises(PreconditionError):
-        lift_connected(step, a | b)  # disconnected input
+        lift_connected(step, a | b, step.bonding.preimage_of(a | b))  # disconnected input
 
 
 # ------------------------------------------------------------- fresh sets
@@ -653,8 +670,10 @@ def test_witness_fragment_vacuous_and_shortcut():
     assert result.interpretation["y0"] == g.whole_set()
 
 
-def test_witness_fragment_hat_constant_lifts_connected():
-    from crooked.folang import And, Eq, Meet, conn, theta
+def hat_conn_fragment():
+    """A hat-conn catalog constant k(-2,0) under its holder k(-1,0), then
+    one crooked surgery on the identity instance."""
+    from crooked.folang import theta
     g, a, b, c, d = crooked_identity_instance()
     sub = ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set())
     holder = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
@@ -673,7 +692,11 @@ def test_witness_fragment_hat_constant_lifts_connected():
         theta(*(Const(k) for k in ("A", "B", "C", "D", "x0", "y0", "z0"))),
         operands=("A", "B", "C", "D"), fresh=("x0", "y0", "z0"),
     )
-    result = witness_fragment([hat, thet], g, interp0)
+    return [hat, thet], g, interp0
+
+
+def test_witness_fragment_hat_constant_lifts_connected():
+    result = witness_fragment(*hat_conn_fragment())
     assert result.ok, result.report
     lifted = result.interpretation["k(-2,0)"]
     # the catalog constant stays connected and under its holder
@@ -683,6 +706,28 @@ def test_witness_fragment_hat_constant_lifts_connected():
     # staircase puts two verticals over [0, 1/4]
     pulled = result.interpretation["C"] & result.interpretation["k(-1,0)"]
     assert not lifted == pulled
+
+
+def test_hat_constant_lift_reuses_the_stage_pullback(monkeypatch):
+    # the surgery's stage already holds the preimage of k(-2,0), so lifting
+    # it pulls nothing back again
+    calls, per_lift = [], []
+    preimage_of, lift = PLMap.preimage_of, surgery.lift_connected
+
+    def counting_preimage(self, s):
+        calls.append(s)
+        return preimage_of(self, s)
+
+    def counting_lift(*args):
+        before = len(calls)
+        lifted = lift(*args)
+        per_lift.append(len(calls) - before)
+        return lifted
+
+    monkeypatch.setattr(PLMap, "preimage_of", counting_preimage)
+    monkeypatch.setattr(surgery, "lift_connected", counting_lift)
+    assert witness_fragment(*hat_conn_fragment()).ok
+    assert per_lift == [0]
 
 
 def test_surgery_outputs_model_connectivity_sentence():

@@ -3,9 +3,7 @@ import random
 
 from crooked.folang import LIBRARY, eval_formula
 from crooked.lattice import generate_sublattice
-from crooked.wallman import (
-    FiniteSpace, check_contimage_conditions, is_T1, is_hausdorff_like, wallman_space,
-)
+from crooked.wallman import FiniteSpace, is_T1, is_hausdorff_like, wallman_space
 from test_lattice import CHAIN3, powerset_lattice
 
 
@@ -141,31 +139,3 @@ def test_conn1_on_wallman_corpus():
         ):
             assert not conn_true
 
-
-def test_contimage_identity_assignment():
-    lat = powerset_lattice(2)
-    space, hom = wallman_space(lat)
-    base = {f"L{i}": hom[i] for i in range(lat.size)}
-    phi = dict(base)
-    assert check_contimage_conditions(base, space.full, phi, space.full) == []
-
-
-def test_contimage_condition3_violated():
-    base = {
-        "e": frozenset(),
-        "a": frozenset({"p"}),
-        "b": frozenset({"q"}),
-        "ab": frozenset({"p", "q"}),
-    }
-    full = frozenset({"p", "q"})
-    phi = {n: (full if s else frozenset()) for n, s in base.items()}
-    report = check_contimage_conditions(base, full, phi, full)
-    assert any(cond == "3" and set(combo) == {"a", "b"} for cond, combo, _ in report)
-
-
-def test_contimage_condition1_violated():
-    base = {"e": frozenset(), "x": frozenset({"p"})}
-    full = frozenset({"p"})
-    phi = {"e": full, "x": full}
-    report = check_contimage_conditions(base, full, phi, full)
-    assert any(cond == "1" and combo == ("e",) for cond, combo, _ in report)
