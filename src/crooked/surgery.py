@@ -6,9 +6,9 @@ normalized distance triple sits at the barycenter, reinterprets the three
 witnesses by the radial-projection rule, and bonds monotonically back.  The
 crookedness step threads the space through a five-segment staircase over a
 separating function and keeps the unique component that still covers the
-base.  Both return the new space, the bonding map and the witness sets; every
-postcondition is re-checked independently of the construction bookkeeping,
-on the cell footprints of the sets' arrangement.
+base.  Both return the new space, the bonding map and the witness sets; the
+instance step re-checks each surgery independently of the construction
+bookkeeping, on the cell footprints of the pulled-back operands and witnesses.
 Sentences are decided there as bitmasks (meet and join are `&` and `|`,
 conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
 applies, not even for a fragment's hat-mode lines.
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .folang import (
     And, Const, Eq, Formula, Implies, Neq, Not, Or,
-    constants_of, is_ground, psi, theta, zeta,
+    constants_of, is_ground, theta, zeta,
 )
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
@@ -48,11 +48,18 @@ from .sigma import SentenceRecord
 
 ARC_LETTERS = ("A", "B", "C")
 
-# The ground instances of the dimension, crookedness and theta schemata over
-# the operand roles a, b, c (, d) and the witness roles x, y, z.
-ZETA_GROUND = zeta(*(Const(r) for r in ("a", "b", "c", "x", "y", "z")))
-PSI_GROUND = psi(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
-THETA_GROUND = theta(*(Const(r) for r in ("a", "b", "c", "d", "x", "y", "z")))
+# The ground instances of the dimension ("zeta") and crookedness ("theta")
+# schemata over the operand roles a, b, c (, d) and the witness roles x, y, z.
+GROUND = {"zeta": zeta(*map(Const, "abcxyz")), "theta": theta(*map(Const, "abcdxyz"))}
+
+
+def instance_sets(instance: dict, base: dict[str, ClosedSet]) -> dict[str, ClosedSet] | None:
+    """The sets that an instance's operand and witness names have in `base`,
+    keyed by their roles in `GROUND`; None when a name is unbound there."""
+    roles = [*zip("abcd", instance["operands"]), *zip("xyz", instance["witnesses"])]
+    if any(nm not in base for _, nm in roles):
+        return None
+    return {r: base[nm] for r, nm in roles}
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +219,8 @@ def triangle_step(
 ) -> TriangleStep:
     """Make the dimension witnesses exist: each isolated barycenter point of
     the distance triple is blown up into a circle fiber, and x, y, z are the
-    minimal-coordinate regions together with their fiber arcs."""
+    minimal-coordinate regions together with their fiber arcs.  The bonding
+    is checked onto; the schema is checked only by `instance_stage`."""
     for name, s in (("a", a), ("b", b), ("c", c)):
         if s.graph is not graph:
             raise UsageError(f"set {name} is not on the input graph")
@@ -342,28 +350,15 @@ def triangle_step(
             w = w | ClosedSet(out, intervals, frozenset())
             witnesses[wname] = w
 
-    step = TriangleStep(
+    if not bonding.is_surjective():
+        raise InvariantViolationError("triangle bonding is not onto")
+    return TriangleStep(
         output_graph=out,
         bonding=bonding,
         witnesses=witnesses,
         locus=locus,
         fibers=fibers,
     )
-    _check_triangle_post(step, a, b, c)
-    return step
-
-
-def _check_triangle_post(step: TriangleStep, a, b, c) -> None:
-    """The dimension schema on cell footprints (its premise holds, since the
-    inputs' preimages meet emptily, so it decides that each input lies in its
-    witness and the witnesses cover the space with no common point), and an
-    onto bonding."""
-    sets = {k: step.bonding.preimage_of(s) for k, s in (("a", a), ("b", b), ("c", c))}
-    sets.update(step.witnesses)
-    if not verify_on_sublattice(ZETA_GROUND, sets, step.output_graph):
-        raise InvariantViolationError("dimension schema failed on the cell footprints")
-    if not step.bonding.is_surjective():
-        raise InvariantViolationError("triangle bonding is not onto")
 
 
 def check_monotone(step: TriangleStep) -> bool:
@@ -468,7 +463,7 @@ def crooked_step(
 ) -> CrookedStep:
     """Thread the space through the five-segment staircase over a separating
     function and keep the unique component that still projects onto the
-    whole input."""
+    whole input.  The schema is checked only by `instance_stage`."""
     for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
         if s.graph is not graph:
             raise UsageError(f"set {name} is not on the input graph")
@@ -567,7 +562,7 @@ def crooked_step(
         | (bonding.preimage_of(f.band(third, Frac(5, 8))) & t34),
         "z": bonding.preimage_of(f.superlevel_set(Frac(5, 8))) & t34,
     }
-    step = CrookedStep(
+    return CrookedStep(
         output_graph=out,
         bonding=bonding,
         separating=f,
@@ -575,8 +570,6 @@ def crooked_step(
         component_count=len(comps),
         staircase_graph=staircase,
     )
-    _check_crooked_post(step, a, b, c, d)
-    return step
 
 
 def _attach_staircase_layout(out, base, vertex_map) -> None:
@@ -609,22 +602,6 @@ def _attach_staircase_layout(out, base, vertex_map) -> None:
             continue
         pos[v] = (frac_str(t), frac_str(lin(vertex_map[v])))
     out.meta["pos"] = pos
-
-
-def _check_crooked_post(step: CrookedStep, a, b, c, d) -> None:
-    out = step.output_graph
-    lifted = {
-        "a": step.bonding.preimage_of(a),
-        "b": step.bonding.preimage_of(b),
-        "c": step.bonding.preimage_of(c),
-        "d": step.bonding.preimage_of(d),
-    }
-    sets = dict(lifted)
-    sets.update(step.witnesses)
-    if not verify_on_sublattice(PSI_GROUND, sets, out):
-        raise InvariantViolationError(
-            "crookedness schema failed on the cell footprints"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -782,14 +759,19 @@ class Stage:
             self.base[name] = s
 
 
-def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
+def instance_stage(prev: Stage, instance: dict, resolved) -> Stage:
     """The stage for one dimension ("zeta") or crookedness ("theta")
     instance: its witnesses on the previous graph when `resolved` is
-    `(mode, (x, y, z))`, otherwise the surgery with any nudges folded into
+    `(mode, (x, y, z))`, otherwise the surgery on the sets that the names
+    `instance["operands"]` have in `prev.base`, with any nudges folded into
     the bonding, and the previous base pulled back through that bonding
     (the only place a base crosses a surgery).  The witnesses join the base
     under the names `instance["witnesses"]`, and `instance["mode"]` records
     the resolution.
+
+    This is the one check of a surgery: the conclusion `GROUND[kind].right`
+    on the new base's cell footprints (the premise held before the surgery,
+    so a faulty pullback cannot pass vacuously).
 
     The pullback costs one `preimage_of` per distinct point set, not per
     name: every name bound to a set shares its one preimage object.  A set
@@ -803,6 +785,7 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
         graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
         kind = "identity" if mode == "existing-cover" else mode
     else:
+        ops = [prev.base[name] for name in instance["operands"]]
         step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
         mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
         graph, kind = step.output_graph, step.kind
@@ -820,6 +803,10 @@ def instance_stage(prev: Stage, instance: dict, ops: list, resolved) -> Stage:
     instance["mode"] = mode
     stage = Stage(graph, bonding, dict(base), kind, instance=instance, nudges=nudged)
     stage.bind(instance["witnesses"], witnesses)
+    if resolved is None and not verify_on_sublattice(
+        GROUND[instance["kind"]].right, instance_sets(instance, stage.base), graph
+    ):
+        raise InvariantViolationError(f"{kind} surgery failed its schema on the cell footprints")
     return stage
 
 
@@ -934,7 +921,8 @@ def witness_fragment(
                 stage.bind(rec.fresh, resolved[1])
             else:
                 prev = stage
-                stage = instance_stage(prev, {"kind": kind, "witnesses": rec.fresh}, ops, None)
+                instance = {"kind": kind, "operands": rec.operands, "witnesses": rec.fresh}
+                stage = instance_stage(prev, instance, None)
                 for cid in sorted(connected):
                     if cid in prev.base and not prev.base[cid].is_empty():
                         try:

@@ -28,7 +28,7 @@ from .metric_graph import (
     dump_json, extract_sublattice, graph_from_dict, graph_to_dict,
 )
 from .surgery import (
-    THETA_GROUND, ZETA_GROUND, Stage, instance_stage, lift_through,
+    GROUND, Stage, instance_sets, instance_stage, lift_through,
     resolve_shortcut, verify_on_sublattice,
 )
 
@@ -313,7 +313,7 @@ def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, cand
             resolved = None if found is None else ("existing-cover", found)
         except ResourceLimitError:
             pass
-    return instance_stage(prev, instance, ops, resolved)
+    return instance_stage(prev, instance, resolved)
 
 
 def zeta_candidates(base: dict[str, ClosedSet]):
@@ -422,14 +422,9 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
             continue
         n = inst["stage"]
         kind = inst["kind"]
-        roles = [*zip("abcd", inst["operands"]), *zip("xyz", inst["witnesses"])]
         for at_stage in sorted({n, N}):
-            base = tower.base(at_stage)
-            sets = {role: base.get(nm) for role, nm in roles}
-            ok = None not in sets.values()
-            if ok:
-                ground = ZETA_GROUND if kind == "zeta" else THETA_GROUND
-                ok = verify_on_sublattice(ground, sets, tower.graph(at_stage))
+            sets = instance_sets(inst, tower.base(at_stage))
+            ok = sets is not None and verify_on_sublattice(GROUND[kind], sets, tower.graph(at_stage))
             label = f"stage {n} {kind} schedule={inst['schedule']} at stage {at_stage}"
             report.append((label, ok))
     for name, sets in tower.catalog.items():
@@ -508,15 +503,19 @@ def load_tower(directory: str) -> Tower:
                 bonding = PLMap.from_dict(graph, stages[n - 1].graph, read(f"bonding{n}.json"))
             meta = trace["stages"][n]
             inst = meta["instance"]
-            # an instance is null or the record `verify_tower` reads; a missing
-            # key, or an instance that is not an object, raises LookupError or
+            # an instance is null or the record `verify_tower` reads: its own
+            # stage number, and one name per role of its kind.  A missing key,
+            # or an instance that is not an object, raises LookupError or
             # TypeError, which the except clause turns into InputError
             if inst is not None and not (
-                isinstance(inst["stage"], int) and inst["kind"] in ("zeta", "theta")
+                type(inst["stage"]) is int and inst["stage"] == n
+                and inst["kind"] in ("zeta", "theta")
                 and isinstance(inst["schedule"], list)
                 and [type(k) for k in inst["schedule"]] == [int, int]
                 and all(isinstance(inst[key], list) and all(isinstance(x, str) for x in inst[key])
                         for key in ("operands", "witnesses"))
+                and len(inst["operands"]) == (3 if inst["kind"] == "zeta" else 4)
+                and len(inst["witnesses"]) == 3
             ):
                 raise InputError(f"malformed tower directory {directory}: stage {n} instance {inst!r}")
             stages.append(

@@ -861,8 +861,15 @@ def test_render_non_string_edge_field_exit_2(tmp_path, capsys, key):
         st["instance"] for st in data["stages"] if st["instance"]
     ).pop("operands")),
     ("trace.json", lambda data: data["catalog"]["whole"].pop()),
+    # stage 1 holds a theta instance and stage 2 a zeta one
+    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=9)),
+    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=-1)),
+    ("trace.json", lambda data: data["stages"][2]["instance"]["operands"].pop()),
+    ("trace.json", lambda data: data["stages"][2]["instance"]["witnesses"].pop()),
+    ("trace.json", lambda data: data["stages"][1]["instance"]["operands"].append("mid")),
 ], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands",
-        "catalog-too-short"])
+        "catalog-too-short", "instance-stage-past-depth", "instance-stage-negative",
+        "zeta-with-two-operands", "instance-with-two-witnesses", "theta-with-five-operands"])
 def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, name, corrupt):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
     path = towerdir / name

@@ -689,7 +689,7 @@ def _reloaded_w1_model():
 
 
 def test_w1_extractions_match_bisection(monkeypatch):
-    # every extraction the witnessing makes (post-checks, line checks, the
+    # every extraction the witnessing makes (surgery checks, line checks, the
     # report) and every ground sentence decided on the reloaded model
     checked = []
 
@@ -980,8 +980,8 @@ def test_surgery_stage_pullback_matches_full_scan(monkeypatch):
     pulled = []
     stage_fn = surgery.instance_stage
 
-    def checking(prev, instance, ops, resolved):
-        stage = stage_fn(prev, instance, ops, resolved)
+    def checking(prev, instance, resolved):
+        stage = stage_fn(prev, instance, resolved)
         if resolved is None:
             for cid, s in prev.base.items():
                 if cid not in instance["witnesses"]:

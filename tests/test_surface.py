@@ -1,5 +1,5 @@
-"""Every module-level function and class in src/crooked, and every method
-of such a class, has a caller.
+"""Every module-level function, class and constant in src/crooked, and
+every method of such a class, has a caller.
 
 A definition counts as used when some code outside its own body loads its
 name: a name, an attribute or an import anywhere in src/, or an identifier
@@ -98,6 +98,20 @@ def test_every_library_definition_has_a_caller():
             if outside == 0 and node.name not in bench_names:
                 dead.append(f"{module}:{label}")
     assert not dead, f"defined but never called: {dead}"
+
+
+def test_every_library_constant_is_read():
+    # a module-level assignment in src/ that nothing in src/ or perfbench/ loads
+    src = _trees("src/crooked")
+    loaded = set().union(*map(_loads, (*src.values(), *_trees("perfbench").values())))
+    dead = [
+        f"{module}:{target.id}"
+        for module, tree in src.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id not in loaded
+    ]
+    assert not dead, f"assigned but never read: {dead}"
 
 
 def test_every_oracle_is_defined():

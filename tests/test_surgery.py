@@ -86,20 +86,32 @@ def test_triangle_inserts_fiber_on_y_graph():
     assert ((sets["x"] & sets["y"]) & sets["z"]).is_empty()
 
 
+def surgery_stage(monkeypatch, kind, base, override):
+    """One `instance_stage` surgery on the names of `base` in sorted order as
+    operands, with the step's witnesses updated by `override(step)`."""
+    real = surgery.surgery_with_nudges
+
+    def overridden(*args):
+        step, bonding, nudged = real(*args)
+        return dataclasses.replace(step, witnesses={**step.witnesses, **override(step)}), bonding, nudged
+
+    monkeypatch.setattr(surgery, "surgery_with_nudges", overridden)
+    prev = surgery.Stage(next(iter(base.values())).graph, None, dict(base), "base")
+    instance = {"kind": kind, "operands": sorted(base), "witnesses": ["x0", "y0", "z0"]}
+    return surgery.instance_stage(prev, instance, None)
+
+
 @pytest.mark.parametrize("fault", ["input uncovered", "common point", "space uncovered"])
-def test_triangle_postcondition_rejects_a_bad_witness(fault):
+def test_triangle_postcondition_rejects_a_bad_witness(monkeypatch, fault):
     g = y_graph()
     a, b, c = (g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc"))
-    step = triangle_step(g, a, b, c)
-    out = step.output_graph
     bad = {
-        "input uncovered": {"x": out.empty_set()},
-        "common point": {"x": out.whole_set()},
-        "space uncovered": {"z": step.bonding.preimage_of(c)},
+        "input uncovered": lambda step: {"x": step.output_graph.empty_set()},
+        "common point": lambda step: {"x": step.output_graph.whole_set()},
+        "space uncovered": lambda step: {"z": step.bonding.preimage_of(c)},
     }[fault]
-    broken = dataclasses.replace(step, witnesses={**step.witnesses, **bad})
-    with pytest.raises(InvariantViolationError):
-        surgery._check_triangle_post(broken, a, b, c)
+    with pytest.raises(InvariantViolationError, match="triangle surgery failed"):
+        surgery_stage(monkeypatch, "zeta", {"A": a, "B": b, "C": c}, bad)
 
 
 def test_triangle_preserves_prior_sentences():
@@ -221,6 +233,31 @@ def crooked_identity_instance():
     c = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set())
     d = ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set())
     return g, a, b, c, d
+
+
+@pytest.mark.parametrize("fault", ["x meets z", "y empty", "z empty"])
+def test_crooked_postcondition_rejects_a_bad_witness(monkeypatch, fault):
+    g, a, b, c, d = crooked_identity_instance()
+    bad = {
+        "x meets z": lambda step: {"x": step.output_graph.whole_set()},
+        "y empty": lambda step: {"y": step.output_graph.empty_set()},
+        "z empty": lambda step: {"z": step.output_graph.empty_set()},
+    }[fault]
+    with pytest.raises(InvariantViolationError, match="crooked surgery failed"):
+        surgery_stage(monkeypatch, "theta", {"A": a, "B": b, "C": c, "D": d}, bad)
+
+
+def test_crooked_postcondition_rejects_a_vacuous_pullback(monkeypatch):
+    # a pullback that sends b onto the whole space breaks the premise a#b on
+    # the new stage, so the implication would hold vacuously; the step
+    # decides the conclusion and still rejects it
+    g, a, b, c, d = crooked_identity_instance()
+    real = PLMap.preimage_of
+    monkeypatch.setattr(
+        PLMap, "preimage_of", lambda self, s: self.domain.whole_set() if s is b else real(self, s)
+    )
+    with pytest.raises(InvariantViolationError, match="crooked surgery failed"):
+        surgery_stage(monkeypatch, "theta", {"A": a, "B": b, "C": c, "D": d}, lambda step: {})
 
 
 def test_crooked_identity_reproduces_staircase():
@@ -502,7 +539,7 @@ def test_witness_fragment_surgery_rich_pipeline(closure_calls):
     closure_calls.clear()
     result = witness_fragment(frag, g, interp0, cap=8192)
     assert result.ok, [line for line, ok in result.report if not ok][:3]
-    # every sentence is ground: post-checks and report decide on cell masks
+    # every sentence is ground: surgery checks and report decide on cell masks
     assert closure_calls == []
     actions = [t["action"] for t in result.trace]
     assert actions.count("triangle") >= 2
@@ -559,7 +596,7 @@ def test_instance_stage_pulls_back_each_distinct_set_once(monkeypatch):
         return real_hash(self)
 
     def surgery_then_count(*args):
-        # the surgery's own preimages and post-checks are not the pullback
+        # the surgery's own preimages are not the pullback
         out = real_surgery(*args)
         calls.clear()
         hashed.clear()
@@ -570,9 +607,9 @@ def test_instance_stage_pulls_back_each_distinct_set_once(monkeypatch):
     monkeypatch.setattr(surgery, "surgery_with_nudges", surgery_then_count)
     prev = surgery.Stage(g, None, base, "base")
     for n in (1, 2):
-        instance = {"kind": "theta", "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"]}
-        ops = [prev.base[name] for name in "ABCD"]
-        stage = surgery.instance_stage(prev, instance, ops, None)
+        instance = {"kind": "theta", "operands": list("ABCD"),
+                    "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"]}
+        stage = surgery.instance_stage(prev, instance, None)
         looked_up = [id(s) for s in hashed]
         assert stage.kind == "crooked"
         assert len(calls) == len(set(prev.base.values())) == len(set(calls))
@@ -585,6 +622,29 @@ def test_instance_stage_pulls_back_each_distinct_set_once(monkeypatch):
         assert set(looked_up) == {id(s) for s in prev.base.values()}
         prev = stage
     assert len(prev.base) == len(base) + 6
+
+
+@pytest.mark.parametrize("kind", ["zeta", "theta"])
+def test_instance_stage_pulls_back_each_operand_once(monkeypatch, kind):
+    # the surgery's schema check reads the operands from the pulled-back
+    # base, so no operand crosses the bonding a second time
+    if kind == "zeta":
+        g = y_graph()
+        ops = [g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")]
+    else:
+        ops = list(crooked_identity_instance()[1:])
+    real = PLMap.preimage_of
+    calls = []
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(PLMap, "preimage_of", counting)
+    stage = surgery_stage(monkeypatch, kind, dict(zip("ABCD", ops)), lambda step: {})
+    assert stage.kind == ("triangle" if kind == "zeta" else "crooked")
+    assert [sum(t is s for t in calls) for s in ops] == [1] * len(ops)
+
 
 def test_witness_fragment_triangle_trace():
     g = y_graph()
