@@ -1014,7 +1014,7 @@ class PLMap:
                 if entry["kind"] == "const":
                     emap[eid] = ("const", pt(entry["point"]))
                 else:
-                    emap[eid] = ("affine", entry["edge"], frac(entry["s0"]), frac(entry["s1"]))
+                    emap[eid] = (entry["kind"], entry["edge"], frac(entry["s0"]), frac(entry["s1"]))
             return PLMap(domain, codomain, vmap, emap)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise InputError(f"malformed map file: {exc!r}") from exc
@@ -1184,18 +1184,8 @@ def graph_to_dict(graph: MetricGraph, closed_sets: Mapping[str, ClosedSet] | Non
         },
     }
     if graph.meta:
-        payload["meta"] = _meta_to_json(graph.meta)
+        payload["meta"] = graph.meta
     return payload
-
-
-def _meta_to_json(meta):
-    if isinstance(meta, dict):
-        return {k: _meta_to_json(v) for k, v in sorted(meta.items())}
-    if isinstance(meta, (list, tuple)):
-        return [_meta_to_json(v) for v in meta]
-    if isinstance(meta, Frac):
-        return frac_str(meta)
-    return meta
 
 
 def _edge_from_dict(e: Mapping, parse: Callable[[object], Frac]) -> Edge:
@@ -1292,6 +1282,6 @@ def dump_graph(graph: MetricGraph, closed_sets=None) -> str:
     return dump_json(graph_to_dict(graph, closed_sets))
 
 
-def unit_segment(name: str = "seg") -> MetricGraph:
-    """The unit interval as a one-edge graph; the bundled base space."""
-    return MetricGraph(["a", "b"], [Edge(name, "a", "b", Frac(1))])
+def unit_segment() -> MetricGraph:
+    """The unit interval as the one edge "seg"; the bundled base space."""
+    return MetricGraph(["a", "b"], [Edge("seg", "a", "b", Frac(1))])

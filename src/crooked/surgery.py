@@ -1,5 +1,5 @@
 """The two consistency-witness constructions on metric graphs, and the one
-instance step both drivers build their stages with.
+instance step that turns a surgery into a stage for both drivers.
 
 The dimension step inserts a circle fiber at every isolated point whose
 normalized distance triple sits at the barycenter, reinterprets the three
@@ -14,11 +14,12 @@ conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
 applies, not even for a fragment's hat-mode lines.
 
 Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
-scheduled instance through the same shortcut table (`resolve_shortcut`), turn
-it into a new `Stage` through the same step (`instance_stage`, which runs the
-nudge-retry loop `surgery_with_nudges` and is the one place a stage's base is
-pulled back through the new bonding), bind each fresh name once (`Stage.bind`),
-and lift connected sets through that bonding by one search (`lift_through`).
+scheduled instance through the same shortcut table (`resolve_shortcut`) and
+bind each fresh name once (`Stage.bind`).  Only a surgery goes through the
+instance step (`instance_stage`, which runs the nudge-retry loop
+`surgery_with_nudges`), the one place a stage base crosses a bonding.  One
+search lifts a connected set through a bonding (`lift_through`); a tower's
+threads are lifted by `weak_confluence_witness`.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class TriangleStep:
     bonding: PLMap                     # output -> input, monotone and closed
     witnesses: dict[str, ClosedSet]    # keys "x", "y", "z" on the output
     locus: list[Point]
-    fibers: list[dict]
     kind: str = "triangle"
 
 
@@ -248,7 +248,6 @@ def triangle_step(
         out = graph
         bonding = PLMap.identity(graph)
         witnesses = {"x": regions[0], "y": regions[1], "z": regions[2]}
-        fibers: list[dict] = []
     else:
         locus_vertices = {p[1] for p in locus if p[0] == "v"}
         cuts: dict[str, list[Frac]] = {}
@@ -273,7 +272,6 @@ def triangle_step(
         fiber_of_point: dict[Point, int] = {
             p: fiber_ids[i] for i, p in enumerate(locus)
         }
-        fibers = []
         new_vertices: list[str] = [v for v in graph.vertices if v not in locus_vertices]
         new_edges: list[Edge] = []
         vertex_map: dict[str, Point] = {v: ("v", v) for v in new_vertices}
@@ -284,7 +282,6 @@ def triangle_step(
             new_vertices.extend(verts)
             new_edges.extend(edges)
             arc_edges.append(arcs)
-            fibers.append({"center": point_token(p), "arcs": arcs})
             for v in verts:
                 vertex_map[v] = p
             for e in edges:
@@ -320,8 +317,8 @@ def triangle_step(
             segments[eid] = segs
         out = MetricGraph(new_vertices, new_edges, dict(graph.meta))
         out.meta["fibers"] = [
-            {"center": f["center"], "edges": sorted(sum(f["arcs"].values(), []))}
-            for f in fibers
+            {"center": point_token(p), "edges": sorted(sum(arcs.values(), []))}
+            for p, arcs in zip(locus, arc_edges)
         ]
         bonding = PLMap(out, graph, vertex_map, edge_map)
 
@@ -357,7 +354,6 @@ def triangle_step(
         bonding=bonding,
         witnesses=witnesses,
         locus=locus,
-        fibers=fibers,
     )
 
 
@@ -459,11 +455,11 @@ def crooked_step(
     b: ClosedSet,
     c: ClosedSet,
     d: ClosedSet,
-    separating: PLFunction | None = None,
 ) -> CrookedStep:
-    """Thread the space through the five-segment staircase over a separating
-    function and keep the unique component that still projects onto the
-    whole input.  The schema is checked only by `instance_stage`."""
+    """Thread the space through the five-segment staircase over the Urysohn
+    function from a to b, at most 1/2 on c and at least 1/2 on d, and keep
+    the unique component that still projects onto the whole input.  The
+    schema is checked only by `instance_stage`."""
     for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
         if s.graph is not graph:
             raise UsageError(f"set {name} is not on the input graph")
@@ -471,7 +467,7 @@ def crooked_step(
         raise PreconditionError("crooked step requires a#b, a#d, b#c disjoint")
     if a.is_empty() or b.is_empty():
         raise PreconditionError("empty endpoint set; the caller must use the shortcut")
-    f = separating if separating is not None else urysohn(graph, a, b, pin_low=c, pin_high=d)
+    f = urysohn(graph, a, b, pin_low=c, pin_high=d)
     third, two_thirds = Frac(1, 3), Frac(2, 3)
     levels: dict[Frac, list[Point]] = {}
     for level in (third, two_thirds):
@@ -759,15 +755,15 @@ class Stage:
             self.base[name] = s
 
 
-def instance_stage(prev: Stage, instance: dict, resolved) -> Stage:
-    """The stage for one dimension ("zeta") or crookedness ("theta")
-    instance: its witnesses on the previous graph when `resolved` is
-    `(mode, (x, y, z))`, otherwise the surgery on the sets that the names
+def instance_stage(prev: Stage, instance: dict) -> Stage:
+    """The stage for the surgery of one dimension ("zeta") or crookedness
+    ("theta") instance: the surgery on the sets that the names
     `instance["operands"]` have in `prev.base`, with any nudges folded into
-    the bonding, and the previous base pulled back through that bonding
-    (the only place a base crosses a surgery).  The witnesses join the base
-    under the names `instance["witnesses"]`, and `instance["mode"]` records
-    the resolution.
+    the bonding, and the previous base pulled back through that bonding.
+    This is the only place a stage base crosses a bonding; an instance that
+    needs no surgery keeps its graph, and its caller builds that stage.  The
+    witnesses join the base under the names `instance["witnesses"]`, and
+    `instance["mode"]` records "surgery".
 
     This is the one check of a surgery: the conclusion `GROUND[kind].right`
     on the new base's cell footprints (the premise held before the surgery,
@@ -779,34 +775,26 @@ def instance_stage(prev: Stage, instance: dict, resolved) -> Stage:
     equality.  A bonding is onto, so distinct sets keep distinct preimages
     and equal names stay one object: from the second surgery on, the `id`
     lookup answers for every name pulled back before."""
-    nudged: list[str] = []
-    if resolved is not None:
-        mode, witnesses = resolved
-        graph, bonding, base = prev.graph, PLMap.identity(prev.graph), prev.base
-        kind = "identity" if mode == "existing-cover" else mode
-    else:
-        ops = [prev.base[name] for name in instance["operands"]]
-        step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
-        mode, witnesses = "surgery", (step.witnesses["x"], step.witnesses["y"], step.witnesses["z"])
-        graph, kind = step.output_graph, step.kind
-        by_id: dict[int, ClosedSet] = {}
-        by_value: dict[ClosedSet, ClosedSet] = {}
-        base = {}
-        for cid, s in prev.base.items():
-            pre = by_id.get(id(s))
+    ops = [prev.base[name] for name in instance["operands"]]
+    step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
+    by_id: dict[int, ClosedSet] = {}
+    by_value: dict[ClosedSet, ClosedSet] = {}
+    base = {}
+    for cid, s in prev.base.items():
+        pre = by_id.get(id(s))
+        if pre is None:
+            pre = by_value.get(s)
             if pre is None:
-                pre = by_value.get(s)
-                if pre is None:
-                    pre = by_value[s] = bonding.preimage_of(s)
-                by_id[id(s)] = pre
-            base[cid] = pre
-    instance["mode"] = mode
-    stage = Stage(graph, bonding, dict(base), kind, instance=instance, nudges=nudged)
-    stage.bind(instance["witnesses"], witnesses)
-    if resolved is None and not verify_on_sublattice(
-        GROUND[instance["kind"]].right, instance_sets(instance, stage.base), graph
+                pre = by_value[s] = bonding.preimage_of(s)
+            by_id[id(s)] = pre
+        base[cid] = pre
+    instance["mode"] = "surgery"
+    stage = Stage(step.output_graph, bonding, base, step.kind, instance=instance, nudges=nudged)
+    stage.bind(instance["witnesses"], [step.witnesses[role] for role in "xyz"])
+    if not verify_on_sublattice(
+        GROUND[instance["kind"]].right, instance_sets(instance, stage.base), stage.graph
     ):
-        raise InvariantViolationError(f"{kind} surgery failed its schema on the cell footprints")
+        raise InvariantViolationError(f"{step.kind} surgery failed its schema on the cell footprints")
     return stage
 
 
@@ -922,7 +910,7 @@ def witness_fragment(
             else:
                 prev = stage
                 instance = {"kind": kind, "operands": rec.operands, "witnesses": rec.fresh}
-                stage = instance_stage(prev, instance, None)
+                stage = instance_stage(prev, instance)
                 for cid in sorted(connected):
                     if cid in prev.base and not prev.base[cid].is_empty():
                         try:

@@ -289,10 +289,12 @@ class Tower:
 def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, candidates, cover=None) -> Stage:
     """The stage for instance m of `kind` over the stage-k base, (k, m) =
     `sch`: item m of `candidates(base)`, the operand-name tuples of `kind`
-    in order, or a no-op stage past their end.  The operands are those
-    names' sets in the stage n-1 base, which are their pullbacks from stage
-    k because a base binds each name once.  Before surgery, `cover` (if
-    given) may find witnesses on the existing graph."""
+    in order.  The operands are those names' sets in the stage n-1 base,
+    which are their pullbacks from stage k because a base binds each name
+    once.  A surgery goes through `instance_stage`; every other stage keeps
+    the stage n-1 graph and base under the identity bonding: "noop" past the
+    candidates' end, "vacuous" or "shortcut" by `resolve_shortcut`, and
+    "identity" when `cover` (if given) finds witnesses on that graph."""
     k, m = sch
     prev = tower.stages[n - 1]
     if k >= n:
@@ -313,7 +315,14 @@ def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, cand
             resolved = None if found is None else ("existing-cover", found)
         except ResourceLimitError:
             pass
-    return instance_stage(prev, instance, resolved)
+    if resolved is None:
+        return instance_stage(prev, instance)
+    mode, witnesses = resolved
+    instance["mode"] = mode
+    stage = Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base),
+                  "identity" if mode == "existing-cover" else mode, instance)
+    stage.bind(instance["witnesses"], witnesses)
+    return stage
 
 
 def zeta_candidates(base: dict[str, ClosedSet]):
@@ -356,23 +365,21 @@ def build_tower(
     schedules: tuple = (schedule_s, schedule_t),
 ) -> Tower:
     """Alternate crookedness (odd) and dimension (even) stages along the
-    interleaved schedule, lifting the subcontinuum catalog at every stage."""
+    interleaved schedule, then thread the catalog (`weak_confluence_witness`)."""
     if not graph0.is_connected():
         raise PreconditionError("the base space must be connected")
     for name, s in catalog.items():
         if s.is_empty() or len(graph0.components_of(s)) != 1:
             raise PreconditionError(f"catalog member {name!r} must be a nonempty connected set")
     sched_s, sched_t = schedules
-    stage0 = Stage(graph0, None, dict(base0), "base")
-    tower = Tower([stage0], {name: [s] for name, s in sorted(catalog.items())})
+    tower = Tower([Stage(graph0, None, dict(base0), "base")], {})
     for n in range(1, depth + 1):
         if n % 2 == 0:
             stage = dim_step(tower, n, sched_s(n // 2))
         else:
             stage = crooked_step_stage(tower, n, sched_t((n - 1) // 2))
         tower.stages.append(stage)
-        for sets in tower.catalog.values():
-            sets.append(lift_through(stage, sets[-1], stage.bonding.preimage_of(sets[-1])))
+    tower.catalog = {name: weak_confluence_witness(tower, s).sets for name, s in sorted(catalog.items())}
     return tower
 
 

@@ -10,6 +10,9 @@ import re
 import time
 from fractions import Fraction as F
 
+import pytest
+
+from crooked import surgery
 from crooked.cli import main
 from crooked.folang import (
     Const, Eq, Join, LIBRARY, Meet, Zero, eval_bruteforce, eval_formula, psi, zeta,
@@ -260,7 +263,9 @@ def _run_crooked(graph, a, b, c, d, f):
     interp = {"a": a, "b": b, "c": c, "d": d}
     if f is not None:
         # a given separating function pins the graph: no nudging
-        step = crooked_step(graph, a, b, c, d, separating=f)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surgery, "urysohn", lambda *args, **kwargs: f)
+            step = crooked_step(graph, a, b, c, d)
         bonding = step.bonding
     else:
         step, bonding, _ = surgery_with_nudges("theta", graph, [a, b, c, d])
@@ -274,6 +279,7 @@ def test_acceptance_4_crooked_step():
     failures = []
     count = 0
     identity_checked = False
+    component_counts = {}
     for name, graph, a, b, c, d, f in crooked_instances():
         step, lifted = _run_crooked(graph, a, b, c, d, f)
         sets = {
@@ -283,12 +289,16 @@ def test_acceptance_4_crooked_step():
             "z": step.witnesses["z"],
         }
         ground = psi(*(Const(k) for k in ("a", "b", "c", "d", "x", "y", "z")))
-        onto = [
-            comp for comp in step.staircase_graph.components_of(step.staircase_graph.whole_set())
-            if step.component_count == 1
-            or True
-        ]
-        ok = verify_on_sublattice(ground, sets, step.output_graph)
+        # the output is one whole component of the staircase, and the step
+        # counts them all
+        out = step.output_graph
+        comps = step.staircase_graph.components_of(step.staircase_graph.whole_set())
+        ok = step.component_count == len(comps) and any(
+            set(comp.intervals) == set(out.edges) and set(comp.vertices) == set(out.vertices)
+            for comp in comps
+        )
+        component_counts[name] = step.component_count
+        ok = ok and verify_on_sublattice(ground, sets, out)
         ok = ok and step.bonding.is_surjective()
         if name == "identity":
             identity_checked = (
@@ -301,8 +311,9 @@ def test_acceptance_4_crooked_step():
             failures.append(name)
         STEPS_FOR_ORACLE.append((step, lifted))
         count += 1
-    _report(4, "crooked step", count >= 10 and not failures and identity_checked,
-            f"{count} instances, failures={failures}")
+    _report(4, "crooked step",
+            count >= 10 and not failures and identity_checked and component_counts["valley"] == 2,
+            f"{count} instances, failures={failures}, components={component_counts}")
 
 
 # --------------------------------------------------------------------------

@@ -852,32 +852,41 @@ def test_render_non_string_edge_field_exit_2(tmp_path, capsys, key):
     assert not (tmp_path / "o.svg").exists()
 
 
-@pytest.mark.parametrize("name, corrupt", [
-    ("trace.json", lambda data: data.pop("depth")),
-    ("bonding1.json", lambda data: next(
-        entry for entry in data["edge_map"].values() if entry["kind"] == "affine"
-    ).pop("edge")),
+MALFORMED = "error: malformed "
+
+
+def _first_affine(data):
+    return next(entry for entry in data["edge_map"].values() if entry["kind"] == "affine")
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("trace.json", lambda data: data.pop("depth"), MALFORMED),
+    ("bonding1.json", lambda data: _first_affine(data).pop("edge"), MALFORMED),
     ("trace.json", lambda data: next(
         st["instance"] for st in data["stages"] if st["instance"]
-    ).pop("operands")),
-    ("trace.json", lambda data: data["catalog"]["whole"].pop()),
+    ).pop("operands"), MALFORMED),
+    ("trace.json", lambda data: data["catalog"]["whole"].pop(), MALFORMED),
     # stage 1 holds a theta instance and stage 2 a zeta one
-    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=9)),
-    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=-1)),
-    ("trace.json", lambda data: data["stages"][2]["instance"]["operands"].pop()),
-    ("trace.json", lambda data: data["stages"][2]["instance"]["witnesses"].pop()),
-    ("trace.json", lambda data: data["stages"][1]["instance"]["operands"].append("mid")),
+    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=9), MALFORMED),
+    ("trace.json", lambda data: data["stages"][2]["instance"].update(stage=-1), MALFORMED),
+    ("trace.json", lambda data: data["stages"][2]["instance"]["operands"].pop(), MALFORMED),
+    ("trace.json", lambda data: data["stages"][2]["instance"]["witnesses"].pop(), MALFORMED),
+    ("trace.json", lambda data: data["stages"][1]["instance"]["operands"].append("mid"), MALFORMED),
+    # an entry of unknown kind used to be read as affine
+    ("bonding1.json", lambda data: _first_affine(data).update(kind="bogus"),
+     "error: unknown edge map kind 'bogus'"),
 ], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands",
         "catalog-too-short", "instance-stage-past-depth", "instance-stage-negative",
-        "zeta-with-two-operands", "instance-with-two-witnesses", "theta-with-five-operands"])
-def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, name, corrupt):
+        "zeta-with-two-operands", "instance-with-two-witnesses", "theta-with-five-operands",
+        "bonding-with-unknown-kind"])
+def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, name, corrupt, message):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
     path = towerdir / name
     data = json.loads(path.read_text())
     corrupt(data)
     path.write_text(json.dumps(data))
     assert main(["tower-verify", str(towerdir)]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed ")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_tower_verify_rejects_a_discontinuous_bonding(towerdir, capsys):

@@ -980,13 +980,12 @@ def test_surgery_stage_pullback_matches_full_scan(monkeypatch):
     pulled = []
     stage_fn = surgery.instance_stage
 
-    def checking(prev, instance, resolved):
-        stage = stage_fn(prev, instance, resolved)
-        if resolved is None:
-            for cid, s in prev.base.items():
-                if cid not in instance["witnesses"]:
-                    assert stage.base[cid] == preimage_by_scan(stage.bonding, s), cid
-            pulled.append((stage.kind, len(stage.nudges), len(prev.base)))
+    def checking(prev, instance):
+        stage = stage_fn(prev, instance)
+        for cid, s in prev.base.items():
+            if cid not in instance["witnesses"]:
+                assert stage.base[cid] == preimage_by_scan(stage.bonding, s), cid
+        pulled.append((stage.kind, len(stage.nudges), len(prev.base)))
         return stage
 
     monkeypatch.setattr(surgery, "instance_stage", checking)

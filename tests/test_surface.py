@@ -10,6 +10,11 @@ they exist to check the library from outside it.  A definition earns that
 exemption only when some test compares library output against it, and each
 name in ORACLES must still be defined in src/.
 
+A parameter default is a setting, so some call in src/ or perfbench/ must
+set the parameter, by keyword, by position or through `*`/`**`; a default
+that no library or benchmark call changes is a knob only tests turn.  The
+exceptions are the seams in DEFAULT_SEAMS, each with its reason.
+
 A method named like an attribute of a builtin type (`values`, `join`,
 `count`, ...) is loaded wherever a dict, str or list uses that attribute,
 so a load of its name proves no caller.  Each such method must be listed in
@@ -22,6 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ORACLES = {"eval_bruteforce", "check_monotone", "search_her_indec_cover"}
+# function.parameter -> why a default that src/ and perfbench/ never change stays
+DEFAULT_SEAMS = {
+    "main.argv": "tests drive the CLI through it",
+    "search_dim_cover.cap": "acceptance criterion 7 runs the oracle with a larger cell cap",
+    "search_her_indec_cover.cap": "acceptance criterion 7 runs the oracle with a larger cell cap",
+    "eval_bruteforce.consts": "an oracle, which tests call as they need",
+}
 # method -> (module, function) of its library caller
 SHARED_NAMES = {
     "ClosedSet.split": ("metric_graph.py", "extract_sublattice"),
@@ -112,6 +124,61 @@ def test_every_library_constant_is_read():
         if isinstance(target, ast.Name) and target.id not in loaded
     ]
     assert not dead, f"assigned but never read: {dead}"
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _sets(call: ast.Call, param: str, position) -> bool:
+    """Whether `call` may set `param`, the `position`-th positional argument
+    (None when keyword-only): by `*`/`**`, by keyword or by position."""
+    return (
+        any(isinstance(a, ast.Starred) for a in call.args)
+        or any(k.arg in (None, param) for k in call.keywords)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def _defaulted_parameters(tree):
+    """(called name, parameter, positional index) for every default-valued
+    parameter of a module-level function, or of a method of a module-level
+    class.  A method call passes `self` implicitly, and `__init__` is
+    called by its class name."""
+    for node in tree.body:
+        funcs = [(node, node.name, 0)] if isinstance(node, FUNCTIONS) else []
+        if isinstance(node, ast.ClassDef):
+            funcs = [
+                (sub, node.name if sub.name == "__init__" else sub.name,
+                 0 if any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list) else 1)
+                for sub in node.body if isinstance(sub, FUNCTIONS)
+            ]
+        for func, called, implicit in funcs:
+            args = func.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            for i, param in enumerate(positional[first:], first):
+                yield called, param.arg, i - implicit
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield called, param.arg, None
+
+
+def test_every_parameter_default_is_changed_by_some_caller():
+    src = _trees("src/crooked")
+    calls: dict = {}
+    for tree in (*src.values(), *_trees("perfbench").values()):
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                calls.setdefault(_callee(call), []).append(call)
+    never = sorted(
+        f"{called}.{param}"
+        for tree in src.values()
+        for called, param, position in _defaulted_parameters(tree)
+        if not any(_sets(call, param, position) for call in calls.get(called, ()))
+    )
+    assert never == sorted(DEFAULT_SEAMS), f"defaults no caller changes: {never}"
 
 
 def test_every_oracle_is_defined():

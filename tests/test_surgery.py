@@ -98,7 +98,7 @@ def surgery_stage(monkeypatch, kind, base, override):
     monkeypatch.setattr(surgery, "surgery_with_nudges", overridden)
     prev = surgery.Stage(next(iter(base.values())).graph, None, dict(base), "base")
     instance = {"kind": kind, "operands": sorted(base), "witnesses": ["x0", "y0", "z0"]}
-    return surgery.instance_stage(prev, instance, None)
+    return surgery.instance_stage(prev, instance)
 
 
 @pytest.mark.parametrize("fault", ["input uncovered", "common point", "space uncovered"])
@@ -151,7 +151,7 @@ def test_triangle_two_fibers_on_barbell():
     c = g.point_closed_set([("e", "m", F(1))])
     step = triangle_step(g, a, b, c)
     assert step.locus == [("v", "u"), ("v", "v")]
-    assert len(step.fibers) == 2
+    assert len(step.output_graph.meta["fibers"]) == 2
     assert step.bonding.is_surjective()
     assert check_monotone(step)
     sets = {
@@ -344,7 +344,7 @@ def test_crooked_t_band_witnesses_fail_psi():
     assert not ((bands["x"] & bands["y"]) & sets["d"]).is_empty()
 
 
-def test_crooked_unique_onto_component_among_many():
+def test_crooked_unique_onto_component_among_many(monkeypatch):
     # A valley dipping from above 2/3 to 2/5 and back creates an isolated
     # low+mid cycle in the staircase with no contact with the 1/3 level.
     g = seg()
@@ -355,20 +355,22 @@ def test_crooked_unique_onto_component_among_many():
         {"seg": [(F(0), F(0)), (F(1, 4), F(1)), (F(3, 8), F(2, 5)),
                  (F(1, 2), F(1)), (F(1), F(1))]},
     )
-    step = crooked_step(g, a, b, g.empty_set(), g.empty_set(), separating=f)
+    monkeypatch.setattr(surgery, "urysohn", lambda *args, **kwargs: f)
+    step = crooked_step(g, a, b, g.empty_set(), g.empty_set())
     assert step.component_count == 2
     assert step.bonding.is_surjective()
 
 
-def test_crooked_degenerate_level_set():
+def test_crooked_degenerate_level_set(monkeypatch):
     g = seg()
     a = g.point_closed_set([("v", "a")])
     b = g.point_closed_set([("v", "b")])
     f = PLFunction(
         g, {"seg": [(F(0), F(0)), (F(1, 4), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1))]}
     )
+    monkeypatch.setattr(surgery, "urysohn", lambda *args, **kwargs: f)
     with pytest.raises(DegeneracyError) as exc:
-        crooked_step(g, a, b, g.empty_set(), g.empty_set(), separating=f)
+        crooked_step(g, a, b, g.empty_set(), g.empty_set())
     assert exc.value.edge_id == "seg"
 
 
@@ -609,7 +611,7 @@ def test_instance_stage_pulls_back_each_distinct_set_once(monkeypatch):
     for n in (1, 2):
         instance = {"kind": "theta", "operands": list("ABCD"),
                     "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"]}
-        stage = surgery.instance_stage(prev, instance, None)
+        stage = surgery.instance_stage(prev, instance)
         looked_up = [id(s) for s in hashed]
         assert stage.kind == "crooked"
         assert len(calls) == len(set(prev.base.values())) == len(set(calls))

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from crooked.cli import main
 from crooked.errors import PreconditionError
 from crooked.folang import Const, psi, zeta
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLMap, unit_segment,
+    ClosedSet, Edge, MetricGraph, PLMap, load_graph, unit_segment,
 )
 from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_fragment
 from crooked.tower import (
@@ -403,6 +404,48 @@ def test_dim_step_surgers_when_the_cover_probe_overflows():
         th = weak_confluence_witness(tower, lifts[0])
         for n in range(1, tower.depth + 1):
             assert tower.stages[n].bonding.image_of(th.sets[n]) == th.sets[n - 1], name
+
+
+def test_built_catalog_is_the_weak_confluence_thread(tmp_path):
+    # build_tower threads its catalog with weak_confluence_witness, so the
+    # thread recomputed on the reloaded tower is the saved catalog
+    save_tower(steered_crooked_tower(4), str(tmp_path / "t"))
+    loaded = load_tower(str(tmp_path / "t"))
+    assert sorted(loaded.catalog) == ["left", "whole"]
+    for name, sets in loaded.catalog.items():
+        assert weak_confluence_witness(loaded, sets[0]).sets == sets, name
+
+
+UNCHANGED_MODES = {"noop": None, "vacuous": "vacuous", "shortcut": "shortcut", "identity": "existing-cover"}
+
+
+def test_stages_without_surgery_keep_graph_and_base():
+    # a stage that runs no surgery is built by the scheduler: the previous
+    # graph under the identity bonding, every previous name bound to the
+    # same object, and the instance mode that matches its kind
+    g, sets = load_graph(str(Path(__file__).resolve().parents[1] / "inputs" / "segment.json"))
+    two = seg()
+    towers = [
+        steered_crooked_tower(6),
+        build_tower(g, sets, {"whole": g.whole_set()}, 8),
+        build_tower(two, {k: v for k, v in base_family(two).items() if k != "r"}, {}, 6),
+    ]
+    seen = set()
+    for tower in towers:
+        for prev, stage in zip(tower.stages, tower.stages[1:]):
+            if stage.kind not in UNCHANGED_MODES:
+                assert stage.kind in ("triangle", "crooked")
+                continue
+            seen.add(stage.kind)
+            assert stage.graph is prev.graph
+            assert stage.bonding.to_dict() == PLMap.identity(prev.graph).to_dict()
+            assert all(stage.base[nm] is s for nm, s in prev.base.items())
+            mode = UNCHANGED_MODES[stage.kind]
+            if mode is None:
+                assert stage.instance is None and stage.base.keys() == prev.base.keys()
+            else:
+                assert stage.instance["mode"] == mode
+    assert seen == set(UNCHANGED_MODES)
 
 
 def test_scheduled_operands_are_pullbacks_of_their_stage_k_sets():
