@@ -44,9 +44,16 @@ def frac(value) -> Frac:
         return Frac(value)
     if isinstance(value, str):
         try:
-            return Frac(value)
+            if "e" not in value and "E" not in value and len(value) <= 4300:
+                return Frac(value)  # then neither part has more digits
+            # Fraction computes 10**exponent first, so five exponent digits
+            # are refused unread; `frac_str` raises on a result it cannot write
+            exponent = value.upper().partition("E")[2].replace("_", "").strip().lstrip("+-0")
+            if len(exponent) <= 4 and frac_str(parsed := Frac(value)):
+                return parsed
         except (ValueError, ZeroDivisionError):
             pass
+        raise InputError(f"not an exact rational of at most 4300 digits: {value!r}")
     raise InputError(f"not an exact rational: {value!r}")
 
 
@@ -96,6 +103,11 @@ class MetricGraph:
         """Each vertex's cell index; vertex cells come first in every
         arrangement, in `vertices` order."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _edge_bit(self) -> dict[str, int]:
+        """Each edge's cell index in `_uncut_cells`, after the vertices."""
+        return {eid: i for i, eid in enumerate(self.edges, len(self.vertices))}
 
     @cached_property
     def _whole_items(self) -> dict[str, tuple]:
@@ -220,10 +232,10 @@ class ClosedSet:
     form is `((0, length),)` in `intervals`.  A producer passes such an edge
     by id, with no Fraction work; intervals that merge to it count too.
 
-    A set is immutable, so the part of its cell footprint that no
-    arrangement changes (`split`) is computed once, on the first extraction
-    that names it; every extraction then pays one shift per edge the set
-    covers whole and bisection of its other intervals only."""
+    A set is immutable, so its footprint in the arrangement of no cuts
+    (`split`) is computed once, on the first extraction that names it;
+    every extraction then pays a few shifts per edge that extraction cuts
+    and bisection of the set's partial intervals only."""
 
     __slots__ = ("graph", "intervals", "vertices", "whole", "_split")
 
@@ -280,26 +292,28 @@ class ClosedSet:
         self._split = None
 
     @property
-    def split(self) -> tuple[int, frozenset[str], tuple[tuple, ...]]:
-        """(vertex bitmask over `graph.vertices`, the edges covered whole,
-        and per other edge (eid, its intervals, their endpoints inside the
+    def split(self) -> tuple[int, tuple[tuple, ...]]:
+        """(bitmask of its vertices and whole edges as cells of no cuts, and
+        per other edge (eid, its intervals, their endpoints inside the
         edge)), computed on first use."""
         if self._split is None:
             self._split = self._edge_split()
         return self._split
 
-    def _edge_split(self) -> tuple[int, frozenset[str], tuple[tuple, ...]]:
-        vertex_bit = self.graph._vertex_bit
-        vmask = 0
+    def _edge_split(self) -> tuple[int, tuple[tuple, ...]]:
+        vertex_bit, edge_bit = self.graph._vertex_bit, self.graph._edge_bit
+        mask = 0
         for v in self.vertices:
-            vmask |= 1 << vertex_bit[v]
+            mask |= 1 << vertex_bit[v]
+        for eid in self.whole:
+            mask |= 1 << edge_bit[eid]
         partial = []
         for eid, items in self.intervals.items():
             if eid not in self.whole:
                 L = self.graph.edges[eid].length
                 inner = frozenset(t for lo, hi in items for t in (lo, hi) if 0 < t < L)
                 partial.append((eid, items, inner))
-        return vmask, self.whole, tuple(partial)
+        return mask, tuple(partial)
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
@@ -1065,26 +1079,27 @@ def _bits(mask: int) -> frozenset:
 
 
 def _arrangement(graph: MetricGraph, splits: Iterable[tuple]) -> tuple[list[tuple], dict]:
-    """`arrangement_cells` of the sets with these splits, and per edge its
-    first cell index, its cell count and its breakpoints with both ends
-    (None on an uncut edge), in one pass over the edges."""
+    """`arrangement_cells` of the sets with these splits, and per cut edge,
+    in cell order, its cell index with no cuts, its first cell index, its
+    cell count and its breakpoints with both ends.  Only the cut edges are
+    laid out; the uncut cells between them are copied as slices."""
     cuts: dict[str, set] = {}
-    for _, _, partial in splits:
+    for _, partial in splits:
         for eid, _, inner in partial:
             cuts.setdefault(eid, set()).update(inner)
-    uncut = graph._uncut_cells
-    cells = list(uncut[:len(graph.vertices)])
-    layout: dict[str, tuple[int, int, list | None]] = {}
-    for cell in uncut[len(graph.vertices):]:
-        eid = cell[1]
-        if eid not in cuts:
-            layout[eid] = (len(cells), 1, None)
-            cells.append(cell)
-            continue
-        marks = [ZERO, *sorted(cuts[eid]), cell[3]]
-        layout[eid] = (len(cells), 2 * len(marks) - 3, marks)
+    uncut, edge_bit = graph._uncut_cells, graph._edge_bit
+    cells: list[tuple] = []
+    layout: dict[str, tuple[int, int, int, list]] = {}
+    done = 0
+    for eid in sorted(cuts, key=edge_bit.__getitem__):
+        pos = edge_bit[eid]
+        cells += uncut[done:pos]
+        marks = [ZERO, *sorted(cuts[eid]), uncut[pos][3]]
+        layout[eid] = (pos, len(cells), 2 * len(marks) - 3, marks)
         cells.extend(("p", eid, t) for t in marks[1:-1])
         cells.extend(("o", eid, lo, hi) for lo, hi in zip(marks, marks[1:]))
+        done = pos + 1
+    cells += uncut[done:]
     return cells, layout
 
 
@@ -1119,18 +1134,21 @@ def _cell_in_set(cell: tuple, s: ClosedSet) -> bool:
 
 
 def _footprint(split: tuple, layout: dict) -> int:
-    """The cells inside the set with this split as a bitmask: its vertex
-    bits, one run over all cells of each edge it covers whole, and for a
-    partial interval, whose endpoints are all breakpoints, a contiguous run
-    of its edge's 0-cells and another of its 1-cells found by bisection."""
-    mask, whole, partial = split
-    for eid in whole:
-        start, count, _ = layout[eid]
-        mask |= ((1 << count) - 1) << start
+    """The cells inside the set with this split as a bitmask.  From the
+    highest cut edge down, the bit of each cut edge widens into its run of
+    cells, carrying the bits above it up; then for a partial interval, whose
+    endpoints are all breakpoints, a contiguous run of its edge's 0-cells
+    and another of its 1-cells is found by bisection."""
+    mask, partial = split
+    for pos, _, count, _ in reversed(layout.values()):
+        high = mask >> pos  # the cut edge's bit and every bit above it
+        if high:
+            run = (1 << count) - 1 if high & 1 else 0
+            mask ^= (high ^ (high >> 1 << count | run)) << pos
     for eid, items, _ in partial:
         # the 0-cell at marks[j] is bit start + j - 1, the 1-cell after it
         # bit start + points + j
-        start, _, marks = layout[eid]
+        _, start, _, marks = layout[eid]
         points = len(marks) - 2
         for lo, hi in items:
             i, k = bisect_left(marks, lo), bisect_left(marks, hi)
@@ -1153,9 +1171,9 @@ def extract_sublattice(
     result's lattice is read (see ExtractResult); deciding never reads it.
 
     Each set's `split` is computed once per set, not per call; a call costs
-    one pass over the graph's edges to lay out the cells and, per distinct
-    set object, one shift per edge it covers whole and bisection of its
-    partial intervals.  Edges no set cuts cost no Fraction work."""
+    the edges its sets cut, laid out between slices of the uncut cells, and,
+    per distinct set object, a few shifts per cut edge and bisection of its
+    partial intervals.  Edges no set cuts cost no Python-level work."""
     names = sorted(named_sets)
     for name in names:
         if named_sets[name].graph is not graph:

@@ -742,6 +742,9 @@ def test_render_crooked_output_zigzag(tmp_path):
     # a JSON boolean is a Python int, but not a rational
     (True, ["0", "1/2"], "True"),
     ("1", [True, "1"], "True"),
+    # exact, but too long to be written back
+    ("1e5000", ["0", "1"], "'1e5000'"),
+    ("1", ["1e-5000", "1"], "'1e-5000'"),
 ])
 def test_render_malformed_rational_exits_2(tmp_path, capsys, length, interval, bad):
     path = tmp_path / "bad.json"

@@ -1,19 +1,21 @@
 import heapq
 import json
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crooked import surgery, tower
+from crooked import metric_graph, surgery, tower
 from crooked.errors import InputError, PreconditionError, ResourceLimitError, UsageError
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _bp_clamp, _bp_combine, _bp_eval,
-    _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
-    dump_json, extract_sublattice, graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _arrangement, _bp_clamp, _bp_combine,
+    _bp_eval, _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
+    dump_json, extract_sublattice, frac, graph_from_dict, graph_to_dict, kappa_map, unit_segment,
+    urysohn,
 )
 from test_surgery import nudged_triangle_fragment, surgery_rich_fragment
 from test_tower import steered_crooked_tower
@@ -622,6 +624,14 @@ EXTRACTION_GRAPHS = (
         ["p", "q", "r", "w"],
         [Edge("a", "p", "q", F(1, 3)), Edge("b", "q", "r", F(2)), Edge("c", "p", "r", F(5, 4))],
     ),
+    # a path with a branch and an isolated vertex: six edges, so whole and
+    # uncut edges fall before, between and after the cut ones
+    MetricGraph(
+        ["v0", "v1", "v2", "v3", "v4", "w", "z"],
+        [Edge("a", "v0", "v1", F(1)), Edge("b", "v1", "v2", F(1, 2)),
+         Edge("c", "v2", "v3", F(3)), Edge("d", "v3", "v4", F(2, 3)),
+         Edge("e", "v2", "w", F(5, 4)), Edge("f", "v4", "w", F(7, 5))],
+    ),
 )
 
 
@@ -677,6 +687,27 @@ def test_bisected_footprints_match_cell_membership(data):
             assert res.masks[name] == expected, name
     for n in aliased:
         assert res.masks[n] == res.masks[n + "1"] == res.masks[n + "2"] == res.masks[n + "c"]
+
+
+def test_extraction_lays_out_only_the_cut_edges():
+    # a long path: one set covers every edge whole, three others cut the
+    # first, a middle and the last edge
+    n = 500
+    path = MetricGraph([f"v{i:03d}" for i in range(n + 1)],
+                       [Edge(f"e{i:03d}", f"v{i:03d}", f"v{i + 1:03d}", F(1)) for i in range(n)])
+    family = {
+        "all": path.whole_set(),
+        "first": ClosedSet(path, {"e000": [(0, F(1, 2))]}, ()),
+        "middle": ClosedSet(path, {"e250": [(F(1, 3), F(1, 3))]}, ()),
+        "last": ClosedSet(path, {"e499": [(F(1, 4), F(3, 4))]}, ["v500"]),
+    }
+    cells, layout = _arrangement(path, [s.split for s in family.values()])
+    assert list(layout) == ["e000", "e250", "e499"]
+    assert len(cells) == (n + 1) + n + 2 + 2 + 4
+    res = extract_sublattice(path, family)
+    assert res.cells == cells
+    assert (res.cells, res.masks) == extract_by_bisection(path, family)
+    assert res.masks["all"] == res.full
 
 
 def _reloaded_w1_model():
@@ -1100,6 +1131,29 @@ def test_load_reads_every_spelling_of_a_rational():
         assert s.whole == whole_by_points(s) == expected[name].whole, name
     assert sets["integers"].whole == sets["overlapping"].whole == {"e1"}
     assert sets["unreduced"].vertices == {"a", "c"}
+
+
+def test_a_rational_too_long_to_write_back_is_refused(monkeypatch):
+    # Fraction computes 10**exponent before any check of its own, so an
+    # exponent of five digits or more must be refused before parsing
+    parsed = []
+
+    class Spy(F):
+        def __new__(cls, value):
+            parsed.append(value)
+            return super().__new__(cls, value)
+
+    monkeypatch.setattr(metric_graph, "Frac", Spy)
+    for spelling in ("1e10000", "1E-0_10000", "0e+10000"):
+        with pytest.raises(InputError, match=re.escape(repr(spelling))):
+            frac(spelling)
+    assert parsed == []
+    # parsed, but a numerator or denominator of 4301 digits
+    for spelling in ("1e4300", "1e-4300", "0." + "0" * 4299 + "1"):
+        with pytest.raises(InputError, match="at most 4300 digits"):
+            frac(spelling)
+    assert frac("1e4299") == 10**4299 and frac("1e-04_299") == F(1, 10**4299)
+    assert frac("0." + "0" * 4298 + "1") == F(1, 10**4299)
 
 
 @pytest.mark.parametrize("entry", [
