@@ -652,6 +652,65 @@ def test_tower_verify_detects_corruption(towerdir, tmp_path, capsys):
     assert "FAIL: thread whole" in out
 
 
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _not_onto(towerdir):
+    # bonding 2 sends seg onto [0, 1/2] only; the emptied catalog keeps the
+    # thread line, whose images this also breaks, out of the report
+    def half(bonding):
+        bonding["edge_map"]["seg"]["s1"] = "1/2"
+        bonding["vertex_map"]["b"] = {"e": "seg", "t": "1/2"}
+    _edit_json(towerdir / "bonding2.json", half)
+    _edit_json(towerdir / "trace.json", lambda trace: trace.update(catalog={}))
+
+
+def _rebound_mid(towerdir):
+    # stage 2 binds mid to [0, 1/8], not to the pullback of [1/4, 1/2]
+    _edit_json(towerdir / "stage2.json", lambda stage: stage["closed_sets"].update(
+        mid={"seg": [["0/1", "1/8"]], "vertices": ["a"]}))
+
+
+def _stray_name(towerdir):
+    # stage 1 binds zz, which is neither a stage-0 name nor a witness
+    _edit_json(towerdir / "stage1.json", lambda stage: stage["closed_sets"].update(
+        zz={"seg": [["0/1", "1/8"]], "vertices": ["a"]}))
+
+
+def _repeated_witness(towerdir):
+    # stage 1 names w1.x for two roles and binds no w1.y
+    def repeat(trace):
+        trace["stages"][1]["instance"]["witnesses"] = ["w1.x", "w1.x", "w1.z"]
+    _edit_json(towerdir / "trace.json", repeat)
+    for n in (1, 2):
+        _edit_json(towerdir / f"stage{n}.json", lambda stage: stage["closed_sets"].pop("w1.y"))
+
+
+@pytest.mark.parametrize("corrupt, red", [
+    (_not_onto, ["stage 2 bonding onto", "stage 2 base pulls back stage 1"]),
+    (_rebound_mid, ["stage 2 base pulls back stage 1"]),
+    (_stray_name, ["stage 1 base pulls back stage 0", "stage 2 base pulls back stage 1"]),
+    (_repeated_witness, ["stage 1 base pulls back stage 0"]),
+], ids=["bonding-not-onto", "rebound-name", "stray-name", "repeated-witness"])
+def test_tower_verify_flags_a_stage_that_is_no_pullback(tmp_path, capsys, corrupt, red):
+    # each directory loads; only the named lines go red.  On the bundled
+    # segment no stage-2 instance reads mid, so no instance line hides the
+    # rebound name
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", str(INPUTS / "segment.json"), "--depth", "2",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    capsys.readouterr()
+    corrupt(towerdir)
+    assert main(["tower-verify", str(towerdir)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line[len("FAIL: "):] for line in out if line.startswith("FAIL: ")] == red
+
+
 def test_internal_failures_exit_3(towerdir, tmp_path, capsys):
     # a lattice file past the element cap: 13 singleton generators close to
     # the 8,192 subsets of 13 points, ResourceLimitError
@@ -923,6 +982,18 @@ def test_tower_verify_rejects_a_bad_depth(tower_graph, tmp_path, capsys, depth):
         f"error: malformed tower directory {towerdir}: depth {depth!r}\n")
 
 
+@pytest.mark.parametrize("resize, count", [
+    (lambda stages: stages.extend([{"nudges": "junk"}] * 2), 5),
+    (lambda stages: stages.pop(), 2),
+], ids=["past-the-depth", "short-of-the-depth"])
+def test_tower_verify_rejects_stage_entries_off_the_depth(towerdir, capsys, resize, count):
+    # entries past the depth were never read, and the directory verified
+    _edit_json(towerdir / "trace.json", lambda trace: resize(trace["stages"]))
+    assert main(["tower-verify", str(towerdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed tower directory {towerdir}: {count} stage entries for depth 2\n")
+
+
 def _run_on_a_bad_file(command, content, chain3, segment_graph, tmp_path, capsys):
     """Exit code and stderr of `command` reading a file that holds
     `content`, and that file's path."""
@@ -964,9 +1035,9 @@ def test_a_truncated_json_file_exits_2(chain3, segment_graph, tmp_path, capsys, 
 # depth-6 tower on the bundled segment: pins the bytes of every report and
 # of every file these commands write.
 CLI_OUTPUT_DIGESTS = {
-    "tower-build": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
-    "tower/report.txt": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
-    "tower-verify": "1c1e87e58f8844e0962a01aaf1fdabc267a5feaaf9c04a20aba59666385e031f",
+    "tower-build": "f3cbbed837ebbcb460331452f9de2e60064386740cb203a597cf7efa0a3e643d",
+    "tower/report.txt": "f3cbbed837ebbcb460331452f9de2e60064386740cb203a597cf7efa0a3e643d",
+    "tower-verify": "f3cbbed837ebbcb460331452f9de2e60064386740cb203a597cf7efa0a3e643d",
     "sigma-gen": "ba435c99f1f8ecabe820d2a3b8c830d2aeef3cbe8d7c3f6dc1bf26c50f779bb5",
     "sigma.txt": "ba435c99f1f8ecabe820d2a3b8c830d2aeef3cbe8d7c3f6dc1bf26c50f779bb5",
     "sigma-fragment": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,7 +17,7 @@ from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_f
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step,
     load_tower, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
-    table_agrees_pointwise, theta_candidates, verify_tower, weak_confluence_witness, zeta_candidates,
+    theta_candidates, verify_tower, weak_confluence_witness, zeta_candidates,
 )
 
 
@@ -465,21 +464,76 @@ def test_scheduled_operands_are_pullbacks_of_their_stage_k_sets():
     assert max(gaps) >= 2
 
 
+# ------------------------------------------------- oracles of PLMap.then
+# A directory stores single bondings only, so every composite f^n_m is
+# rebuilt by `PLMap.then`; functoriality is a property of `then`, checked
+# here, not a line of `verify_tower`.
+
+def composed_maps(tower):
+    """A fresh table {(n, m): f^n_m} for every 0 <= m < n <= depth, in
+    C(depth, 2) `then` calls.  Each entry extends the one above it by a
+    single bonding, in the fold order of `Tower.composed_map`, so the maps
+    are identical to its results."""
+    table = {}
+    for n in range(1, tower.depth + 1):
+        out = tower.stages[n].bonding
+        table[n, n - 1] = out
+        for m in range(n - 2, -1, -1):
+            out = out.then(tower.stages[m + 1].bonding)
+            table[n, m] = out
+    return table
+
+
+def table_agrees_pointwise(tower, table):
+    """Whether every `table[n, m]` is the composite b_{m+1} o ... o b_n of
+    the single bondings, decided by point evaluation, not by composing maps.
+
+    A `PLMap` is affine or constant on each whole domain edge, so two maps
+    out of G_n are equal iff they agree at every vertex of G_n and at the
+    midpoint of every edge: the ends fix a constant entry and the ends of an
+    affine one, and the midpoint fixes which codomain edge an affine entry
+    runs along (on a theta graph, parallel edges share their end images).
+    Graphs have no loops and entries are normal, so this is `to_dict`
+    equality.  The points of G_n are pushed through b_n, ..., b_1 one stage
+    at a time and compared with `table[n, m]` at every m: O(N^2) point
+    evaluations per point instead of O(N^3) compositions."""
+    for n in range(1, tower.depth + 1):
+        g = tower.graph(n)
+        points = [("v", v) for v in g.vertices]
+        points += [("e", eid, e.length / 2) for eid, e in g.edges.items()]
+        images = points
+        for m in range(n - 1, -1, -1):
+            images = [tower.stages[m + 1].bonding.image_point(p) for p in images]
+            f = table[n, m]
+            if any(f.image_point(p) != q for p, q in zip(points, images)):
+                return False
+    return True
+
+
+def triples_compose(table, N):
+    """Whether f^n_m equals f^mid_m after f^n_mid for every m < mid < n, by
+    composing maps."""
+    return all(
+        table[n, m].to_dict() == table[n, mid].then(table[mid, m]).to_dict()
+        for n in range(2, N + 1) for mid in range(1, n) for m in range(mid)
+    )
+
+
 def test_composed_maps_table_matches_composed_map():
     tower = steered_crooked_tower(3)
     assert [st.kind for st in tower.stages[1:]] == ["crooked", "identity", "crooked"]
-    table = tower.composed_maps()
+    table = composed_maps(tower)
     N = tower.depth
     assert sorted(table) == [(n, m) for n in range(1, N + 1) for m in range(n)]
     for (n, m), f in table.items():
         assert f.to_dict() == tower.composed_map(n, m).to_dict()
-    assert tower.composed_maps() is not table
+    assert table_agrees_pointwise(tower, table) and triples_compose(table, N)
 
 
-def test_verify_tower_then_calls_are_quadratic(monkeypatch):
+def test_verify_tower_composes_no_maps(monkeypatch):
+    # every line reads single bondings; no composite is built
     g = seg()
-    N = 8
-    tower = build_tower(g, base_family(g), {}, N)
+    tower = build_tower(g, base_family(g), {}, 8)
     calls = []
     then = PLMap.then
 
@@ -489,18 +543,8 @@ def test_verify_tower_then_calls_are_quadratic(monkeypatch):
 
     monkeypatch.setattr(PLMap, "then", counting_then)
     report = verify_tower(tower)
-    assert ("bonding functoriality", True) in report
-    # C(N, 2) to fill the table; functoriality evaluates points, composes none
-    assert len(calls) == math.comb(N, 2)
-
-
-def triples_compose(table, N):
-    """The former functoriality check, kept as an oracle: f^n_m equals
-    f^mid_m after f^n_mid for every m < mid < n, by composing maps."""
-    return all(
-        table[n, m].to_dict() == table[n, mid].then(table[mid, m]).to_dict()
-        for n in range(2, N + 1) for mid in range(1, n) for m in range(mid)
-    )
+    assert report and all(ok for _, ok in report), [r for r in report if not r[1]]
+    assert calls == []
 
 
 def _subdivide(h, pieces):
@@ -556,7 +600,7 @@ def test_pointwise_functoriality_agrees_with_the_triple_oracle(data):
         subdivisions.append(pieces)
     tower = Tower(stages, {})
     N = tower.depth
-    table = tower.composed_maps()
+    table = composed_maps(tower)
     assert table_agrees_pointwise(tower, table) and triples_compose(table, N)
     # corrupt a composite entry: f^n_m rebuilt with one bonding b_k redrawn.
     # An entry (n, n - 1) is the bonding itself, which the triple identity
@@ -574,6 +618,40 @@ def test_pointwise_functoriality_agrees_with_the_triple_oracle(data):
     assert table_agrees_pointwise(tower, table) == triples_compose(table, N) == intact
 
 
+def test_oracles_flag_a_non_functorial_table(steered4):
+    # the flip of the segment after f^4_0: a different onto map between the
+    # same two graphs
+    g0 = steered4.graph(0)
+    flip = PLMap(g0, g0, {"a": ("v", "b"), "b": ("v", "a")}, {"seg": ("affine", "seg", 1, 0)})
+    table = composed_maps(steered4)
+    assert table_agrees_pointwise(steered4, table) and triples_compose(table, 4)
+    table[4, 0] = table[4, 0].then(flip)
+    assert not table_agrees_pointwise(steered4, table)
+    assert not triples_compose(table, 4)
+
+
+def test_oracles_flag_a_composite_on_a_parallel_edge():
+    # on a theta graph, f^2_0 with e2 sent along e1 instead of e3 agrees
+    # with the composite at every vertex; only the midpoint of e2 tells the
+    # two maps apart
+    g = THETA
+    rotate = PLMap(g, g, {"n": ("v", "n"), "s": ("v", "s")}, {
+        "e1": ("affine", "e2", 0, 2), "e2": ("affine", "e3", 0, 3), "e3": ("affine", "e1", 0, 1),
+    })
+    tower = Tower(
+        [Stage(g, None, {}, "base"), Stage(g, rotate, {}, "identity"),
+         Stage(g, PLMap.identity(g), {}, "identity")],
+        {},
+    )
+    table = composed_maps(tower)
+    assert table_agrees_pointwise(tower, table) and triples_compose(table, 2)
+    f = table[2, 0]
+    table[2, 0] = skewed = PLMap(g, g, f.vertex_map, {**f.edge_map, "e2": ("affine", "e1", 0, 1)})
+    assert all(skewed.image_point(("v", v)) == f.image_point(("v", v)) for v in g.vertices)
+    assert not table_agrees_pointwise(tower, table)
+    assert not triples_compose(table, 2)
+
+
 def test_verify_steered_crooked_tower_without_closure(closure_calls):
     # six stages and five surgeries deep, the final graph has 53 edges;
     # closing its base sublattice for CONN(1) exceeded the 4096-element cap
@@ -586,25 +664,6 @@ def test_verify_steered_crooked_tower_without_closure(closure_calls):
     assert report and all(ok for _, ok in report), [r for r in report if not r[1]]
     assert report[-1] == ("CONN(1) on the stage-6 base sublattice", True)
     assert closure_calls == []
-
-
-def test_verify_tower_indexes_no_composed_map(monkeypatch, fibre_builds):
-    # the C(N, 2) composites of the functoriality table are evaluated at
-    # points, never pulled back through, so none may pay for a preimage index
-    tower = steered_crooked_tower(4)
-    made = []
-    then = PLMap.then
-
-    def recording_then(self, other):
-        out = then(self, other)
-        made.append(out)
-        return out
-
-    monkeypatch.setattr(PLMap, "then", recording_then)
-    report = verify_tower(tower)
-    assert ("bonding functoriality", True) in report and made
-    built = {id(m) for m in fibre_builds}
-    assert not any(id(m) in built for m in made)
 
 
 def test_catalog_members_must_be_connected():
@@ -652,7 +711,10 @@ def test_verify_tower_flags_a_rebound_witness(steered4):
     stages[1] = dataclasses.replace(stages[1], base=base)
     bad = Tower(stages, steered4.catalog)
     m = list(theta_candidates(steered4.base(0))).index(STAIRCASE_QUAD)
-    assert _red_lines(bad, steered4) == [f"stage 1 theta schedule={[0, m]} at stage 1"]
+    # stage 2 binds the pullback of the original w1.x, not of w1.z
+    assert _red_lines(bad, steered4) == [
+        f"stage 1 theta schedule={[0, m]} at stage 1", "stage 2 base pulls back stage 1",
+    ]
 
 
 def test_verify_tower_flags_a_shrunk_thread_set(steered4):
@@ -680,52 +742,6 @@ def test_verify_tower_flags_a_disconnected_thread(steered4, tmp_path, capsys):
     save_tower(bad, str(tmp_path / "t"))
     assert main(["tower-verify", str(tmp_path / "t")]) == 1
     assert "FAIL: thread k exact images" in capsys.readouterr().out
-
-
-def test_verify_tower_flags_a_non_functorial_table(steered4, monkeypatch):
-    # the flip of the segment after f^4_0: a different onto map between the
-    # same two graphs
-    g0 = steered4.graph(0)
-    flip = PLMap(g0, g0, {"a": ("v", "b"), "b": ("v", "a")}, {"seg": ("affine", "seg", 1, 0)})
-    composed = Tower.composed_maps
-
-    def skewed(tower):
-        table = composed(tower)
-        table[4, 0] = table[4, 0].then(flip)
-        return table
-
-    assert triples_compose(composed(steered4), 4)
-    assert not triples_compose(skewed(steered4), 4)
-    monkeypatch.setattr(Tower, "composed_maps", skewed)
-    assert _red_lines(steered4, steered4) == ["bonding functoriality"]
-
-
-def test_verify_tower_flags_a_composite_on_a_parallel_edge(monkeypatch):
-    # on a theta graph, f^2_0 with e2 sent along e1 instead of e3 agrees
-    # with the composite at every vertex; only the midpoint of e2 tells the
-    # two maps apart
-    g = THETA
-    rotate = PLMap(g, g, {"n": ("v", "n"), "s": ("v", "s")}, {
-        "e1": ("affine", "e2", 0, 2), "e2": ("affine", "e3", 0, 3), "e3": ("affine", "e1", 0, 1),
-    })
-    base = {"whole": g.whole_set()}
-    clean = Tower(
-        [Stage(g, None, base, "base"), Stage(g, rotate, base, "identity"),
-         Stage(g, PLMap.identity(g), base, "identity")],
-        {"whole": [g.whole_set()] * 3},
-    )
-    composed = Tower.composed_maps
-
-    def skewed(tower):
-        table = composed(tower)
-        f = table[2, 0]
-        table[2, 0] = PLMap(g, g, f.vertex_map, {**f.edge_map, "e2": ("affine", "e1", 0, 1)})
-        return table
-
-    assert _red_lines(clean, clean) == []
-    assert not triples_compose(skewed(clean), 2)
-    monkeypatch.setattr(Tower, "composed_maps", skewed)
-    assert _red_lines(clean, clean) == ["bonding functoriality"]
 
 
 def test_verify_tower_flags_a_disconnected_base():
