@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -545,6 +546,43 @@ def test_verify_tower_composes_no_maps(monkeypatch):
     report = verify_tower(tower)
     assert report and all(ok for _, ok in report), [r for r in report if not r[1]]
     assert calls == []
+
+
+def test_verify_tower_then_calls_are_quadratic(monkeypatch):
+    # verify_tower plus the whole composite table of its oracles stay
+    # within C(N, 2) `then` calls: the table takes exactly that, the
+    # verifier none
+    g = seg()
+    N = 8
+    tower = build_tower(g, base_family(g), {}, N)
+    calls = []
+    then = PLMap.then
+
+    def counting_then(self, other):
+        calls.append(1)
+        return then(self, other)
+
+    monkeypatch.setattr(PLMap, "then", counting_then)
+    report = verify_tower(tower)
+    assert report and all(ok for _, ok in report)
+    assert len(calls) == 0
+    table = composed_maps(tower)
+    assert len(calls) == math.comb(N, 2) == len(table) - N
+
+
+def test_verify_tower_indexes_no_composed_map(fibre_builds):
+    # the base pull-back lines pay for preimage indexes of the single
+    # bondings only; composites built beforehand stay unindexed
+    tower = steered_crooked_tower(4)
+    composites = [f for (n, m), f in composed_maps(tower).items() if n - m >= 2]
+    assert composites
+    report = verify_tower(tower)
+    assert ("stage 1 base pulls back stage 0", True) in report
+    assert all(ok for _, ok in report), [r for r in report if not r[1]]
+    assert fibre_builds
+    bondings = {id(st.bonding) for st in tower.stages[1:]}
+    assert all(id(m) in bondings for m in fibre_builds)
+    assert not any(id(f) in {id(m) for m in fibre_builds} for f in composites)
 
 
 def _subdivide(h, pieces):
