@@ -178,6 +178,12 @@ def cmd_tower_verify(args) -> int:
 
 def cmd_tower_thread(args) -> int:
     tower = load_tower(args.directory)
+    # a thread lifts through onto bondings only; `tower-verify` reports one
+    # that is not as a false line, and here it is bad input
+    for n in range(1, tower.depth + 1):
+        if not tower.stages[n].bonding.is_surjective():
+            path = os.path.join(args.directory, f"bonding{n}.json")
+            raise InputError(f"{path}: the bonding does not map stage {n} onto stage {n - 1}")
     if args.set == "whole":
         start = tower.graph(0).whole_set()
     elif args.set in tower.catalog:

@@ -38,9 +38,10 @@ class PreconditionError(CrookedError):
 
 class DegeneracyError(PreconditionError):
     """A construction hit a degenerate configuration; the input needs a
-    minimal edge-length nudge before retrying."""
+    minimal edge-length nudge before retrying; `edge_id` names the edge
+    where it showed."""
 
-    def __init__(self, message: str, edge_id=None):
+    def __init__(self, message: str, edge_id: str):
         super().__init__(message)
         self.edge_id = edge_id
 

@@ -291,12 +291,6 @@ class _Tokens:
             raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def save(self) -> int:
-        return self.i
-
-    def restore(self, mark: int) -> None:
-        self.i = mark
-
 
 class _Parser:
     """Recursive descent with one backtrack point: a '(' may open either a
@@ -364,14 +358,14 @@ class _Parser:
     def atom(self) -> Formula:
         kind, value, pos = self.toks.peek()
         if (kind, value) == ("sym", "("):
-            mark = self.toks.save()
+            mark = self.toks.i
             self.toks.next()
             try:
                 inner = self.formula()
                 self.toks.expect("sym", ")")
                 return inner
             except ParseError:
-                self.toks.restore(mark)
+                self.toks.i = mark
         left = self.term()
         kind, value, pos = self.toks.next()
         if (kind, value) == ("sym", "="):

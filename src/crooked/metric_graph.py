@@ -497,7 +497,9 @@ def _bp_clamp(bp: Sequence[tuple], lo: Frac, hi: Frac) -> tuple:
 
 class PLFunction:
     """A continuous PL function on a metric graph, one breakpoint list per
-    edge over its arc-length parameter."""
+    edge over its arc-length parameter.  Its regions are its sublevel and
+    superlevel sets; a caller intersects them for a level set or a band, so
+    a half-set that two regions share is computed once."""
 
     __slots__ = ("graph", "per_edge")
 
@@ -589,14 +591,6 @@ class PLFunction:
     def superlevel_set(self, level) -> ClosedSet:
         return self._region(frac(level), "ge")
 
-    def level_set(self, level) -> ClosedSet:
-        """The points where the function equals `level`: the intersection of
-        the sublevel and superlevel sets at it."""
-        return self.band(level, level)
-
-    def band(self, lo, hi) -> ClosedSet:
-        return self.sublevel_set(hi) & self.superlevel_set(lo)
-
     def extrema_over(self, s: ClosedSet) -> tuple[Frac, Frac]:
         """Exact (min, max) over a nonempty closed set; PL extremes occur at
         interval ends, breakpoints, and member vertices."""
@@ -685,30 +679,22 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
 
 @dataclass(frozen=True)
 class KappaMap:
+    """The distances toward a, b, c, and the two sets the kappa triple
+    makes: `barycenter_locus`, where all three distances agree (the triple
+    is the barycenter (1/3, 1/3, 1/3)), and `min_regions`, per coordinate
+    the closed region where that distance is minimal, which is the
+    radial-projection preimage of the triangle side opposite it."""
     d_a: PLFunction
     d_b: PLFunction
     d_c: PLFunction
-
-    def barycenter_locus(self) -> ClosedSet:
-        """Points where all three distances agree, i.e. the kappa triple is
-        the barycenter (1/3, 1/3, 1/3)."""
-        ab = (self.d_a - self.d_b).level_set(0)
-        bc = (self.d_b - self.d_c).level_set(0)
-        return ab & bc
-
-    def min_region(self, which: int) -> ClosedSet:
-        """Closed region where the chosen distance is minimal; equals the
-        radial-projection preimage of the triangle side opposite that
-        coordinate."""
-        ds = (self.d_a, self.d_b, self.d_c)
-        me = ds[which]
-        others = [d for i, d in enumerate(ds) if i != which]
-        region = (me - others[0]).sublevel_set(0)
-        return region & (me - others[1]).sublevel_set(0)
+    barycenter_locus: ClosedSet
+    min_regions: tuple[ClosedSet, ClosedSet, ClosedSet]
 
 
 def kappa_map(graph: MetricGraph, a: ClosedSet, b: ClosedSet, c: ClosedSet) -> KappaMap:
-    """The triple of normalized distance quotients toward a, b, c.
+    """The triple of normalized distance quotients toward a, b, c, with its
+    locus and regions read off the six half-sets at 0 of the three pairwise
+    differences d_a - d_b, d_b - d_c, d_c - d_a, each taken once.
 
     Requires a, b, c nonempty with empty triple intersection so the shared
     denominator never vanishes; callers handle empty inputs with the
@@ -718,8 +704,13 @@ def kappa_map(graph: MetricGraph, a: ClosedSet, b: ClosedSet, c: ClosedSet) -> K
             raise PreconditionError(f"kappa input {name} is empty; use the shortcut")
     if not ((a & b) & c).is_empty():
         raise PreconditionError("kappa inputs must have empty triple intersection")
-    return KappaMap(distance_to_set(graph, a), distance_to_set(graph, b),
-                    distance_to_set(graph, c))
+    ds = [distance_to_set(graph, s) for s in (a, b, c)]
+    diffs = [ds[i] - ds[(i + 1) % 3] for i in range(3)]
+    le = [d.sublevel_set(0) for d in diffs]
+    ge = [d.superlevel_set(0) for d in diffs]
+    # d_i is minimal where d_i - d_(i+1) <= 0 and d_(i-1) - d_i >= 0
+    regions = tuple(le[i] & ge[i - 1] for i in range(3))
+    return KappaMap(*ds, le[0] & ge[0] & le[1] & ge[1], regions)
 
 
 # --------------------------------------------------------------------------

@@ -41,18 +41,16 @@ def constant_id(level: int, ordinal: int) -> str:
 
 
 class ConstantRegistry:
-    """Budgeted levels of constants with the strict total order given by
-    (level, ordinal)."""
+    """Levels of constants with the strict total order given by (level,
+    ordinal).  A stage level allocates up to `budget` constants; a level
+    populated at once (the base and subcontinuum levels) is sized by its
+    caller."""
 
-    def __init__(self, default_budget: int = DEFAULT_BUDGET, overrides: dict[int, int] | None = None):
-        if default_budget < 0:
+    def __init__(self, budget: int):
+        if budget < 0:
             raise InputError("budget must be nonnegative")
-        self.default_budget = default_budget
-        self.overrides = dict(overrides or {})
+        self.budget = budget
         self.counts: dict[int, int] = {}
-
-    def budget(self, level: int) -> int:
-        return self.overrides.get(level, self.default_budget)
 
     def count(self, level: int) -> int:
         return self.counts.get(level, 0)
@@ -60,21 +58,17 @@ class ConstantRegistry:
     def populate(self, level: int, count: int) -> list[str]:
         if self.count(level):
             raise UsageError(f"level {level} already populated")
-        if count > self.budget(level):
-            raise ResourceLimitError(
-                f"level {level} needs {count} constants, budget is {self.budget(level)}"
-            )
         self.counts[level] = count
         return [constant_id(level, m) for m in range(count)]
 
     def remaining(self, level: int) -> int:
-        return self.budget(level) - self.count(level)
+        return self.budget - self.count(level)
 
     def alloc(self, level: int, count: int, stage: str, index: int) -> list[str]:
         if self.remaining(level) < count:
             raise ResourceLimitError(
                 f"stage {stage}: budget exhausted at l={index} "
-                f"(level {level} holds {self.count(level)} of {self.budget(level)})"
+                f"(level {level} holds {self.count(level)} of {self.budget})"
             )
         start = self.count(level)
         self.counts[level] = start + count
@@ -308,9 +302,7 @@ class SigmaGenerator:
             raise InputError("continuum constants exceed the level -2 size")
         if continuum_constants > base.size:
             raise InputError("continuum constants exceed the base lattice size")
-        self.registry = ConstantRegistry(
-            default_budget=budget, overrides={-1: base.size, -2: hat_n}
-        )
+        self.registry = ConstantRegistry(budget)
         self.registry.populate(-1, base.size)
         if hat:
             self.registry.populate(-2, hat_n)

@@ -126,6 +126,18 @@ def point_token(p: Point) -> str:
     return f"{p[1]}@{frac_str(p[2])}"
 
 
+def _isolated_points(s: ClosedSet, what: str) -> list[Point]:
+    """The points of a finite closed set: its vertices, then its edge points,
+    each in sorted order.  A subedge in `s` is a degeneracy, named after the
+    first edge that holds one."""
+    for eid, items in s.intervals.items():
+        if any(lo != hi for lo, hi in items):
+            raise DegeneracyError(f"{what} contains a subedge of {eid!r}", eid)
+    return [("v", v) for v in sorted(s.vertices)] + [
+        ("e", eid, lo) for eid, items in s.intervals.items() for lo, _ in items
+    ]
+
+
 def nudge_edge_length(graph: MetricGraph, eid: str) -> MetricGraph:
     """The smallest denominator-doubling length change: p/q -> (2p+1)/(2q)."""
     e = graph.edges[eid]
@@ -231,18 +243,8 @@ def triangle_step(
     if not ((a & b) & c).is_empty():
         raise PreconditionError("triangle step requires an empty triple intersection")
     km = kappa_map(graph, a, b, c)
-    locus_set = km.barycenter_locus()
-    for eid, items in locus_set.intervals.items():
-        for lo, hi in items:
-            if lo != hi:
-                raise DegeneracyError(
-                    f"barycenter locus contains a subedge of {eid!r}", edge_id=eid
-                )
-    locus: list[Point] = [("v", v) for v in sorted(locus_set.vertices)]
-    for eid in sorted(locus_set.intervals):
-        for lo, _ in locus_set.intervals[eid]:
-            locus.append(("e", eid, lo))
-    regions = [km.min_region(i) for i in range(3)]
+    locus = _isolated_points(km.barycenter_locus, "barycenter locus")
+    regions = km.min_regions
 
     if not locus:
         out = graph
@@ -459,7 +461,10 @@ def crooked_step(
     """Thread the space through the five-segment staircase over the Urysohn
     function from a to b, at most 1/2 on c and at least 1/2 on d, and keep
     the unique component that still projects onto the whole input.  The
-    schema is checked only by `instance_stage`."""
+    staircase levels, the two level sets and the witness bands are all cut
+    from sublevel and superlevel sets of that function, each of the eight it
+    needs (at 1/3, 2/3, 3/8 and 5/8) taken once.  The schema is checked only
+    by `instance_stage`."""
     for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
         if s.graph is not graph:
             raise UsageError(f"set {name} is not on the input graph")
@@ -469,23 +474,14 @@ def crooked_step(
         raise PreconditionError("empty endpoint set; the caller must use the shortcut")
     f = urysohn(graph, a, b, pin_low=c, pin_high=d)
     third, two_thirds = Frac(1, 3), Frac(2, 3)
-    levels: dict[Frac, list[Point]] = {}
-    for level in (third, two_thirds):
-        ls = f.level_set(level)
-        for eid, items in ls.intervals.items():
-            for lo, hi in items:
-                if lo != hi:
-                    raise DegeneracyError(
-                        f"level set f={level} contains a subedge of {eid!r}", edge_id=eid
-                    )
-        pts = [("v", v) for v in sorted(ls.vertices)]
-        for eid in sorted(ls.intervals):
-            pts.extend(("e", eid, lo) for lo, _ in ls.intervals[eid])
-        levels[level] = [graph.normalize_point(p) for p in pts]
-
-    low = f.sublevel_set(two_thirds)
-    mid = f.band(third, two_thirds)
-    high = f.superlevel_set(third)
+    low, high = f.sublevel_set(two_thirds), f.superlevel_set(third)
+    mid = low & high
+    levels = {
+        third: _isolated_points(f.sublevel_set(third) & high, f"level set f={third}"),
+        two_thirds: _isolated_points(
+            low & f.superlevel_set(two_thirds), f"level set f={two_thirds}"
+        ),
+    }
     c14 = _Copy(graph, low, levels[two_thirds], "t14")
     c12 = _Copy(graph, mid, levels[third] + levels[two_thirds], "t12")
     c34 = _Copy(graph, high, levels[third], "t34")
@@ -553,9 +549,9 @@ def crooked_step(
     t14, t34 = part("t14"), part("t34")
     witnesses = {
         "x": bonding.preimage_of(f.sublevel_set(Frac(3, 8))) & t14,
-        "y": (bonding.preimage_of(f.band(Frac(3, 8), two_thirds)) & t14)
+        "y": (bonding.preimage_of(low & f.superlevel_set(Frac(3, 8))) & t14)
         | part("t12", "h23", "h13")
-        | (bonding.preimage_of(f.band(third, Frac(5, 8))) & t34),
+        | (bonding.preimage_of(f.sublevel_set(Frac(5, 8)) & high) & t34),
         "z": bonding.preimage_of(f.superlevel_set(Frac(5, 8))) & t34,
     }
     return CrookedStep(
@@ -605,13 +601,11 @@ def _attach_staircase_layout(out, base, vertex_map) -> None:
 # --------------------------------------------------------------------------
 
 def lift_through(stage, s: ClosedSet, pre: ClosedSet) -> ClosedSet:
-    """A connected onto lift through one bonding: the component of `pre`,
-    the preimage of `s`, with the exact image.  Works from the bonding alone,
-    so a built or loaded `Stage`, a `TriangleStep` and a `CrookedStep` lift
-    alike."""
+    """A connected onto lift of a nonempty `s` through one bonding: the
+    component of `pre`, the preimage of `s`, with the exact image.  Works
+    from the bonding alone, so a built or loaded `Stage`, a `TriangleStep`
+    and a `CrookedStep` lift alike."""
     bonding = stage.bonding
-    if s.is_empty():
-        return bonding.domain.empty_set()
     for comp in bonding.domain.components_of(pre):
         if bonding.image_of(comp) == s:
             return comp
@@ -625,7 +619,7 @@ def lift_connected(step, s: ClosedSet, pre: ClosedSet) -> ClosedSet:
     Monotone (triangle) bondings lift by full preimage, which must be one
     component; crooked bondings keep the component of the preimage with the
     exact image, which the construction guarantees to exist."""
-    if not s.is_empty() and len(step.bonding.codomain.components_of(s)) != 1:
+    if len(step.bonding.codomain.components_of(s)) != 1:
         raise PreconditionError("lift_connected needs a connected set")
     lifted = lift_through(step, s, pre)
     if step.kind == "triangle" and lifted != pre:
@@ -719,7 +713,7 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
             bonding = step.bonding if renorm is None else step.bonding.then(renorm)
             return step, bonding, nudged
         except DegeneracyError as exc:
-            if len(nudged) >= MAX_NUDGES or exc.edge_id is None:
+            if len(nudged) >= MAX_NUDGES:
                 raise
             if candidates is None:
                 candidates = [exc.edge_id] + sorted(

@@ -534,9 +534,9 @@ CROOKED_FRAGMENT = [
 ]
 
 
-def _surgering_report(tmp_path, capsys):
-    """Run sigma-witness on CROOKED_FRAGMENT; the exit code, the report's
-    FAIL labels and the trace's actions."""
+def _surgering_witness(tmp_path):
+    """The sigma-witness command line on CROOKED_FRAGMENT, with its input
+    files written under `tmp_path` and its output into `crooked-model`."""
     base = tmp_path / "crooked-base.json"
     base.write_text(json.dumps(CROOKED_BASE))
     g = unit_segment()
@@ -549,15 +549,21 @@ def _surgering_report(tmp_path, capsys):
     graph_path.write_text(dump_graph(g, sets))
     frag = tmp_path / "crooked-frag.txt"
     frag.write_text("\n".join(CROOKED_FRAGMENT) + "\n")
-    outdir = tmp_path / "crooked-model"
-    capsys.readouterr()
-    code = main([
+    return [
         "sigma-witness", "--base", str(base), "--fragment", str(frag),
-        "--graph", str(graph_path), "--out", str(outdir),
-    ])
+        "--graph", str(graph_path), "--out", str(tmp_path / "crooked-model"),
+    ]
+
+
+def _surgering_report(tmp_path, capsys):
+    """Run sigma-witness on CROOKED_FRAGMENT; the exit code, the report's
+    FAIL labels and the trace's actions."""
+    argv = _surgering_witness(tmp_path)
+    capsys.readouterr()
+    code = main(argv)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"all-true: {code == 0}"
-    trace = json.loads((outdir / "trace.json").read_text())
+    trace = json.loads((tmp_path / "crooked-model" / "trace.json").read_text())
     fails = [line.split(": ")[1] for line in out if line.startswith("FAIL: ")]
     return code, fails, [t["action"] for t in trace]
 
@@ -685,6 +691,11 @@ def _repeated_witness(towerdir):
     def repeat(trace):
         trace["stages"][1]["instance"]["witnesses"] = ["w1.x", "w1.x", "w1.z"]
     _edit_json(towerdir / "trace.json", repeat)
+    _dropped_witness(towerdir)
+
+
+def _dropped_witness(towerdir):
+    # stage 1 names w1.y as a witness but binds it at no stage
     for n in (1, 2):
         _edit_json(towerdir / f"stage{n}.json", lambda stage: stage["closed_sets"].pop("w1.y"))
 
@@ -694,7 +705,11 @@ def _repeated_witness(towerdir):
     (_rebound_mid, ["stage 2 base pulls back stage 1"]),
     (_stray_name, ["stage 1 base pulls back stage 0", "stage 2 base pulls back stage 1"]),
     (_repeated_witness, ["stage 1 base pulls back stage 0"]),
-], ids=["bonding-not-onto", "rebound-name", "stray-name", "repeated-witness"])
+    (_dropped_witness, ["stage 1 base pulls back stage 0",
+                        "stage 1 theta schedule=[0, 0] at stage 1",
+                        "stage 1 theta schedule=[0, 0] at stage 2"]),
+], ids=["bonding-not-onto", "rebound-name", "stray-name", "repeated-witness",
+        "dropped-witness"])
 def test_tower_verify_flags_a_stage_that_is_no_pullback(tmp_path, capsys, corrupt, red):
     # each directory loads; only the named lines go red.  On the bundled
     # segment no stage-2 instance reads mid, so no instance line hides the
@@ -711,23 +726,33 @@ def test_tower_verify_flags_a_stage_that_is_no_pullback(tmp_path, capsys, corrup
     assert [line[len("FAIL: "):] for line in out if line.startswith("FAIL: ")] == red
 
 
-def test_internal_failures_exit_3(towerdir, tmp_path, capsys):
+def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     # a lattice file past the element cap: 13 singleton generators close to
     # the 8,192 subsets of 13 points, ResourceLimitError
     big = tmp_path / "powerset13.json"
     big.write_text(json.dumps({"ground": 13, "generators": {f"p{i:02}": [i] for i in range(13)}}))
     assert main(["lattice-check", str(big), "CONN1"]) == 3
     assert "element cap" in capsys.readouterr().err
-    # a bonding that is no longer onto, stage 1 sent to one vertex of stage
-    # 0: InvariantViolationError on threading
+    # a staircase surgery whose schema check fails: InvariantViolationError
+    monkeypatch.setattr(surgery, "verify_on_sublattice", lambda *args: False)
+    assert main(_surgering_witness(tmp_path)) == 3
+    assert "surgery failed its schema" in capsys.readouterr().err
+
+
+def test_tower_thread_rejects_a_bonding_that_is_not_onto(towerdir, capsys):
+    # stage 1 sent to one vertex of stage 0: bad input to thread (exit 2),
+    # and a false line to verify (exit 1)
     stage1 = json.loads((towerdir / "stage1.json").read_text())
     point = {"v": json.loads((towerdir / "stage0.json").read_text())["vertices"][0]}
     (towerdir / "bonding1.json").write_text(json.dumps({
         "vertex_map": {v: point for v in stage1["vertices"]},
         "edge_map": {e["id"]: {"kind": "const", "point": point} for e in stage1["edges"]},
     }))
-    assert main(["tower-thread", str(towerdir), "--set", "whole"]) == 3
-    assert "maps onto" in capsys.readouterr().err
+    assert main(["tower-thread", str(towerdir), "--set", "whole"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {towerdir / 'bonding1.json'}: the bonding does not map stage 1 onto stage 0\n")
+    assert main(["tower-verify", str(towerdir)]) == 1
+    assert "FAIL: stage 1 bonding onto" in capsys.readouterr().out
 
 
 def test_tower_thread_takes_no_cap(chain3, segment_graph, tower_graph, tmp_path, capsys):
@@ -952,16 +977,16 @@ def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, na
 
 
 def test_tower_verify_rejects_a_discontinuous_bonding(towerdir, capsys):
-    # s0 = 1/2 sends the end a of seg to the midpoint while the vertex map
-    # keeps a at a: the map is torn there, which is bad input (exit 2)
+    # moving s0 of the first affine entry halfway to s1 sends the entry's
+    # first end off the point where the vertex map keeps it: the map is
+    # torn there, which is bad input (exit 2)
     path = towerdir / "bonding1.json"
     data = json.loads(path.read_text())
-    entry = data["edge_map"]["seg"]
-    assert entry["kind"] == "affine" and entry["s0"] == "0/1"
-    entry["s0"] = "1/2"
+    eid, entry = next((k, e) for k, e in data["edge_map"].items() if e["kind"] == "affine")
+    entry["s0"] = str((F(entry["s0"]) + F(entry["s1"])) / 2)
     path.write_text(json.dumps(data))
     assert main(["tower-verify", str(towerdir)]) == 2
-    assert "edge map discontinuous at edge 'seg'" in capsys.readouterr().err
+    assert f"edge map discontinuous at edge {eid!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth", [True, -1], ids=["boolean", "negative"])

@@ -252,10 +252,9 @@ def test_kappa_barycenter_locus_on_y_graph():
         g.point_closed_set([("v", "tb")]),
         g.point_closed_set([("v", "tc")]),
     )
-    locus = km.barycenter_locus()
-    assert locus == g.point_closed_set([("v", "c")])
+    assert km.barycenter_locus == g.point_closed_set([("v", "c")])
     # min regions cover and agree with legs
-    x, y, z = km.min_region(0), km.min_region(1), km.min_region(2)
+    x, y, z = km.min_regions
     assert (x | y | z) == g.whole_set()
     assert x.contains_point(("v", "ta")) and not x.contains_point(("v", "tb"))
 
@@ -389,7 +388,7 @@ def test_level_and_sublevel_sets(seg):
     f = PLFunction(seg, {"seg": [(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))]})
     sub = f.sublevel_set(F(1, 2))
     assert sub.intervals["seg"] == ((F(0), F(1, 4)), (F(3, 4), F(1)))
-    level = f.level_set(F(1))
+    level = f.sublevel_set(F(1)) & f.superlevel_set(F(1))
     assert not level.vertices
     assert level.intervals["seg"] == ((F(1, 2), F(1, 2)),)
     assert f.extrema_over(seg.whole_set()) == (F(0), F(1))
@@ -871,7 +870,8 @@ def test_level_set_matches_point_evaluation(data):
     f = data.draw(pl_functions())
     levels = sorted({y for bp in f.per_edge.values() for _, y in bp})
     level = data.draw(st.sampled_from(levels))
-    ls, sub, sup = f.level_set(level), f.sublevel_set(level), f.superlevel_set(level)
+    sub, sup = f.sublevel_set(level), f.superlevel_set(level)
+    ls = sub & sup
     probes = [("v", v) for v in _HYP_GRAPH.vertices]
     for eid, bp in f.per_edge.items():
         for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
@@ -1082,7 +1082,8 @@ def test_whole_is_the_edges_covered_entirely(spec_s, spec_t, m, data):
     pulled = m.preimage_of(s)
     produced = [
         s, t, s & t, s | t, g.whole_set(), g.empty_set(), *g.components_of(s | t),
-        f.sublevel_set(level), f.superlevel_set(level), f.level_set(level),
+        f.sublevel_set(level), f.superlevel_set(level),
+        f.sublevel_set(level) & f.superlevel_set(level),
         ClosedSet.from_dict(g, s.to_dict()), pulled, m.preimage_of(t & s),
         *m.domain.components_of(pulled), m.image_of(pulled), m.image_of(m.domain.whole_set()),
     ]

@@ -33,7 +33,7 @@ def constant_key(cid):
 
 
 def test_registry_lists_constants_in_order():
-    reg = ConstantRegistry(default_budget=16)
+    reg = ConstantRegistry(16)
     reg.populate(1, 11)
     reg.populate(-1, 2)
     reg.populate(-2, 4)
@@ -44,7 +44,7 @@ def test_registry_lists_constants_in_order():
 
 
 def test_registry_budget():
-    reg = ConstantRegistry(default_budget=4)
+    reg = ConstantRegistry(4)
     reg.populate(-1, 3)
     assert reg.constants_at(-1) == ["k(-1,0)", "k(-1,1)", "k(-1,2)"]
     got = reg.alloc(1, 2, "S1", 0)
@@ -54,18 +54,18 @@ def test_registry_budget():
 
 
 def test_enumerate_new_tuples_counts():
-    reg = ConstantRegistry(default_budget=8)
+    reg = ConstantRegistry(8)
     reg.populate(-1, 3)
     pairs = enumerate_new_tuples(reg, 0, 2)
     assert len(pairs) == 3  # C(3,2), all new at stage 0
-    reg2 = ConstantRegistry(default_budget=8)
+    reg2 = ConstantRegistry(8)
     reg2.populate(-1, 2)
     quads = enumerate_new_tuples(reg2, 0, 4)
     assert len(quads) == 16  # 2^4 functions with repetition
 
 
 def test_enumerate_new_tuples_honours_limit():
-    reg = ConstantRegistry(default_budget=8)
+    reg = ConstantRegistry(8)
     reg.populate(-1, 3)
     for k in (2, 3, 4):
         every = enumerate_new_tuples(reg, 0, k)
@@ -74,7 +74,7 @@ def test_enumerate_new_tuples_honours_limit():
 
 
 def test_enumerate_new_tuples_empty_when_nothing_new():
-    reg = ConstantRegistry(default_budget=8)
+    reg = ConstantRegistry(8)
     reg.populate(-1, 3)
     # at stage n=1 no constants exist above level 0, so nothing is new
     assert enumerate_new_tuples(reg, 1, 2) == []

@@ -374,6 +374,38 @@ def test_crooked_degenerate_level_set(monkeypatch):
     assert exc.value.edge_id == "seg"
 
 
+def test_surgeries_take_each_region_once(monkeypatch):
+    # a crooked step takes each half-set of its separating function once,
+    # one per (level, side); a triangle step takes each pairwise difference
+    # of its three distances once, and each difference's two half-sets at 0
+    regions, diffs = [], []
+    real_region, real_sub = PLFunction._region, PLFunction.__sub__
+
+    def counting_region(self, level, side):
+        regions.append((self, level, side))
+        return real_region(self, level, side)
+
+    def counting_sub(self, other):
+        diffs.append(real_sub(self, other))
+        return diffs[-1]
+
+    monkeypatch.setattr(PLFunction, "_region", counting_region)
+    monkeypatch.setattr(PLFunction, "__sub__", counting_sub)
+    step = crooked_step(*crooked_identity_instance())
+    assert {f for f, _, _ in regions} == {step.separating}
+    assert sorted((level, side) for _, level, side in regions) == sorted(
+        (F(n, d), side) for n, d in ((1, 3), (2, 3), (3, 8), (5, 8)) for side in ("ge", "le")
+    )
+    regions.clear()
+    diffs.clear()
+    g = y_graph()
+    triangle_step(g, *(g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")))
+    assert len(diffs) == 3
+    assert sorted((id(f), level, side) for f, level, side in regions) == sorted(
+        (id(f), 0, side) for f in diffs for side in ("ge", "le")
+    )
+
+
 def test_crooked_phi_precondition():
     g, a, b, c, d = crooked_identity_instance()
     with pytest.raises(PreconditionError):
@@ -515,6 +547,31 @@ def test_witness_fragment_binds_each_fresh_name_once(kind):
     with pytest.raises(InputError, match=re.escape(repr(taken))):
         witness_fragment(upto, g, {**interp0, taken: g.empty_set()})
     assert witness_fragment(upto, g, interp0).ok
+
+
+def test_witness_fragment_keeps_a_disconnected_hat_conn_constant():
+    # k(-2,0) is declared connected but is two points of the base graph: its
+    # lift through each surgery raises PreconditionError, the build keeps its
+    # full preimage, and the report's hat-conn line is the one false line,
+    # false for the two components alone (the set lies under its k(-1,0))
+    base = generate_sublattice({0, 1, 2}, [{0}, {2}, {0, 1, 2}], names=["g0", "g1", "g2"])
+    g = seg()
+    gen_sets = {
+        "g0": ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set()),
+        "g1": g.point_closed_set([("v", "b")]),
+        "g2": g.whole_set(),
+    }
+    interp0 = base_interpretation(base, gen_sets, g)
+    interp0["k(-2,0)"] = g.point_closed_set([("v", "a"), ("e", "seg", F(1, 4))])
+    records = SigmaGenerator(base, budget=8, continuum_constants=1, hat_size=1).generate_through(5)
+    result = witness_fragment([r for r in records if not r.ignorable], g, interp0)
+    assert "triangle" in [t["action"] for t in result.trace]
+    (hat,) = [r for r in records if r.kind == "hat-conn"]
+    assert hat.line().startswith("S-1^0 0:")
+    assert [line for line, ok in result.report if not ok] == [hat.line()]
+    k = result.interpretation["k(-2,0)"]
+    assert len(result.graph.components_of(k)) == 2
+    assert k.is_subset_of(result.interpretation["k(-1,0)"])
 
 
 def surgery_rich_fragment(budget=96):
