@@ -151,7 +151,8 @@ class MetricGraph:
     # ------------------------------------------------------------ structure
 
     def is_connected(self) -> bool:
-        return len(self.components_of(self.whole_set())) <= 1
+        """One component: a graph with no vertices is not connected."""
+        return len(self.components_of(self.whole_set())) == 1
 
     # -------------------------------------------------------------- closures
 

@@ -107,8 +107,8 @@ def render_svg(graph: MetricGraph, closed_sets: dict[str, ClosedSet] | None = No
     for d in denoms:
         lcm = lcm // gcd(lcm, d) * d
     unit = max(1, 240 // max(
-        int(max(abs(c) for shape in shapes for part in shape[1:]
-                if isinstance(part, tuple) for c in part) or 1), 1))
+        int(max((abs(c) for shape in shapes for part in shape[1:]
+                 if isinstance(part, tuple) for c in part), default=0) or 1), 1))
     scale = lcm * unit
 
     def pt(p):

@@ -855,7 +855,7 @@ def witness_fragment(
     accepted but not read, because perfbench passes it.  A `hat-conn` line
     also needs its constant to be connected in the final graph."""
     if not graph0.is_connected():
-        raise PreconditionError("the base space must be connected")
+        raise PreconditionError("the base space must be a nonempty connected graph")
     for cid, s in interp0.items():
         if s.graph is not graph0:
             raise UsageError(f"interpretation of {cid!r} is not on the base graph")

@@ -1,5 +1,6 @@
 """Inverse-sequence driver: schedules, alternating dimension/crookedness
-stages, weak-confluence threads, and the independent cover-search oracles.
+stages, weak-confluence threads, and one cover search read off `GROUND`
+(the dimension stages' existing-cover probe and the crookedness oracle).
 
 A tower is a finite prefix of the inverse sequence: stage graphs, onto
 bonding maps, and named closed-set bases.  A base keeps its predecessor's
@@ -12,6 +13,7 @@ point set is materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .errors import (
     UsageError,
     read_input,
 )
-from .folang import LIBRARY
+from .folang import LIBRARY, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, cells_closed_set, _cell_in_set,
@@ -72,17 +74,12 @@ def schedule_t(n: int) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------------
-# Cover-search oracles
+# Cover search
 # --------------------------------------------------------------------------
 
-_ZETA_SUBSETS = (
-    frozenset("x"), frozenset("y"), frozenset("z"),
-    frozenset("xy"), frozenset("xz"), frozenset("yz"), frozenset("xyz"),
-)
-_PSI_SUBSETS = (
-    frozenset("x"), frozenset("y"), frozenset("z"),
-    frozenset("xy"), frozenset("yz"),
-)
+# The class sets a cell may take, as 3-bit ints (x = 1, y = 2, z = 4), in
+# search order: x, y, z, xy, xz, yz, xyz.
+_LABELS = (1, 2, 4, 3, 5, 6, 7)
 
 
 def _refine_midpoints(cells: list[tuple]) -> list[tuple]:
@@ -101,139 +98,106 @@ def _refine_midpoints(cells: list[tuple]) -> list[tuple]:
     return out
 
 
-def _search_cover(graph, named, conditions, subsets, cap):
-    """Backtracking search for a labeling of the arrangement cells.
+@functools.cache
+def _cell_rules(kind: str, pattern: int) -> tuple[frozenset, frozenset]:
+    """The class sets that `GROUND[kind].right` allows at a cell whose
+    operand memberships are `pattern` (bit i for role "abcd"[i]), and the
+    class sets that some allowed one contains."""
+    operands = {r: pattern >> i & 1 for i, r in enumerate("abcd")}
+    allowed = frozenset(
+        e for e in range(8)
+        if eval_masks(GROUND[kind].right, {**operands, "x": e & 1, "y": e >> 1 & 1, "z": e >> 2}, 1)
+    )
+    return allowed, frozenset(e for e in range(8) if any(e & f == e for f in allowed))
 
-    Each cell gets a nonempty subset of {x, y, z}; a 0-cell is effectively in
-    every class its own labels or any incident 1-cell's labels put it in
-    (cover classes are closed).  `conditions` holds per-cell requirement sets
-    ("effective labels must include") and ban sets ("must not contain all
-    of"); both are monotone, so partial assignments prune early."""
+
+def _search_cover(graph, kind: str, named: dict[str, ClosedSet], cap: int):
+    """Backtracking search for witnesses x, y, z of `GROUND[kind].right`
+    over the operand roles `named`, as a labeling of the arrangement cells.
+
+    Each cell gets a label from `_LABELS`, and the cover classes are the
+    closures of the labeled cells: a 1-cell's classes are its label, a
+    0-cell's are its own label plus its incident 1-cells' labels.  Closed
+    sets meet and join pointwise, so the conclusion holds exactly when the
+    classes at every cell are allowed by `_cell_rules`.  The 1-cells are
+    labeled first, by backtracking, each leaving both endpoints' classes so
+    far inside an allowed set; a dead end is remembered by its position and
+    the classes of the 0-cells still to be fed.  Then each 0-cell takes the
+    first label that completes it.  The pruning is sound, so this finds the
+    first cover in search order, or None."""
     cells = _refine_midpoints(arrangement_cells(graph, list(named.values())))
     if len(cells) > cap:
         raise ResourceLimitError(f"{len(cells)} cells exceed the search cap {cap}")
-    one_cells = [i for i, cell in enumerate(cells) if cell[0] == "o"]
-    zero_cells = [i for i, cell in enumerate(cells) if cell[0] != "o"]
     index_of = {cell: i for i, cell in enumerate(cells)}
     ends: dict[int, tuple[int, int]] = {}   # 1-cell -> its endpoint 0-cells
-    incident: dict[int, list[int]] = {}
-    for i in one_cells:
-        _, eid, lo, hi = cells[i]
-        e = graph.edges[eid]
-        ends[i] = tuple(
-            index_of[("v", e.u)] if t == 0
-            else index_of[("v", e.v)] if t == e.length
-            else index_of[("p", eid, t)]
-            for t in (lo, hi)
-        )
-        for j in ends[i]:
-            incident.setdefault(j, []).append(i)
-    requires, bans = conditions(cells, named)
-    order = one_cells + zero_cells
-    labels: dict[int, frozenset] = {}
-
-    def effective_partial(j: int) -> frozenset:
-        eff = labels.get(j, frozenset())
-        for i in incident.get(j, ()):
-            eff |= labels.get(i, frozenset())
-        return eff
-
-    def violates(i: int) -> bool:
-        # a 1-cell feeds its endpoints
-        for j in (i, *ends.get(i, ())):
-            eff = labels[j] if cells[j][0] == "o" else effective_partial(j)
-            req = requires.get(j)
-            if req is not None and not req <= eff:
-                # 1-cells must satisfy their requirement outright; a 0-cell's
-                # effective labels are final once it is assigned (all its
-                # incident 1-cells come earlier in the order)
-                if cells[j][0] == "o" or j == i:
-                    return True
-            for ban in bans.get(j, ()):
-                if ban <= eff:
-                    return True
-        return False
-
-    def final_check() -> bool:
-        for j, req in requires.items():
-            eff = labels[j] if cells[j][0] == "o" else effective_partial(j)
-            if not req <= eff:
-                return False
-        return True
+    for i, cell in enumerate(cells):
+        if cell[0] == "o":
+            _, eid, lo, hi = cell
+            e = graph.edges[eid]
+            ends[i] = tuple(
+                index_of[("v", e.u)] if t == 0
+                else index_of[("v", e.v)] if t == e.length
+                else index_of[("p", eid, t)]
+                for t in (lo, hi)
+            )
+    rules = [
+        _cell_rules(kind, sum(1 << n for n, s in enumerate(named.values()) if _cell_in_set(cell, s)))
+        for cell in cells
+    ]
+    one_cells = list(ends)
+    # the 0-cells that the 1-cells from each position on still feed
+    live = [sorted({j for i in one_cells[pos:] for j in ends[i]}) for pos in range(len(one_cells))]
+    labels = [0] * len(cells)
+    classes = [0] * len(cells)  # a 0-cell's incident 1-cell labels so far
+    failed: set[tuple] = set()
 
     def assign(pos: int) -> bool:
-        if pos == len(order):
-            return final_check()
-        i = order[pos]
-        for choice in subsets:
-            labels[i] = choice
-            if not violates(i):
+        if pos == len(one_cells):
+            return True
+        key = (pos, *(classes[j] for j in live[pos]))
+        if key in failed:
+            return False
+        i = one_cells[pos]
+        j, k = ends[i]
+        cj, ck = classes[j], classes[k]
+        allowed, below_j, below_k = rules[i][0], rules[j][1], rules[k][1]
+        for label in _LABELS:
+            if label in allowed and cj | label in below_j and ck | label in below_k:
+                labels[i], classes[j], classes[k] = label, cj | label, ck | label
                 if assign(pos + 1):
                     return True
-            del labels[i]
+                classes[j], classes[k] = cj, ck
+        failed.add(key)
         return False
 
     if not assign(0):
         return None
+    for j in range(len(cells)):
+        if j not in ends:
+            # an allowed set, a label, holds j's classes: pruning or premise
+            labels[j] = next(label for label in _LABELS if classes[j] | label in rules[j][0])
     return tuple(
-        cells_closed_set(graph, (cell for i, cell in enumerate(cells) if letter in labels[i]))
-        for letter in "xyz"
+        cells_closed_set(graph, (cell for i, cell in enumerate(cells) if labels[i] & bit))
+        for bit in (1, 2, 4)
     )
 
 
 def search_dim_cover(graph, a, b, c, cap: int = DEFAULT_CELL_CAP):
-    """Exhaustive cell-labeling search for dimension witnesses: a <= x,
-    b <= y, c <= z, empty triple intersection, covering the space."""
+    """Exhaustive cell-labeling search for dimension witnesses, the
+    conclusion of `GROUND["zeta"]`: a <= x, b <= y, c <= z, empty triple
+    intersection, covering the space."""
     if not ((a & b) & c).is_empty():
         raise PreconditionError("dimension search needs an empty triple intersection")
-
-    def conditions(cells, named):
-        requires: dict[int, frozenset] = {}
-        bans: dict[int, list] = {}
-        for i, cell in enumerate(cells):
-            req = frozenset()
-            if _cell_in_set(cell, named["a"]):
-                req |= {"x"}
-            if _cell_in_set(cell, named["b"]):
-                req |= {"y"}
-            if _cell_in_set(cell, named["c"]):
-                req |= {"z"}
-            if req:
-                requires[i] = req
-            bans[i] = [frozenset("xyz")]
-        return requires, bans
-
-    return _search_cover(graph, {"a": a, "b": b, "c": c}, conditions, _ZETA_SUBSETS, cap)
+    return _search_cover(graph, "zeta", {"a": a, "b": b, "c": c}, cap)
 
 
 def search_her_indec_cover(graph, a, b, c, d, cap: int = DEFAULT_CELL_CAP):
-    """Cell-labeling search for the three-set crookedness cover; the
-    conditions match the crookedness schema so a found cover witnesses the
+    """Exhaustive cell-labeling search for the three-set crookedness cover,
+    the conclusion of `GROUND["theta"]`, so a found cover witnesses the
     ground sentence directly."""
     if not (a & b).is_empty() or not (a & d).is_empty() or not (b & c).is_empty():
         raise PreconditionError("crookedness search hypotheses violated")
-
-    def conditions(cells, named):
-        requires: dict[int, frozenset] = {}
-        bans: dict[int, list] = {}
-        for i, cell in enumerate(cells):
-            cell_bans = [frozenset("xz")]
-            if _cell_in_set(cell, named["a"]):
-                requires[i] = frozenset("x")
-                cell_bans.extend((frozenset("y"), frozenset("z")))
-            if _cell_in_set(cell, named["b"]):
-                requires[i] = frozenset("z")
-                cell_bans.extend((frozenset("x"), frozenset("y")))
-            if _cell_in_set(cell, named["d"]):
-                cell_bans.append(frozenset("xy"))
-            if _cell_in_set(cell, named["c"]):
-                cell_bans.append(frozenset("yz"))
-            bans[i] = cell_bans
-        return requires, bans
-
-    return _search_cover(
-        graph, {"a": a, "b": b, "c": c, "d": d}, conditions, _PSI_SUBSETS, cap
-    )
+    return _search_cover(graph, "theta", {"a": a, "b": b, "c": c, "d": d}, cap)
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +319,7 @@ def build_tower(
     """Alternate crookedness (odd) and dimension (even) stages along the
     interleaved schedule, then thread the catalog (`weak_confluence_witness`)."""
     if not graph0.is_connected():
-        raise PreconditionError("the base space must be connected")
+        raise PreconditionError("the base space must be a nonempty connected graph")
     for name, s in catalog.items():
         if s.is_empty() or len(graph0.components_of(s)) != 1:
             raise PreconditionError(f"catalog member {name!r} must be a nonempty connected set")

@@ -1,3 +1,4 @@
+import signal
 from functools import cached_property
 
 import pytest
@@ -51,3 +52,17 @@ def split_builds(monkeypatch):
 
     monkeypatch.setattr(metric_graph.ClosedSet, "_edge_split", counting)
     return builds
+
+
+@pytest.fixture
+def deadline():
+    """Ten seconds for the rest of the test: past them it fails with
+    TimeoutError instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 10 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

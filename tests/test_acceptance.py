@@ -28,6 +28,7 @@ from crooked.tower import (
     search_dim_cover, search_her_indec_cover, weak_confluence_witness,
 )
 from test_folang import random_sentence, random_sublattice
+from test_tower import cover_digest
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -414,6 +415,33 @@ def test_acceptance_6_tower(tmp_path):
 # 7. Cover-search oracle agreement
 # --------------------------------------------------------------------------
 
+def _dim_oracle_instances():
+    """Criterion 7's 20 seeded dimension instances: three pairwise disjoint
+    pairs of points on the segment, the theta graph or the triod."""
+    rng = random.Random(0xACCE557)
+    graphs = [_seg(), _theta(), _y()]
+    tried = 0
+    while tried < 20:
+        g = rng.choice(graphs)
+        pts = []
+        for eid, e in sorted(g.edges.items()):
+            for k in range(1, 10):
+                pts.append(g.normalize_point(("e", eid, e.length * k / 10)))
+        rng.shuffle(pts)
+        chosen = []
+        for p in pts:
+            if len(chosen) == 6:
+                break
+            if p not in chosen:
+                chosen.append(p)
+        a = g.point_closed_set(chosen[0:2])
+        b = g.point_closed_set(chosen[2:4])
+        c = g.point_closed_set(chosen[4:6])
+        if (a & b).is_empty() and (a & c).is_empty() and (b & c).is_empty():
+            tried += 1
+            yield g, a, b, c
+
+
 def test_acceptance_7_cover_search_oracles():
     if not STEPS_FOR_ORACLE:
         test_acceptance_4_crooked_step()
@@ -430,28 +458,9 @@ def test_acceptance_7_cover_search_oracles():
         ground = psi(*(Const(k) for k in ("a", "b", "c", "d", "x", "y", "z")))
         if not verify_on_sublattice(ground, sets, step.output_graph):
             her_failures.append(i)
-    rng = random.Random(0xACCE557)
     dim_found = 0
     dim_tried = 0
-    graphs = [_seg(), _theta(), _y()]
-    while dim_tried < 20:
-        g = rng.choice(graphs)
-        pts = []
-        for eid, e in sorted(g.edges.items()):
-            for k in range(1, 10):
-                pts.append(g.normalize_point(("e", eid, e.length * k / 10)))
-        rng.shuffle(pts)
-        chosen = []
-        for p in pts:
-            if len(chosen) == 6:
-                break
-            if p not in chosen:
-                chosen.append(p)
-        a = g.point_closed_set(chosen[0:2])
-        b = g.point_closed_set(chosen[2:4])
-        c = g.point_closed_set(chosen[4:6])
-        if not ((a & b).is_empty() and (a & c).is_empty() and (b & c).is_empty()):
-            continue
+    for g, a, b, c in _dim_oracle_instances():
         dim_tried += 1
         cover = search_dim_cover(g, a, b, c, cap=256)
         if cover is None:
@@ -466,6 +475,27 @@ def test_acceptance_7_cover_search_oracles():
         not her_failures and dim_found == dim_tried == 20,
         f"{len(STEPS_FOR_ORACLE)} crookedness covers, {dim_found}/{dim_tried} dimension covers",
     )
+
+
+# The first covers in search order on criterion 7's instances, as recorded
+# from the search with the hand-written conditions that `_cell_rules`
+# replaced: the crookedness covers of criterion 4's steps, then the
+# dimension covers.
+ORACLE_COVERS = (
+    "60f604ae508d0b7540f981d15ba8b6132c508aad518d5c051c99e8bb7efd7cf0",
+    "bcbb75f31cfcd292f285811adcc09b2cae2dc3a83287b71839c7b4895ef5c55d",
+)
+
+
+def test_cover_search_oracles_are_pinned():
+    if not STEPS_FOR_ORACLE:
+        test_acceptance_4_crooked_step()
+    her = [
+        search_her_indec_cover(step.output_graph, *(lifted[k] for k in "abcd"), cap=256)
+        for step, lifted in STEPS_FOR_ORACLE
+    ]
+    dim = [search_dim_cover(g, a, b, c, cap=256) for g, a, b, c in _dim_oracle_instances()]
+    assert (cover_digest(her), cover_digest(dim)) == ORACLE_COVERS
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from crooked import cli, surgery
 from crooked.cli import main
 from crooked.folang import LIBRARY, Const, print_formula, theta
-from crooked.metric_graph import ClosedSet, dump_graph, load_graph, unit_segment
+from crooked.metric_graph import ClosedSet, MetricGraph, dump_graph, load_graph, unit_segment
 from crooked.render import render_svg
-from crooked.surgery import crooked_step, triangle_step, witness_fragment
+from crooked.surgery import Stage, crooked_step, triangle_step, witness_fragment
+from crooked.tower import Tower, save_tower
+from test_tower import three_cycle_hang
 
 
 @pytest.fixture
@@ -646,6 +648,34 @@ def test_tower_build_rejects_an_input_named_like_a_witness(tmp_path, capsys):
     assert not towerdir.exists()
 
 
+def test_tower_build_on_the_three_cycle(tmp_path, capsys, deadline):
+    # stage 2's existing-cover probe once backtracked here for minutes
+    g, sets = three_cycle_hang()
+    path = tmp_path / "cycle.json"
+    path.write_text(dump_graph(g, sets))
+    code = main(["tower-build", "--graph", str(path), "--depth", "2", "--out", str(tmp_path / "tower")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "all-true: True" in out
+
+
+@pytest.mark.parametrize("command", ["tower-build", "sigma-witness"])
+def test_an_empty_graph_is_no_base_space(trivial, tmp_path, capsys, command):
+    graph = tmp_path / "empty.json"
+    graph.write_text('{"vertices": [], "edges": []}')
+    fragment = tmp_path / "fragment.txt"
+    fragment.write_text("")
+    out = tmp_path / "out"
+    argv = {
+        "tower-build": ["tower-build", "--graph", str(graph), "--depth", "2", "--out", str(out)],
+        "sigma-witness": ["sigma-witness", "--base", trivial, "--fragment", str(fragment),
+                          "--graph", str(graph), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the base space must be a nonempty connected graph\n"
+    assert not out.exists()
+
+
 def test_tower_verify_detects_corruption(towerdir, tmp_path, capsys):
     trace_path = towerdir / "trace.json"
     trace = json.loads(trace_path.read_text())
@@ -793,6 +823,17 @@ def test_render_unit_segment(segment_graph, tmp_path):
     assert svg.startswith("<svg")
     edges = re.findall(r'<line [^>]*stroke="#555555"', svg)
     assert len(edges) == 1
+
+
+@pytest.mark.parametrize("source", ["--graph", "--tower"])
+def test_render_a_graph_with_no_vertices(tmp_path, source):
+    empty = MetricGraph([], [])
+    paths = {"--graph": tmp_path / "empty.json", "--tower": tmp_path / "tower"}
+    paths["--graph"].write_text(dump_graph(empty, {}))
+    save_tower(Tower([Stage(empty, None, {}, "base")], {}), str(paths["--tower"]))
+    out = tmp_path / "empty.svg"
+    assert main(["render", source, str(paths[source]), "--out", str(out)]) == 0
+    assert out.read_text() == '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-24 -24 48 48">\n</svg>\n'
 
 
 def test_render_crooked_output_zigzag(tmp_path):

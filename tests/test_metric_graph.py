@@ -274,6 +274,11 @@ def test_components_whole_connected(theta):
     assert theta.is_connected()
 
 
+def test_a_graph_with_no_vertices_is_not_connected():
+    # no base space: zero components, not one
+    assert not MetricGraph([], []).is_connected()
+
+
 def _grid_components(graph, s, n=256):
     parent = {}
 

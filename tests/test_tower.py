@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -81,13 +83,35 @@ def test_search_dim_cover_on_disjoint_triple():
     assert verify_on_sublattice(ground, sets, g)
 
 
-def test_search_dim_cover_random_disjoint_instances():
-    rng = random.Random(99)
-    g = MetricGraph(
+def three_cycle() -> MetricGraph:
+    return MetricGraph(
         ["u", "v", "w"],
         [Edge("e1", "u", "v", F(1)), Edge("e2", "v", "w", F(1)), Edge("e3", "u", "w", F(1))],
     )
-    found = 0
+
+
+def three_cycle_hang():
+    """The 3-cycle and a dimension instance on it (a, b, c in this order)
+    on which a cover search that prunes a 0-cell on bans only backtracked
+    for minutes below its 64-cell cap."""
+    g = three_cycle()
+    return g, {
+        "a": g.point_closed_set([("v", "w"), ("e", "e1", F(1, 8))]),
+        "b": g.point_closed_set([("v", "u"), ("e", "e3", F(5, 8))]),
+        "c": g.point_closed_set([("v", "u"), ("v", "w"), ("e", "e1", F(3, 8))]),
+    }
+
+
+def cover_digest(covers) -> str:
+    """One hash of the exact covers a search returned, None included."""
+    payload = [None if cover is None else [s.to_dict() for s in cover] for cover in covers]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def random_disjoint_instances():
+    """The pairwise disjoint triples of `test_search_dim_cover_random_disjoint_instances`."""
+    rng = random.Random(99)
+    g = three_cycle()
     for _ in range(20):
         marks = sorted(rng.sample(range(1, 12), 6))
         pieces = [
@@ -97,8 +121,13 @@ def test_search_dim_cover_random_disjoint_instances():
         a = pieces[0] | pieces[3]
         b = pieces[1] | pieces[4]
         c = pieces[2] | pieces[5]
-        if not ((a & b).is_empty() and (a & c).is_empty() and (b & c).is_empty()):
-            continue
+        if (a & b).is_empty() and (a & c).is_empty() and (b & c).is_empty():
+            yield g, a, b, c
+
+
+def test_search_dim_cover_random_disjoint_instances():
+    found = 0
+    for g, a, b, c in random_disjoint_instances():
         cover = search_dim_cover(g, a, b, c)
         assert cover is not None
         x, y, z = cover
@@ -107,6 +136,58 @@ def test_search_dim_cover_random_disjoint_instances():
         assert verify_on_sublattice(ground, sets, g)
         found += 1
     assert found >= 10
+
+
+# The first covers in search order on `random_disjoint_instances`, as
+# recorded from the search with the hand-written conditions that
+# `_cell_rules` replaced.
+RANDOM_DISJOINT_COVERS = "82bbee9577bfb1e450e1a95f7b9d83e687cb4327f8d635db1a5e8f6c605d703f"
+
+
+def test_search_dim_cover_random_covers_are_pinned():
+    covers = [search_dim_cover(g, a, b, c) for g, a, b, c in random_disjoint_instances()]
+    assert cover_digest(covers) == RANDOM_DISJOINT_COVERS
+
+
+def test_search_dim_cover_on_the_three_cycle_returns(deadline):
+    g, sets = three_cycle_hang()
+    cover = search_dim_cover(g, sets["a"], sets["b"], sets["c"])
+    assert cover is not None
+    sets.update(zip("xyz", cover))
+    ground = zeta(*(Const(k) for k in ("a", "b", "c", "x", "y", "z")))
+    assert verify_on_sublattice(ground, sets, g)
+
+
+def test_cell_rules_are_the_ground_conclusions():
+    """`_cell_rules` reads each cell's allowed class sets (x = 1, y = 2,
+    z = 4) off `GROUND`; here they are stated by hand, for every pattern
+    of operand memberships (bit i for role "abcd"[i])."""
+    from crooked.tower import _cell_rules
+
+    def zeta_rule(a, b, c, e):
+        return (e & 1 or not a) and (e & 2 or not b) and (e & 4 or not c) and e != 7
+
+    def theta_rule(a, b, c, d, e):
+        return ((e == 1 or not a) and (e == 4 or not b) and not (c and e & 6 == 6)
+                and not (d and e & 3 == 3) and e & 5 != 5)
+
+    for kind, roles, rule in (("zeta", 3, zeta_rule), ("theta", 4, theta_rule)):
+        for pattern in range(1 << roles):
+            bits = [pattern >> i & 1 for i in range(roles)]
+            allowed, below = _cell_rules(kind, pattern)
+            assert allowed == {e for e in range(1, 8) if rule(*bits, e)}, (kind, bits)
+            assert below == {e for e in range(8) if any(e & f == e for f in allowed)}
+
+
+def test_cover_searches_check_their_premise():
+    g = seg()
+    half, empty = ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()), g.empty_set()
+    with pytest.raises(PreconditionError, match="empty triple intersection"):
+        search_dim_cover(g, half, half, half)
+    # a meets b, a meets d, b meets c
+    for ops in ((half, half, empty, empty), (half, empty, empty, half), (empty, half, half, empty)):
+        with pytest.raises(PreconditionError, match="hypotheses violated"):
+            search_her_indec_cover(g, *ops)
 
 
 def test_search_her_indec_trivial_inputs():
