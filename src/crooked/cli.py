@@ -295,6 +295,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CrookedError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # bad input is a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ counterexample (each variable's set) for the outermost quantifier block.
 `eval_masks` runs it over int bitmask generators without closing their
 lattice, deciding conn(t) by Birkhoff duality.  `eval_bruteforce` is a
 deliberately separate, pruning-free code path on element indices, used as
-an independent oracle.
+an independent oracle.  One walk finds a formula's constants and free
+variables, and its result is kept on the formula.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, ParseError, UnboundVariableError, UsageError
@@ -28,34 +30,43 @@ from .lattice import FiniteLattice, conn_by_birkhoff
 # AST
 # --------------------------------------------------------------------------
 
+class _Node:
+    """A term or formula.  `symbols` is walked on the first ask and kept in
+    `__dict__`, which the dataclasses' `==`, `hash` and `fields()` skip."""
+
+    @cached_property
+    def symbols(self) -> _Symbols:
+        return _walk(self, frozenset())
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     cid: str
 
 
 @dataclass(frozen=True)
-class Zero:
+class Zero(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class One:
+class One(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Meet:
+class Meet(_Node):
     left: "Term"
     right: "Term"
 
 
 @dataclass(frozen=True)
-class Join:
+class Join(_Node):
     left: "Term"
     right: "Term"
 
@@ -64,48 +75,48 @@ Term = Var | Const | Zero | One | Meet | Join
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Neq:
+class Neq(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     sub: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class ForAll:
+class ForAll(_Node):
     vars: tuple[str, ...]
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     vars: tuple[str, ...]
     body: "Formula"
 
@@ -138,55 +149,39 @@ def joins(*terms: Term) -> Term:
     return out
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Meet, Join)):
-        return term_vars(t.left) | term_vars(t.right)
-    return set()
+class _Symbols(NamedTuple):
+    free: frozenset          # variables no enclosing quantifier binds
+    constants: frozenset
+    quantifier_free: bool
 
 
-def term_constants(t: Term) -> set[str]:
-    if isinstance(t, Const):
-        return {t.cid}
-    if isinstance(t, (Meet, Join)):
-        return term_constants(t.left) | term_constants(t.right)
-    return set()
+def _walk(node: _Node, bound: frozenset) -> _Symbols:
+    """What a term or formula names outside the quantifiers binding `bound`,
+    in one pass that reads no `symbols`, so only nodes asked about keep one."""
+    cls = type(node)
+    if cls is Var:
+        return _Symbols(frozenset({node.name}) - bound, frozenset(), True)
+    if cls is Const or cls is Zero or cls is One:
+        return _Symbols(frozenset(), frozenset({node.cid} if cls is Const else ()), True)
+    if cls is Not:
+        return _walk(node.sub, bound)
+    if cls is ForAll or cls is Exists:
+        return _walk(node.body, bound | set(node.vars))._replace(quantifier_free=False)
+    if cls in (Meet, Join, Eq, Neq, And, Or, Implies):
+        (lf, lc, lq), (rf, rc, rq) = _walk(node.left, bound), _walk(node.right, bound)
+        return _Symbols(lf | rf, lc | rc, lq and rq)
+    raise UsageError(f"not a term or formula: {node!r}")
 
 
-def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, (Eq, Neq)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return free_vars(f.body) - set(f.vars)
-    raise UsageError(f"not a formula: {f!r}")
-
-
-def constants_of(f: Formula) -> set[str]:
-    if isinstance(f, (Eq, Neq)):
-        return term_constants(f.left) | term_constants(f.right)
-    if isinstance(f, Not):
-        return constants_of(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return constants_of(f.left) | constants_of(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return constants_of(f.body)
-    raise UsageError(f"not a formula: {f!r}")
+def constants_of(f: Term | Formula) -> frozenset[str]:
+    if not isinstance(f, _Node):
+        raise UsageError(f"not a term or formula: {f!r}")
+    return f.symbols.constants
 
 
 def is_ground(f: Formula) -> bool:
     """Closed and quantifier-free."""
-    if isinstance(f, (Eq, Neq)):
-        return not (term_vars(f.left) | term_vars(f.right))
-    if isinstance(f, Not):
-        return is_ground(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return is_ground(f.left) and is_ground(f.right)
-    return False
+    return f.symbols.quantifier_free and not f.symbols.free
 
 
 # --------------------------------------------------------------------------
@@ -551,9 +546,8 @@ def eval_formula(
     assignment of sets to the outermost quantifier block (witness if
     existential and true, counterexample if universal and false)."""
     consts = consts or {}
-    fv = free_vars(f)
-    if fv:
-        raise EvaluationError(f"formula has free variables: {sorted(fv)}")
+    if f.symbols.free:
+        raise EvaluationError(f"formula has free variables: {sorted(f.symbols.free)}")
     elements = L.elements
     values = {cid: elements[_const_index(L, consts, cid)] for cid in sorted(constants_of(f))}
     m = _Model(values, elements[L.bottom_index], elements[L.top_index], elements)
@@ -630,9 +624,8 @@ def eval_bruteforce(
 ) -> bool:
     """Full enumeration with no pruning or short-circuiting; every quantifier
     body is evaluated for every assignment."""
-    fv = free_vars(f)
-    if fv:
-        raise EvaluationError(f"formula has free variables: {sorted(fv)}")
+    if f.symbols.free:
+        raise EvaluationError(f"formula has free variables: {sorted(f.symbols.free)}")
     return _brute(f, L, consts or {}, {})
 
 
@@ -658,16 +651,15 @@ def _subst(f: Formula, bindings: dict[str, Term]) -> Formula:
         return cls(_subst(f.left, bindings), _subst(f.right, bindings))
     if cls is Not:
         return Not(_subst(f.sub, bindings))
-    if isinstance(f, (ForAll, Exists)):
+    if cls is ForAll or cls is Exists:
         inner = {k: v for k, v in bindings.items() if k not in f.vars}
         for name, term in inner.items():
-            captured = term_vars(term) & set(f.vars)
+            captured = _walk(term, frozenset()).free & set(f.vars)
             if captured:
                 raise UsageError(
                     f"substituting {name!r} would capture {sorted(captured)}; "
                     "rename the bound variables first"
                 )
-        cls = ForAll if isinstance(f, ForAll) else Exists
         return cls(f.vars, _subst(f.body, inner))
     raise UsageError(f"not a formula: {f!r}")
 
@@ -735,12 +727,8 @@ def theta(a: Term, b: Term, c: Term, d: Term, x: Term, y: Term, z: Term) -> Form
     return Implies(phi(a, b, c, d), psi(a, b, c, d, x, y, z))
 
 
-def _v(*names: str) -> list[Var]:
-    return [Var(n) for n in names]
-
-
 def _library() -> dict[str, Formula]:
-    a, b, c, d, x, y, z = _v("a", "b", "c", "d", "x", "y", "z")
+    a, b, c, d, x, y, z = (Var(n) for n in "abcdxyz")
     disj_matrix = Implies(
         Neq(Meet(a, b), a),
         conj(Eq(Meet(a, x), x), Eq(Meet(b, x), Zero()), Neq(x, Zero())),

@@ -3,7 +3,7 @@ from functools import cached_property
 
 import pytest
 
-from crooked import lattice, metric_graph
+from crooked import folang, lattice, metric_graph
 
 
 @pytest.fixture
@@ -52,6 +52,22 @@ def split_builds(monkeypatch):
 
     monkeypatch.setattr(metric_graph.ClosedSet, "_edge_split", counting)
     return builds
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """A list that gains the node itself each time `folang._walk` visits
+    one, the walk's own recursive calls included, for the rest of the
+    test."""
+    visited = []
+    walk = folang._walk
+
+    def counting(node, bound):
+        visited.append(node)
+        return walk(node, bound)
+
+    monkeypatch.setattr(folang, "_walk", counting)
+    return visited
 
 
 @pytest.fixture

@@ -694,26 +694,43 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(data))
 
 
+def _end_edge(stage):
+    """The first edge of a stage file whose end `v` has no other edge."""
+    ends = [e[side] for e in stage["edges"] for side in ("u", "v")]
+    return next(e for e in stage["edges"] if ends.count(e["v"]) == 1)
+
+
+def _first_eighth(stage):
+    """The closed set [0, 1/8] on the first edge of a stage file."""
+    edge = stage["edges"][0]
+    return {edge["id"]: [["0/1", "1/8"]], "vertices": [edge["u"]]}
+
+
 def _not_onto(towerdir):
-    # bonding 2 sends seg onto [0, 1/2] only; the emptied catalog keeps the
-    # thread line, whose images this also breaks, out of the report
+    # bonding 2 sends an end edge of stage 2 onto the first half of its
+    # image only, its free end to the midpoint; the emptied catalog keeps
+    # the thread line, whose images this also breaks, out of the report
+    edge = _end_edge(json.loads((towerdir / "stage2.json").read_text()))
+
     def half(bonding):
-        bonding["edge_map"]["seg"]["s1"] = "1/2"
-        bonding["vertex_map"]["b"] = {"e": "seg", "t": "1/2"}
+        image = bonding["edge_map"][edge["id"]]
+        image["s1"] = mid = str((F(image["s0"]) + F(image["s1"])) / 2)
+        bonding["vertex_map"][edge["v"]] = {"e": image["edge"], "t": mid}
     _edit_json(towerdir / "bonding2.json", half)
     _edit_json(towerdir / "trace.json", lambda trace: trace.update(catalog={}))
 
 
 def _rebound_mid(towerdir):
-    # stage 2 binds mid to [0, 1/8], not to the pullback of [1/4, 1/2]
-    _edit_json(towerdir / "stage2.json", lambda stage: stage["closed_sets"].update(
-        mid={"seg": [["0/1", "1/8"]], "vertices": ["a"]}))
+    # stage 2 binds mid to the first eighth of its first edge, not to the
+    # pullback of mid
+    eighth = _first_eighth(json.loads((towerdir / "stage2.json").read_text()))
+    _edit_json(towerdir / "stage2.json", lambda stage: stage["closed_sets"].update(mid=eighth))
 
 
 def _stray_name(towerdir):
     # stage 1 binds zz, which is neither a stage-0 name nor a witness
-    _edit_json(towerdir / "stage1.json", lambda stage: stage["closed_sets"].update(
-        zz={"seg": [["0/1", "1/8"]], "vertices": ["a"]}))
+    eighth = _first_eighth(json.loads((towerdir / "stage1.json").read_text()))
+    _edit_json(towerdir / "stage1.json", lambda stage: stage["closed_sets"].update(zz=eighth))
 
 
 def _repeated_witness(towerdir):
@@ -767,6 +784,26 @@ def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(surgery, "verify_on_sublattice", lambda *args: False)
     assert main(_surgering_witness(tmp_path)) == 3
     assert "surgery failed its schema" in capsys.readouterr().err
+
+
+def test_a_missing_input_file_is_bad_input(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["tower-verify", str(missing)]) == 2
+    assert str(missing / "trace.json") in capsys.readouterr().err
+    assert main(["lattice-check", str(missing), "CONN1"]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_an_error_from_no_file_is_not_bad_input(tmp_path, monkeypatch):
+    # an OSError that names no file, such as a timeout, is no input error:
+    # it propagates instead of exiting 2
+    def expire(*args):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(cli, "build_tower", expire)
+    with pytest.raises(TimeoutError):
+        main(["tower-build", "--graph", str(INPUTS / "segment.json"), "--depth", "1",
+              "--out", str(tmp_path / "tower")])
 
 
 def test_tower_thread_rejects_a_bonding_that_is_not_onto(towerdir, capsys):

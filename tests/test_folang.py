@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,14 @@ from crooked.errors import EvaluationError, ParseError, UnboundVariableError, Us
 from crooked.folang import (
     And, Const, Eq, Exists, ForAll, Implies, Join, Meet, Neq,
     Not, One, Or, Var, Zero, LIBRARY, conn, constants_of, eval_bruteforce,
-    eval_formula, eval_masks, parse, print_formula, substitute, theta, zeta,
+    eval_formula, eval_masks, is_ground, parse, print_formula, substitute, theta, zeta,
 )
 from crooked.lattice import conn_by_birkhoff, generate_sublattice, join_irreducibles
+from crooked.metric_graph import ClosedSet, unit_segment
+from crooked.sigma import SigmaGenerator
+from crooked.surgery import verify_on_sublattice
 from test_lattice import CHAIN3, powerset_lattice
+from test_sigma import boolean4
 
 
 # ---------------------------------------------------------------- parser
@@ -144,6 +150,15 @@ def test_eval_rejects_free_variables():
         eval_formula(Eq(Var("x"), Zero()), CHAIN3)
 
 
+def test_a_variable_bound_in_one_conjunct_is_free_in_the_other():
+    f = And(ForAll(("x",), Eq(Var("x"), Zero())), Eq(Var("x"), One()))
+    assert not is_ground(f)
+    with pytest.raises(EvaluationError, match=re.escape("formula has free variables: ['x']")):
+        eval_formula(f, CHAIN3)
+    with pytest.raises(EvaluationError, match=re.escape("formula has free variables: ['x']")):
+        eval_bruteforce(f, CHAIN3)
+
+
 def test_bruteforce_dim_on_trivial_lattice():
     lat = generate_sublattice({1}, [])
     assert eval_bruteforce(LIBRARY["DIM"], lat) is True
@@ -241,7 +256,6 @@ def test_substitute_zeta_ground():
     open_zeta = zeta(*(Var(n) for n in names))
     ground = substitute(open_zeta, consts)
     assert ground == zeta(*(consts[n] for n in names))
-    from crooked.folang import is_ground
     assert is_ground(ground)
 
 
@@ -256,6 +270,41 @@ def test_substitute_theta_ground():
     open_theta = theta(*(Var(n) for n in names))
     ground = substitute(open_theta, consts)
     assert ground == theta(*(consts[n] for n in names))
+
+
+def test_one_walk_answers_every_question_about_a_sentence(walks):
+    # constants_of, is_ground and a sublattice check, five times each, walk
+    # the sentence once and hand back the same constants
+    g = unit_segment()
+    sets = {n: ClosedSet(g, {"seg": [(F(i, 8), F(i + 2, 8))]}, set()) for i, n in enumerate("abcdxyz")}
+    f = theta(*(Const(n) for n in "abcdxyz"))
+    for _ in range(5):
+        assert constants_of(f) == set("abcdxyz")
+        assert is_ground(f)
+        verify_on_sublattice(f, sets, g)
+    assert sum(node is f for node in walks) == 1
+    assert constants_of(f) is constants_of(f)
+
+
+@pytest.mark.parametrize("source", ["sigma", "library"])
+def test_constants_and_groundness_match_the_printed_sentence(source):
+    # the sigma stages through 5 bring conn's quantifiers with the hat stage
+    if source == "sigma":
+        gen = SigmaGenerator(boolean4(), budget=12, continuum_constants=1, hat_size=3)
+        sentences = [rec.formula for rec in gen.generate_through(5)]
+    else:
+        sentences = list(LIBRARY.values())
+    assert any(not is_ground(f) for f in sentences)
+    for f in sentences:
+        text = print_formula(f)
+        assert constants_of(f) == set(re.findall(r"k\(-?\d+,\d+\)", text)), text
+        assert is_ground(f) == ("forall" not in text and "exists" not in text), text
+
+
+def test_constants_of_rejects_what_is_no_term_or_formula():
+    assert constants_of(Meet(Const("a"), Var("x"))) == {"a"}
+    with pytest.raises(UsageError):
+        constants_of("a = 0")
 
 
 def test_substitute_capture_rejected():

@@ -447,19 +447,29 @@ def test_composed_maps_functorial():
                 assert left.to_dict() == right.to_dict()
 
 
+# One satisfiable crookedness instance per odd stage, each a quad of its
+# own over base(0).  The second swaps a with b and c with d, which the schema
+# answers by swapping x with z: the staircase of the first, mirrored.
+STEERED_QUADS = (STAIRCASE_QUAD, ("q", "p", "hi", "lo"), ("p", "q", "p", "q"))
+
+
 def steered_crooked_tower(depth):
     # Steer the quadruple schedule straight at a satisfiable crookedness
-    # instance so every odd stage runs an actual staircase surgery.
+    # instance so every odd stage runs an actual staircase surgery.  Each
+    # stage takes an instance no earlier stage took: odd stage 2j + 1 the
+    # quad STEERED_QUADS[j], even stage 2j dimension instance j - 1 over
+    # base(0), as `schedule_s` does up to stage 4.
     g = seg()
     base = staircase_base(g)
-    idx = list(theta_candidates(base)).index(STAIRCASE_QUAD)
+    quads = list(theta_candidates(base))
+    idx = [quads.index(quad) for quad in STEERED_QUADS]
     catalog = {
         "whole": g.whole_set(),
         "left": ClosedSet(g, {"seg": [(F(0), F(1, 4))]}, set()),
     }
     return build_tower(
         g, base, catalog, depth,
-        schedules=(schedule_s, lambda n: (0, idx)),
+        schedules=(lambda j: (0, j - 1), lambda j: (0, idx[j])),
     )
 
 
@@ -772,8 +782,8 @@ def test_oracles_flag_a_composite_on_a_parallel_edge():
 
 
 def test_verify_steered_crooked_tower_without_closure(closure_calls):
-    # six stages and five surgeries deep, the final graph has 53 edges;
-    # closing its base sublattice for CONN(1) exceeded the 4096-element cap
+    # six stages and five surgeries deep, the final graph has 33 edges;
+    # closing its base sublattice for CONN(1) exceeds the 4096-element cap
     tower = steered_crooked_tower(6)
     assert [st.kind for st in tower.stages[1:]] == [
         "crooked", "identity", "crooked", "triangle", "crooked", "triangle",
