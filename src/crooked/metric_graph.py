@@ -233,12 +233,13 @@ class ClosedSet:
     form is `((0, length),)` in `intervals`.  A producer passes such an edge
     by id, with no Fraction work; intervals that merge to it count too.
 
-    A set is immutable, so its footprint in the arrangement of no cuts
-    (`split`) is computed once, on the first extraction that names it;
-    every extraction then pays a few shifts per edge that extraction cuts
-    and bisection of the set's partial intervals only."""
+    A set is immutable, so its hash is computed once, on first use, and so
+    is its footprint in the arrangement of no cuts (`split`), on the first
+    extraction that names it; every extraction then pays a few shifts per
+    edge that extraction cuts and bisection of the set's partial intervals
+    only."""
 
-    __slots__ = ("graph", "intervals", "vertices", "whole", "_split")
+    __slots__ = ("graph", "intervals", "vertices", "whole", "_split", "_hash")
 
     def __init__(self, graph: MetricGraph, intervals: Mapping[str, Sequence], vertices,
                  whole: Iterable[str] = ()):
@@ -291,6 +292,7 @@ class ClosedSet:
         self.vertices: frozenset[str] = frozenset(verts)
         self.whole: frozenset[str] = frozenset(whole) if whole else NO_EDGES
         self._split = None
+        self._hash = None
 
     @property
     def split(self) -> tuple[int, tuple[tuple, ...]]:
@@ -328,7 +330,9 @@ class ClosedSet:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.graph), self.vertices, frozenset(self.intervals.items())))
+        if self._hash is None:
+            self._hash = hash((id(self.graph), self.vertices, frozenset(self.intervals.items())))
+        return self._hash
 
     def _check(self, other: "ClosedSet") -> None:
         if not isinstance(other, ClosedSet) or other.graph is not self.graph:
@@ -1183,15 +1187,19 @@ def extract_sublattice(
 # --------------------------------------------------------------------------
 
 def graph_to_dict(graph: MetricGraph, closed_sets: Mapping[str, ClosedSet] | None = None) -> dict:
+    """The file object of a graph and its named sets.  Names bound to one
+    set object share one entry, which `dump_json` renders once."""
+    entries: dict[int, dict] = {}
+    for cs in (closed_sets or {}).values():
+        if id(cs) not in entries:
+            entries[id(cs)] = cs.to_dict()
     payload: dict = {
         "vertices": list(graph.vertices),
         "edges": [
             {"id": eid, "u": e.u, "v": e.v, "len": frac_str(e.length)}
             for eid, e in sorted(graph.edges.items())
         ],
-        "closed_sets": {
-            name: cs.to_dict() for name, cs in sorted((closed_sets or {}).items())
-        },
+        "closed_sets": {name: entries[id(cs)] for name, cs in sorted((closed_sets or {}).items())},
     }
     if graph.meta:
         payload["meta"] = graph.meta
@@ -1207,6 +1215,9 @@ def _edge_from_dict(e: Mapping, parse: Callable[[object], Frac]) -> Edge:
 
 
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
+    """The graph and named sets of a file object.  Equal closed-set entries
+    load as one `ClosedSet`, so a set bound to many names is parsed, hashed
+    and laid out once."""
     parsed = cache(frac)  # each distinct string of the file is parsed once
 
     def parse(value) -> Frac:
@@ -1226,7 +1237,22 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
     specs = data.get("closed_sets", {})
     if not isinstance(specs, dict):
         raise InputError(f"closed_sets must be an object, not {specs!r}")
-    return graph, {name: ClosedSet.from_dict(graph, spec, parse) for name, spec in specs.items()}
+    # entries met so far, bucketed by their length and vertex count and told
+    # apart by `==`; an entry the key cannot read goes to `from_dict`, which
+    # rejects it or reads it as a one-off
+    loaded: dict[tuple[int, int], list[tuple[dict, ClosedSet]]] = {}
+    sets = {}
+    for name, spec in specs.items():
+        verts = spec.get("vertices") if isinstance(spec, dict) else None
+        bucket = loaded.setdefault((len(spec), len(verts)), []) if isinstance(verts, list) else []
+        for seen, cs in bucket:
+            if seen == spec:
+                break
+        else:
+            cs = ClosedSet.from_dict(graph, spec, parse)
+            bucket.append((spec, cs))
+        sets[name] = cs
+    return graph, sets
 
 
 def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:
@@ -1255,37 +1281,43 @@ def _json_scalar(o) -> str:
 def dump_json(obj) -> str:
     """The JSON text of every file the package writes: byte for byte
     `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, whose pure-Python
-    indenting encoder is several times slower.  A list that recurs at one
-    depth (a shared whole-edge entry) is rendered once."""
+    indenting encoder is several times slower.  A list or dict that recurs
+    at one depth (a shared whole-edge entry, a set bound to several names)
+    is rendered once."""
     breaks = ["\n"]  # newline plus the indent of each depth
     memo: dict[tuple[int, int], str] = {}
 
-    def wrap(parts: list[str], depth: int, ends: str) -> str:
-        if not parts:
-            return ends
-        while len(breaks) <= depth + 1:
-            breaks.append(breaks[-1] + "  ")
-        inner = breaks[depth + 1]
-        return f"{ends[0]}{inner}{(',' + inner).join(parts)}{breaks[depth]}{ends[1]}"
-
     def emit(o, depth: int) -> str:
-        if isinstance(o, dict):
-            return wrap([
-                f"{encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))}: "
-                f"{emit(v, depth + 1)}"
-                for k, v in sorted(o.items())
-            ], depth, "{}")
-        if not isinstance(o, (list, tuple)):
+        if not isinstance(o, (dict, list, tuple)):
             return _json_scalar(o)
         key = (id(o), depth)
         text = memo.get(key)
         if text is None:
-            text = memo[key] = wrap(
-                [encode_basestring_ascii(v) if isinstance(v, str) else emit(v, depth + 1)
-                 for v in o], depth, "[]")
+            while len(breaks) <= depth + 1:
+                breaks.append(breaks[-1] + "  ")
+            sep = "," + breaks[depth + 1]
+            # one flat list of pieces, joined once, so that no child's text
+            # is copied before the join
+            pieces: list[str] = []
+            if isinstance(o, dict):
+                ends = "{}"
+                for k, v in sorted(o.items()):
+                    name = encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
+                    pieces += (sep, name, ": ", emit(v, depth + 1))
+            else:
+                ends = "[]"
+                for v in o:
+                    pieces += (sep, encode_basestring_ascii(v) if isinstance(v, str)
+                               else emit(v, depth + 1))
+            if pieces:
+                pieces[0] = ends[0] + breaks[depth + 1]
+                pieces.append(breaks[depth] + ends[1])
+            text = memo[key] = "".join(pieces) or ends
         return text
 
-    return emit(obj, 0) + "\n"
+    text = emit(obj, 0)
+    memo.clear()  # the top depths' texts are most of the file: free them before the copy
+    return text + "\n"
 
 
 def dump_graph(graph: MetricGraph, closed_sets=None) -> str:

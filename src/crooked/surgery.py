@@ -764,24 +764,13 @@ def instance_stage(prev: Stage, instance: dict) -> Stage:
     so a faulty pullback cannot pass vacuously).
 
     The pullback costs one `preimage_of` per distinct point set, not per
-    name: every name bound to a set shares its one preimage object.  A set
-    is looked up by `id` first and, the first time an object is met, by
-    equality.  A bonding is onto, so distinct sets keep distinct preimages
-    and equal names stay one object: from the second surgery on, the `id`
-    lookup answers for every name pulled back before."""
+    name: every name bound to a set shares its one preimage object.  Sets
+    are keyed by value, and a set hashes once.  A bonding is onto, so
+    distinct sets keep distinct preimages and equal names stay one object."""
     ops = [prev.base[name] for name in instance["operands"]]
     step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
-    by_id: dict[int, ClosedSet] = {}
-    by_value: dict[ClosedSet, ClosedSet] = {}
-    base = {}
-    for cid, s in prev.base.items():
-        pre = by_id.get(id(s))
-        if pre is None:
-            pre = by_value.get(s)
-            if pre is None:
-                pre = by_value[s] = bonding.preimage_of(s)
-            by_id[id(s)] = pre
-        base[cid] = pre
+    pulled = {s: bonding.preimage_of(s) for s in dict.fromkeys(prev.base.values())}
+    base = {cid: pulled[s] for cid, s in prev.base.items()}
     instance["mode"] = "surgery"
     stage = Stage(step.output_graph, bonding, base, step.kind, instance=instance, nudges=nudged)
     stage.bind(instance["witnesses"], [step.witnesses[role] for role in "xyz"])

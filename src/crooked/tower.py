@@ -350,9 +350,11 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
     base's footprints.
 
     The pullbacks are computed here, not by `instance_stage`, one
-    `preimage_of` per distinct set.  Sets are keyed by value: a loaded
-    tower holds one object per name.  Nothing here closes a sublattice, so
-    `cap` is accepted but not read, because perfbench passes it."""
+    `preimage_of` per distinct set.  Sets are keyed by value, so a set
+    equal to another but built apart is pulled back once too (a loaded
+    stage holds one object per distinct set, a built one need not).
+    Nothing here closes a sublattice, so `cap` is accepted but not read,
+    because perfbench passes it."""
     report: list[tuple[str, bool]] = []
     N = tower.depth
     for n, st in enumerate(tower.stages):

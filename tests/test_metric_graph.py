@@ -1190,6 +1190,98 @@ def test_load_rejects_a_whole_entry_of_another_shape(entry):
         })
 
 
+def _segment_file(closed_sets_text: str) -> dict:
+    """A one-edge graph file whose closed sets are the given JSON text, each
+    entry decoded to an object of its own as `json.loads` does."""
+    return json.loads(
+        '{"vertices": ["a", "b"], "edges": [{"id": "seg", "u": "a", "v": "b", "len": "1/1"}], '
+        f'"closed_sets": {closed_sets_text}}}'
+    )
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("3", "a closed set must be an object, not 3"),
+    ('{"vertices": 3}', "closed-set vertices must be a list of strings: 3"),
+    ('{"vertices": [3]}', "closed-set vertices must be a list of strings: [3]"),
+    ('{"seg": "01", "vertices": ["a"]}', "intervals on edge 'seg' must be [lo, hi] pairs: '01'"),
+], ids=["non-object", "vertices-not-a-list", "non-string-vertex", "seg-a-string"])
+def test_load_rejects_a_bad_entry_alike_under_one_or_two_names(entry, message):
+    # the bucket an entry is interned in is read off the entry before
+    # `ClosedSet.from_dict` has checked it, and must not fail first
+    for text in (f'{{"s": {entry}}}', f'{{"s": {entry}, "t": {entry}}}'):
+        with pytest.raises(InputError) as info:
+            graph_from_dict(_segment_file(text))
+        assert str(info.value) == message
+
+
+def test_reload_loads_one_set_per_distinct_entry(monkeypatch):
+    frag, g, interp0 = surgery_rich_fragment()
+    result = surgery.witness_fragment(frag, g, interp0)
+    data = json.loads(dump_graph(result.graph, result.interpretation))
+    loaded = []
+    from_dict = ClosedSet.from_dict
+
+    def counting(graph, spec, *args):
+        loaded.append(spec)
+        return from_dict(graph, spec, *args)
+
+    monkeypatch.setattr(ClosedSet, "from_dict", staticmethod(counting))
+    graph, sets = graph_from_dict(data)
+    names_by_entry: dict[str, list[str]] = {}
+    for name, spec in data["closed_sets"].items():
+        names_by_entry.setdefault(json.dumps(spec, sort_keys=True), []).append(name)
+    assert len(names_by_entry) < len(sets)
+    assert len(loaded) == len(names_by_entry)
+    assert len({id(s) for s in sets.values()}) == len(set(sets.values())) == len(names_by_entry)
+    # names with equal entries share one object, and unequal entries stay
+    # separate objects
+    objects = [{id(sets[name]) for name in names} for names in names_by_entry.values()]
+    assert all(len(ids) == 1 for ids in objects)
+    assert len(set.union(*objects)) == len(names_by_entry)
+    for name, s in sets.items():
+        assert s.to_dict() == data["closed_sets"][name]
+
+
+def test_load_keeps_entries_of_one_bucket_apart():
+    # same length and vertex count, other intervals
+    graph, sets = graph_from_dict(_segment_file(
+        '{"s": {"seg": [["1/4", "1/2"]], "vertices": []},'
+        ' "t": {"seg": [["1/4", "3/4"]], "vertices": []},'
+        ' "u": {"seg": [["1/4", "1/2"]], "vertices": []}}'
+    ))
+    assert sets["s"] is sets["u"]
+    assert sets["s"] != sets["t"]
+    assert sets["t"].intervals == {"seg": ((F(1, 4), F(3, 4)),)}
+
+
+def test_a_set_hashes_once(seg, monkeypatch):
+    fraction_hash = F.__hash__
+    hashed = []
+
+    def counting(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    s = ClosedSet(seg, {"seg": [(F(1, 4), F(1, 2))]}, ())
+    h = hash(s)
+    assert hashed
+    hashed.clear()
+    assert hash(s) == h
+    assert hashed == []
+    # two equal sets built apart hash alike
+    t = ClosedSet(seg, {"seg": [(F(2, 8), F(1, 2))]}, ())
+    assert t is not s and hash(t) == h
+
+
+def test_dump_graph_renders_a_set_bound_to_two_names_as_the_stdlib_does(seg):
+    s = ClosedSet(seg, {"seg": [(F(1, 4), F(1, 2))]}, ["a"])
+    sets = {"s": s, "t": s, "w": seg.whole_set()}
+    payload = graph_to_dict(seg, sets)
+    assert payload["closed_sets"]["s"] is payload["closed_sets"]["t"]
+    assert dump_graph(seg, sets) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 _JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',:[]{}"\\\n\t\x00\x7f')))
 _JSON_SCALARS = st.one_of(
     _JSON_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200), st.booleans(), st.none(),
@@ -1205,8 +1297,13 @@ _JSON_TREES = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
 @given(_JSON_TREES, st.lists(_JSON_TREES, max_size=3))
 def test_dump_json_is_the_stdlib_indented_text(tree, items):
     shared = [*items, "shared"]
-    # one sublist at depths 1, 2 (twice) and 3, as whole-edge entries recur
-    for obj in (tree, [shared, {"a": shared, "b": [shared]}, (shared,)]):
+    entry = {"items": items, "name": "shared"}
+    # one list and one dict, each at depths 1, 2 (twice) and 3, as whole-edge
+    # entries and sets bound to several names recur
+    nested = [
+        shared, entry, {"a": shared, "b": [shared], "c": entry, "d": [entry]}, (shared, entry),
+    ]
+    for obj in (tree, nested):
         assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
