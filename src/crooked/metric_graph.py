@@ -1186,10 +1186,19 @@ def extract_sublattice(
 # Serialization
 # --------------------------------------------------------------------------
 
-def graph_to_dict(graph: MetricGraph, closed_sets: Mapping[str, ClosedSet] | None = None) -> dict:
+def graph_to_dict(graph: MetricGraph, closed_sets: Mapping[str, ClosedSet] | None = None,
+                  entries: dict[int, dict] | None = None) -> dict:
     """The file object of a graph and its named sets.  Names bound to one
-    set object share one entry, which `dump_json` renders once."""
-    entries: dict[int, dict] = {}
+    set object share one entry, which `dump_json` renders once.
+
+    `entries` maps `id(set)` to its entry; one dict passed to several calls
+    shares entries across files while the caller holds every set.  Keyed
+    by object, not value: keying by value would also merge equal sets built
+    apart, but hashes every set of a freshly built model, which nothing
+    else hashes; on the fragment-surgery model that cost more than it
+    saved."""
+    if entries is None:
+        entries = {}
     for cs in (closed_sets or {}).values():
         if id(cs) not in entries:
             entries[id(cs)] = cs.to_dict()
@@ -1214,45 +1223,91 @@ def _edge_from_dict(e: Mapping, parse: Callable[[object], Frac]) -> Edge:
     return Edge(*names, parse(e["len"]))
 
 
-def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
-    """The graph and named sets of a file object.  Equal closed-set entries
-    load as one `ClosedSet`, so a set bound to many names is parsed, hashed
-    and laid out once."""
-    parsed = cache(frac)  # each distinct string of the file is parsed once
+def _exact(value) -> bool:
+    """Whether decoded JSON has strings for leaves, so that `==` against it
+    tells values apart exactly: `1 == 1.0 == True`, which `frac` tells
+    apart, but a string equals only a string."""
+    if isinstance(value, str):
+        return True
+    if isinstance(value, list):
+        return all(map(_exact, value))
+    return isinstance(value, dict) and all(map(_exact, value.values()))
 
-    def parse(value) -> Frac:
-        return parsed(value) if isinstance(value, str) else frac(value)
 
-    try:
-        vertices = data["vertices"]
-        edges = [_edge_from_dict(e, parse) for e in data["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed graph file: {exc}") from exc
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise InputError(f"vertices must be a list of strings, not {vertices!r}")
-    meta = data.get("meta", {})
-    if not isinstance(meta, dict):
-        raise InputError(f"meta must be an object, not {meta!r}")
-    graph = MetricGraph(vertices, edges, dict(meta))
-    specs = data.get("closed_sets", {})
-    if not isinstance(specs, dict):
-        raise InputError(f"closed_sets must be an object, not {specs!r}")
-    # entries met so far, bucketed by their length and vertex count and told
-    # apart by `==`; an entry the key cannot read goes to `from_dict`, which
-    # rejects it or reads it as a one-off
-    loaded: dict[tuple[int, int], list[tuple[dict, ClosedSet]]] = {}
-    sets = {}
-    for name, spec in specs.items():
+class GraphReader:
+    """The graph of a file object, and the closed sets read onto it from
+    that file and from any later one with the same graph (`reads`).  Equal
+    closed-set entries load as one `ClosedSet` over all of them, so a set
+    bound to many names, or written in many files, is parsed, hashed and
+    laid out once."""
+
+    def __init__(self, data: Mapping):
+        self._parsed = cache(frac)  # each distinct string read is parsed once
+        self._numbers = 0  # rationals read from JSON numbers so far
+        try:
+            vertices = data["vertices"]
+            edges = [_edge_from_dict(e, self._parse) for e in data["edges"]]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed graph file: {exc}") from exc
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise InputError(f"vertices must be a list of strings, not {vertices!r}")
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise InputError(f"meta must be an object, not {meta!r}")
+        self.graph = MetricGraph(vertices, edges, dict(meta))
+        self._part = (vertices, data["edges"], meta)
+        # entries met so far, bucketed by their length and vertex count and
+        # told apart by `==`; only entries with string endpoints, as the
+        # package writes them, are kept, since `==` takes `1` for `true`
+        self._loaded: dict[tuple[int, int], list[tuple[dict, ClosedSet]]] = {}
+
+    def _parse(self, value) -> Frac:
+        if isinstance(value, str):
+            return self._parsed(value)
+        self._numbers += 1
+        return frac(value)
+
+    @cached_property
+    def _key(self) -> tuple | None:
+        """The graph part of the first file, if it has strings for leaves, as
+        the package writes it: `reads` matches by `==`, and only then is
+        that exact."""
+        return self._part if all(map(_exact, self._part)) else None
+
+    def reads(self, data) -> bool:
+        """Whether the file object `data` has this reader's graph: the same
+        vertices, edges and meta, in the same order."""
+        return isinstance(data, dict) and (
+            data.get("vertices"), data.get("edges"), data.get("meta", {})) == self._key
+
+    def closed_sets(self, data: Mapping) -> dict[str, ClosedSet]:
+        """The named sets of a file object with this reader's graph."""
+        specs = data.get("closed_sets", {})
+        if not isinstance(specs, dict):
+            raise InputError(f"closed_sets must be an object, not {specs!r}")
+        return {name: self.closed_set(spec) for name, spec in specs.items()}
+
+    def closed_set(self, spec) -> ClosedSet:
+        """The set a closed-set entry describes: the one already read for an
+        equal entry, else a new one.  An entry the bucket key cannot read
+        goes to `from_dict`, which rejects it or reads it as a one-off."""
         verts = spec.get("vertices") if isinstance(spec, dict) else None
-        bucket = loaded.setdefault((len(spec), len(verts)), []) if isinstance(verts, list) else []
+        bucket = self._loaded.setdefault((len(spec), len(verts)), []) if isinstance(verts, list) else []
         for seen, cs in bucket:
             if seen == spec:
-                break
-        else:
-            cs = ClosedSet.from_dict(graph, spec, parse)
+                return cs
+        numbers = self._numbers
+        cs = ClosedSet.from_dict(self.graph, spec, self._parse)
+        if self._numbers == numbers:
             bucket.append((spec, cs))
-        sets[name] = cs
-    return graph, sets
+        return cs
+
+
+def graph_from_dict(data: Mapping) -> tuple[MetricGraph, dict[str, ClosedSet]]:
+    """The graph and named sets of a file object.  Equal closed-set entries
+    load as one `ClosedSet` (see `GraphReader`)."""
+    reader = GraphReader(data)
+    return reader.graph, reader.closed_sets(data)
 
 
 def load_graph(path: str) -> tuple[MetricGraph, dict[str, ClosedSet]]:
@@ -1278,12 +1333,18 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def dump_json(obj) -> str:
+def dump_json(obj, shared: dict | None = None) -> str:
     """The JSON text of every file the package writes: byte for byte
     `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, whose pure-Python
     indenting encoder is several times slower.  A list or dict that recurs
     at one depth (a shared whole-edge entry, a set bound to several names)
-    is rendered once."""
+    is rendered once.
+
+    `shared`, one dict passed to several calls, keeps the texts of the
+    lists and dicts at depth 2 (a graph file's set entries) from call to
+    call; a file's top two depths are its own.  It maps `(id, 2)` to the
+    object and its text, so no other object can take that id while it
+    lives; none of them may change meanwhile."""
     breaks = ["\n"]  # newline plus the indent of each depth
     memo: dict[tuple[int, int], str] = {}
 
@@ -1291,7 +1352,8 @@ def dump_json(obj) -> str:
         if not isinstance(o, (dict, list, tuple)):
             return _json_scalar(o)
         key = (id(o), depth)
-        text = memo.get(key)
+        pinned = shared is not None and depth == 2
+        text = shared.get(key, (None, None))[1] if pinned else memo.get(key)
         if text is None:
             while len(breaks) <= depth + 1:
                 breaks.append(breaks[-1] + "  ")
@@ -1312,7 +1374,11 @@ def dump_json(obj) -> str:
             if pieces:
                 pieces[0] = ends[0] + breaks[depth + 1]
                 pieces.append(breaks[depth] + ends[1])
-            text = memo[key] = "".join(pieces) or ends
+            text = "".join(pieces) or ends
+            if pinned:
+                shared[key] = (o, text)
+            else:
+                memo[key] = text
         return text
 
     text = emit(obj, 0)

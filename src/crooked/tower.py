@@ -29,7 +29,7 @@ from .folang import LIBRARY, eval_masks
 from .lattice import DEFAULT_ELEMENT_CAP
 from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, cells_closed_set, _cell_in_set,
-    dump_json, extract_sublattice, graph_from_dict, graph_to_dict,
+    GraphReader, dump_json, extract_sublattice, graph_to_dict,
 )
 from .surgery import (
     GROUND, Stage, instance_sets, instance_stage, lift_through,
@@ -408,14 +408,23 @@ def weak_confluence_witness(tower: Tower, c: ClosedSet) -> Thread:
 # --------------------------------------------------------------------------
 
 def save_tower(tower: Tower, directory: str) -> None:
+    """Write `stage<n>.json`, `bonding<n>.json` and `trace.json`.  A set
+    object is rendered once per run of stages that keep a graph, however
+    many names and stages bind it: their stage files share one `to_dict`
+    entry per object and one `dump_json` memo, keyed by `id`, which is
+    stable because the tower holds every set meanwhile.  A set lives on
+    its stage's graph, so a new graph starts them afresh."""
     os.makedirs(directory, exist_ok=True)
 
-    def write(name: str, obj) -> None:
+    def write(name: str, obj, memo: dict | None = None) -> None:
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(dump_json(obj))
+            fh.write(dump_json(obj, memo))
 
+    graph = None
     for n, st in enumerate(tower.stages):
-        write(f"stage{n}.json", graph_to_dict(st.graph, st.base))
+        if st.graph is not graph:
+            graph, entries, memo = st.graph, {}, {}
+        write(f"stage{n}.json", graph_to_dict(st.graph, st.base, entries), memo)
         if st.bonding is not None:
             write(f"bonding{n}.json", st.bonding.to_dict())
     trace = {
@@ -431,7 +440,19 @@ def save_tower(tower: Tower, directory: str) -> None:
     write("trace.json", trace)
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def load_tower(directory: str) -> Tower:
+    """The tower a directory of `save_tower` describes; a malformed one is
+    an `InputError`.  A stage whose graph (vertices, edges and meta) is
+    stage n-1's loads onto stage n-1's graph object, so the loaded tower
+    shares graphs where the built one does.  Closed sets are read once per
+    distinct entry per graph (`GraphReader`), over the stage files and the
+    catalog: stages that keep a graph share its set objects, and with them
+    their hashes and footprints.  Only the current graph's entries are
+    held, so a stage's catalog sets are read with the stage."""
     def read(name: str):
         return read_input(os.path.join(directory, name))
 
@@ -446,13 +467,32 @@ def load_tower(directory: str) -> Tower:
                 f"malformed tower directory {directory}: "
                 f"{len(trace['stages'])} stage entries for depth {depth}"
             )
+        specs = trace.get("catalog", {})
+        for name, entries in specs.items():
+            if len(entries) != depth + 1:
+                raise InputError(
+                    f"malformed tower directory {directory}: catalog {name!r} has "
+                    f"{len(entries)} sets for {depth + 1} stages"
+                )
+        catalog: dict[str, list[ClosedSet]] = {name: [] for name in specs}
         stages: list[Stage] = []
+        reader = None
         for n in range(depth + 1):
-            graph, base = graph_from_dict(read(f"stage{n}.json"))
+            data = read(f"stage{n}.json")
+            if reader is None or not reader.reads(data):
+                reader = GraphReader(data)
+            graph, base = reader.graph, reader.closed_sets(data)
+            for name, entries in specs.items():
+                catalog[name].append(reader.closed_set(entries[n]))
             bonding = None
             if n > 0:
                 bonding = PLMap.from_dict(graph, stages[n - 1].graph, read(f"bonding{n}.json"))
             meta = trace["stages"][n]
+            if not (isinstance(meta["kind"], str) and _is_strings(meta["nudges"])):
+                raise InputError(
+                    f"malformed tower directory {directory}: stage {n} kind {meta['kind']!r} "
+                    f"nudges {meta['nudges']!r}"
+                )
             inst = meta["instance"]
             # an instance is null or the record `verify_tower` reads: its own
             # stage number, and one name per role of its kind.  A missing key,
@@ -463,8 +503,7 @@ def load_tower(directory: str) -> Tower:
                 and inst["kind"] in ("zeta", "theta")
                 and isinstance(inst["schedule"], list)
                 and [type(k) for k in inst["schedule"]] == [int, int]
-                and all(isinstance(inst[key], list) and all(isinstance(x, str) for x in inst[key])
-                        for key in ("operands", "witnesses"))
+                and _is_strings(inst["operands"]) and _is_strings(inst["witnesses"])
                 and len(inst["operands"]) == (3 if inst["kind"] == "zeta" else 4)
                 and len(inst["witnesses"]) == 3
             ):
@@ -472,16 +511,6 @@ def load_tower(directory: str) -> Tower:
             stages.append(
                 Stage(graph, bonding, base, meta["kind"], instance=inst, nudges=meta["nudges"])
             )
-        catalog = {
-            name: [ClosedSet.from_dict(stages[n].graph, spec) for n, spec in enumerate(specs)]
-            for name, specs in trace.get("catalog", {}).items()
-        }
-        for name, sets in catalog.items():
-            if len(sets) != len(stages):
-                raise InputError(
-                    f"malformed tower directory {directory}: catalog {name!r} has "
-                    f"{len(sets)} sets for {len(stages)} stages"
-                )
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise InputError(f"malformed tower directory {directory}: {exc!r}") from exc
     return Tower(stages, catalog)

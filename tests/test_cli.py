@@ -1040,10 +1040,15 @@ def _first_affine(data):
     # an entry of unknown kind used to be read as affine
     ("bonding1.json", lambda data: _first_affine(data).update(kind="bogus"),
      "error: unknown edge map kind 'bogus'"),
+    # a stage's kind and nudges used to be taken as they came
+    ("trace.json", lambda data: data["stages"][2].update(kind=5), MALFORMED),
+    ("trace.json", lambda data: data["stages"][1].update(nudges=3), MALFORMED),
+    ("trace.json", lambda data: data["stages"][1].update(nudges=[3]), MALFORMED),
 ], ids=["trace-without-depth", "bonding-without-edge", "instance-without-operands",
         "catalog-too-short", "instance-stage-past-depth", "instance-stage-negative",
         "zeta-with-two-operands", "instance-with-two-witnesses", "theta-with-five-operands",
-        "bonding-with-unknown-kind"])
+        "bonding-with-unknown-kind", "stage-kind-not-a-string", "stage-nudges-not-a-list",
+        "stage-nudge-not-a-string"])
 def test_tower_verify_malformed_directory_exits_2(towerdir, tmp_path, capsys, name, corrupt, message):
     # a missing key is bad input (exit 2), not a false verification (exit 1)
     path = towerdir / name

@@ -12,10 +12,10 @@ from crooked import metric_graph, surgery, tower
 from crooked.errors import InputError, PreconditionError, ResourceLimitError, UsageError
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, _arrangement, _bp_clamp, _bp_combine,
-    _bp_eval, _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set, dump_graph,
-    dump_json, extract_sublattice, frac, graph_from_dict, graph_to_dict, kappa_map, unit_segment,
-    urysohn,
+    ClosedSet, Edge, GraphReader, MetricGraph, PLFunction, PLMap, _arrangement, _bp_clamp,
+    _bp_combine, _bp_eval, _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set,
+    dump_graph, dump_json, extract_sublattice, frac, graph_from_dict, graph_to_dict, kappa_map,
+    unit_segment, urysohn,
 )
 from test_surgery import nudged_triangle_fragment, surgery_rich_fragment
 from test_tower import steered_crooked_tower
@@ -1254,6 +1254,38 @@ def test_load_keeps_entries_of_one_bucket_apart():
     assert sets["t"].intervals == {"seg": ((F(1, 4), F(3, 4)),)}
 
 
+@pytest.mark.parametrize("number", ["true", "1.0"])
+def test_load_tells_a_number_from_true_and_a_float(number):
+    # `==` takes 1 for true and for 1.0, which `frac` rejects, so an entry
+    # with a number for an endpoint is no match for a later one
+    with pytest.raises(InputError, match="not an exact rational"):
+        graph_from_dict(_segment_file(
+            f'{{"s": {{"seg": [[0, 1]], "vertices": []}}, "t": {{"seg": [[0, {number}]], "vertices": []}}}}'
+        ))
+    data = _segment_file("{}")
+    data["edges"][0]["len"] = 1
+    reader = GraphReader(data)
+    data["edges"][0]["len"] = json.loads(number)
+    assert not reader.reads(data)
+    data["edges"][0]["len"] = 1
+    assert not reader.reads(data)
+
+
+def test_a_reader_reads_later_files_with_its_graph_onto_it():
+    first = _segment_file('{"s": {"seg": [["1/4", "1/2"]], "vertices": []}}')
+    reader = GraphReader(first)
+    s = reader.closed_sets(first)["s"]
+    later = _segment_file('{"t": {"seg": [["1/4", "1/2"]], "vertices": []},'
+                          ' "u": {"seg": [["0/1", "1/2"]], "vertices": ["a"]}}')
+    assert reader.reads(later)
+    sets = reader.closed_sets(later)
+    assert sets["t"] is s and sets["u"].graph is reader.graph
+    for key, value in [("vertices", ["b", "a"]), ("meta", {"pos": {}}),
+                       ("edges", [{"id": "seg", "u": "a", "v": "b", "len": "2/1"}])]:
+        assert not reader.reads({**later, key: value}), key
+    assert not reader.reads([later])
+
+
 def test_a_set_hashes_once(seg, monkeypatch):
     fraction_hash = F.__hash__
     hashed = []
@@ -1303,8 +1335,22 @@ def test_dump_json_is_the_stdlib_indented_text(tree, items):
     nested = [
         shared, entry, {"a": shared, "b": [shared], "c": entry, "d": [entry]}, (shared, entry),
     ]
-    for obj in (tree, nested):
-        assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    shared: dict = {}
+    for obj in (tree, nested, nested):
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert dump_json(obj) == text
+        assert dump_json(obj, shared) == text
+
+
+def test_a_shared_dump_json_memo_serves_no_stale_text():
+    # the objects of each call die before the next, and CPython hands their
+    # ids to the next call's objects; a shared memo keyed by id that did not
+    # hold its objects would serve a dead object's text
+    shared: dict = {}
+    for i in range(300):
+        obj = {"set": {"seg": [[str(i), "1"]], "vertices": ["a"] * (i % 3)},
+               "edges": [{"id": f"e{i}", "u": "a", "v": "b"}], "stage": [[i], {"n": i}]}
+        assert dump_json({"top": obj}, shared) == json.dumps({"top": obj}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("obj", [

@@ -507,6 +507,75 @@ def test_built_catalog_is_the_weak_confluence_thread(tmp_path):
         assert weak_confluence_witness(loaded, sets[0]).sets == sets, name
 
 
+def deep_tower(depth):
+    # the tower-deep benchmark's base and catalog, its point at 3/16, along
+    # the default schedules (its diagonal ones enumerate the same triples)
+    g = seg()
+    interval = lambda lo, hi: ClosedSet(g, {"seg": [(lo, hi)]}, set())  # noqa: E731
+    base = {
+        "p": interval(F(0), F(1, 4)), "q": interval(F(3, 4), F(1)), "r": interval(F(3, 8), F(5, 8)),
+        "left": interval(F(0), F(1, 2)), "right": interval(F(1, 2), F(1)),
+        "mid": interval(F(1, 4), F(1, 2)), "pt": g.point_closed_set([("e", "seg", F(3, 16))]),
+    }
+    return build_tower(g, base, {"whole": g.whole_set(), "mid": base["mid"]}, depth)
+
+
+@pytest.mark.parametrize("make", [lambda: steered_crooked_tower(4), lambda: deep_tower(8)],
+                         ids=["steered-crooked-4", "deep-8"])
+def test_tower_directory_round_trips_sharing_graphs_and_sets(make, tmp_path, monkeypatch):
+    # save -> load -> save writes the same bytes; the loaded tower shares a
+    # graph between stages n-1 and n exactly where the built one does, and
+    # reads each distinct closed-set entry once per graph, over its stage
+    # files and the catalog
+    tower = make()
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_tower(tower, str(first))
+    read = []
+    from_dict = ClosedSet.from_dict
+
+    def counting(graph, spec, *args):
+        read.append((id(graph), json.dumps(spec, sort_keys=True)))
+        return from_dict(graph, spec, *args)
+
+    monkeypatch.setattr(ClosedSet, "from_dict", staticmethod(counting))
+    loaded = load_tower(str(first))
+    monkeypatch.undo()
+    save_tower(loaded, str(second))
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def kept(t):
+        return [t.graph(n) is t.graph(n - 1) for n in range(1, t.depth + 1)]
+
+    assert kept(loaded) == kept(tower)
+    trace = json.loads((first / "trace.json").read_text())
+    distinct: dict[int, set] = {}
+    for n in range(tower.depth + 1):
+        stage = json.loads((first / f"stage{n}.json").read_text())
+        specs = [*stage["closed_sets"].values(), *(sets[n] for sets in trace["catalog"].values())]
+        distinct.setdefault(id(loaded.graph(n)), set()).update(
+            json.dumps(spec, sort_keys=True) for spec in specs)
+    assert len(read) == len(set(read))
+    assert set(read) == {(g, spec) for g, specs in distinct.items() for spec in specs}
+
+
+def test_a_loaded_tower_shares_sets_across_stages_that_keep_a_graph(tmp_path):
+    tower = deep_tower(8)
+    assert all(tower.graph(n) is tower.graph(0) for n in range(9))
+    save_tower(tower, str(tmp_path / "t"))
+    loaded = load_tower(str(tmp_path / "t"))
+    last = loaded.base(8)
+    assert len({id(s) for s in last.values()}) == len(set(last.values())) < len(last)
+    # a stage binds every name of the one before to the same object, and a
+    # catalog set equal to a base set is that set
+    for n in range(1, 9):
+        assert all(loaded.base(n)[name] is s for name, s in loaded.base(n - 1).items())
+    assert all(loaded.catalog["mid"][n] is loaded.base(n)["mid"] for n in range(9))
+    assert verify_tower(loaded) == verify_tower(tower)
+
+
 UNCHANGED_MODES = {"noop": None, "vacuous": "vacuous", "shortcut": "shortcut", "identity": "existing-cover"}
 
 
