@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -467,13 +468,23 @@ def _bp_walk(bp: Sequence[tuple], xs: Sequence[Frac]) -> list[Frac]:
     return out
 
 
+def _bp_union(a: Sequence[tuple], b: Sequence[tuple]) -> list[Frac]:
+    """Both lists' abscissae in one merge: `sorted` merges the two runs and
+    `groupby` drops repeats by `==`, hashing no Fraction."""
+    return [x for x, _ in groupby(sorted([x for x, _ in a] + [x for x, _ in b]))]
+
+
 def _bp_combine(a: Sequence[tuple], b: Sequence[tuple], fn: Callable) -> tuple:
-    xs = sorted({x for x, _ in a} | {x for x, _ in b})
+    """`fn` of the two lists at each abscissa of either, in one merge walk;
+    past its ends a list is extended as a constant."""
+    xs = _bp_union(a, b)
     return _bp_simplify(list(zip(xs, map(fn, _bp_walk(a, xs), _bp_walk(b, xs)))))
 
 
 def _bp_min(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
-    xs = sorted({x for x, _ in a} | {x for x, _ in b})
+    """The pointwise minimum of two lists, in one merge walk that inserts
+    each crossing between two merged abscissae."""
+    xs = _bp_union(a, b)
     ya, yb = _bp_walk(a, xs), _bp_walk(b, xs)
     pts = [(xs[0], min(ya[0], yb[0]))]
     for k in range(1, len(xs)):
@@ -486,25 +497,25 @@ def _bp_min(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
     return _bp_simplify(pts)
 
 
-def _bp_affine(bp: Sequence[tuple], mul: Frac, add: Frac) -> tuple:
-    return _bp_simplify([(x, y * mul + add) for x, y in bp])
-
-
 def _bp_clamp(bp: Sequence[tuple], lo: Frac, hi: Frac) -> tuple:
-    xs = {x for x, _ in bp}
+    """The list clamped to [lo, hi], in one ordered walk: each piece's
+    crossings of the two levels go in as met, where the clamped value is
+    the level itself."""
+    out = [(bp[0][0], min(hi, max(lo, bp[0][1])))]
     for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
-        for level in (lo, hi):
+        for level in ((lo, hi) if y0 < y1 else (hi, lo)):
             if (y0 - level) * (y1 - level) < 0:
-                xs.add(x0 + (x1 - x0) * (level - y0) / (y1 - y0))
-    xs = sorted(xs)
-    return _bp_simplify([(x, min(hi, max(lo, y))) for x, y in zip(xs, _bp_walk(bp, xs))])
+                out.append((x0 + (x1 - x0) * (level - y0) / (y1 - y0), level))
+        out.append((x1, min(hi, max(lo, y1))))
+    return _bp_simplify(out)
 
 
 class PLFunction:
     """A continuous PL function on a metric graph, one breakpoint list per
-    edge over its arc-length parameter.  Its regions are its sublevel and
-    superlevel sets; a caller intersects them for a level set or a band, so
-    a half-set that two regions share is computed once."""
+    edge over its arc-length parameter; continuity compares the end values
+    at each vertex by `!=`.  Its regions are its sublevel and superlevel
+    sets; a caller intersects them for a level set or a band, so a half-set
+    that two regions share is computed once."""
 
     __slots__ = ("graph", "per_edge")
 
@@ -522,8 +533,8 @@ class PLFunction:
             pe[eid] = _bp_simplify(bp)
         self.per_edge = pe
         for vid in graph.vertices:
-            vals = {self._end_value(eid, end) for eid, end in graph.adjacency[vid]}
-            if len(vals) > 1:
+            ends = [self._end_value(eid, end) for eid, end in graph.adjacency[vid]]
+            if any(y != ends[0] for y in ends[1:]):
                 raise InputError(f"PL function discontinuous at vertex {vid!r}")
 
     def _end_value(self, eid: str, end: int) -> Frac:
@@ -554,20 +565,6 @@ class PLFunction:
             self.graph,
             {eid: _bp_combine(self.per_edge[eid], other.per_edge[eid], sub)
              for eid in self.per_edge},
-        )
-
-    def affine(self, mul, add) -> "PLFunction":
-        mul, add = frac(mul), frac(add)
-        return PLFunction(
-            self.graph,
-            {eid: _bp_affine(bp, mul, add) for eid, bp in self.per_edge.items()},
-        )
-
-    def clamp(self, lo, hi) -> "PLFunction":
-        lo, hi = frac(lo), frac(hi)
-        return PLFunction(
-            self.graph,
-            {eid: _bp_clamp(bp, lo, hi) for eid, bp in self.per_edge.items()},
         )
 
     def _region(self, level: Frac, side: str) -> ClosedSet:
@@ -623,7 +620,9 @@ class PLFunction:
 
 def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
     """x -> rho(x, target): multi-source shortest path with in-edge interval
-    sources, exact everywhere."""
+    sources, exact everywhere.  Per edge, the envelope of its two end lines
+    is written in closed form, and one minimum walk per target interval on
+    that edge folds the interval in."""
     if target.graph is not graph:
         raise UsageError("closed set belongs to a different graph")
     if target.is_empty():
@@ -661,13 +660,15 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
         )
     per_edge: dict[str, tuple] = {}
     for eid, e in graph.edges.items():
-        L = e.length
-        candidates = [
-            ((Frac(0), dist[e.u]), (L, dist[e.u] + L)),
-            ((Frac(0), dist[e.v] + L), (L, dist[e.v])),
-        ]
-        envelope = _bp_simplify(list(candidates[0]))
-        envelope = _bp_min(envelope, list(candidates[1]))
+        L, du, dv = e.length, dist[e.u], dist[e.v]
+        # min(du + x, dv + L - x): one line, or two meeting at x = xc
+        xc = (dv + L - du) / 2
+        if xc <= 0:
+            envelope = ((ZERO, dv + L), (L, dv))
+        elif xc >= L:
+            envelope = ((ZERO, du), (L, du + L))
+        else:
+            envelope = ((ZERO, du), (xc, du + xc), (L, dv))
         for lo, hi in target.intervals.get(eid, ()):
             local: list[tuple] = []
             if lo > 0:
@@ -733,9 +734,11 @@ def urysohn(
     1/2 on `pin_low` and at least 1/2 on `pin_high`; pass an empty set for a
     side with no pin.
 
-    Built as a clamped affine image of d(., zero u pin_low) - d(., one u
-    pin_high); the slope is chosen exactly so the clamps engage on the
-    mandatory sets.  Postconditions are verified before returning."""
+    Built as clamp(lam * (d(., zero u pin_low) - d(., one u pin_high)) +
+    1/2, 0, 1), the slope lam chosen exactly so the clamps engage on the
+    mandatory sets: per edge one merge walk of the two distance lists and
+    one clamping walk, into one `PLFunction`.  Postconditions are verified
+    before returning."""
     low = zero_set | pin_low
     high = one_set | pin_high
     if not (zero_set & one_set).is_empty():
@@ -763,8 +766,12 @@ def urysohn(
         if m <= 0:
             raise PreconditionError("one set touches the low side")
         bounds.append(Frac(1, 2) / m)
-    lam = max(bounds) if bounds else Frac(1)
-    f = (d_low - d_high).affine(lam, Frac(1, 2)).clamp(0, 1)
+    lam, half = max(bounds) if bounds else Frac(1), Frac(1, 2)
+    f = PLFunction(graph, {
+        eid: _bp_clamp(_bp_combine(bp, d_high.per_edge[eid], lambda p, q: lam * (p - q) + half),
+                       ZERO, Frac(1))
+        for eid, bp in d_low.per_edge.items()
+    })
     _urysohn_check(f, zero_set, one_set, pin_low, pin_high)
     return f
 
@@ -843,8 +850,25 @@ class PLMap:
             {eid: ("affine", eid, 0, e.length) for eid, e in graph.edges.items()},
         )
 
+    def restrict(self, sub: MetricGraph) -> "PLMap":
+        """This map on a subgraph of its domain, reusing its checked entries;
+        `sub` must have only domain vertices and domain edges."""
+        vertex_map, edges = self.vertex_map, self.domain.edges
+        if any(v not in vertex_map for v in sub.vertices) or any(
+            edges.get(eid) != e for eid, e in sub.edges.items()
+        ):
+            raise UsageError("not a subgraph of the domain")
+        out = PLMap.__new__(PLMap)
+        out.domain, out.codomain = sub, self.codomain
+        out.vertex_map = {v: vertex_map[v] for v in sub.vertices}
+        out.edge_map = {eid: self.edge_map[eid] for eid in sub.edges}
+        return out
+
     def image_point(self, p: Point) -> Point:
-        p = self.domain.normalize_point(p)
+        return self._image(self.domain.normalize_point(p))
+
+    def _image(self, p: Point) -> Point:
+        """`image_point` of a point already normal on the domain."""
         if p[0] == "v":
             return self.vertex_map[p[1]]
         entry = self.edge_map[p[1]]
@@ -968,11 +992,12 @@ class PLMap:
         """Composition g after self."""
         if g.domain is not self.codomain:
             raise UsageError("maps do not compose")
-        vmap = {v: g.image_point(p) for v, p in self.vertex_map.items()}
+        # this map's points are normal on its codomain, g's domain
+        vmap = {v: g._image(p) for v, p in self.vertex_map.items()}
         emap: dict[str, tuple] = {}
         for eid, entry in self.edge_map.items():
             if entry[0] == "const":
-                emap[eid] = ("const", g.image_point(entry[1]))
+                emap[eid] = ("const", g._image(entry[1]))
                 continue
             _, target, s0, s1 = entry
             inner = g.edge_map[target]

@@ -518,20 +518,9 @@ def crooked_step(
             f"staircase has {len(onto)} onto components; expected exactly one"
         )
     comp = onto[0]
-    comp_edges = set(comp.intervals)
-    comp_vertices = set(comp.vertices)
-    out = MetricGraph(
-        sorted(comp_vertices),
-        [e for e in edges if e.eid in comp_edges],
-        dict(graph.meta),
-    )
+    out = MetricGraph(comp.vertices, [e for e in edges if e.eid in comp.intervals], dict(graph.meta))
     _attach_staircase_layout(out, graph, vertex_map)
-    bonding = PLMap(
-        out,
-        graph,
-        {v: vertex_map[v] for v in comp_vertices},
-        {eid: edge_map[eid] for eid in comp_edges},
-    )
+    bonding = projection.restrict(out)
     if not bonding.is_surjective():
         raise InvariantViolationError("selected component lost surjectivity")
 

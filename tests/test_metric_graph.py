@@ -459,6 +459,110 @@ def test_breakpoint_merge_walks_match_pointwise_eval(a, b, lo, width):
     assert _bp_clamp(a, lo, hi) == bp_clamp_by_eval(a, lo, hi)
 
 
+@st.composite
+def twelfths_graphs(draw, kinds=("segment", "star", "theta")):
+    """A segment, a three-armed star or a three-edged theta graph with edge
+    lengths at twelfths up to 2."""
+    kind = draw(st.sampled_from(kinds))
+    lengths = [F(draw(st.integers(1, 24)), 12) for _ in range(1 if kind == "segment" else 3)]
+    if kind == "segment":
+        return MetricGraph(["a", "b"], [Edge("e0", "a", "b", lengths[0])])
+    if kind == "star":
+        return MetricGraph(["o", "p0", "p1", "p2"],
+                           [Edge(f"e{i}", "o", f"p{i}", L) for i, L in enumerate(lengths)])
+    return MetricGraph(["x", "y"], [Edge(f"e{i}", "x", "y", L) for i, L in enumerate(lengths)])
+
+
+def twelfths_pieces(draw, graph):
+    """Per edge, disjoint closed intervals with ends at twelfths, some of
+    them points, in increasing order."""
+    pieces = {}
+    for eid, e in graph.edges.items():
+        ticks = sorted(draw(st.sets(st.integers(0, int(e.length * 12)), max_size=4)))
+        pieces[eid] = [(F(ticks[k], 12), F(ticks[min(k + 1, len(ticks) - 1)], 12))
+                       for k in range(0, len(ticks), 2)]
+    return pieces
+
+
+@st.composite
+def distance_targets(draw):
+    graph = draw(twelfths_graphs())
+    verts = draw(st.sets(st.sampled_from(graph.vertices), max_size=1))
+    return graph, ClosedSet(graph, twelfths_pieces(draw, graph), verts)
+
+
+def vertex_distances(graph, target):
+    """Each vertex's distance to the target by Bellman-Ford relaxation."""
+    inf = sum(e.length for e in graph.edges.values()) + 1
+    dist = {v: F(0) if v in target.vertices else inf for v in graph.vertices}
+    for eid, items in target.intervals.items():
+        e = graph.edges[eid]
+        dist[e.u] = min(dist[e.u], items[0][0])
+        dist[e.v] = min(dist[e.v], e.length - items[-1][1])
+    for _ in graph.vertices:
+        for e in graph.edges.values():
+            dist[e.u] = min(dist[e.u], dist[e.v] + e.length)
+            dist[e.v] = min(dist[e.v], dist[e.u] + e.length)
+    return dist
+
+
+@settings(max_examples=120, deadline=None)
+@given(distance_targets())
+def test_distance_lists_are_the_end_line_fold(case):
+    # the canonical lists, not just their values, make the output bytes: the
+    # closed-form envelope must give, tuple for tuple, the minimum of the
+    # two end lines folded with each target interval
+    graph, target = case
+    if target.is_empty():
+        return
+    f = distance_to_set(graph, target)
+    dist = vertex_distances(graph, target)
+    for eid, e in graph.edges.items():
+        L, du, dv = e.length, dist[e.u], dist[e.v]
+        envelope = bp_min_by_eval(((F(0), du), (L, du + L)), ((F(0), dv + L), (L, dv)))
+        for lo, hi in target.intervals.get(eid, ()):
+            local = [(F(0), lo)] if lo > 0 else []
+            local.append((lo, F(0)))
+            if hi != lo:
+                local.append((hi, F(0)))
+            if hi < L:
+                local.append((L, L - hi))
+            envelope = bp_min_by_eval(envelope, _bp_simplify(local))
+        assert f.per_edge[eid] == envelope
+
+
+@st.composite
+def urysohn_inputs(draw):
+    """A segment or star with a zero set, a one set and two pins made of
+    disjoint intervals at twelfths."""
+    graph = draw(twelfths_graphs(kinds=("segment", "star")))
+    roles: list[dict] = [{}, {}, {}, {}, {}]  # zero, one, low pin, high pin, unused
+    for eid, items in twelfths_pieces(draw, graph).items():
+        for piece in items:
+            roles[draw(st.integers(0, 4))].setdefault(eid, []).append(piece)
+    return graph, [ClosedSet(graph, role, ()) for role in roles[:4]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(urysohn_inputs())
+def test_urysohn_is_the_clamped_affine_difference(case):
+    # the fused pass gives, tuple for tuple, the former chain: the difference
+    # of the two distances, its affine image and that image clamped to [0, 1]
+    graph, (zero, one, low, high) = case
+    d_low_set, d_high_set = zero | low, one | high
+    if (d_low_set.is_empty() or d_high_set.is_empty() or not (zero & one).is_empty()
+            or not (zero & high).is_empty() or not (one & low).is_empty()):
+        return
+    f = urysohn(graph, zero, one, low, high)
+    d_low, d_high = distance_to_set(graph, d_low_set), distance_to_set(graph, d_high_set)
+    bounds = [F(1, 2) / d.min_over(s) for d, s in ((d_high, zero), (d_low, one)) if not s.is_empty()]
+    lam = max(bounds, default=F(1))
+    for eid in graph.edges:
+        chain = bp_combine_by_eval(d_low.per_edge[eid], d_high.per_edge[eid],
+                                   lambda p, q: lam * (p - q) + F(1, 2))
+        assert f.per_edge[eid] == bp_clamp_by_eval(chain, F(0), F(1))
+
+
 # ------------------------------------------------------------- PL maps
 
 def test_plmap_identity_and_composition(theta):

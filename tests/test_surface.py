@@ -26,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ORACLES = {"eval_bruteforce", "check_monotone", "search_her_indec_cover"}
+ORACLES = {"eval_bruteforce", "check_monotone", "search_her_indec_cover", "image_point"}
 # function.parameter -> why a default that src/ and perfbench/ never change stays
 DEFAULT_SEAMS = {
     "main.argv": "tests drive the CLI through it",

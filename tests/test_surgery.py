@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from crooked.errors import DegeneracyError, InputError, InvariantViolationError, PreconditionError
+from crooked.errors import (
+    DegeneracyError, InputError, InvariantViolationError, PreconditionError, UsageError,
+)
 from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, psi, zeta
 from crooked import surgery
 from crooked.lattice import generate_sublattice
@@ -18,7 +20,7 @@ from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
 from crooked.surgery import (
     CrookedStep, TriangleStep, base_interpretation, check_monotone, crooked_step,
     disjunctivity_point, eval_ground_geometric, lift_connected, normal_cocover, nudge_edge_length,
-    triangle_step, verify_on_sublattice, witness_fragment,
+    stretch_map, triangle_step, verify_on_sublattice, witness_fragment,
 )
 
 
@@ -271,6 +273,66 @@ def test_crooked_identity_reproduces_staircase():
     degs = sorted(len(out.adjacency[v]) for v in out.vertices)
     assert degs.count(1) == 2 and set(degs) <= {1, 2}  # an arc
     assert step.bonding.is_surjective()
+
+
+def test_crooked_bonding_is_the_projection_restricted(monkeypatch):
+    projections = []
+    restrict = PLMap.restrict
+
+    def spy(self, sub):
+        projections.append(self)
+        return restrict(self, sub)
+
+    monkeypatch.setattr(PLMap, "restrict", spy)
+    # a separating function with a valley back below 2/3 threads a
+    # staircase of two components
+    g = seg()
+    valley = PLFunction(g, {"seg": [(F(0), F(0)), (F(1, 4), F(1)), (F(3, 8), F(2, 5)),
+                                    (F(1, 2), F(1)), (F(1), F(1))]})
+    monkeypatch.setattr(surgery, "urysohn", lambda *args, **kwargs: valley)
+    none = g.empty_set()
+    step = crooked_step(g, g.point_closed_set([("v", "a")]), g.point_closed_set([("v", "b")]),
+                        none, none)
+    (projection,) = projections
+    out = step.output_graph
+    assert projection.domain is step.staircase_graph and step.component_count == 2
+    assert len(out.edges) < len(projection.domain.edges)
+    # the restriction keeps the entries a map checked through __init__ has
+    checked = PLMap(out, g, {v: projection.vertex_map[v] for v in out.vertices},
+                    {eid: projection.edge_map[eid] for eid in out.edges})
+    assert (step.bonding.domain, step.bonding.codomain) == (out, g)
+    assert step.bonding.vertex_map == checked.vertex_map
+    assert step.bonding.edge_map == checked.edge_map
+    # a graph that is not a subgraph of the domain: other vertices, or an
+    # edge of the domain's at another length
+    with pytest.raises(UsageError):
+        projection.restrict(g)
+    first = min(out.edges)
+    stretched = MetricGraph(out.vertices, [
+        Edge(e.eid, e.u, e.v, 2 * e.length if e.eid == first else e.length) for e in out.edges.values()
+    ])
+    with pytest.raises(UsageError):
+        projection.restrict(stretched)
+
+
+def test_then_maps_as_image_point_on_a_nudge_chain():
+    # the chain `surgery_with_nudges` composes for the nudged fragment: two
+    # stretches, then a triangle step whose fibre circles map by `const`
+    _, g, interp0 = nudged_triangle_fragment()
+    g1 = nudge_edge_length(g, "tail")
+    g2 = nudge_edge_length(g1, "k1")
+    s1, s2 = stretch_map(g1, g), stretch_map(g2, g1)
+    step = triangle_step(g2, *(s2.preimage_of(s1.preimage_of(interp0[n])) for n in "ABC"))
+    renorm = s2.then(s1)
+    assert any(entry[0] == "const" for entry in step.bonding.edge_map.values())
+    for f, h in ((s2, s1), (step.bonding, s2), (step.bonding, renorm)):
+        composed = f.then(h)
+        points = [("v", v) for v in f.domain.vertices] + [
+            ("e", eid, f.domain.edges[eid].length / 2)
+            for eid, entry in f.edge_map.items() if entry[0] == "const"
+        ]
+        for p in points:
+            assert composed.image_point(p) == h.image_point(f.image_point(p))
 
 
 def test_crooked_membership_fiber_over_zero_level():
