@@ -116,6 +116,16 @@ class MetricGraph:
         return {eid: ((ZERO, e.length),) for eid, e in self.edges.items()}
 
     @cached_property
+    def _identity(self) -> "PLMap":
+        """`PLMap.identity`, built once from entries already normal."""
+        out = PLMap.__new__(PLMap)
+        out.domain = out.codomain = self
+        out.vertex_map = {v: ("v", v) for v in self.vertices}
+        out.edge_map = {eid: ("affine", eid, ZERO, e.length) for eid, e in self.edges.items()}
+        out.is_identity = True
+        return out
+
+    @cached_property
     def _whole_entries(self) -> dict[str, list]:
         """Per edge, the file entry of every set that covers it whole.  The
         one list is shared, never mutated: `dump_json` renders it once per
@@ -323,7 +333,7 @@ class ClosedSet:
         return not self.vertices and not self.intervals
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, ClosedSet)
             and other.graph is self.graph
             and other.vertices == self.vertices
@@ -799,7 +809,11 @@ class PLMap:
 
     A map is immutable after construction: `preimage_of` reads an inverse
     index built from `vertex_map` and `edge_map` on first use and never
-    rebuilt, so neither may change afterwards."""
+    rebuilt, so neither may change afterwards.  Only `identity`, one map per
+    graph, has `is_identity` set: through it a set pulls back and maps
+    forward to itself, with no index; a copy of its entries does not."""
+
+    is_identity = False
 
     def __init__(
         self,
@@ -843,12 +857,8 @@ class PLMap:
 
     @staticmethod
     def identity(graph: MetricGraph) -> "PLMap":
-        return PLMap(
-            graph,
-            graph,
-            {v: ("v", v) for v in graph.vertices},
-            {eid: ("affine", eid, 0, e.length) for eid, e in graph.edges.items()},
-        )
+        """The identity on `graph`, one object per graph."""
+        return graph._identity
 
     def restrict(self, sub: MetricGraph) -> "PLMap":
         """This map on a subgraph of its domain, reusing its checked entries;
@@ -880,6 +890,8 @@ class PLMap:
     def image_of(self, s: ClosedSet) -> ClosedSet:
         if s.graph is not self.domain:
             raise UsageError("closed set not on the domain")
+        if self.is_identity:
+            return s
         intervals: dict[str, list] = {}
         verts: set[str] = set()
         whole: set[str] = set()
@@ -952,6 +964,8 @@ class PLMap:
         edge that lands inside `t` is passed on whole, by id."""
         if t.graph is not self.codomain:
             raise UsageError("closed set not on the codomain")
+        if self.is_identity:
+            return t
         at_vertex, at_edge = self._fibres
         intervals: dict[str, list] = {}
         verts: set[str] = set()

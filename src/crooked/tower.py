@@ -352,7 +352,8 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
     The pullbacks are computed here, not by `instance_stage`, one
     `preimage_of` per distinct set.  Sets are keyed by value, so a set
     equal to another but built apart is pulled back once too (a loaded
-    stage holds one object per distinct set, a built one need not).
+    stage holds one object per distinct set, a built one need not).  Through
+    `PLMap.identity` each line is still computed, on the sets themselves.
     Nothing here closes a sublattice, so `cap` is accepted but not read,
     because perfbench passes it."""
     report: list[tuple[str, bool]] = []
@@ -391,15 +392,16 @@ def verify_tower(tower: Tower, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[str
 def weak_confluence_witness(tower: Tower, c: ClosedSet) -> Thread:
     """A thread over a connected closed set of the base: at each stage the
     component of the preimage with the exact image (`lift_through`), the
-    full preimage at monotone stages."""
+    full preimage at monotone stages, the set itself through the identity
+    (connected, as `c` is checked and every lift is a component)."""
     if c.is_empty():
         raise PreconditionError("weak-confluence thread needs a nonempty set")
     if len(tower.graph(0).components_of(c)) != 1:
         raise PreconditionError("weak-confluence thread needs a connected set")
     sets = [c]
     for n in range(1, tower.depth + 1):
-        st = tower.stages[n]
-        sets.append(lift_through(st, sets[-1], st.bonding.preimage_of(sets[-1])))
+        st, s = tower.stages[n], sets[-1]
+        sets.append(s if st.bonding.is_identity else lift_through(st, s, st.bonding.preimage_of(s)))
     return Thread(sets)
 
 
@@ -452,7 +454,10 @@ def load_tower(directory: str) -> Tower:
     distinct entry per graph (`GraphReader`), over the stage files and the
     catalog: stages that keep a graph share its set objects, and with them
     their hashes and footprints.  Only the current graph's entries are
-    held, so a stage's catalog sets are read with the stage."""
+    held, so a stage's catalog sets are read with the stage.  A bonding on
+    stage n-1's graph object whose file is `==` to the identity's `to_dict`
+    (all strings, so exact) loads as `PLMap.identity`; any other file goes
+    through `PLMap.from_dict`."""
     def read(name: str):
         return read_input(os.path.join(directory, name))
 
@@ -480,13 +485,17 @@ def load_tower(directory: str) -> Tower:
         for n in range(depth + 1):
             data = read(f"stage{n}.json")
             if reader is None or not reader.reads(data):
-                reader = GraphReader(data)
+                reader, same = GraphReader(data), None
             graph, base = reader.graph, reader.closed_sets(data)
             for name, entries in specs.items():
                 catalog[name].append(reader.closed_set(entries[n]))
             bonding = None
             if n > 0:
-                bonding = PLMap.from_dict(graph, stages[n - 1].graph, read(f"bonding{n}.json"))
+                prev, spec = stages[n - 1].graph, read(f"bonding{n}.json")
+                if graph is prev:
+                    same = same or PLMap.identity(graph).to_dict()
+                bonding = (PLMap.identity(graph) if graph is prev and spec == same
+                           else PLMap.from_dict(graph, prev, spec))
             meta = trace["stages"][n]
             if not (isinstance(meta["kind"], str) and _is_strings(meta["nudges"])):
                 raise InputError(

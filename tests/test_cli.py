@@ -773,6 +773,41 @@ def test_tower_verify_flags_a_stage_that_is_no_pullback(tmp_path, capsys, corrup
     assert [line[len("FAIL: "):] for line in out if line.startswith("FAIL: ")] == red
 
 
+def _reversed(bonding):
+    # the segment's reversal: onto, with a and b swapped, but no identity
+    bonding["vertex_map"] = {"a": {"v": "b"}, "b": {"v": "a"}}
+    bonding["edge_map"]["seg"].update(s0="1/1", s1="0/1")
+
+
+def _spelled_otherwise(bonding):
+    # the identity with one end written as "0", not "0/1"
+    bonding["edge_map"]["seg"]["s0"] = "0"
+
+
+@pytest.mark.parametrize("edit, red", [
+    (_reversed, ["stage 2 base pulls back stage 1"]),
+    (_spelled_otherwise, []),
+], ids=["identity-reversed", "identity-spelled-otherwise"])
+def test_tower_verify_reads_an_edited_identity_bonding_by_its_map(tmp_path, capsys, edit, red):
+    # stage 2 of the bundled segment's depth-4 tower keeps its graph under
+    # the identity bonding.  An edited bonding file is judged by the map it
+    # describes, not by whether it is written as the identity: the reversal
+    # is onto but pulls no set back, and the identity spelled otherwise
+    # verifies
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", str(INPUTS / "segment.json"), "--depth", "4",
+        "--catalog", "whole", "--out", str(towerdir),
+    ]) == 0
+    assert json.loads((towerdir / "trace.json").read_text())["stages"][2]["kind"] == "identity"
+    capsys.readouterr()
+    _edit_json(towerdir / "bonding2.json", edit)
+    assert main(["tower-verify", str(towerdir)]) == (1 if red else 0)
+    out = capsys.readouterr().out.splitlines()
+    assert "pass: stage 2 bonding onto" in out
+    assert [line[len("FAIL: "):] for line in out if line.startswith("FAIL: ")] == red
+
+
 def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     # a lattice file past the element cap: 13 singleton generators close to
     # the 8,192 subsets of 13 points, ResourceLimitError

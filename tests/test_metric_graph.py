@@ -575,6 +575,45 @@ def test_plmap_identity_and_composition(theta):
     assert twice.image_of(s) == s
 
 
+def test_only_the_graphs_identity_is_flagged_identity(seg, theta):
+    # one identity per graph carries the flag; maps with its entries, or
+    # that fix every vertex, or that land on an equal copy, or that are its
+    # restriction, take the general path
+    ident = PLMap.identity(theta)
+    assert PLMap.identity(theta) is ident and ident.is_identity
+    copy = MetricGraph(theta.vertices, theta.edges.values())
+    swap = PLMap(theta, theta, {"x": ("v", "x"), "y": ("v", "y")}, {
+        "e1": ("affine", "e2", 0, F(3, 2)), "e2": ("affine", "e1", 0, 1), "e3": ("affine", "e3", 0, 2),
+    })
+    assert swap.is_surjective()
+    others = [
+        PLMap.from_dict(theta, theta, ident.to_dict()),
+        PLMap(seg, seg, {"a": ("v", "b"), "b": ("v", "a")}, {"seg": ("affine", "seg", 1, 0)}),
+        swap,
+        PLMap(theta, copy, ident.vertex_map, ident.edge_map),
+        ident.restrict(MetricGraph(["x", "y"], [theta.edges["e1"]])),
+    ]
+    assert not any(m.is_identity for m in others)
+    assert others[0].vertex_map == ident.vertex_map and others[0].edge_map == ident.edge_map
+
+
+@settings(max_examples=100, deadline=None)
+@given(distance_targets())
+def test_identity_fast_paths_agree_with_the_general_path(case):
+    # through the identity a set pulls back and maps forward to itself, as
+    # the same entries do through `PLMap.__init__`; a set on another graph
+    # is still refused
+    graph, s = case
+    ident = PLMap.identity(graph)
+    general = PLMap.from_dict(graph, graph, ident.to_dict())
+    assert ident.preimage_of(s) is s and ident.image_of(s) is s
+    assert general.preimage_of(s) == s == general.image_of(s)
+    stray = ClosedSet(MetricGraph(graph.vertices, graph.edges.values()), s.intervals, s.vertices)
+    for through in (ident.preimage_of, ident.image_of):
+        with pytest.raises(UsageError):
+            through(stray)
+
+
 def test_plmap_fold_segment(seg):
     # fold [0,1] onto [0,1/2]: t -> t/2 on a copy
     half = MetricGraph(["a", "b"], [Edge("seg", "a", "b", F(1, 2))])

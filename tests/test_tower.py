@@ -16,7 +16,7 @@ from crooked.folang import Const, psi, zeta
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLMap, load_graph, unit_segment,
 )
-from crooked.surgery import Stage, crooked_step, verify_on_sublattice, witness_fragment
+from crooked.surgery import Stage, crooked_step, lift_through, verify_on_sublattice, witness_fragment
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step,
     load_tower, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
@@ -576,12 +576,34 @@ def test_a_loaded_tower_shares_sets_across_stages_that_keep_a_graph(tmp_path):
     assert verify_tower(loaded) == verify_tower(tower)
 
 
+def test_a_loaded_tower_shares_the_identity_and_verify_indexes_nothing(tmp_path, fibre_builds):
+    # every stage of deep_tower keeps its graph; loaded, each bonds by the
+    # graph's one identity, so verify builds no pullback index, and the
+    # threads it lifts are the sets `lift_through` finds through the same
+    # entries on the general path
+    tower = deep_tower(8)
+    save_tower(tower, str(tmp_path / "t"))
+    loaded = load_tower(str(tmp_path / "t"))
+    g = loaded.graph(0)
+    assert all(loaded.graph(n) is g and loaded.stages[n].bonding is PLMap.identity(g) for n in range(1, 9))
+    report = verify_tower(loaded)
+    assert report and all(ok for _, ok in report), [r for r in report if not r[1]]
+    assert fibre_builds == []
+    general = PLMap.from_dict(g, g, PLMap.identity(g).to_dict())
+    for sets in loaded.catalog.values():
+        thread = weak_confluence_witness(loaded, sets[0]).sets
+        assert thread == sets
+        for n in range(1, 9):
+            st = dataclasses.replace(loaded.stages[n], bonding=general)
+            assert thread[n] == lift_through(st, thread[n - 1], general.preimage_of(thread[n - 1]))
+
+
 UNCHANGED_MODES = {"noop": None, "vacuous": "vacuous", "shortcut": "shortcut", "identity": "existing-cover"}
 
 
 def test_stages_without_surgery_keep_graph_and_base():
     # a stage that runs no surgery is built by the scheduler: the previous
-    # graph under the identity bonding, every previous name bound to the
+    # graph under its one identity bonding, every previous name bound to the
     # same object, and the instance mode that matches its kind
     g, sets = load_graph(str(Path(__file__).resolve().parents[1] / "inputs" / "segment.json"))
     two = seg()
@@ -598,7 +620,7 @@ def test_stages_without_surgery_keep_graph_and_base():
                 continue
             seen.add(stage.kind)
             assert stage.graph is prev.graph
-            assert stage.bonding.to_dict() == PLMap.identity(prev.graph).to_dict()
+            assert stage.bonding is PLMap.identity(prev.graph)
             assert all(stage.base[nm] is s for nm, s in prev.base.items())
             mode = UNCHANGED_MODES[stage.kind]
             if mode is None:
