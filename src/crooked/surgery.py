@@ -1,5 +1,5 @@
 """The two consistency-witness constructions on metric graphs, and the one
-instance step that turns a surgery into a stage for both drivers.
+instance step that both drivers take for every instance.
 
 The dimension step inserts a circle fiber at every isolated point whose
 normalized distance triple sits at the barycenter, reinterprets the three
@@ -13,13 +13,14 @@ Sentences are decided there as bitmasks (meet and join are `&` and `|`,
 conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
 applies, not even for a fragment's hat-mode lines.
 
-Both drivers, `witness_fragment` here and `build_tower` in tower.py, resolve a
-scheduled instance through the same shortcut table (`resolve_shortcut`) and
-bind each fresh name once (`Stage.bind`).  Only a surgery goes through the
-instance step (`instance_stage`, which runs the nudge-retry loop
-`surgery_with_nudges`), the one place a stage base crosses a bonding.  One
-search lifts a connected set through a bonding (`lift_through`); a tower's
-threads are lifted by `weak_confluence_witness`.
+Both drivers, `witness_fragment` here and `build_tower` in tower.py, hand
+every instance to the instance step (`instance_stage`) and bind each fresh
+name once (`Stage.bind`).  An instance that the shortcut table
+(`resolve_shortcut`) or a cover probe resolves joins the stage it is given;
+a surgery, through the nudge-retry loop `surgery_with_nudges`, opens a new
+stage, the one place a stage base crosses a bonding.  One search lifts a
+connected set through a bonding (`lift_through`); a tower's threads are
+lifted by `weak_confluence_witness`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     InputError,
     InvariantViolationError,
     PreconditionError,
+    ResourceLimitError,
     UsageError,
 )
 from .folang import (
@@ -738,34 +740,49 @@ class Stage:
             self.base[name] = s
 
 
-def instance_stage(prev: Stage, instance: dict) -> Stage:
-    """The stage for the surgery of one dimension ("zeta") or crookedness
-    ("theta") instance: the surgery on the sets that the names
-    `instance["operands"]` have in `prev.base`, with any nudges folded into
-    the bonding, and the previous base pulled back through that bonding.
-    This is the only place a stage base crosses a bonding; an instance that
-    needs no surgery keeps its graph, and its caller builds that stage.  The
-    witnesses join the base under the names `instance["witnesses"]`, and
-    `instance["mode"]` records "surgery".
+def instance_stage(stage: Stage, instance: dict, cover=None) -> Stage:
+    """The one step of a dimension ("zeta") or crookedness ("theta")
+    instance in either driver, on the sets that the names
+    `instance["operands"]` have in `stage.base`.  An instance that needs no
+    surgery joins `stage`, which is returned: "vacuous" or "shortcut" by
+    `resolve_shortcut`, else "existing-cover" (stage kind "identity") when
+    `cover(graph, *operands)`, if given, finds witnesses there (a
+    `ResourceLimitError` means none).  Otherwise the surgery, with any
+    nudges folded into the bonding, opens a stage over `stage.base` pulled
+    back through that bonding: the only place a base crosses a bonding.
+    Either way the witnesses join the base under the names
+    `instance["witnesses"]`, and `instance["mode"]` records the path.
 
-    This is the one check of a surgery: the conclusion `GROUND[kind].right`
-    on the new base's cell footprints (the premise held before the surgery,
-    so a faulty pullback cannot pass vacuously).
+    The one check of a surgery is the conclusion `GROUND[kind].right` on
+    the new base's cell footprints (the premise held before the surgery, so
+    a faulty pullback cannot pass vacuously).
 
     The pullback costs one `preimage_of` per distinct point set, not per
     name: every name bound to a set shares its one preimage object.  Sets
     are keyed by value, and a set hashes once.  A bonding is onto, so
     distinct sets keep distinct preimages and equal names stay one object."""
-    ops = [prev.base[name] for name in instance["operands"]]
-    step, bonding, nudged = surgery_with_nudges(instance["kind"], prev.graph, ops)
-    pulled = {s: bonding.preimage_of(s) for s in dict.fromkeys(prev.base.values())}
-    base = {cid: pulled[s] for cid, s in prev.base.items()}
+    kind = instance["kind"]
+    ops = [stage.base[name] for name in instance["operands"]]
+    resolved = resolve_shortcut(kind, stage.graph, ops)
+    if resolved is None and cover is not None:
+        try:
+            found = cover(stage.graph, *ops)
+        except ResourceLimitError:
+            found = None
+        resolved = None if found is None else ("existing-cover", found)
+    if resolved is not None:
+        instance["mode"], witnesses = resolved
+        stage.kind = "identity" if instance["mode"] == "existing-cover" else instance["mode"]
+        stage.instance = instance
+        stage.bind(instance["witnesses"], witnesses)
+        return stage
+    step, bonding, nudged = surgery_with_nudges(kind, stage.graph, ops)
+    pulled = {s: bonding.preimage_of(s) for s in dict.fromkeys(stage.base.values())}
+    base = {cid: pulled[s] for cid, s in stage.base.items()}
     instance["mode"] = "surgery"
     stage = Stage(step.output_graph, bonding, base, step.kind, instance=instance, nudges=nudged)
     stage.bind(instance["witnesses"], [step.witnesses[role] for role in "xyz"])
-    if not verify_on_sublattice(
-        GROUND[instance["kind"]].right, instance_sets(instance, stage.base), stage.graph
-    ):
+    if not verify_on_sublattice(GROUND[kind].right, instance_sets(instance, stage.base), stage.graph):
         raise InvariantViolationError(f"{step.kind} surgery failed its schema on the cell footprints")
     return stage
 
@@ -875,14 +892,11 @@ def witness_fragment(
             big, small = (need(cid) for cid in rec.operands)
             stage.bind(rec.fresh, [disjunctivity_point(stage.graph, big, small)])
         elif kind in ("zeta", "theta"):
-            ops = [need(cid) for cid in rec.operands]
-            resolved = resolve_shortcut(kind, stage.graph, ops)
-            if resolved is not None:
-                stage.bind(rec.fresh, resolved[1])
-            else:
-                prev = stage
-                instance = {"kind": kind, "operands": rec.operands, "witnesses": rec.fresh}
-                stage = instance_stage(prev, instance)
+            for cid in rec.operands:
+                need(cid)
+            prev = stage
+            stage = instance_stage(prev, {"kind": kind, "operands": rec.operands, "witnesses": rec.fresh})
+            if stage is not prev:
                 for cid in sorted(connected):
                     if cid in prev.base and not prev.base[cid].is_empty():
                         try:

@@ -32,8 +32,7 @@ from .metric_graph import (
     GraphReader, dump_json, extract_sublattice, graph_to_dict,
 )
 from .surgery import (
-    GROUND, Stage, instance_sets, instance_stage, lift_through,
-    resolve_shortcut, verify_on_sublattice,
+    GROUND, Stage, instance_sets, instance_stage, lift_through, verify_on_sublattice,
 )
 
 DEFAULT_CELL_CAP = 64
@@ -243,38 +242,24 @@ def _scheduled_stage(tower: Tower, n: int, sch: tuple[int, int], kind: str, cand
     `sch`: item m of `candidates(base)`, the operand-name tuples of `kind`
     in order.  The operands are those names' sets in the stage n-1 base,
     which are their pullbacks from stage k because a base binds each name
-    once.  A surgery goes through `instance_stage`; every other stage keeps
-    the stage n-1 graph and base under the identity bonding: "noop" past the
-    candidates' end, "vacuous" or "shortcut" by `resolve_shortcut`, and
-    "identity" when `cover` (if given) finds witnesses on that graph."""
+    once.  The stage starts as the stage n-1 graph and base under the
+    identity bonding, "noop" past the candidates' end; the instance step
+    `instance_stage`, given `cover`, either joins the instance to it or
+    opens a surgery stage after it."""
     k, m = sch
     prev = tower.stages[n - 1]
     if k >= n:
         raise UsageError("schedule points past the current stage")
     picked = next(itertools.islice(candidates(tower.base(k)), m, None), None)
+    stage = Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
     if picked is None:
-        return Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base), "noop")
+        return stage
     instance = {
         "stage": n, "kind": kind, "schedule": [k, m],
         "operands": list(picked),
         "witnesses": [f"w{n}.x", f"w{n}.y", f"w{n}.z"],
     }
-    ops = [prev.base[nm] for nm in picked]
-    resolved = resolve_shortcut(kind, prev.graph, ops)
-    if resolved is None and cover is not None:
-        try:
-            found = cover(prev.graph, *ops)
-            resolved = None if found is None else ("existing-cover", found)
-        except ResourceLimitError:
-            pass
-    if resolved is None:
-        return instance_stage(prev, instance)
-    mode, witnesses = resolved
-    instance["mode"] = mode
-    stage = Stage(prev.graph, PLMap.identity(prev.graph), dict(prev.base),
-                  "identity" if mode == "existing-cover" else mode, instance)
-    stage.bind(instance["witnesses"], witnesses)
-    return stage
+    return instance_stage(stage, instance, cover)
 
 
 def zeta_candidates(base: dict[str, ClosedSet]):

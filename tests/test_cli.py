@@ -9,7 +9,7 @@ import pytest
 from crooked import cli, surgery
 from crooked.cli import main
 from crooked.folang import LIBRARY, Const, print_formula, theta
-from crooked.metric_graph import ClosedSet, MetricGraph, dump_graph, load_graph, unit_segment
+from crooked.metric_graph import ClosedSet, MetricGraph, PLMap, dump_graph, load_graph, unit_segment
 from crooked.render import render_svg
 from crooked.surgery import Stage, crooked_step, triangle_step, witness_fragment
 from crooked.tower import Tower, save_tower
@@ -789,17 +789,24 @@ def _spelled_otherwise(bonding):
     (_spelled_otherwise, []),
 ], ids=["identity-reversed", "identity-spelled-otherwise"])
 def test_tower_verify_reads_an_edited_identity_bonding_by_its_map(tmp_path, capsys, edit, red):
-    # stage 2 of the bundled segment's depth-4 tower keeps its graph under
-    # the identity bonding.  An edited bonding file is judged by the map it
-    # describes, not by whether it is written as the identity: the reversal
-    # is onto but pulls no set back, and the identity spelled otherwise
-    # verifies
+    # named sets that all contain 1/2 meet in every triple and quad, so no
+    # instance surgers and every stage keeps the edge seg under the identity
+    # bonding.  An edited bonding file is judged by the map it describes,
+    # not by whether it is written as the identity: the reversal is onto but
+    # pulls no set back, and the identity spelled otherwise verifies
+    g = unit_segment()
+    graph_path = tmp_path / "meeting.json"
+    graph_path.write_text(dump_graph(g, {
+        "l": ClosedSet(g, {"seg": [(F(0), F(1, 2))]}, set()),
+        "r": ClosedSet(g, {"seg": [(F(1, 2), F(1))]}, set()),
+        "m": ClosedSet(g, {"seg": [(F(1, 4), F(3, 4))]}, set()),
+    }))
     towerdir = tmp_path / "tower"
     assert main([
-        "tower-build", "--graph", str(INPUTS / "segment.json"), "--depth", "4",
+        "tower-build", "--graph", str(graph_path), "--depth", "4",
         "--catalog", "whole", "--out", str(towerdir),
     ]) == 0
-    assert json.loads((towerdir / "trace.json").read_text())["stages"][2]["kind"] == "identity"
+    assert json.loads((towerdir / "bonding2.json").read_text()) == PLMap.identity(g).to_dict()
     capsys.readouterr()
     _edit_json(towerdir / "bonding2.json", edit)
     assert main(["tower-verify", str(towerdir)]) == (1 if red else 0)

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from crooked.errors import (
-    DegeneracyError, InputError, InvariantViolationError, PreconditionError, UsageError,
+    DegeneracyError, EvaluationError, InputError, InvariantViolationError, PreconditionError, UsageError,
 )
 from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, psi, zeta
-from crooked import surgery
+from crooked import surgery, tower
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
     ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, extract_sublattice,
@@ -22,6 +22,7 @@ from crooked.surgery import (
     disjunctivity_point, eval_ground_geometric, lift_connected, normal_cocover, nudge_edge_length,
     stretch_map, triangle_step, verify_on_sublattice, witness_fragment,
 )
+from test_tower import STAIRCASE_QUAD, UNCHANGED_MODES, staircase_base
 
 
 def seg():
@@ -767,6 +768,84 @@ def test_instance_stage_pulls_back_each_operand_once(monkeypatch, kind):
     assert [sum(t is s for t in calls) for s in ops] == [1] * len(ops)
 
 
+def test_both_drivers_take_every_path_through_the_one_step(monkeypatch):
+    # every instance of either driver goes through `instance_stage`, which
+    # returns the stage it is given for an instance that needs no surgery
+    # and a new stage for a surgery, each mode with the stage kind that
+    # UNCHANGED_MODES names.  The tower's instances are listed by name, one
+    # per path, so no candidate order is assumed; a fragment has no cover
+    # probe and no noop
+    seen = []
+    real = surgery.instance_stage
+
+    def recording(stage, instance, *rest):
+        out = real(stage, instance, *rest)
+        assert (out is stage) == (instance["mode"] != "surgery")
+        seen.append((instance["mode"], out.kind))
+        return out
+
+    monkeypatch.setattr(surgery, "instance_stage", recording)
+    monkeypatch.setattr(tower, "instance_stage", recording)
+    g = seg()
+    base = {**staircase_base(g), "e": g.empty_set(),
+            "mid": ClosedSet(g, {"seg": [(F(3, 8), F(5, 8))]}, set())}
+    steps = [
+        ("theta", [("p", "p", "p", "p")], None),
+        ("zeta", [("mid", "p", "q")], tower.search_dim_cover),
+        ("zeta", [("e", "p", "q")], tower.search_dim_cover),
+        ("theta", [STAIRCASE_QUAD], None),
+        ("theta", [], None),
+    ]
+    t = tower.Tower([surgery.Stage(g, None, base, "base")], {})
+    for n, (kind, listed, cover) in enumerate(steps, 1):
+        t.stages.append(tower._scheduled_stage(t, n, (0, 0), kind, lambda b, c=listed: iter(c), cover))
+    joins = {(mode, kind) for kind, mode in UNCHANGED_MODES.items() if mode is not None}
+    assert set(seen) == joins | {("surgery", "crooked")} and len(seen) == 4
+    assert [st.kind for st in t.stages] == ["base", "vacuous", "identity", "shortcut", "crooked", "noop"]
+    seen.clear()
+    assert witness_fragment(*surgery_rich_fragment()).ok
+    assert set(seen) == joins - {("existing-cover", "identity")} | {
+        ("surgery", "triangle"), ("surgery", "crooked")}
+
+
+def test_witness_fragment_builds_a_stage_per_surgery_only(monkeypatch):
+    # an instance that needs no surgery joins the current stage, so the
+    # fragment builds its base stage and one stage per surgery, no more
+    frag, g, interp0 = surgery_rich_fragment()
+    built = []
+    init = surgery.Stage.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.kind)
+
+    monkeypatch.setattr(surgery.Stage, "__init__", counting)
+    result = witness_fragment(frag, g, interp0)
+    surgeries = [t["action"] for t in result.trace if t["action"] != "nudge"]
+    assert built == ["base", *surgeries]
+    assert len(surgeries) >= 4
+    assert sum(rec.kind in ("zeta", "theta") for rec in frag) > len(surgeries)
+
+
+def test_an_emptied_shortcut_turns_the_tower_red_too(monkeypatch, shortcut_tower):
+    # the tower resolves its shortcuts through `surgery.resolve_shortcut`,
+    # as the fragment does, so emptying their witnesses turns every instance
+    # line of a tower of shortcuts red, and no other line
+    resolve = surgery.resolve_shortcut
+
+    def emptied(kind, graph, ops):
+        resolved = resolve(kind, graph, ops)
+        return None if resolved is None else (resolved[0], (graph.empty_set(),) * 3)
+
+    monkeypatch.setattr(surgery, "resolve_shortcut", emptied)
+    t = shortcut_tower(4)
+    assert [st.instance["mode"] for st in t.stages[1:]] == ["shortcut"] * 4
+    report = tower.verify_tower(t)
+    red = [label for label, ok in report if not ok]
+    assert red == [label for label, _ in report if " schedule=" in label]
+    assert len(red) == 7
+
+
 def test_witness_fragment_triangle_trace():
     g = y_graph()
     interp0 = {
@@ -849,6 +928,19 @@ def test_witness_fragment_vacuous_and_shortcut():
     assert result.trace == []  # shortcut, no surgery
     assert result.interpretation["x0"].is_empty()
     assert result.interpretation["y0"] == g.whole_set()
+
+
+def test_witness_fragment_rejects_an_instance_on_an_unbound_constant():
+    # the fragment's order check holds for instances too: an operand that no
+    # earlier line bound is an evaluation error, not a lookup failure
+    g = seg()
+    rec = SentenceRecord(
+        4, None, 0, "zeta",
+        zeta(Const("A"), Const("B"), Const("C"), Const("x0"), Const("y0"), Const("z0")),
+        operands=("A", "B", "C"), fresh=("x0", "y0", "z0"),
+    )
+    with pytest.raises(EvaluationError, match="'C' is not interpreted"):
+        witness_fragment([rec], g, {"A": g.empty_set(), "B": g.whole_set()})
 
 
 def hat_conn_fragment():

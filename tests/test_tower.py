@@ -561,8 +561,9 @@ def test_tower_directory_round_trips_sharing_graphs_and_sets(make, tmp_path, mon
     assert set(read) == {(g, spec) for g, specs in distinct.items() for spec in specs}
 
 
-def test_a_loaded_tower_shares_sets_across_stages_that_keep_a_graph(tmp_path):
-    tower = deep_tower(8)
+def test_a_loaded_tower_shares_sets_across_stages_that_keep_a_graph(tmp_path, shortcut_tower):
+    tower = shortcut_tower(8)
+    assert [st.kind for st in tower.stages[1:]] == ["shortcut"] * 8
     assert all(tower.graph(n) is tower.graph(0) for n in range(9))
     save_tower(tower, str(tmp_path / "t"))
     loaded = load_tower(str(tmp_path / "t"))
@@ -576,12 +577,13 @@ def test_a_loaded_tower_shares_sets_across_stages_that_keep_a_graph(tmp_path):
     assert verify_tower(loaded) == verify_tower(tower)
 
 
-def test_a_loaded_tower_shares_the_identity_and_verify_indexes_nothing(tmp_path, fibre_builds):
-    # every stage of deep_tower keeps its graph; loaded, each bonds by the
-    # graph's one identity, so verify builds no pullback index, and the
-    # threads it lifts are the sets `lift_through` finds through the same
-    # entries on the general path
-    tower = deep_tower(8)
+def test_a_loaded_tower_shares_the_identity_and_verify_indexes_nothing(tmp_path, fibre_builds,
+                                                                      shortcut_tower):
+    # every stage of the shortcut tower keeps its graph; loaded, each bonds
+    # by the graph's one identity, so verify builds no pullback index, and
+    # the threads it lifts are the sets `lift_through` finds through the
+    # same entries on the general path
+    tower = shortcut_tower(8)
     save_tower(tower, str(tmp_path / "t"))
     loaded = load_tower(str(tmp_path / "t"))
     g = loaded.graph(0)
@@ -602,9 +604,10 @@ UNCHANGED_MODES = {"noop": None, "vacuous": "vacuous", "shortcut": "shortcut", "
 
 
 def test_stages_without_surgery_keep_graph_and_base():
-    # a stage that runs no surgery is built by the scheduler: the previous
-    # graph under its one identity bonding, every previous name bound to the
-    # same object, and the instance mode that matches its kind
+    # a stage that runs no surgery is the scheduler's fresh stage, which
+    # the instance step joins or leaves noop: the previous graph under its
+    # one identity bonding, every previous name bound to the same object,
+    # and the instance mode that matches its kind
     g, sets = load_graph(str(Path(__file__).resolve().parents[1] / "inputs" / "segment.json"))
     two = seg()
     towers = [
