@@ -112,8 +112,10 @@ def verify_on_sublattice(
     """Independent check of a sentence on the cell footprints of the sets it
     mentions.  A call costs one `extract_sublattice` over those sets: the
     edges they cut plus the sets' partial intervals, with each set's edge
-    split computed only on the first check that names it.  `cap` is
-    accepted but not read, because perfbench passes it."""
+    split computed only on the first check that names it.  Its callers are
+    `instance_stage`'s check of a surgery, perfbench's fragment verify and
+    the tests; `verify_tower` shares one arrangement per graph instead.
+    `cap` is accepted but not read, because perfbench passes it."""
     named = {cid: sets[cid] for cid in constants_of(f)}
     return extract_sublattice(graph, named, cap=cap).decide(f)
 

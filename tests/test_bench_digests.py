@@ -52,6 +52,19 @@ def test_sampled_outputs_match_recorded_digests(name, tmp_path):
     assert not mismatched
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLE_SIZES))
+def test_first_sampled_operation_passes_its_checks(name, tmp_path):
+    # the whole operation perfbench/run.py times and checks (build, io,
+    # verify and, for towers, threads) on the first sampled key: a change
+    # that would fail it there as incorrect output fails the test suite first
+    workload = WORKLOADS[name]
+    key = _sample(name)[0]
+    inp = workload.prepare(LIB, workload.prepare_shared(LIB), key)
+    out = workload.run(LIB, inp, str(tmp_path), lambda _: nullcontext())
+    assert out.problems == []
+    assert out.digest == RECORDED[name][key]
+
+
 def test_fragment_sample_reloads_to_the_built_sets(tmp_path):
     # the digests pin the bytes written; this pins what loading them reads
     workload = WORKLOADS["fragment-surgery"]

@@ -4,24 +4,31 @@ import itertools
 import json
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crooked.tower as tower_module
+from crooked import metric_graph, surgery
 from crooked.cli import main
 from crooked.errors import PreconditionError
-from crooked.folang import Const, psi, zeta
+from crooked.folang import LIBRARY, Const, psi, zeta
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLMap, load_graph, unit_segment,
+    ClosedSet, Edge, MetricGraph, PLMap, extract_sublattice, load_graph, unit_segment,
 )
-from crooked.surgery import Stage, crooked_step, lift_through, verify_on_sublattice, witness_fragment
+from crooked.surgery import (
+    GROUND, Stage, crooked_step, instance_sets, lift_through, verify_on_sublattice, witness_fragment,
+)
 from crooked.tower import (
     Tower, build_tower, crooked_step_stage, dim_step,
     load_tower, save_tower, schedule_s, schedule_t, search_dim_cover, search_her_indec_cover, triple_enum,
     theta_candidates, verify_tower, weak_confluence_witness, zeta_candidates,
 )
+from test_bench_targets import _load
 
 
 def seg():
@@ -927,12 +934,39 @@ def test_control_tower_is_green(steered4):
     assert _red_lines(steered4, steered4) == []
 
 
+def _rebound(tower, n, name, to):
+    """A copy of `tower` whose stage n binds `name` to the set of `to`."""
+    stages = list(tower.stages)
+    stages[n] = dataclasses.replace(stages[n], base={**stages[n].base, name: stages[n].base[to]})
+    return Tower(stages, tower.catalog)
+
+
+def _shrunk_thread(tower):
+    """A copy of `tower` whose stage-2 `left` loses half its first interval."""
+    lifts = list(tower.catalog["left"])
+    s = lifts[2]
+    eid = min(s.intervals)
+    (lo, hi), *rest = s.intervals[eid]
+    lifts[2] = ClosedSet(s.graph, {**s.intervals, eid: [(lo, (lo + hi) / 2), *rest]}, s.vertices)
+    assert lifts[2].is_subset_of(s) and lifts[2] != s
+    return Tower(tower.stages, {**tower.catalog, "left": lifts})
+
+
+def _disconnected_thread(tower):
+    """Copies of `tower` cataloguing k = [0, 3/8]: clean, its weak-confluence
+    thread; bad, its full preimages, which have exact images but split into
+    components."""
+    k = ClosedSet(tower.graph(0), {"seg": [(F(0), F(3, 8))]}, set())
+    preimages = [k]
+    for stage in tower.stages[1:]:
+        preimages.append(stage.bonding.preimage_of(preimages[-1]))
+    assert [len(s.graph.components_of(s)) for s in preimages] == [1, 2, 2, 5, 5]
+    clean = Tower(tower.stages, {**tower.catalog, "k": weak_confluence_witness(tower, k).sets})
+    return Tower(tower.stages, {**tower.catalog, "k": preimages}), clean
+
+
 def test_verify_tower_flags_a_rebound_witness(steered4):
-    stages = list(steered4.stages)
-    base = dict(stages[1].base)
-    base["w1.x"] = base["w1.z"]
-    stages[1] = dataclasses.replace(stages[1], base=base)
-    bad = Tower(stages, steered4.catalog)
+    bad = _rebound(steered4, 1, "w1.x", "w1.z")
     m = list(theta_candidates(steered4.base(0))).index(STAIRCASE_QUAD)
     # stage 2 binds the pullback of the original w1.x, not of w1.z
     assert _red_lines(bad, steered4) == [
@@ -940,41 +974,113 @@ def test_verify_tower_flags_a_rebound_witness(steered4):
     ]
 
 
+def test_verify_tower_flags_a_rebound_witness_on_one_graph(shortcut_tower):
+    # every stage shares graph 0 and so one arrangement; stage 3's line at
+    # stage 3 must still read the set stage 3 binds to w3.z, not the one
+    # stage 6 binds under the same name, which keeps its line at stage 6 green
+    clean = shortcut_tower(6)
+    bad = _rebound(clean, 3, "w3.z", "p")
+    assert _red_lines(bad, clean) == [
+        "stage 3 theta schedule=[0, 1] at stage 3", "stage 4 base pulls back stage 3",
+    ]
+
+
 def test_verify_tower_flags_a_shrunk_thread_set(steered4):
-    lifts = list(steered4.catalog["left"])
-    s = lifts[2]
-    eid = min(s.intervals)
-    (lo, hi), *rest = s.intervals[eid]
-    lifts[2] = ClosedSet(s.graph, {**s.intervals, eid: [(lo, (lo + hi) / 2), *rest]}, s.vertices)
-    assert lifts[2].is_subset_of(s) and lifts[2] != s
-    bad = Tower(steered4.stages, {**steered4.catalog, "left": lifts})
-    assert _red_lines(bad, steered4) == ["thread left exact images"]
+    assert _red_lines(_shrunk_thread(steered4), steered4) == ["thread left exact images"]
 
 
 def test_verify_tower_flags_a_disconnected_thread(steered4, tmp_path, capsys):
-    # the full preimages of k = [0, 3/8] have exact images but split into
-    # components; a thread must be connected
-    k = ClosedSet(steered4.graph(0), {"seg": [(F(0), F(3, 8))]}, set())
-    preimages = [k]
-    for stage in steered4.stages[1:]:
-        preimages.append(stage.bonding.preimage_of(preimages[-1]))
-    assert [len(s.graph.components_of(s)) for s in preimages] == [1, 2, 2, 5, 5]
-    clean = Tower(steered4.stages, {**steered4.catalog, "k": weak_confluence_witness(steered4, k).sets})
-    bad = Tower(steered4.stages, {**steered4.catalog, "k": preimages})
+    bad, clean = _disconnected_thread(steered4)
     assert _red_lines(bad, clean) == ["thread k exact images"]
     save_tower(bad, str(tmp_path / "t"))
     assert main(["tower-verify", str(tmp_path / "t")]) == 1
     assert "FAIL: thread k exact images" in capsys.readouterr().out
 
 
-def test_verify_tower_flags_a_disconnected_base():
+def disconnected_base_tower():
     g = MetricGraph(
         ["a", "b", "c", "d"], [Edge("ab", "a", "b", F(1)), Edge("cd", "c", "d", F(1))]
     )
     left = ClosedSet(g, {"ab": [(F(0), F(1))]}, set())
     right = ClosedSet(g, {"cd": [(F(0), F(1))]}, set())
-    tower = Tower([Stage(g, None, {"left": left, "right": right}, "base")], {"left": [left]})
-    assert verify_tower(tower) == [
+    return Tower([Stage(g, None, {"left": left, "right": right}, "base")], {"left": [left]})
+
+
+def test_verify_tower_flags_a_disconnected_base():
+    assert verify_tower(disconnected_base_tower()) == [
         ("thread left exact images", True),
         ("CONN(1) on the stage-0 base sublattice", False),
     ]
+
+
+# ------------------------------------------- one arrangement per stage graph
+# `verify_tower` decides its instance lines and CONN(1) on one arrangement
+# per stage graph.  The path it replaced, one extraction per line over that
+# line's own sets, stays here as the oracle.
+
+BENCH = _load("workloads").WORKLOADS
+LIB = SimpleNamespace(metric_graph=metric_graph, tower=tower_module)
+
+
+def bench_tower(name, key, directory):
+    """The tower a tower benchmark verifies for `key`: built, saved to
+    `directory` and loaded back."""
+    workload = BENCH[name]
+    workload.produce(LIB, workload.prepare(LIB, None, key), str(directory), lambda _: nullcontext())
+    return load_tower(str(directory))
+
+
+def _per_line(tower):
+    """The instance lines and CONN(1), each decided on its own extraction."""
+    N = tower.depth
+    lines = []
+    for n, st in enumerate(tower.stages):
+        if (inst := st.instance) is not None:
+            for at in sorted({n, N}):
+                sets = instance_sets(inst, tower.base(at))
+                ok = sets is not None and verify_on_sublattice(GROUND[inst["kind"]], sets, tower.graph(at))
+                lines.append((f"stage {n} {inst['kind']} schedule={inst['schedule']} at stage {at}", ok))
+    conn = extract_sublattice(tower.graph(N), tower.base(N)).decide(LIBRARY["CONN1"])
+    return lines + [(f"CONN(1) on the stage-{N} base sublattice", conn)]
+
+
+TOWERS = {
+    "shortcut-8": lambda s4, shortcut, tmp: shortcut(8),
+    "shortcut-6-rebound": lambda s4, shortcut, tmp: _rebound(shortcut(6), 3, "w3.z", "p"),
+    "steered4": lambda s4, shortcut, tmp: s4,
+    "steered4-rebound": lambda s4, shortcut, tmp: _rebound(s4, 1, "w1.x", "w1.z"),
+    "steered4-shrunk-thread": lambda s4, shortcut, tmp: _shrunk_thread(s4),
+    "steered4-disconnected-thread": lambda s4, shortcut, tmp: _disconnected_thread(s4)[0],
+    "tower-crooked": lambda s4, shortcut, tmp: bench_tower(
+        "tower-crooked", BENCH["tower-crooked"].pool()[0], tmp),
+    "tower-deep": lambda s4, shortcut, tmp: bench_tower("tower-deep", BENCH["tower-deep"].pool()[0], tmp),
+    "disconnected-base": lambda s4, shortcut, tmp: disconnected_base_tower(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_shared_arrangements_decide_as_one_extraction_per_line(name, steered4, shortcut_tower, tmp_path):
+    tower = TOWERS[name](steered4, shortcut_tower, tmp_path)
+    decided = [line for line in verify_tower(tower) if " at stage " in line[0] or line[0].startswith("CONN")]
+    assert decided == _per_line(tower)
+
+
+# tower-deep's count is not pinned: it is 1 only while its default
+# schedule runs no surgery
+@pytest.mark.parametrize("name, count", [("shortcut-8", 1), ("steered4", 2), ("tower-deep", None)])
+def test_verify_tower_extracts_once_per_stage_graph(name, count, steered4, shortcut_tower, tmp_path,
+                                                    monkeypatch):
+    tower = TOWERS[name](steered4, shortcut_tower, tmp_path)
+    calls = []
+    extract = metric_graph.extract_sublattice
+    for module in (tower_module, surgery):   # `verify_on_sublattice` calls it through surgery
+        monkeypatch.setattr(module, "extract_sublattice",
+                            lambda graph, *args, **kw: calls.append(graph) or extract(graph, *args, **kw))
+    verify_tower(tower)
+    # one extraction per distinct graph a line reads: steered4's stages 1-2
+    # and 3-4 share a graph each, and stage 0, which has no instance, is read
+    # by no line
+    N = tower.depth
+    read = {tower.graph(at) for n, st in enumerate(tower.stages) if st.instance for at in (n, N)}
+    assert sorted(map(id, calls)) == sorted(map(id, read | {tower.graph(N)}))
+    assert count is None or len(calls) == count
