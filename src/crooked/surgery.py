@@ -2,13 +2,15 @@
 instance step that both drivers take for every instance.
 
 The dimension step inserts a circle fiber at every isolated point whose
-normalized distance triple sits at the barycenter, reinterprets the three
-witnesses by the radial-projection rule, and bonds monotonically back.  The
-crookedness step threads the space through a five-segment staircase over a
-separating function and keeps the unique component that still covers the
-base.  Both return the new space, the bonding map and the witness sets; the
-instance step re-checks each surgery independently of the construction
-bookkeeping, on the cell footprints of the pulled-back operands and witnesses.
+normalized distance triple sits at the barycenter and bonds monotonically
+back; its witnesses are the pullbacks of the kappa min-regions, less the new
+fibers, plus one arc of each fiber.  The crookedness step threads the space
+through a five-segment staircase over a separating function, keeps the
+unique component that still covers the base, and cuts its witnesses from
+pullbacks to one level.  Both return the new space, the bonding map and the
+witness sets; the instance step re-checks each surgery independently of the
+construction bookkeeping, on the cell footprints of the pulled-back operands
+and witnesses.
 Sentences are decided there as bitmasks (meet and join are `&` and `|`,
 conn(t) by Birkhoff duality), so no sublattice is closed and no element cap
 applies, not even for a fragment's hat-mode lines.
@@ -25,6 +27,7 @@ lifted by `weak_confluence_witness`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
@@ -235,17 +238,10 @@ def triangle_step(
 ) -> TriangleStep:
     """Make the dimension witnesses exist: each isolated barycenter point of
     the distance triple is blown up into a circle fiber, and x, y, z are the
-    minimal-coordinate regions together with their fiber arcs.  The bonding
-    is checked onto; the schema is checked only by `instance_stage`."""
-    for name, s in (("a", a), ("b", b), ("c", c)):
-        if s.graph is not graph:
-            raise UsageError(f"set {name} is not on the input graph")
-        if s.is_empty():
-            raise PreconditionError(
-                f"set {name} is empty; the caller must use the constant-witness shortcut"
-            )
-    if not ((a & b) & c).is_empty():
-        raise PreconditionError("triangle step requires an empty triple intersection")
+    pullbacks of the minimal-coordinate regions, less the new fibers, each
+    with its arc of every fiber.  `kappa_map` checks the premises (a, b, c
+    nonempty with an empty triple meet, all on `graph`).  The bonding is
+    checked onto; the schema is checked only by `instance_stage`."""
     km = kappa_map(graph, a, b, c)
     locus = _isolated_points(km.barycenter_locus, "barycenter locus")
     regions = km.min_regions
@@ -259,9 +255,7 @@ def triangle_step(
         cuts: dict[str, list[Frac]] = {}
         for p in locus:
             if p[0] == "e":
-                cuts.setdefault(p[1], []).append(p[2])
-        for eid in cuts:
-            cuts[eid].sort()
+                cuts.setdefault(p[1], []).append(p[2])  # ascending, as in the locus
         # fiber numbers skip any already present from earlier surgeries
         used_fibers = {
             int(m.group(1))
@@ -269,15 +263,9 @@ def triangle_step(
             for m in [re.match(r"fib(\d+)\.", name)]
             if m
         }
-        fiber_ids: list[int] = []
-        candidate = 0
-        while len(fiber_ids) < len(locus):
-            if candidate not in used_fibers:
-                fiber_ids.append(candidate)
-            candidate += 1
-        fiber_of_point: dict[Point, int] = {
-            p: fiber_ids[i] for i, p in enumerate(locus)
-        }
+        fiber_of_point: dict[Point, int] = dict(
+            zip(locus, (i for i in itertools.count() if i not in used_fibers))
+        )
         new_vertices: list[str] = [v for v in graph.vertices if v not in locus_vertices]
         new_edges: list[Edge] = []
         vertex_map: dict[str, Point] = {v: ("v", v) for v in new_vertices}
@@ -292,35 +280,25 @@ def triangle_step(
                 vertex_map[v] = p
             for e in edges:
                 edge_map[e.eid] = ("const", p)
+        # the new fibers, known by what this call built and not by name:
+        # fibers of earlier surgeries carry the same prefix
+        fiber_vertices = {v for v, p in vertex_map.items() if p in fiber_of_point}
+        fiber_edges = set(edge_map)
 
-        def attachment(p: Point, eid: str, t: Frac, direction: int) -> str:
-            tag = _branch_attachment(km, eid, t, direction)
-            return f"fib{fiber_of_point[p]}.{tag}"
+        def end_name(eid: str, t: Frac, direction: int) -> str:
+            """A segment's end at `t` on `eid`: its vertex, or at a locus
+            point the fiber vertex the branch leaving in `direction` meets."""
+            p = graph.point(eid, t)
+            if p not in fiber_of_point:
+                return p[1]
+            return f"fib{fiber_of_point[p]}.{_branch_attachment(km, eid, t, direction)}"
 
-        segments: dict[str, list[tuple]] = {}
         for eid, e in sorted(graph.edges.items()):
             marks = [Frac(0)] + cuts.get(eid, []) + [e.length]
-            segs = []
             for k, (lo, hi) in enumerate(zip(marks, marks[1:])):
                 seg_id = eid if len(marks) == 2 else f"{eid}.{k}"
-                if lo == 0:
-                    if e.u in locus_vertices:
-                        u_name = attachment(("v", e.u), eid, Frac(0), +1)
-                    else:
-                        u_name = e.u
-                else:
-                    u_name = attachment(("e", eid, lo), eid, lo, +1)
-                if hi == e.length:
-                    if e.v in locus_vertices:
-                        v_name = attachment(("v", e.v), eid, e.length, -1)
-                    else:
-                        v_name = e.v
-                else:
-                    v_name = attachment(("e", eid, hi), eid, hi, -1)
-                new_edges.append(Edge(seg_id, u_name, v_name, hi - lo))
+                new_edges.append(Edge(seg_id, end_name(eid, lo, +1), end_name(eid, hi, -1), hi - lo))
                 edge_map[seg_id] = ("affine", eid, lo, hi)
-                segs.append((seg_id, lo, hi))
-            segments[eid] = segs
         out = MetricGraph(new_vertices, new_edges, dict(graph.meta))
         out.meta["fibers"] = [
             {"center": point_token(p), "edges": sorted(sum(arcs.values(), []))}
@@ -328,30 +306,17 @@ def triangle_step(
         ]
         bonding = PLMap(out, graph, vertex_map, edge_map)
 
-        def transport_without_fibers(s: ClosedSet) -> ClosedSet:
-            intervals: dict[str, list] = {}
-            verts = {v for v in s.vertices if v not in locus_vertices}
-            for eid, items in s.intervals.items():
-                for seg_id, lo, hi in segments[eid]:
-                    for slo, shi in items:
-                        plo, phi = max(slo, lo), min(shi, hi)
-                        if plo > phi:
-                            continue
-                        if plo == phi and plo in cuts.get(eid, ()):
-                            continue  # the removed barycenter point itself
-                        intervals.setdefault(seg_id, []).append((plo - lo, phi - lo))
-            return ClosedSet(out, intervals, verts)
-
+        # the normal form keeps an attachment vertex where a pulled-back
+        # interval reaches a segment's end
         witnesses = {}
-        for wname, widx in (("x", 0), ("y", 1), ("z", 2)):
-            w = transport_without_fibers(regions[widx])
-            arc_letter = ARC_LETTERS[widx]
-            intervals = dict()
-            for arcs in arc_edges:
-                for arc_eid in arcs[arc_letter]:
-                    intervals[arc_eid] = [(Frac(0), Frac(1, 6))]
-            w = w | ClosedSet(out, intervals, frozenset())
-            witnesses[wname] = w
+        for wname, region, letter in zip("xyz", regions, ARC_LETTERS):
+            pre = bonding.preimage_of(region)
+            witnesses[wname] = ClosedSet(
+                out,
+                {eid: items for eid, items in pre.intervals.items() if eid not in fiber_edges},
+                pre.vertices - fiber_vertices,
+                whole=[eid for arcs in arc_edges for eid in arcs[letter]],
+            )
 
     if not bonding.is_surjective():
         raise InvariantViolationError("triangle bonding is not onto")
@@ -467,13 +432,9 @@ def crooked_step(
     the unique component that still projects onto the whole input.  The
     staircase levels, the two level sets and the witness bands are all cut
     from sublevel and superlevel sets of that function, each of the eight it
-    needs (at 1/3, 2/3, 3/8 and 5/8) taken once.  The schema is checked only
-    by `instance_stage`."""
-    for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if s.graph is not graph:
-            raise UsageError(f"set {name} is not on the input graph")
-    if not (a & b).is_empty() or not (a & d).is_empty() or not (b & c).is_empty():
-        raise PreconditionError("crooked step requires a#b, a#d, b#c disjoint")
+    needs (at 1/3, 2/3, 3/8 and 5/8) taken once.  `urysohn` checks a#b, a#d,
+    b#c and the graph; an empty endpoint, which it answers with a constant,
+    is checked here.  The schema is checked only by `instance_stage`."""
     if a.is_empty() or b.is_empty():
         raise PreconditionError("empty endpoint set; the caller must use the shortcut")
     f = urysohn(graph, a, b, pin_low=c, pin_high=d)

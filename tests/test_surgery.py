@@ -13,7 +13,7 @@ from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, 
 from crooked import surgery, tower
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, extract_sublattice,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, extract_sublattice, kappa_map,
     unit_segment,
 )
 from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
@@ -168,9 +168,9 @@ def test_triangle_two_fibers_on_barbell():
     assert verify_on_sublattice(zeta_ground(), sets, step.output_graph)
 
 
-def test_triangle_fiber_ids_skip_existing():
-    # a graph that already carries fiber-style names (from an earlier step)
-    # must get fresh fiber indices, not duplicates
+def fib0_instance():
+    """A Y graph that already carries a fiber-style edge name, `fib0.A0`, as
+    an earlier step would leave, with its three tips as operands."""
     g = MetricGraph(
         ["c", "ta", "tb", "tc", "u", "w"],
         [
@@ -181,10 +181,13 @@ def test_triangle_fiber_ids_skip_existing():
             Edge("x1", "u", "w", F(1)),
         ],
     )
-    a = g.point_closed_set([("v", "ta")])
-    b = g.point_closed_set([("v", "tb")])
-    c = g.point_closed_set([("v", "tc")])
-    step = triangle_step(g, a, b, c)
+    return (g, *(g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")))
+
+
+def test_triangle_fiber_ids_skip_existing():
+    # a graph that already carries fiber-style names (from an earlier step)
+    # must get fresh fiber indices, not duplicates
+    step = triangle_step(*fib0_instance())
     assert step.locus == [("v", "c")]
     out = step.output_graph
     assert "fib0.A0" in out.edges  # the pre-existing edge is untouched
@@ -196,6 +199,127 @@ def test_triangle_requires_nonempty_inputs():
     g = seg()
     with pytest.raises(PreconditionError):
         triangle_step(g, g.empty_set(), g.whole_set(), g.whole_set())
+
+
+@pytest.mark.parametrize("case", ["a empty", "b empty", "c empty", "triple meet"])
+def test_triangle_premises_raise(case):
+    g = y_graph()
+    ops = [g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")]
+    if case == "triple meet":
+        ops = [s | g.point_closed_set([("v", "c")]) for s in ops]
+    else:
+        ops["abc".index(case[0])] = g.empty_set()
+    with pytest.raises(PreconditionError):
+        triangle_step(g, *ops)
+
+
+def triangle_transport_oracle(step, regions):
+    """The triangle witnesses as the step once built them by hand: each
+    kappa min-region cut into the segments the bonding's `affine` entries
+    name, less the locus (an isolated point at a cut is the removed
+    barycenter point), joined with the witness's arc of every new fiber,
+    the bonding's `const` edges."""
+    out, bonding = step.output_graph, step.bonding
+    segments = {}
+    for seg_id, entry in sorted(bonding.edge_map.items()):
+        if entry[0] == "affine":
+            _, eid, lo, hi = entry
+            segments.setdefault(eid, []).append((seg_id, lo, hi))
+    locus_vertices = {p[1] for p in step.locus if p[0] == "v"}
+    cuts = {p[1:] for p in step.locus if p[0] == "e"}
+    fibers = [eid for eid, entry in bonding.edge_map.items() if entry[0] == "const"]
+    witnesses = {}
+    for name, region, letter in zip("xyz", regions, "ABC"):
+        intervals = {}
+        for eid, items in region.intervals.items():
+            for seg_id, lo, hi in segments[eid]:
+                for slo, shi in items:
+                    plo, phi = max(slo, lo), min(shi, hi)
+                    if plo > phi or (plo == phi and (eid, plo) in cuts):
+                        continue
+                    intervals.setdefault(seg_id, []).append((plo - lo, phi - lo))
+        arcs = {eid: [(F(0), F(1, 6))] for eid in fibers if eid.rsplit(".", 1)[1][0] == letter}
+        witnesses[name] = ClosedSet(out, intervals, region.vertices - locus_vertices) | ClosedSet(
+            out, arcs, ())
+    return witnesses
+
+
+@pytest.fixture
+def caught_triangles(monkeypatch):
+    """Every triangle step that completes while the test runs, with its
+    operands, however the library reaches it."""
+    caught, real = [], surgery.triangle_step
+
+    def catching(graph, a, b, c):
+        step = real(graph, a, b, c)
+        caught.append((graph, a, b, c, step))
+        return step
+
+    monkeypatch.setattr(surgery, "triangle_step", catching)
+    return caught
+
+
+def random_triangle_batch(seed=0x7A1, count=240):
+    """Dimension instances on small graphs, each operand one or two points
+    or short intervals at eighths of an edge, triple meet empty."""
+    import random
+
+    cycle = MetricGraph(
+        ["A", "B", "C"],
+        [Edge("ab", "A", "B", F(1)), Edge("bc", "B", "C", F(1)), Edge("ca", "C", "A", F(1))],
+    )
+    theta = MetricGraph(
+        ["p", "q"], [Edge("e1", "p", "q", F(1)), Edge("e2", "p", "q", F(3, 2)), Edge("e3", "p", "q", F(2))]
+    )
+    graphs = [seg(), y_graph(), cycle, theta]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = rng.choice(graphs)
+
+        def piece():
+            eid = rng.choice(sorted(g.edges))
+            L = g.edges[eid].length
+            k = rng.randrange(9)
+            if rng.random() < 0.2:
+                return g.point_closed_set([("v", rng.choice(sorted(g.vertices)))])
+            if rng.random() < 0.6:
+                return g.point_closed_set([g.normalize_point(("e", eid, L * k / 8))])
+            lo = L * min(k, 7) / 8
+            return ClosedSet(g, {eid: [(lo, lo + L / 8)]}, ())
+
+        ops = [piece() if rng.random() < 0.5 else piece() | piece() for _ in range(3)]
+        if ((ops[0] & ops[1]) & ops[2]).is_empty():
+            out.append((g, *ops))
+    return out
+
+
+@pytest.mark.parametrize("source", ["acceptance", "fib0", "fragment", "random"])
+def test_triangle_witnesses_match_the_transport_oracle(caught_triangles, source):
+    from test_acceptance import triangle_instances
+
+    if source == "fragment":
+        assert witness_fragment(*surgery_rich_fragment()).ok
+        assert len(caught_triangles) == 2
+    else:
+        instances = {
+            "acceptance": triangle_instances, "fib0": lambda: [fib0_instance()],
+            "random": random_triangle_batch,
+        }[source]()
+        for g, a, b, c in instances:
+            try:
+                surgery.surgery_with_nudges("zeta", g, [a, b, c])
+            except DegeneracyError:
+                pass  # still degenerate after the last nudge
+    # fibers over vertices ("v") and over edge interiors ("e") are compared
+    kinds = {p[0] for *_, step in caught_triangles for p in step.locus}
+    assert kinds == {"fib0": {"v"}, "fragment": {"e"}}.get(source, {"v", "e"})
+    for g, a, b, c, step in caught_triangles:
+        expected = triangle_transport_oracle(step, kappa_map(g, a, b, c).min_regions)
+        for name in "xyz":
+            got, want = step.witnesses[name], expected[name]
+            assert (got.vertices, got.intervals, got.whole) == (
+                want.vertices, want.intervals, want.whole), (source, name)
 
 
 def test_triangle_degenerate_locus_reports_edge():
@@ -473,6 +597,40 @@ def test_crooked_phi_precondition():
     g, a, b, c, d = crooked_identity_instance()
     with pytest.raises(PreconditionError):
         crooked_step(g, a, b, d, c)  # swapped pins violate a # d
+
+
+@pytest.mark.parametrize("case", ["a meets b", "a meets d", "b meets c", "a empty", "b empty"])
+def test_crooked_premises_raise(case):
+    # each case breaks one premise only
+    g, a, b, c, d = crooked_identity_instance()
+    half, none = g.point_closed_set([("e", "seg", F(1, 2))]), g.empty_set()
+    ops = {
+        "a meets b": (a | half, b | half, none, none),
+        "a meets d": (a, b, none, a),
+        "b meets c": (a, b, b, none),
+        "a empty": (none, b, c, d),
+        "b empty": (a, none, c, d),
+    }[case]
+    with pytest.raises(PreconditionError):
+        crooked_step(g, *ops)
+
+
+@pytest.mark.parametrize("moved", ["all", "first"])
+@pytest.mark.parametrize("kind", ["zeta", "theta"])
+def test_surgeries_reject_operands_on_another_graph(kind, moved):
+    # nonempty, premise-satisfying operands, all of them or only the first
+    # one on an equal copy of the input graph
+    if kind == "zeta":
+        g, step = y_graph(), triangle_step
+        ops = [g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")]
+    else:
+        (g, *ops), step = crooked_identity_instance(), crooked_step
+    other = MetricGraph(g.vertices, g.edges.values())
+    moved_ops = [ClosedSet(other, s.intervals, s.vertices) for s in ops]
+    if moved == "first":
+        moved_ops = moved_ops[:1] + ops[1:]
+    with pytest.raises(UsageError):
+        step(g, *moved_ops)
 
 
 # ------------------------------------------------------------- lifts
