@@ -522,7 +522,8 @@ def _bp_clamp(bp: Sequence[tuple], lo: Frac, hi: Frac) -> tuple:
 
 class PLFunction:
     """A continuous PL function on a metric graph, one breakpoint list per
-    edge over its arc-length parameter; continuity compares the end values
+    edge over its arc-length parameter, kept as given (the library's
+    constructors pass simplified lists); continuity compares the end values
     at each vertex by `!=`.  Its regions are its sublevel and superlevel
     sets; a caller intersects them for a level set or a band, so a half-set
     that two regions share is computed once."""
@@ -540,7 +541,7 @@ class PLFunction:
                 raise InputError(f"breakpoints must span edge {eid!r}")
             if any(x1 <= x0 for (x0, _), (x1, _) in zip(bp, bp[1:])):
                 raise InputError(f"breakpoints not increasing on edge {eid!r}")
-            pe[eid] = _bp_simplify(bp)
+            pe[eid] = tuple(bp)
         self.per_edge = pe
         for vid in graph.vertices:
             ends = [self._end_value(eid, end) for eid, end in graph.adjacency[vid]]

@@ -402,13 +402,13 @@ class _Copy:
                 marks = [lo] + sorted(
                     t for t in cut_params.get(eid, ()) if lo < t < hi
                 ) + [hi]
+                points = [graph.point(eid, t) for t in marks]
+                names = [self._vertex_name(p) for p in points]
+                for name, point in zip(names, points):
+                    self.vertices.setdefault(name, point)
                 for k, (p, q) in enumerate(zip(marks, marks[1:])):
-                    u = self._vertex_name(graph.normalize_point(("e", eid, p)))
-                    v = self._vertex_name(graph.normalize_point(("e", eid, q)))
-                    self.vertices.setdefault(u, graph.normalize_point(("e", eid, p)))
-                    self.vertices.setdefault(v, graph.normalize_point(("e", eid, q)))
                     seg_id = f"{self.prefix}|{eid}:{k}:{frac_str(p)}"
-                    self.edges.append((seg_id, u, v, q - p, eid, p, q))
+                    self.edges.append((seg_id, names[k], names[k + 1], q - p, eid, p, q))
 
     def _vertex_name(self, p: Point) -> str:
         return f"{self.prefix}|{point_token(p)}"
@@ -526,18 +526,12 @@ def _attach_staircase_layout(out, base, vertex_map) -> None:
     for eid in sorted(base.edges):
         offsets[eid] = run
         run += base.edges[eid].length
-    vpos: dict[str, Frac] = {}
-    for i, v in enumerate(sorted(base.vertices)):
-        vpos[v] = run + i  # vertices after all edge spans; only used if isolated
 
     def lin(p: Point) -> Frac:
         if p[0] == "e":
             return offsets[p[1]] + p[2]
-        v = p[1]
-        for eid, end in base.adjacency[v]:
-            e = base.edges[eid]
-            return offsets[eid] + (Frac(0) if end == 0 else e.length)
-        return vpos[v]
+        eid, end = base.adjacency[p[1]][0]  # a copied base vertex has an edge
+        return offsets[eid] + (Frac(0) if end == 0 else base.edges[eid].length)
 
     t_of_prefix = {"t14": Frac(1, 4), "t12": Frac(1, 2), "t34": Frac(3, 4)}
     pos = {}
@@ -625,7 +619,8 @@ _SHORTCUTS = {
 }
 
 
-def _premise_holds(kind: str, ops: list[ClosedSet]) -> bool:
+def premise_holds(kind: str, ops: list[ClosedSet]) -> bool:
+    """Whether the premise of `GROUND[kind]` holds of the operand sets."""
     if kind == "zeta":
         a, b, c = ops
         return ((a & b) & c).is_empty()
@@ -638,7 +633,7 @@ def resolve_shortcut(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
     instance that needs no surgery, as `(mode, (x, y, z))`: all empty when
     the premise fails ("vacuous"), whole and empty sets when an operand is
     empty ("shortcut").  None when the instance needs surgery."""
-    if not _premise_holds(kind, ops):
+    if not premise_holds(kind, ops):
         return "vacuous", (graph.empty_set(),) * 3
     for i, pattern in _SHORTCUTS[kind]:
         if ops[i].is_empty():
@@ -652,18 +647,18 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
     """Run the instance's surgery (a triangle step for "zeta", a crooked step
     for "theta"), retrying after minimal edge-length nudges.
 
-    Each nudge is a genuine reparametrization: the operands are transported
-    through `stretch_map`, and the maps compose into `renorm` (nudged space
-    -> `graph`), so a bonding chain stays exact.  Nudge targets rotate so
-    symmetric configurations get broken even when the degenerate edge itself
-    is not the culprit.  Returns the step, its bonding onto `graph` (the
-    step's own bonding followed by `renorm`), and the nudged edge ids."""
+    Each nudge is a genuine reparametrization: the operands are pulled back
+    through `renorm`, one stretch from the nudged space onto `graph`, so a
+    bonding chain stays exact.  Nudge targets rotate so symmetric
+    configurations get broken even when the degenerate edge itself is not
+    the culprit.  Returns the step, its bonding onto `graph` (the step's own
+    bonding followed by `renorm`), and the nudged edge ids."""
     candidates = None
     nudged: list[str] = []
-    renorm: PLMap | None = None
+    space, space_ops, renorm = graph, ops, None
     while True:
         try:
-            step = (triangle_step if kind == "zeta" else crooked_step)(graph, *ops)
+            step = (triangle_step if kind == "zeta" else crooked_step)(space, *space_ops)
             bonding = step.bonding if renorm is None else step.bonding.then(renorm)
             return step, bonding, nudged
         except DegeneracyError as exc:
@@ -674,11 +669,9 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
                     eid for eid in graph.edges if eid != exc.edge_id
                 )
             target = candidates[len(nudged) % len(candidates)]
-            lengthened = nudge_edge_length(graph, target)
-            stretch = stretch_map(lengthened, graph)
-            ops = [stretch.preimage_of(s) for s in ops]
-            renorm = stretch if renorm is None else stretch.then(renorm)
-            graph = lengthened
+            space = nudge_edge_length(space, target)
+            renorm = stretch_map(space, graph)
+            space_ops = [renorm.preimage_of(s) for s in ops]
             nudged.append(target)
 
 
@@ -854,7 +847,7 @@ def witness_fragment(
         elif kind in ("disj0", "disj1"):
             big, small = (need(cid) for cid in rec.operands)
             stage.bind(rec.fresh, [disjunctivity_point(stage.graph, big, small)])
-        elif kind in ("zeta", "theta"):
+        elif kind in GROUND:
             for cid in rec.operands:
                 need(cid)
             prev = stage

@@ -31,7 +31,7 @@ from .metric_graph import (
     ClosedSet, MetricGraph, PLMap, arrangement_cells, cells_closed_set, _cell_in_set,
     GraphReader, dump_json, extract_sublattice, graph_to_dict,
 )
-from .surgery import GROUND, Stage, instance_sets, instance_stage, lift_through
+from .surgery import GROUND, Stage, instance_sets, instance_stage, lift_through, premise_holds
 
 DEFAULT_CELL_CAP = 64
 
@@ -46,28 +46,22 @@ def triple_enum(n: int) -> tuple[int, int, int]:
     if n < 0:
         raise UsageError("schedule index must be nonnegative")
     s = 0
-    count = 0
-    while True:
-        width = (s + 1) * (s + 2) // 2  # number of triples with this sum
-        if n < count + width:
-            offset = n - count
-            for p in range(s + 1):
-                for q in range(s - p + 1):
-                    if offset == 0:
-                        return (p, q, s - p - q)
-                    offset -= 1
-        count += width
+    while n >= (s + 1) * (s + 2) // 2:  # the triples with sum s
+        n -= (s + 1) * (s + 2) // 2
         s += 1
+    p = 0
+    while n > s - p:  # the s - p + 1 triples (p, q, s - p - q)
+        n -= s - p + 1
+        p += 1
+    return (p, n, s - p - n)
 
 
 def schedule_s(n: int) -> tuple[int, int]:
-    p, q, _ = triple_enum(n)
-    return (p, q) if n >= max(p, q) else (0, 0)
+    return triple_enum(n)[:2]
 
 
 def schedule_t(n: int) -> tuple[int, int]:
-    _, q, r = triple_enum(n)
-    return (q, r) if n >= max(q, r) else (0, 0)
+    return triple_enum(n)[1:]
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +177,7 @@ def search_dim_cover(graph, a, b, c, cap: int = DEFAULT_CELL_CAP):
     """Exhaustive cell-labeling search for dimension witnesses, the
     conclusion of `GROUND["zeta"]`: a <= x, b <= y, c <= z, empty triple
     intersection, covering the space."""
-    if not ((a & b) & c).is_empty():
+    if not premise_holds("zeta", [a, b, c]):
         raise PreconditionError("dimension search needs an empty triple intersection")
     return _search_cover(graph, "zeta", {"a": a, "b": b, "c": c}, cap)
 
@@ -192,7 +186,7 @@ def search_her_indec_cover(graph, a, b, c, d, cap: int = DEFAULT_CELL_CAP):
     """Exhaustive cell-labeling search for the three-set crookedness cover,
     the conclusion of `GROUND["theta"]`, so a found cover witnesses the
     ground sentence directly."""
-    if not (a & b).is_empty() or not (a & d).is_empty() or not (b & c).is_empty():
+    if not premise_holds("theta", [a, b, c, d]):
         raise PreconditionError("crookedness search hypotheses violated")
     return _search_cover(graph, "theta", {"a": a, "b": b, "c": c, "d": d}, cap)
 
@@ -266,7 +260,7 @@ def zeta_candidates(base: dict[str, ClosedSet]):
     sets meet emptily.  Lazy, so taking item m meets only the triples up to
     it."""
     return (t for t in itertools.combinations(sorted(base), 3)
-            if (base[t[0]] & base[t[1]] & base[t[2]]).is_empty())
+            if premise_holds("zeta", [base[name] for name in t]))
 
 
 def theta_candidates(base: dict[str, ClosedSet]):
@@ -506,7 +500,7 @@ def load_tower(directory: str) -> Tower:
             # TypeError, which the except clause turns into InputError
             if inst is not None and not (
                 type(inst["stage"]) is int and inst["stage"] == n
-                and inst["kind"] in ("zeta", "theta")
+                and inst["kind"] in GROUND
                 and isinstance(inst["schedule"], list)
                 and [type(k) for k in inst["schedule"]] == [int, int]
                 and _is_strings(inst["operands"]) and _is_strings(inst["witnesses"])

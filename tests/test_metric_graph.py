@@ -563,6 +563,27 @@ def test_urysohn_is_the_clamped_affine_difference(case):
         assert f.per_edge[eid] == bp_clamp_by_eval(chain, F(0), F(1))
 
 
+@settings(max_examples=120, deadline=None)
+@given(urysohn_inputs(), distance_targets(), st.integers(-8, 8))
+def test_library_functions_pass_simplified_lists(case, target_case, value):
+    # `PLFunction` keeps the lists it is given, so every constructor of the
+    # library must pass lists with no collinear interior breakpoint
+    graph, (zero, one, low, high) = case
+    made = [PLFunction.constant(graph, F(value, 4))]
+    if (zero & one).is_empty() and (zero & high).is_empty() and (one & low).is_empty():
+        made.append(urysohn(graph, zero, one, low, high))
+    other, target = target_case
+    if not target.is_empty():
+        d = distance_to_set(other, target)
+        made += [d, d - PLFunction.constant(other, F(value, 4)), d - d]
+        for s in (zero | low, one | high):
+            if not s.is_empty():
+                made.append(distance_to_set(graph, s) - made[0])
+    for f in made:
+        for eid, bp in f.per_edge.items():
+            assert bp == _bp_simplify(list(bp)), eid
+
+
 # ------------------------------------------------------------- PL maps
 
 def test_plmap_identity_and_composition(theta):
@@ -1036,6 +1057,37 @@ def test_level_set_matches_point_evaluation(data):
                 # PL, so flat iff level at both ends and every breakpoint between
                 assert f.eval(("e", eid, lo)) == f.eval(("e", eid, hi)) == level
                 assert all(y == level for x, y in f.per_edge[eid] if lo < x < hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_collinear_breakpoints_read_as_the_simplified_list(data):
+    # a function given extra collinear breakpoints keeps them, and has the
+    # regions, values and extrema of the one given the simplified lists
+    drawn = data.draw(pl_functions())
+    simple = PLFunction(_HYP_GRAPH, {eid: _bp_simplify(list(bp)) for eid, bp in drawn.per_edge.items()})
+    padded = {}
+    for eid, bp in simple.per_edge.items():
+        ticks = data.draw(st.sets(st.integers(1, 15), max_size=4))
+        xs = sorted({x for x, _ in bp} | {_HYP_GRAPH.edges[eid].length * F(k, 16) for k in ticks})
+        padded[eid] = [(x, _bp_eval(bp, x)) for x in xs]
+    f = PLFunction(_HYP_GRAPH, padded)
+    assert {eid: list(bp) for eid, bp in f.per_edge.items()} == padded
+    levels = {y for bp in padded.values() for _, y in bp} | {F(data.draw(st.integers(-9, 9)), 4)}
+    for level in sorted(levels):
+        for got, want in ((f.sublevel_set(level), simple.sublevel_set(level)),
+                          (f.superlevel_set(level), simple.superlevel_set(level))):
+            assert (got.vertices, got.intervals, got.whole) == (want.vertices, want.intervals, want.whole)
+    probes = [("v", v) for v in _HYP_GRAPH.vertices]
+    for eid, bp in padded.items():
+        probes += [("e", eid, x) for x, _ in bp]
+        probes += [("e", eid, (x0 + x1) / 2) for (x0, _), (x1, _) in zip(bp, bp[1:])]
+    for p in probes:
+        assert f.eval(p) == simple.eval(p), p
+    for _ in range(3):
+        s = data.draw(closed_sets(max_pieces=3))
+        if not s.is_empty():
+            assert f.extrema_over(s) == simple.extrema_over(s)
 
 
 # ------------------------------------------------------------- pullbacks

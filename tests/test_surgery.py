@@ -13,8 +13,8 @@ from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, 
 from crooked import surgery, tower
 from crooked.lattice import generate_sublattice
 from crooked.metric_graph import (
-    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, extract_sublattice, kappa_map,
-    unit_segment,
+    ClosedSet, Edge, MetricGraph, PLFunction, PLMap, dump_graph, dump_json, extract_sublattice,
+    kappa_map, unit_segment,
 )
 from crooked.sigma import SentenceRecord, SigmaGenerator, fragment
 from crooked.surgery import (
@@ -441,7 +441,7 @@ def test_crooked_bonding_is_the_projection_restricted(monkeypatch):
 
 
 def test_then_maps_as_image_point_on_a_nudge_chain():
-    # the chain `surgery_with_nudges` composes for the nudged fragment: two
+    # the nudged fragment's chain as `nudge_chain_reference` composes it: two
     # stretches, then a triangle step whose fibre circles map by `const`
     _, g, interp0 = nudged_triangle_fragment()
     g1 = nudge_edge_length(g, "tail")
@@ -1214,11 +1214,84 @@ def test_witness_fragment_nudges_degenerate_instance(closure_calls):
     assert [(t["action"], t.get("edge")) for t in result.trace] == [
         ("nudge", "tail"), ("nudge", "k1"), ("triangle", None),
     ]
-    # sets are transported along each nudge's stretch, so a set covering the
-    # space still covers it after an edge is lengthened
+    # sets are pulled back through the stretch onto the input graph, so a set
+    # covering the space still covers it after edges are lengthened
     assert result.interpretation["W"] == result.graph.whole_set()
     # the connected constant is lifted through the nudges and the triangle
     # as one piece
     lifted = result.interpretation["K"]
     assert not lifted.is_empty()
     assert len(result.graph.components_of(lifted)) == 1
+
+
+# sha256 of the model and trace bytes `witness_fragment` writes for
+# `nudged_triangle_fragment()`; no benchmark workload nudges, so the
+# recorded digests cannot see this path
+NUDGED_FRAGMENT_SHA256 = "d0e53b0f5f7bcaa1c4ac4baec124a1811ec80127ce7822fcf0f2a986c75400eb"
+
+
+def test_the_nudged_fragment_writes_its_pinned_bytes():
+    result = witness_fragment(*nudged_triangle_fragment())
+    text = dump_graph(result.graph, result.interpretation) + dump_json(result.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == NUDGED_FRAGMENT_SHA256
+
+
+def nudge_chain_reference(graph, ops, targets):
+    """The nudged space, operands and `renorm` as a chain of stretches: each
+    nudge lengthens the last graph, stretches it onto the last graph, moves
+    the operands through that one stretch and composes it into `renorm`."""
+    renorm = None
+    for target in targets:
+        lengthened = nudge_edge_length(graph, target)
+        stretch = stretch_map(lengthened, graph)
+        ops = [stretch.preimage_of(s) for s in ops]
+        renorm = stretch if renorm is None else stretch.then(renorm)
+        graph = lengthened
+    return graph, ops, renorm
+
+
+def nudged_instance(case):
+    """(kind, graph, operands, forced degeneracies, expected nudges)."""
+    if case == "fragment":
+        _, g, interp0 = nudged_triangle_fragment()
+        return "zeta", g, [interp0[n] for n in "ABC"], 0, ["tail", "k1"]
+    if case == "acceptance":
+        from test_acceptance import triangle_instances
+        g, *ops = triangle_instances()[4]
+        return "zeta", g, ops, 0, ["s4", "s1"]
+    # a staircase over the Y graph, made to nudge three times from "lb":
+    # the targets rotate through the sorted others
+    g = y_graph()
+    ops = [g.point_closed_set([("v", "ta")]), g.point_closed_set([("v", "tb")]),
+           ClosedSet(g, {"lc": [(F(0), F(1))]}, set()), g.point_closed_set([("v", "tc")])]
+    return "theta", g, ops, 3, ["lb", "la", "lc"]
+
+
+@pytest.mark.parametrize("case", ["fragment", "acceptance", "crooked"])
+def test_one_stretch_per_nudge_matches_the_stretch_chain(monkeypatch, case):
+    kind, graph, ops, forced, expected = nudged_instance(case)
+    name = "triangle_step" if kind == "zeta" else "crooked_step"
+    real = getattr(surgery, name)
+    calls, stretches = [], []
+
+    def step(space, *space_ops):
+        calls.append((space, space_ops))
+        if len(calls) <= forced:
+            raise DegeneracyError("forced", "lb")
+        return real(space, *space_ops)
+
+    def stretch(nudged, original):
+        stretches.append(stretch_map(nudged, original))
+        return stretches[-1]
+
+    monkeypatch.setattr(surgery, name, step)
+    monkeypatch.setattr(surgery, "stretch_map", stretch)
+    _, bonding, nudged = surgery.surgery_with_nudges(kind, graph, ops)
+    assert nudged == expected
+    space, space_ops = calls[-1]
+    ref_graph, ref_ops, ref_renorm = nudge_chain_reference(graph, ops, nudged)
+    assert (space.vertices, space.edges) == (ref_graph.vertices, ref_graph.edges)
+    assert stretches[-1].codomain is graph
+    assert stretches[-1].to_dict() == ref_renorm.to_dict()
+    assert [s.to_dict() for s in space_ops] == [s.to_dict() for s in ref_ops]
+    assert bonding.to_dict() == real(ref_graph, *ref_ops).bonding.then(ref_renorm).to_dict()

@@ -66,6 +66,34 @@ def test_schedule_s_basics():
         assert n >= max(p, q)
 
 
+def triple_enum_by_cells(n):
+    """The diagonal enumeration counted the long way: whole diagonals, then
+    the offset down the last one cell by cell, as the schedule once did."""
+    s = count = 0
+    while True:
+        width = (s + 1) * (s + 2) // 2
+        if n < count + width:
+            offset = n - count
+            for p in range(s + 1):
+                for q in range(s - p + 1):
+                    if offset == 0:
+                        return (p, q, s - p - q)
+                    offset -= 1
+        count += width
+        s += 1
+
+
+def test_triple_enum_matches_the_cell_by_cell_count():
+    # the closed form subtracts whole diagonals and then whole rows; the
+    # schedules take its coordinates without a guard, which the reference
+    # keeps: n is at least every coordinate of the n-th triple
+    for n in range(20_000):
+        p, q, r = triple_enum_by_cells(n)
+        assert triple_enum(n) == (p, q, r), n
+        assert schedule_s(n) == ((p, q) if n >= max(p, q) else (0, 0)), n
+        assert schedule_t(n) == ((q, r) if n >= max(q, r) else (0, 0)), n
+
+
 def test_schedule_s_onto_window():
     hits = set()
     for n in range(10_000):
