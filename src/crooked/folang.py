@@ -397,7 +397,7 @@ class _Parser:
                 return One()
             raise ParseError(f"unexpected number {value!r}", pos)
         if kind == "ident":
-            if value in ("forall", "exists", "v"):
+            if value in _KEYWORDS:
                 raise ParseError(f"keyword {value!r} cannot start a term", pos)
             if value == "k" and self.toks.peek()[:2] == ("sym", "("):
                 return Const(self._registry_constant(pos))
@@ -437,9 +437,6 @@ class EvalResult:
     # false outermost universal block, each variable mapped to its set; None
     # otherwise.
     assignment: dict[str, frozenset] | None
-
-    def __bool__(self) -> bool:
-        return self.value
 
 
 def _const_index(L: FiniteLattice, consts: Mapping[str, frozenset], cid: str) -> int:
@@ -518,25 +515,6 @@ def _holds(f: Formula, m: _Model, env: dict) -> bool:
     raise UsageError(f"not a formula: {f!r}")
 
 
-def _assignments(names: tuple[str, ...], size: int, env: dict[str, int]):
-    # element indices iterate in index order: first witness is deterministic
-    idx = [0] * len(names)
-    while True:
-        e = dict(env)
-        for nm, i in zip(names, idx):
-            e[nm] = i
-        yield e
-        k = len(idx) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < size:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-
-
 def eval_formula(
     f: Formula, L: FiniteLattice, consts: Mapping[str, frozenset] | None = None
 ) -> EvalResult:
@@ -612,9 +590,10 @@ def _brute(f: Formula, L: FiniteLattice, consts, env) -> bool:
         b = _brute(f.right, L, consts, env)
         return (not a) or b
     if isinstance(f, (ForAll, Exists)):
-        results = []
-        for env2 in _assignments(f.vars, L.size, env):
-            results.append(_brute(f.body, L, consts, env2))
+        results = [
+            _brute(f.body, L, consts, {**env, **dict(zip(f.vars, idx))})
+            for idx in itertools.product(range(L.size), repeat=len(f.vars))
+        ]
         return min(results, default=True) if isinstance(f, ForAll) else max(results, default=False)
     raise UsageError(f"not a formula: {f!r}")
 
@@ -622,8 +601,10 @@ def _brute(f: Formula, L: FiniteLattice, consts, env) -> bool:
 def eval_bruteforce(
     f: Formula, L: FiniteLattice, consts: Mapping[str, frozenset] | None = None
 ) -> bool:
-    """Full enumeration with no pruning or short-circuiting; every quantifier
-    body is evaluated for every assignment."""
+    """The independent oracle for `eval_formula`: quantifiers range over
+    element indices in index order, and both sides of every connective and
+    every quantifier body are evaluated for every assignment, with no
+    pruning or short-circuiting."""
     if f.symbols.free:
         raise EvaluationError(f"formula has free variables: {sorted(f.symbols.free)}")
     return _brute(f, L, consts or {}, {})
@@ -643,14 +624,16 @@ def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
     return t
 
 
-def _subst(f: Formula, bindings: dict[str, Term]) -> Formula:
+def substitute(f: Formula, bindings: dict[str, Term]) -> Formula:
+    """Replace each free variable named in `bindings` by its term; variable
+    capture is rejected rather than repaired."""
     cls = type(f)
     if cls is Eq or cls is Neq:
         return cls(_subst_term(f.left, bindings), _subst_term(f.right, bindings))
     if cls is And or cls is Or or cls is Implies:
-        return cls(_subst(f.left, bindings), _subst(f.right, bindings))
+        return cls(substitute(f.left, bindings), substitute(f.right, bindings))
     if cls is Not:
-        return Not(_subst(f.sub, bindings))
+        return Not(substitute(f.sub, bindings))
     if cls is ForAll or cls is Exists:
         inner = {k: v for k, v in bindings.items() if k not in f.vars}
         for name, term in inner.items():
@@ -660,18 +643,8 @@ def _subst(f: Formula, bindings: dict[str, Term]) -> Formula:
                     f"substituting {name!r} would capture {sorted(captured)}; "
                     "rename the bound variables first"
                 )
-        return cls(f.vars, _subst(f.body, inner))
+        return cls(f.vars, substitute(f.body, inner))
     raise UsageError(f"not a formula: {f!r}")
-
-
-def substitute(f: Formula, bindings: dict[str, Term]) -> Formula:
-    """Strip the outer quantifier blocks covered by `bindings` and substitute.
-
-    Variable capture is rejected rather than repaired."""
-    g = f
-    while isinstance(g, (ForAll, Exists)) and set(g.vars) <= set(bindings):
-        g = g.body
-    return _subst(g, bindings)
 
 
 # --------------------------------------------------------------------------

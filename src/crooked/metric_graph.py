@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import groupby
+from itertools import count, groupby
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -640,20 +640,13 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
         raise PreconditionError("distance to the empty set is undefined")
     dist: dict[str, Frac] = {}
     heap: list[tuple] = []
-    counter = 0
-
-    def push(v: str, d: Frac) -> None:
-        nonlocal counter
-        if v not in dist or d < dist[v]:
-            counter += 1
-            heapq.heappush(heap, (d, counter, v))
-
+    counter = count()  # breaks ties between equal distances
     for v in target.vertices:
-        push(v, Frac(0))
+        heapq.heappush(heap, (Frac(0), next(counter), v))
     for eid, items in target.intervals.items():
         e = graph.edges[eid]
-        push(e.u, items[0][0])
-        push(e.v, e.length - items[-1][1])
+        heapq.heappush(heap, (items[0][0], next(counter), e.u))
+        heapq.heappush(heap, (e.length - items[-1][1], next(counter), e.v))
     while heap:
         d, _, v = heapq.heappop(heap)
         if v in dist:
@@ -663,7 +656,7 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
             e = graph.edges[eid]
             w = e.v if end == 0 else e.u
             if w not in dist:
-                push(w, d + e.length)
+                heapq.heappush(heap, (d + e.length, next(counter), w))
     missing = set(graph.vertices) - set(dist)
     if missing:
         raise PreconditionError(
@@ -1021,12 +1014,8 @@ class PLMap:
                 continue
             _, t2, r0, r1 = inner
             L = g.domain.edges[target].length
-            u0 = r0 + (r1 - r0) * s0 / L
-            u1 = r0 + (r1 - r0) * s1 / L
-            if u0 == u1:
-                emap[eid] = ("const", g.codomain.point(t2, u0))
-            else:
-                emap[eid] = ("affine", t2, u0, u1)
+            # s0 != s1 and r0 != r1 (PLMap.__init__): never constant
+            emap[eid] = ("affine", t2, r0 + (r1 - r0) * s0 / L, r0 + (r1 - r0) * s1 / L)
         return PLMap(self.domain, g.codomain, vmap, emap)
 
     def is_surjective(self) -> bool:
@@ -1188,9 +1177,9 @@ def _footprint(split: tuple, layout: dict) -> int:
         points = len(marks) - 2
         for lo, hi in items:
             i, k = bisect_left(marks, lo), bisect_left(marks, hi)
+            # normal form keeps an end inside the edge: 1 <= first <= last
             first, last = max(i, 1), min(k, points)
-            if first <= last:
-                mask |= ((1 << (last - first + 1)) - 1) << (start + first - 1)
+            mask |= ((1 << (last - first + 1)) - 1) << (start + first - 1)
             if i < k:
                 mask |= ((1 << (k - i)) - 1) << (start + points + i)
     return mask

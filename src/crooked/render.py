@@ -10,7 +10,7 @@ runs.  Rendering is cosmetic only; nothing downstream consumes it.
 from __future__ import annotations
 
 from fractions import Fraction as Frac
-from math import gcd
+from math import lcm
 
 from .errors import InputError
 from .metric_graph import ClosedSet, MetricGraph, frac
@@ -97,25 +97,16 @@ def render_svg(graph: MetricGraph, closed_sets: dict[str, ClosedSet] | None = No
         shapes.append(("vertex", pos[v]))
 
     # scale every coordinate to an exact integer
-    denoms = {1}
-    for shape in shapes:
-        for part in shape[1:]:
-            if isinstance(part, tuple):
-                denoms.add(part[0].denominator)
-                denoms.add(part[1].denominator)
-    lcm = 1
-    for d in denoms:
-        lcm = lcm // gcd(lcm, d) * d
-    unit = max(1, 240 // max(
-        int(max((abs(c) for shape in shapes for part in shape[1:]
-                 if isinstance(part, tuple) for c in part), default=0) or 1), 1))
-    scale = lcm * unit
+    points = [part for shape in shapes for part in shape[1:] if isinstance(part, tuple)]
+    coords = [c for p in points for c in p]
+    unit = max(1, 240 // max(int(max(map(abs, coords), default=0) or 1), 1))
+    scale = lcm(*(c.denominator for c in coords)) * unit
 
     def pt(p):
         return (int(p[0] * scale), int(p[1] * scale))
 
-    xs = [pt(part)[0] for shape in shapes for part in shape[1:] if isinstance(part, tuple)]
-    ys = [pt(part)[1] for shape in shapes for part in shape[1:] if isinstance(part, tuple)]
+    xs = [pt(p)[0] for p in points]
+    ys = [pt(p)[1] for p in points]
     pad = max(scale // 10, 1)
     min_x, max_x = min(xs, default=0) - pad, max(xs, default=0) + pad
     min_y, max_y = min(ys, default=0) - pad, max(ys, default=0) + pad

@@ -533,15 +533,12 @@ def _attach_staircase_layout(out, base, vertex_map) -> None:
         eid, end = base.adjacency[p[1]][0]  # a copied base vertex has an edge
         return offsets[eid] + (Frac(0) if end == 0 else base.edges[eid].length)
 
+    # every staircase vertex is a copy's, so it has a level prefix
     t_of_prefix = {"t14": Frac(1, 4), "t12": Frac(1, 2), "t34": Frac(3, 4)}
-    pos = {}
-    for v in out.vertices:
-        prefix = v.split("|", 1)[0]
-        t = t_of_prefix.get(prefix)
-        if t is None:
-            continue
-        pos[v] = (frac_str(t), frac_str(lin(vertex_map[v])))
-    out.meta["pos"] = pos
+    out.meta["pos"] = {
+        v: (frac_str(t_of_prefix[v.split("|", 1)[0]]), frac_str(lin(vertex_map[v])))
+        for v in out.vertices
+    }
 
 
 # --------------------------------------------------------------------------
@@ -681,6 +678,9 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
 
 @dataclass
 class Stage:
+    """A stage of either driver.  `kind` and `instance` are its last
+    instance's: a stage that several instances join records only the last
+    one's, and the witnesses of every one stay in `base`."""
     graph: MetricGraph
     bonding: PLMap | None              # stage n -> stage n-1; None at stage 0
     base: dict[str, ClosedSet]
@@ -703,11 +703,13 @@ def instance_stage(stage: Stage, instance: dict, cover=None) -> Stage:
     surgery joins `stage`, which is returned: "vacuous" or "shortcut" by
     `resolve_shortcut`, else "existing-cover" (stage kind "identity") when
     `cover(graph, *operands)`, if given, finds witnesses there (a
-    `ResourceLimitError` means none).  Otherwise the surgery, with any
-    nudges folded into the bonding, opens a stage over `stage.base` pulled
-    back through that bonding: the only place a base crosses a bonding.
-    Either way the witnesses join the base under the names
-    `instance["witnesses"]`, and `instance["mode"]` records the path.
+    `ResourceLimitError` means none); its `kind` and `instance` replace the
+    stage's, so a stage that several instances join records only the last
+    one's.  Otherwise the surgery, with any nudges folded into the bonding,
+    opens a stage over `stage.base` pulled back through that bonding: the
+    only place a base crosses a bonding.  Either way the witnesses join the
+    base under the names `instance["witnesses"]`, and `instance["mode"]`
+    records the path.
 
     The one check of a surgery is the conclusion `GROUND[kind].right` on
     the new base's cell footprints (the premise held before the surgery, so
@@ -811,7 +813,7 @@ def witness_fragment(
         if s.graph is not graph0:
             raise UsageError(f"interpretation of {cid!r} is not on the base graph")
     stage = Stage(graph0, None, dict(interp0), "base")
-    connected: set[str] = set()
+    connected: set[str] = set()  # hat-conn constants, bound in every later base
     trace: list[dict] = []
     # the ground sentences processed so far and their constants, which each
     # surgery re-checks
@@ -854,7 +856,7 @@ def witness_fragment(
             stage = instance_stage(prev, {"kind": kind, "operands": rec.operands, "witnesses": rec.fresh})
             if stage is not prev:
                 for cid in sorted(connected):
-                    if cid in prev.base and not prev.base[cid].is_empty():
+                    if not prev.base[cid].is_empty():
                         try:
                             stage.base[cid] = lift_connected(stage, prev.base[cid], stage.base[cid])
                         except PreconditionError:

@@ -13,7 +13,8 @@ from crooked.metric_graph import ClosedSet, MetricGraph, PLMap, dump_graph, load
 from crooked.render import render_svg
 from crooked.surgery import Stage, crooked_step, triangle_step, witness_fragment
 from crooked.tower import Tower, save_tower
-from test_tower import three_cycle_hang
+from test_surgery import surgery_rich_fragment, y_graph
+from test_tower import steered_crooked_tower, three_cycle_hang
 
 
 @pytest.fixture
@@ -622,6 +623,44 @@ def test_tower_build_verify_thread(tower_graph, tmp_path, capsys):
     assert len(payload["stages"]) == 3
 
 
+def test_tower_thread_from_a_base_set(towerdir, tmp_path, capsys):
+    # `p` is in base(0) but not in the catalog, which holds only `whole`
+    thread_out = tmp_path / "thread.json"
+    assert main(["tower-thread", str(towerdir), "--set", "p", "--out", str(thread_out)]) == 0
+    payload = json.loads(thread_out.read_text())
+    assert payload["set"] == "p" and len(payload["stages"]) == 3
+    assert payload["stages"][0] == ClosedSet(unit_segment(), {"seg": [(F(0), F(1, 4))]}, set()).to_dict()
+    missing = tmp_path / "missing.json"
+    assert main(["tower-thread", str(towerdir), "--set", "nope", "--out", str(missing)]) == 2
+    assert "no catalog or base set named 'nope'" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_tower_build_unknown_catalog_member_exits_2(tower_graph, tmp_path, capsys):
+    towerdir = tmp_path / "tower"
+    assert main([
+        "tower-build", "--graph", tower_graph, "--depth", "2",
+        "--catalog", "whole,nope", "--out", str(towerdir),
+    ]) == 2
+    assert "catalog member 'nope' is not a named closed set" in capsys.readouterr().err
+    assert not towerdir.exists()
+
+
+def test_sigma_witness_graph_without_a_base_generator_exits_2(chain3, tmp_path, capsys):
+    g = unit_segment()
+    graph = tmp_path / "graph.json"
+    graph.write_text(dump_graph(g, {"g0": g.point_closed_set([("v", "a")])}))
+    fragment = tmp_path / "fragment.txt"
+    fragment.write_text("")
+    out = tmp_path / "out"
+    assert main([
+        "sigma-witness", "--base", chain3, "--fragment", str(fragment),
+        "--graph", str(graph), "--out", str(out),
+    ]) == 2
+    assert "graph file must interpret base generator 'g1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tower_build_negative_depth_exits_2(tower_graph, tmp_path, capsys):
     towerdir = tmp_path / "tower"
     assert main([
@@ -1015,6 +1054,51 @@ def test_render_skips_a_fibre_hint_a_later_surgery_renamed():
     assert step.output_graph.meta["fibers"] and "fib0.A0" not in step.output_graph.edges
     svg = render_svg(step.output_graph)
     assert svg.startswith("<svg") and 'fill="none"' not in svg
+
+
+def test_render_draws_no_overlay_on_a_fibre_edge():
+    # a fibre is drawn as one circle, so a set's arcs of it are not drawn
+    g = y_graph()
+    step = triangle_step(g, *(g.point_closed_set([("v", v)]) for v in ("ta", "tb", "tc")))
+    out = step.output_graph
+    fibre = set(out.meta["fibers"][0]["edges"])
+    assert all(fibre & s.intervals.keys() for s in step.witnesses.values())
+    clear = {
+        role: ClosedSet(out, {eid: items for eid, items in s.intervals.items() if eid not in fibre}, s.vertices)
+        for role, s in step.witnesses.items()
+    }
+    assert render_svg(out, step.witnesses) == render_svg(out, clear)
+
+
+# sha256 of `render_svg` of the surgery-rich fragment model with its whole
+# interpretation, and of each stage of the depth-6 steered segment tower
+# with its base
+RENDER_PINS = {
+    "fragment": "009515e2cbe74d242552de08b8bc9c52d3579c466151686cf33574a83eb37a76",
+    "tower": [
+        "3bff970df0a52be0ee25e6996d53c248a7597cf638bfcc53e28194b334f82881",
+        "536ea0d1f7d9c3fd7354ed1f49822cf73618d88d0b5539a67a32c61b7cf246c8",
+        "482ab1197ea118f071bc58a820d0422831f0b5597e61d17cfb8d7747c680433d",
+        "dd63cd3fe1a26f879b5c93580c1c81ae6ee5ded991128bef1c47bad8a7626a18",
+        "a443d86e39b435b6e5fb6b9f70be49407822c9f66e5816f37dd6f6386c3a8444",
+        "5be3e055ba696427e669d41115f68e59a95c43316c3db1ecd23f40239abe7c34",
+        "b9d7365784aec905f818356994e1488fc51649153f375258c2fe0726a19dc07d",
+    ],
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_render_writes_its_pinned_bytes():
+    result = witness_fragment(*surgery_rich_fragment())
+    assert result.graph.meta["fibers"] and result.graph.meta["pos"]
+    assert _sha256(render_svg(result.graph, result.interpretation)) == RENDER_PINS["fragment"]
+    tower = steered_crooked_tower(6)
+    assert {stage.kind for stage in tower.stages} >= {"crooked", "triangle"}
+    renders = [_sha256(render_svg(tower.graph(n), tower.base(n))) for n in range(tower.depth + 1)]
+    assert renders == RENDER_PINS["tower"]
 
 
 @pytest.mark.parametrize("meta", [

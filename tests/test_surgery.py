@@ -195,6 +195,39 @@ def test_triangle_fiber_ids_skip_existing():
     assert check_monotone(step)
 
 
+def non_monotone_step(flaw: str) -> TriangleStep:
+    """A bonding onto the unit segment with one flaw that `check_monotone`
+    must refuse, each caught by a different test of a fiber."""
+    g = seg()
+    if flaw == "fold":
+        # out and back: two points over every regular point
+        out = MetricGraph(["p", "m", "q"], [Edge("out", "p", "m", F(1)), Edge("back", "m", "q", F(1))])
+        bonding = PLMap(
+            out, g, {"p": ("v", "a"), "m": ("v", "b"), "q": ("v", "a")},
+            {"out": ("affine", "seg", 0, 1), "back": ("affine", "seg", 1, 0)},
+        )
+        return TriangleStep(out, bonding, {}, [])
+    if flaw == "point-over-locus":
+        # a claimed blown-up point whose fiber is still one point
+        return TriangleStep(g, PLMap.identity(g), {}, [("e", "seg", F(1, 2))])
+    # a whistle: an edge crushed onto the regular midpoint
+    mid = ("e", "seg", F(1, 2))
+    out = MetricGraph(
+        ["a", "m", "b", "t"],
+        [Edge("l", "a", "m", F(1, 2)), Edge("r", "m", "b", F(1, 2)), Edge("h", "m", "t", F(1))],
+    )
+    bonding = PLMap(
+        out, g, {"a": ("v", "a"), "m": mid, "b": ("v", "b"), "t": mid},
+        {"l": ("affine", "seg", 0, F(1, 2)), "r": ("affine", "seg", F(1, 2), 1), "h": ("const", mid)},
+    )
+    return TriangleStep(out, bonding, {}, [])
+
+
+@pytest.mark.parametrize("flaw", ["fold", "point-over-locus", "const-over-regular"])
+def test_check_monotone_refuses_a_bad_fiber(flaw):
+    assert check_monotone(non_monotone_step(flaw)) is False
+
+
 def test_triangle_requires_nonempty_inputs():
     g = seg()
     with pytest.raises(PreconditionError):

@@ -193,6 +193,31 @@ def test_search_dim_cover_on_the_three_cycle_returns(deadline):
     assert verify_on_sublattice(ground, sets, g)
 
 
+def theta_graph_without_a_cover():
+    """The theta graph, N and S joined by three paths N-m_i-S of unit edges
+    a_i and b_i, and a crookedness instance on it with no cover: every
+    labeling dead-ends, so the search must return None, and without its
+    memo of dead ends it backtracks for minutes."""
+    g = MetricGraph(
+        ["N", "S", "m1", "m2", "m3"],
+        [edge for i in "123" for edge in (Edge(f"a{i}", "N", f"m{i}", F(1)), Edge(f"b{i}", f"m{i}", "S", F(1)))],
+    )
+    return g, [
+        g.point_closed_set([("e", eid, t) for eid, t in points])
+        for points in (
+            [("b1", F(3, 8)), ("b3", F(1, 2))],
+            [("a1", F(1, 2)), ("b3", F(3, 8))],
+            [("a3", F(1, 4)), ("b2", F(1, 8))],
+            [("a2", F(7, 8)), ("b1", F(1, 8))],
+        )
+    ]
+
+
+def test_search_her_indec_cover_fails_through_its_memo(deadline):
+    g, ops = theta_graph_without_a_cover()
+    assert search_her_indec_cover(g, *ops) is None
+
+
 def test_cell_rules_are_the_ground_conclusions():
     """`_cell_rules` reads each cell's allowed class sets (x = 1, y = 2,
     z = 4) off `GROUND`; here they are stated by hand, for every pattern
