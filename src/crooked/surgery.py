@@ -208,26 +208,23 @@ def _branch_attachment(km, eid: str, t: Frac, direction: int) -> str:
     )
 
 
-def _fiber_complex(idx: int) -> tuple[list[str], list[Edge], dict[str, list[str]]]:
-    """A 6-vertex, 6-edge circle: corners vA,vB,vC and side midpoints
-    mA,mB,mC; arc A runs vB-mA-vC and carries the x-witness, etc."""
-    p = f"fib{idx}."
-    verts = [p + n for n in ("vA", "vB", "vC", "mA", "mB", "mC")]
-    sixth = Frac(1, 6)
-    edges = [
-        Edge(p + "A0", p + "vB", p + "mA", sixth),
-        Edge(p + "A1", p + "mA", p + "vC", sixth),
-        Edge(p + "B0", p + "vC", p + "mB", sixth),
-        Edge(p + "B1", p + "mB", p + "vA", sixth),
-        Edge(p + "C0", p + "vA", p + "mC", sixth),
-        Edge(p + "C1", p + "mC", p + "vB", sixth),
-    ]
-    arcs = {
-        "A": [p + "A0", p + "A1"],
-        "B": [p + "B0", p + "B1"],
-        "C": [p + "C0", p + "C1"],
-    }
-    return verts, edges, arcs
+def _add_fiber(
+    idx: int, p: Point, vertex_map: dict, edges: list, edge_map: dict
+) -> dict[str, list[str]]:
+    """Add a 6-vertex, 6-edge circle over `p` to a step's maps: corners
+    vA,vB,vC and side midpoints mA,mB,mC; arc A runs vB-mA-vC and carries
+    the x-witness, etc.  Returns each arc's two edge ids."""
+    pre = f"fib{idx}."
+    for n in ("vA", "vB", "vC", "mA", "mB", "mC"):
+        vertex_map[pre + n] = p
+    arcs = {}
+    paths = (("vB", "mA", "vC"), ("vC", "mB", "vA"), ("vA", "mC", "vB"))
+    for letter, path in zip(ARC_LETTERS, paths):
+        arcs[letter] = [f"{pre}{letter}0", f"{pre}{letter}1"]
+        for eid, u, v in zip(arcs[letter], path, path[1:]):
+            edges.append(Edge(eid, pre + u, pre + v, Frac(1, 6)))
+            edge_map[eid] = ("const", p)
+    return arcs
 
 
 def triangle_step(
@@ -266,20 +263,14 @@ def triangle_step(
         fiber_of_point: dict[Point, int] = dict(
             zip(locus, (i for i in itertools.count() if i not in used_fibers))
         )
-        new_vertices: list[str] = [v for v in graph.vertices if v not in locus_vertices]
+        vertex_map: dict[str, Point] = {
+            v: ("v", v) for v in graph.vertices if v not in locus_vertices
+        }
         new_edges: list[Edge] = []
-        vertex_map: dict[str, Point] = {v: ("v", v) for v in new_vertices}
         edge_map: dict[str, tuple] = {}
-        arc_edges: list[dict[str, list[str]]] = []
-        for p in locus:
-            verts, edges, arcs = _fiber_complex(fiber_of_point[p])
-            new_vertices.extend(verts)
-            new_edges.extend(edges)
-            arc_edges.append(arcs)
-            for v in verts:
-                vertex_map[v] = p
-            for e in edges:
-                edge_map[e.eid] = ("const", p)
+        arc_edges = [
+            _add_fiber(fiber_of_point[p], p, vertex_map, new_edges, edge_map) for p in locus
+        ]
         # the new fibers, known by what this call built and not by name:
         # fibers of earlier surgeries carry the same prefix
         fiber_vertices = {v for v, p in vertex_map.items() if p in fiber_of_point}
@@ -299,7 +290,7 @@ def triangle_step(
                 seg_id = eid if len(marks) == 2 else f"{eid}.{k}"
                 new_edges.append(Edge(seg_id, end_name(eid, lo, +1), end_name(eid, hi, -1), hi - lo))
                 edge_map[seg_id] = ("affine", eid, lo, hi)
-        out = MetricGraph(new_vertices, new_edges, dict(graph.meta))
+        out = MetricGraph(vertex_map, new_edges, dict(graph.meta))
         out.meta["fibers"] = [
             {"center": point_token(p), "edges": sorted(sum(arcs.values(), []))}
             for p, arcs in zip(locus, arc_edges)
@@ -379,47 +370,6 @@ class CrookedStep:
     kind: str = "crooked"
 
 
-class _Copy:
-    """One horizontal level of the staircase: a subdivided copy of a closed
-    region of the base graph."""
-
-    def __init__(self, graph: MetricGraph, region: ClosedSet, cut_points: list[Point], prefix: str):
-        self.prefix = prefix
-        cut_params: dict[str, set] = {}
-        for p in cut_points:
-            if p[0] == "e":
-                cut_params.setdefault(p[1], set()).add(p[2])
-        self.vertices: dict[str, Point] = {}
-        self.edges: list[tuple] = []  # (eid, u, v, length, base_eid, p, q)
-        for v in sorted(region.vertices):
-            self.vertices[f"{prefix}|{v}"] = ("v", v)
-        for eid in sorted(region.intervals):
-            for lo, hi in region.intervals[eid]:
-                if lo == hi:
-                    name = self._vertex_name(("e", eid, lo))
-                    self.vertices.setdefault(name, ("e", eid, lo))
-                    continue
-                marks = [lo] + sorted(
-                    t for t in cut_params.get(eid, ()) if lo < t < hi
-                ) + [hi]
-                points = [graph.point(eid, t) for t in marks]
-                names = [self._vertex_name(p) for p in points]
-                for name, point in zip(names, points):
-                    self.vertices.setdefault(name, point)
-                for k, (p, q) in enumerate(zip(marks, marks[1:])):
-                    seg_id = f"{self.prefix}|{eid}:{k}:{frac_str(p)}"
-                    self.edges.append((seg_id, names[k], names[k + 1], q - p, eid, p, q))
-
-    def _vertex_name(self, p: Point) -> str:
-        return f"{self.prefix}|{point_token(p)}"
-
-    def vertex_for(self, p: Point) -> str:
-        name = self._vertex_name(p)
-        if name not in self.vertices:
-            raise InvariantViolationError(f"level point {p} missing from copy {self.prefix}")
-        return name
-
-
 def crooked_step(
     graph: MetricGraph,
     a: ClosedSet,
@@ -447,30 +397,42 @@ def crooked_step(
             low & f.superlevel_set(two_thirds), f"level set f={two_thirds}"
         ),
     }
-    c14 = _Copy(graph, low, levels[two_thirds], "t14")
-    c12 = _Copy(graph, mid, levels[third] + levels[two_thirds], "t12")
-    c34 = _Copy(graph, high, levels[third], "t34")
-
-    vertices: list[str] = []
-    edges: list[Edge] = []
     vertex_map: dict[str, Point] = {}
+    edges: list[Edge] = []
     edge_map: dict[str, tuple] = {}
-    for copy in (c14, c12, c34):
-        for name, base_pt in copy.vertices.items():
-            vertices.append(name)
-            vertex_map[name] = base_pt
-        for seg_id, u, v, length, base_eid, p, q in copy.edges:
-            edges.append(Edge(seg_id, u, v, length))
-            edge_map[seg_id] = ("affine", base_eid, p, q)
-    for level, pair in ((two_thirds, (c14, c12)), (third, (c12, c34))):
-        tag = "h23" if level == two_thirds else "h13"
+    for prefix, region, cut_points in (
+        ("t14", low, levels[two_thirds]),
+        ("t12", mid, levels[third] + levels[two_thirds]),
+        ("t34", high, levels[third]),
+    ):
+        # one horizontal level: a copy of `region` subdivided at the level
+        # points it shares with its neighbours; a point interval (lo == hi)
+        # adds its one vertex and no edge
+        for v in sorted(region.vertices):
+            vertex_map[f"{prefix}|{v}"] = ("v", v)
+        for eid in sorted(region.intervals):
+            for lo, hi in region.intervals[eid]:
+                cuts = (p[2] for p in cut_points if p[0] == "e" and p[1] == eid and lo < p[2] < hi)
+                marks = sorted({lo, hi, *cuts})
+                names = []
+                for t in marks:
+                    point = graph.point(eid, t)
+                    names.append(f"{prefix}|{point_token(point)}")
+                    vertex_map.setdefault(names[-1], point)
+                for k, (p, q) in enumerate(zip(marks, marks[1:])):
+                    seg_id = f"{prefix}|{eid}:{k}:{frac_str(p)}"
+                    edges.append(Edge(seg_id, names[k], names[k + 1], q - p))
+                    edge_map[seg_id] = ("affine", eid, p, q)
+    for level, tag, ends in ((two_thirds, "h23", ("t14", "t12")), (third, "h13", ("t12", "t34"))):
         for p in levels[level]:
+            names = [f"{prefix}|{point_token(p)}" for prefix in ends]
+            for prefix, name in zip(ends, names):
+                if name not in vertex_map:
+                    raise InvariantViolationError(f"level point {p} missing from copy {prefix}")
             eid = f"{tag}|{point_token(p)}"
-            u = pair[0].vertex_for(p)
-            v = pair[1].vertex_for(p)
-            edges.append(Edge(eid, u, v, Frac(1, 4)))
+            edges.append(Edge(eid, *names, Frac(1, 4)))
             edge_map[eid] = ("const", p)
-    staircase = MetricGraph(vertices, edges)
+    staircase = MetricGraph(vertex_map, edges)
     projection = PLMap(staircase, graph, vertex_map, edge_map)
 
     comps = staircase.components_of(staircase.whole_set())
@@ -649,7 +611,9 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
     bonding chain stays exact.  Nudge targets rotate so symmetric
     configurations get broken even when the degenerate edge itself is not
     the culprit.  Returns the step, its bonding onto `graph` (the step's own
-    bonding followed by `renorm`), and the nudged edge ids."""
+    bonding followed by `renorm`), and the nudged edge ids.  A degeneracy
+    left after `MAX_NUDGES` nudges is a spent cap (`ResourceLimitError`),
+    not bad input."""
     candidates = None
     nudged: list[str] = []
     space, space_ops, renorm = graph, ops, None
@@ -660,7 +624,9 @@ def surgery_with_nudges(kind: str, graph: MetricGraph, ops: list[ClosedSet]):
             return step, bonding, nudged
         except DegeneracyError as exc:
             if len(nudged) >= MAX_NUDGES:
-                raise
+                raise ResourceLimitError(
+                    f"nudge budget of {MAX_NUDGES} spent, still degenerate: {exc}"
+                ) from exc
             if candidates is None:
                 candidates = [exc.edge_id] + sorted(
                     eid for eid in graph.edges if eid != exc.edge_id
@@ -901,24 +867,18 @@ def witness_fragment(
 
 
 def _point_outside(graph: MetricGraph, big: ClosedSet, small: ClosedSet) -> Point:
-    """A deterministic point of big \\ small."""
+    """A deterministic point of big \\ small.  Every candidate lies in big:
+    it is a mark or midpoint of one of big's intervals, and an end at 0 or
+    the edge's length is a vertex that big holds by its normal form."""
     for v in sorted(big.vertices):
         if v not in small.vertices:
             return ("v", v)
     for eid in sorted(big.intervals):
         for lo, hi in big.intervals[eid]:
-            marks = {lo, hi}
-            for slo, shi in small.intervals.get(eid, ()):
-                for t in (slo, shi):
-                    if lo <= t <= hi:
-                        marks.add(t)
-            marks = sorted(marks)
-            candidates = list(marks)
-            candidates.extend(
-                (p + q) / 2 for p, q in zip(marks, marks[1:])
-            )
-            for t in sorted(candidates):
+            ends = (t for interval in small.intervals.get(eid, ()) for t in interval)
+            marks = sorted({lo, hi, *(t for t in ends if lo <= t <= hi)})
+            for t in sorted(marks + [(p + q) / 2 for p, q in zip(marks, marks[1:])]):
                 p = graph.normalize_point(("e", eid, t))
-                if big.contains_point(p) and not small.contains_point(p):
+                if not small.contains_point(p):
                     return p
     raise InvariantViolationError("no point outside despite strict inclusion failing")

@@ -9,6 +9,7 @@ import random
 import re
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +322,31 @@ def test_acceptance_4_crooked_step():
 # 5. Fragment witnessing
 # --------------------------------------------------------------------------
 
+INPUTS = Path(__file__).resolve().parents[1] / "inputs"
+
+
+def _witness_twice(tmp_path, tag, base, fragment_args, graph):
+    """`sigma-fragment` on `base`, then `sigma-witness` twice on its output:
+    (the fragment text, whether every run exited 0 and the reruns wrote the
+    same bytes, the first run's output directory)."""
+    frag_path = tmp_path / f"{tag}.txt"
+    code = main(["sigma-fragment", "--base", str(base), "--stages", "5", *fragment_args,
+                 "--out", str(frag_path)])
+    outdirs = [tmp_path / f"{tag}-{run}" for run in ("m1", "m2")]
+    codes = [code] + [
+        main(["sigma-witness", "--base", str(base), "--fragment", str(frag_path),
+              "--graph", str(graph), "--out", str(outdir)])
+        for outdir in outdirs
+    ]
+    ok = all(code == 0 for code in codes) and all(
+        (outdirs[0] / name).read_bytes() == (outdirs[1] / name).read_bytes()
+        for name in ("model.json", "trace.json", "report.txt")
+    )
+    report = (outdirs[0] / "report.txt").read_text() if ok else ""
+    ok = ok and "all-true: True" in report and "FAIL" not in report
+    return frag_path.read_text(), ok, outdirs[0]
+
+
 def test_acceptance_5_fragment_witnessing(tmp_path):
     base_path = tmp_path / "chain3.json"
     base_path.write_text('{"ground": 2, "generators": {"g0": [0], "g1": [0, 1]}}')
@@ -331,32 +357,23 @@ def test_acceptance_5_fragment_witnessing(tmp_path):
     }
     graph_path = tmp_path / "segment.json"
     graph_path.write_text(dump_graph(g, sets))
-    frag_path = tmp_path / "frag.txt"
-    assert main([
-        "sigma-fragment", "--base", str(base_path), "--stages", "5",
-        "--size", "38", "--out", str(frag_path),
-    ]) == 0
-    text = frag_path.read_text()
+    text, ok, _ = _witness_twice(tmp_path, "chain3", base_path, ["--size", "38"], graph_path)
     has_zeta = any(l.startswith("S4") for l in text.splitlines())
     has_theta = any(l.startswith("S5") for l in text.splitlines())
-    outs = []
-    for tag in ("m1", "m2"):
-        outdir = tmp_path / tag
-        code = main([
-            "sigma-witness", "--base", str(base_path), "--fragment", str(frag_path),
-            "--graph", str(graph_path), "--out", str(outdir),
-        ])
-        outs.append((code, outdir))
-    ok = has_zeta and has_theta and all(code == 0 for code, _ in outs)
-    for name in ("model.json", "trace.json", "report.txt"):
-        b1 = (outs[0][1] / name).read_bytes()
-        b2 = (outs[1][1] / name).read_bytes()
-        ok = ok and b1 == b2
-    report = (outs[0][1] / "report.txt").read_text()
-    ok = ok and "all-true: True" in report and "FAIL" not in report
+    ok = ok and has_zeta and has_theta
     size = len([l for l in text.splitlines() if l and not l.startswith("#")])
+    # the chain3 model needs no surgery; the budget-400 fragment on the
+    # bundled segment must run both
+    _, rich_ok, outdir = _witness_twice(
+        tmp_path, "rich", INPUTS / "fragment-base.json",
+        ["--budget", "400", "--size", "235"], INPUTS / "fragment-segment.json",
+    )
+    actions = [t["action"] for t in json.loads((outdir / "trace.json").read_text())] if rich_ok else []
+    surgeries = {kind: actions.count(kind) for kind in ("triangle", "crooked")}
+    ok = ok and rich_ok and min(surgeries.values()) >= 1
     _report(5, "fragment witnessing", ok,
-            f"size {size} fragment with dimension and crookedness instances, reruns identical")
+            f"size {size} fragment with dimension and crookedness instances; "
+            f"size 235 fragment with surgeries {surgeries}; reruns identical")
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from crooked.errors import (
-    DegeneracyError, EvaluationError, InputError, InvariantViolationError, PreconditionError, UsageError,
+    DegeneracyError, EvaluationError, InputError, InvariantViolationError, PreconditionError,
+    ResourceLimitError, UsageError,
 )
 from crooked.folang import And, Const, Eq, Meet, Var, Zero, conn, eval_formula, psi, zeta
 from crooked import surgery, tower
@@ -292,11 +293,8 @@ def caught_triangles(monkeypatch):
     return caught
 
 
-def random_triangle_batch(seed=0x7A1, count=240):
-    """Dimension instances on small graphs, each operand one or two points
-    or short intervals at eighths of an edge, triple meet empty."""
-    import random
-
+def small_graphs():
+    """The segment, Y, 3-cycle and theta graphs of the seeded batches."""
     cycle = MetricGraph(
         ["A", "B", "C"],
         [Edge("ab", "A", "B", F(1)), Edge("bc", "B", "C", F(1)), Edge("ca", "C", "A", F(1))],
@@ -304,24 +302,38 @@ def random_triangle_batch(seed=0x7A1, count=240):
     theta = MetricGraph(
         ["p", "q"], [Edge("e1", "p", "q", F(1)), Edge("e2", "p", "q", F(3, 2)), Edge("e3", "p", "q", F(2))]
     )
-    graphs = [seg(), y_graph(), cycle, theta]
+    return [seg(), y_graph(), cycle, theta]
+
+
+def random_piece(rng, g):
+    """A vertex, a point or a short interval at eighths of an edge of `g`."""
+    eid = rng.choice(sorted(g.edges))
+    L = g.edges[eid].length
+    k = rng.randrange(9)
+    if rng.random() < 0.2:
+        return g.point_closed_set([("v", rng.choice(sorted(g.vertices)))])
+    if rng.random() < 0.6:
+        return g.point_closed_set([g.normalize_point(("e", eid, L * k / 8))])
+    lo = L * min(k, 7) / 8
+    return ClosedSet(g, {eid: [(lo, lo + L / 8)]}, ())
+
+
+def random_operand(rng, g):
+    """One piece or the union of two."""
+    return random_piece(rng, g) if rng.random() < 0.5 else random_piece(rng, g) | random_piece(rng, g)
+
+
+def random_triangle_batch(seed=0x7A1, count=240):
+    """Dimension instances on small graphs, each operand one or two points
+    or short intervals at eighths of an edge, triple meet empty."""
+    import random
+
+    graphs = small_graphs()
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         g = rng.choice(graphs)
-
-        def piece():
-            eid = rng.choice(sorted(g.edges))
-            L = g.edges[eid].length
-            k = rng.randrange(9)
-            if rng.random() < 0.2:
-                return g.point_closed_set([("v", rng.choice(sorted(g.vertices)))])
-            if rng.random() < 0.6:
-                return g.point_closed_set([g.normalize_point(("e", eid, L * k / 8))])
-            lo = L * min(k, 7) / 8
-            return ClosedSet(g, {eid: [(lo, lo + L / 8)]}, ())
-
-        ops = [piece() if rng.random() < 0.5 else piece() | piece() for _ in range(3)]
+        ops = [random_operand(rng, g) for _ in range(3)]
         if ((ops[0] & ops[1]) & ops[2]).is_empty():
             out.append((g, *ops))
     return out
@@ -342,7 +354,7 @@ def test_triangle_witnesses_match_the_transport_oracle(caught_triangles, source)
         for g, a, b, c in instances:
             try:
                 surgery.surgery_with_nudges("zeta", g, [a, b, c])
-            except DegeneracyError:
+            except ResourceLimitError:
                 pass  # still degenerate after the last nudge
     # fibers over vertices ("v") and over edge interiors ("e") are compared
     kinds = {p[0] for *_, step in caught_triangles for p in step.locus}
@@ -594,6 +606,168 @@ def test_crooked_degenerate_level_set(monkeypatch):
     assert exc.value.edge_id == "seg"
 
 
+class CopyReference:
+    """One horizontal level of the staircase as `crooked_step` built it
+    before it assembled its maps in one pass: a subdivided copy of a closed
+    region of the base graph, with its own vertex dict and edge records."""
+
+    def __init__(self, graph, region, cut_points, prefix):
+        self.prefix = prefix
+        cut_params = {}
+        for p in cut_points:
+            if p[0] == "e":
+                cut_params.setdefault(p[1], set()).add(p[2])
+        self.vertices = {}
+        self.edges = []  # (eid, u, v, length, base_eid, p, q)
+        for v in sorted(region.vertices):
+            self.vertices[f"{prefix}|{v}"] = ("v", v)
+        for eid in sorted(region.intervals):
+            for lo, hi in region.intervals[eid]:
+                if lo == hi:
+                    name = self._vertex_name(("e", eid, lo))
+                    self.vertices.setdefault(name, ("e", eid, lo))
+                    continue
+                marks = [lo] + sorted(t for t in cut_params.get(eid, ()) if lo < t < hi) + [hi]
+                points = [graph.point(eid, t) for t in marks]
+                names = [self._vertex_name(p) for p in points]
+                for name, point in zip(names, points):
+                    self.vertices.setdefault(name, point)
+                for k, (p, q) in enumerate(zip(marks, marks[1:])):
+                    seg_id = f"{self.prefix}|{eid}:{k}:{surgery.frac_str(p)}"
+                    self.edges.append((seg_id, names[k], names[k + 1], q - p, eid, p, q))
+
+    def _vertex_name(self, p):
+        return f"{self.prefix}|{surgery.point_token(p)}"
+
+    def vertex_for(self, p):
+        name = self._vertex_name(p)
+        if name not in self.vertices:
+            raise InvariantViolationError(f"level point {p} missing from copy {self.prefix}")
+        return name
+
+
+def staircase_reference(graph, f):
+    """The whole staircase's projection over the separating function `f`,
+    assembled through `CopyReference` and a loop that repacks its records."""
+    third, two_thirds = F(1, 3), F(2, 3)
+    low, high = f.sublevel_set(two_thirds), f.superlevel_set(third)
+    levels = {
+        third: surgery._isolated_points(f.sublevel_set(third) & high, "level"),
+        two_thirds: surgery._isolated_points(low & f.superlevel_set(two_thirds), "level"),
+    }
+    c14 = CopyReference(graph, low, levels[two_thirds], "t14")
+    c12 = CopyReference(graph, low & high, levels[third] + levels[two_thirds], "t12")
+    c34 = CopyReference(graph, high, levels[third], "t34")
+    vertices, edges, vertex_map, edge_map = [], [], {}, {}
+    for copy in (c14, c12, c34):
+        for name, base_pt in copy.vertices.items():
+            vertices.append(name)
+            vertex_map[name] = base_pt
+        for seg_id, u, v, length, base_eid, p, q in copy.edges:
+            edges.append(Edge(seg_id, u, v, length))
+            edge_map[seg_id] = ("affine", base_eid, p, q)
+    for level, pair in ((two_thirds, (c14, c12)), (third, (c12, c34))):
+        tag = "h23" if level == two_thirds else "h13"
+        for p in levels[level]:
+            eid = f"{tag}|{surgery.point_token(p)}"
+            edges.append(Edge(eid, pair[0].vertex_for(p), pair[1].vertex_for(p), F(1, 4)))
+            edge_map[eid] = ("const", p)
+    return PLMap(MetricGraph(vertices, edges), graph, vertex_map, edge_map)
+
+
+@pytest.fixture
+def caught_staircases(monkeypatch):
+    """Every crooked step that completes while the test runs, with its input
+    graph and the projection of its whole staircase."""
+    caught, projections = [], []
+    real_step, real_restrict = surgery.crooked_step, PLMap.restrict
+
+    def restrict(self, sub):
+        projections.append(self)
+        return real_restrict(self, sub)
+
+    def catching(graph, *ops):
+        step = real_step(graph, *ops)
+        caught.append((graph, step, projections[-1]))
+        return step
+
+    monkeypatch.setattr(PLMap, "restrict", restrict)
+    monkeypatch.setattr(surgery, "crooked_step", catching)
+    return caught
+
+
+def random_crooked_batch(seed=0x57A1, count=60):
+    """Crookedness instances on `small_graphs`, operands as in
+    `random_triangle_batch`, a and b nonempty and the premise holding."""
+    import random
+
+    graphs = small_graphs()
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = rng.choice(graphs)
+        ops = [random_operand(rng, g) for _ in range(4)]
+        if surgery.premise_holds("theta", ops):
+            out.append((g, *ops))
+    return out
+
+
+def touching_levels_instance():
+    """A staircase whose low and high regions each hold an isolated point:
+    the pinned separating function touches 1/3 from below at 1/8 and 2/3
+    from above at 5/8, so each level copy has a vertex with no edge."""
+    g = seg()
+    f = PLFunction(g, {"seg": [(F(0), F(0)), (F(1, 8), F(1, 3)), (F(1, 4), F(0)), (F(1, 2), F(1)),
+                               (F(5, 8), F(2, 3)), (F(3, 4), F(1)), (F(1), F(1))]})
+    none = g.empty_set()
+    return g, g.point_closed_set([("v", "a")]), g.point_closed_set([("v", "b")]), none, none, f
+
+
+@pytest.mark.parametrize("source", ["acceptance", "random", "touching"])
+def test_one_pass_staircase_matches_the_copy_assembly(caught_staircases, source):
+    from test_acceptance import crooked_instances
+
+    instances = {
+        "acceptance": lambda: [inst[1:] for inst in crooked_instances()],
+        "random": lambda: [(*inst, None) for inst in random_crooked_batch()],
+        "touching": lambda: [touching_levels_instance()],
+    }[source]()
+    for g, a, b, c, d, f in instances:
+        if f is None:
+            try:
+                surgery.surgery_with_nudges("theta", g, [a, b, c, d])
+            except ResourceLimitError:
+                pass  # still degenerate after the last nudge
+            continue
+        # a given separating function pins the graph: no nudging
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surgery, "urysohn", lambda *args, **kwargs: f)
+            surgery.crooked_step(g, a, b, c, d)
+    assert len(caught_staircases) == len(instances)
+    for graph, step, projection in caught_staircases:
+        ref = staircase_reference(graph, step.separating)
+        assert projection.domain is step.staircase_graph
+        assert projection.domain.vertices == ref.domain.vertices
+        assert list(projection.domain.edges.items()) == list(ref.domain.edges.items())
+        assert list(projection.vertex_map.items()) == list(ref.vertex_map.items())
+        assert list(projection.edge_map.items()) == list(ref.edge_map.items())
+
+
+def test_crooked_level_point_missing_from_its_copy(monkeypatch):
+    # a level point that a level copy lacks is a construction fault, not a
+    # degeneracy: seg@9/10 lies above 2/3, so the t14 copy (f <= 2/3) of the
+    # identity staircase has no vertex for it
+    g, a, b, c, d = crooked_identity_instance()
+    real = surgery._isolated_points
+
+    def levels(s, what):
+        return real(s, what) + ([("e", "seg", F(9, 10))] if what.endswith("f=2/3") else [])
+
+    monkeypatch.setattr(surgery, "_isolated_points", levels)
+    with pytest.raises(InvariantViolationError, match=r"missing from copy t14"):
+        crooked_step(g, a, b, c, d)
+
+
 def test_surgeries_take_each_region_once(monkeypatch):
     # a crooked step takes each half-set of its separating function once,
     # one per (level, side); a triangle step takes each pairwise difference
@@ -747,6 +921,65 @@ def test_reinterpret_disjunctivity_point():
     assert not k.is_empty()
     assert k.is_subset_of(a)
     assert (k & b).is_empty()
+
+
+def point_outside_reference(graph, big, small):
+    """`_point_outside` as it was, testing each candidate's membership in
+    big as well."""
+    for v in sorted(big.vertices):
+        if v not in small.vertices:
+            return ("v", v)
+    for eid in sorted(big.intervals):
+        for lo, hi in big.intervals[eid]:
+            marks = {lo, hi}
+            for slo, shi in small.intervals.get(eid, ()):
+                for t in (slo, shi):
+                    if lo <= t <= hi:
+                        marks.add(t)
+            marks = sorted(marks)
+            candidates = list(marks)
+            candidates.extend((p + q) / 2 for p, q in zip(marks, marks[1:]))
+            for t in sorted(candidates):
+                p = graph.normalize_point(("e", eid, t))
+                if big.contains_point(p) and not small.contains_point(p):
+                    return p
+    raise InvariantViolationError("no point outside despite strict inclusion failing")
+
+
+def random_eighths_set(rng, g):
+    """A union of one to three vertices, points or intervals with ends at
+    eighths of an edge of `g`."""
+    s = g.empty_set()
+    for _ in range(rng.randint(1, 3)):
+        eid = rng.choice(sorted(g.edges))
+        L = g.edges[eid].length
+        i, j = sorted(rng.sample(range(9), 2))
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = s | g.point_closed_set([("v", rng.choice(sorted(g.vertices)))])
+        elif kind == 1:
+            s = s | g.point_closed_set([g.normalize_point(("e", eid, L * i / 8))])
+        else:
+            s = s | ClosedSet(g, {eid: [(L * i / 8, L * j / 8)]}, ())
+    return s
+
+
+def test_point_outside_matches_its_reference():
+    import random
+
+    rng = random.Random(0x0D15)
+    graphs = small_graphs()
+    compared = 0
+    for _ in range(3000):
+        g = rng.choice(graphs)
+        big, small = random_eighths_set(rng, g), random_eighths_set(rng, g)
+        if big.is_subset_of(small):
+            continue
+        got = surgery._point_outside(g, big, small)
+        assert got == point_outside_reference(g, big, small)
+        assert big.contains_point(got) and not small.contains_point(got)
+        compared += 1
+    assert compared >= 2000
 
 
 # ------------------------------------------------------------- fragments
@@ -1328,3 +1561,30 @@ def test_one_stretch_per_nudge_matches_the_stretch_chain(monkeypatch, case):
     assert stretches[-1].to_dict() == ref_renorm.to_dict()
     assert [s.to_dict() for s in space_ops] == [s.to_dict() for s in ref_ops]
     assert bonding.to_dict() == real(ref_graph, *ref_ops).bonding.then(ref_renorm).to_dict()
+
+
+def theta_nudged_instance():
+    """A crookedness instance on the theta graph of `small_graphs` whose
+    staircase nudges e3, then e1."""
+    g = small_graphs()[3]
+    ops = [
+        g.point_closed_set([("e", "e2", F(3, 4))]),
+        ClosedSet(g, {"e1": [(F(3, 8), F(1, 2))]}, set()),
+        g.point_closed_set([("e", "e3", F(1))]),
+        g.point_closed_set([("e", "e3", F(3, 2))]),
+    ]
+    return g, ops
+
+
+def test_a_spent_nudge_budget_is_a_resource_limit(monkeypatch):
+    g, ops = theta_nudged_instance()
+    assert surgery.surgery_with_nudges("theta", g, ops)[2] == ["e3", "e1"]
+    monkeypatch.setattr(surgery, "MAX_NUDGES", 1)
+    with pytest.raises(ResourceLimitError, match="nudge budget of 1 spent") as exc:
+        surgery.surgery_with_nudges("theta", g, ops)
+    # a spent cap on well-formed input, not bad input: the CLI exits 3
+    assert not isinstance(exc.value, PreconditionError)
+    assert isinstance(exc.value.__cause__, DegeneracyError)
+    assert "level set f=2/3 contains a subedge of" in str(exc.value)
+    with pytest.raises(ResourceLimitError, match="nudge budget of 1 spent"):
+        witness_fragment(*nudged_triangle_fragment())
