@@ -5,6 +5,11 @@ Everything here is exact: edge lengths, interval endpoints, function
 breakpoints and distances are Fractions, so no tolerance policy exists
 anywhere downstream.  The intrinsic path metric uses the declared edge
 lengths, not any ambient embedding.
+
+The loops of `distance_to_set`, `urysohn` and the level sets run on int
+numerators over one denominator (see each); a quotient off it raises
+`InvariantViolationError`, nothing is rounded, and every value leaving them
+is a Fraction in lowest terms.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count, groupby
 from json.encoder import encode_basestring_ascii
-from operator import sub
+from math import lcm
+from operator import sub, truediv
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -462,8 +468,9 @@ def _bp_eval(bp: Sequence[tuple], x: Frac) -> Frac:
     return bp[-1][1]
 
 
-def _bp_walk(bp: Sequence[tuple], xs: Sequence[Frac]) -> list[Frac]:
-    """`_bp_eval` at each of the increasing `xs`, in one forward walk."""
+def _bp_walk(bp: Sequence[tuple], xs: Sequence, div: Callable = truediv) -> list:
+    """`_bp_eval` at each of the increasing `xs`, in one forward walk; `div`
+    divides in the interpolation (`_on_grid` for a list on a grid)."""
     out = []
     i, last = 0, len(bp) - 1
     for x in xs:
@@ -474,7 +481,7 @@ def _bp_walk(bp: Sequence[tuple], xs: Sequence[Frac]) -> list[Frac]:
             out.append(y0)
             continue
         x1, y1 = bp[i + 1]
-        out.append(y1 if x == x1 else y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+        out.append(y1 if x == x1 else y0 + div((y1 - y0) * (x - x0), x1 - x0))
     return out
 
 
@@ -484,40 +491,65 @@ def _bp_union(a: Sequence[tuple], b: Sequence[tuple]) -> list[Frac]:
     return [x for x, _ in groupby(sorted([x for x, _ in a] + [x for x, _ in b]))]
 
 
-def _bp_combine(a: Sequence[tuple], b: Sequence[tuple], fn: Callable) -> tuple:
+def _bp_combine(a: Sequence[tuple], b: Sequence[tuple], fn: Callable,
+                div: Callable = truediv) -> tuple:
     """`fn` of the two lists at each abscissa of either, in one merge walk;
     past its ends a list is extended as a constant."""
     xs = _bp_union(a, b)
-    return _bp_simplify(list(zip(xs, map(fn, _bp_walk(a, xs), _bp_walk(b, xs)))))
+    return _bp_simplify(list(zip(xs, map(fn, _bp_walk(a, xs, div), _bp_walk(b, xs, div)))))
 
 
-def _bp_min(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
-    """The pointwise minimum of two lists, in one merge walk that inserts
-    each crossing between two merged abscissae."""
+# The same walks on an integer grid: each coordinate is an int numerator
+# over one denominator, the grid, which the caller chooses so that every
+# quotient is exact; one that is not raises, and nothing is rounded.
+
+def _over(value: Frac, grid: int) -> int:
+    """The numerator of `value` over `grid`; a grid that is no multiple of
+    its denominator raises."""
+    return _on_grid(value.numerator * grid, value.denominator)
+
+
+def _on_grid(num: int, den: int) -> int:
+    """The exact integer `num / den`."""
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantViolationError(f"breakpoint {num}/{den} falls off the integer grid")
+    return q
+
+
+def _grid_min(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
+    """The pointwise minimum of two grid lists, in one merge walk that
+    inserts each crossing between two merged abscissae."""
     xs = _bp_union(a, b)
-    ya, yb = _bp_walk(a, xs), _bp_walk(b, xs)
+    ya, yb = _bp_walk(a, xs, _on_grid), _bp_walk(b, xs, _on_grid)
     pts = [(xs[0], min(ya[0], yb[0]))]
     for k in range(1, len(xs)):
         d0, d1 = ya[k - 1] - yb[k - 1], ya[k] - yb[k]
         if (d0 < 0 < d1) or (d1 < 0 < d0):
             # both are linear on [xs[k-1], xs[k]] and cross once inside it
-            w = d0 / (d0 - d1)
-            pts.append((xs[k - 1] + (xs[k] - xs[k - 1]) * w, ya[k - 1] + (ya[k] - ya[k - 1]) * w))
+            pts.append((xs[k - 1] + _on_grid((xs[k] - xs[k - 1]) * d0, d0 - d1),
+                        ya[k - 1] + _on_grid((ya[k] - ya[k - 1]) * d0, d0 - d1)))
         pts.append((xs[k], min(ya[k], yb[k])))
     return _bp_simplify(pts)
 
 
-def _bp_clamp(bp: Sequence[tuple], lo: Frac, hi: Frac) -> tuple:
-    """The list clamped to [lo, hi], in one ordered walk: each piece's
+def _grid_clamp(bp: Sequence[tuple], lo: int, hi: int) -> tuple:
+    """The grid list clamped to [lo, hi], in one ordered walk: each piece's
     crossings of the two levels go in as met, where the clamped value is
     the level itself."""
     out = [(bp[0][0], min(hi, max(lo, bp[0][1])))]
     for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
         for level in ((lo, hi) if y0 < y1 else (hi, lo)):
             if (y0 - level) * (y1 - level) < 0:
-                out.append((x0 + (x1 - x0) * (level - y0) / (y1 - y0), level))
+                out.append((x0 + _on_grid((x1 - x0) * (level - y0), y1 - y0), level))
         out.append((x1, min(hi, max(lo, y1))))
     return _bp_simplify(out)
+
+
+def _from_grid(bp: Sequence[tuple], x_grid: int, y_grid: int) -> tuple:
+    """A grid list as Fractions in lowest terms: each x over `x_grid`, each
+    y over `y_grid`."""
+    return tuple((Frac(x, x_grid), Frac(y, y_grid)) for x, y in bp)
 
 
 class PLFunction:
@@ -526,17 +558,29 @@ class PLFunction:
     constructors pass simplified lists); continuity compares the end values
     at each vertex by `!=`.  Its regions are its sublevel and superlevel
     sets; a caller intersects them for a level set or a band, so a half-set
-    that two regions share is computed once."""
+    that two regions share is computed once.
 
-    __slots__ = ("graph", "per_edge")
+    A region compares and cuts on ints: its integer form, built on the
+    first region and never rebuilt, holds each x over the lcm of the x
+    denominators and each y over that of the y denominators.  A region's
+    ends are the breakpoints' own Fractions or, at a crossing, a Fraction
+    in lowest terms of the crossing's integer quotient."""
+
+    __slots__ = ("graph", "per_edge", "_form")
 
     def __init__(self, graph: MetricGraph, per_edge: Mapping[str, Sequence[tuple]]):
         self.graph = graph
+        self._form = None
+        unknown = set(per_edge).difference(graph.edges)
+        if unknown:
+            raise InputError(f"PL function given unknown edges {sorted(unknown)}")
         pe: dict[str, tuple] = {}
         for eid, e in graph.edges.items():
             if eid not in per_edge:
                 raise InputError(f"PL function missing edge {eid!r}")
             bp = [(frac(x), frac(y)) for x, y in per_edge[eid]]
+            if not bp:
+                raise InputError(f"no breakpoints on edge {eid!r}")
             if bp[0][0] != 0 or bp[-1][0] != e.length:
                 raise InputError(f"breakpoints must span edge {eid!r}")
             if any(x1 <= x0 for (x0, _), (x1, _) in zip(bp, bp[1:])):
@@ -578,22 +622,43 @@ class PLFunction:
              for eid in self.per_edge},
         )
 
+    def _integer_form(self) -> tuple[int, int, dict[str, tuple]]:
+        """(x grid, y grid, per edge its breakpoints as numerators on them)."""
+        if self._form is None:
+            lists = self.per_edge.values()
+            x_grid = lcm(*(x.denominator for bp in lists for x, _ in bp))
+            y_grid = lcm(*(y.denominator for bp in lists for _, y in bp))
+            self._form = x_grid, y_grid, {
+                eid: tuple((_over(x, x_grid), _over(y, y_grid)) for x, y in bp)
+                for eid, bp in self.per_edge.items()
+            }
+        return self._form
+
     def _region(self, level: Frac, side: str) -> ClosedSet:
+        x_grid, y_grid, form = self._integer_form()
+        # y <= level iff y * y_grid <= floor(level * y_grid), as y * y_grid
+        # is an integer; y >= level likewise against the ceiling
+        num, den = level.numerator * y_grid, level.denominator
+        bound = num // den if side == "le" else -(-num // den)
         intervals: dict[str, list] = {}
         whole = []
         for eid, bp in self.per_edge.items():
+            pts = form[eid]
             # each breakpoint compared with the level once
-            ok = [y <= level for _, y in bp] if side == "le" else [y >= level for _, y in bp]
+            ok = [y <= bound for _, y in pts] if side == "le" else [y >= bound for _, y in pts]
             if all(ok):
                 whole.append(eid)  # linear between breakpoints
                 continue
             pieces = []
-            for (x0, y0), (x1, y1), ok0, ok1 in zip(bp, bp[1:], ok, ok[1:]):
-                if ok0 and ok1:
-                    pieces.append((x0, x1))
-                elif ok0 or ok1:
-                    xc = x0 + (x1 - x0) * (level - y0) / (y1 - y0)
-                    pieces.append((x0, xc) if ok0 else (xc, x1))
+            for k in range(len(pts) - 1):
+                if ok[k] and ok[k + 1]:
+                    pieces.append((bp[k][0], bp[k + 1][0]))
+                elif ok[k] or ok[k + 1]:
+                    # x0 + (x1 - x0) * (level - y0) / (y1 - y0), on the grids
+                    (x0, y0), (x1, y1) = pts[k], pts[k + 1]
+                    xc = Frac(x0 * (y1 - y0) * den + (x1 - x0) * (num - y0 * den),
+                              x_grid * (y1 - y0) * den)
+                    pieces.append((bp[k][0], xc) if ok[k] else (xc, bp[k + 1][0]))
             if pieces:
                 intervals[eid] = pieces
         return ClosedSet(self.graph, intervals, frozenset(), whole)
@@ -609,13 +674,7 @@ class PLFunction:
         interval ends, breakpoints, and member vertices."""
         if s.is_empty():
             raise UsageError("extrema over the empty set")
-        vals = [self.eval(("v", v)) for v in s.vertices]
-        for eid, items in s.intervals.items():
-            bp = self.per_edge[eid]
-            for lo, hi in items:
-                vals.append(_bp_eval(bp, lo))
-                vals.append(_bp_eval(bp, hi))
-                vals.extend(y for x, y in bp if lo < x < hi)
+        vals = _values_over(self.per_edge, s, lambda v: self.eval(("v", v)))
         return min(vals), max(vals)
 
     def min_over(self, s: ClosedSet) -> Frac:
@@ -629,24 +688,35 @@ class PLFunction:
 # Distances
 # --------------------------------------------------------------------------
 
-def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
-    """x -> rho(x, target): multi-source shortest path with in-edge interval
-    sources, exact everywhere.  Per edge, the envelope of its two end lines
-    is written in closed form, and one minimum walk per target interval on
-    that edge folds the interval in."""
+def _denominator_lcm(graph: MetricGraph, targets: Iterable[ClosedSet]) -> int:
+    """The lcm of the denominators of the edge lengths and the targets'
+    interval ends."""
+    return lcm(*(e.length.denominator for e in graph.edges.values()),
+               *(t.denominator for s in targets for items in s.intervals.values()
+                 for lo, hi in items for t in (lo, hi)))
+
+
+def _grid_distances(graph: MetricGraph, target: ClosedSet, grid: int) -> tuple[dict, dict]:
+    """rho(., target) on `grid`, a multiple of twice `_denominator_lcm`:
+    (per vertex its distance, per edge its breakpoint list).  Every end line
+    has slope +-1 and an intercept even on the grid, so each crossing, at
+    the half-sum of two intercepts, is an integer."""
     if target.graph is not graph:
         raise UsageError("closed set belongs to a different graph")
     if target.is_empty():
         raise PreconditionError("distance to the empty set is undefined")
-    dist: dict[str, Frac] = {}
+    length = {eid: _over(e.length, grid) for eid, e in graph.edges.items()}
+    pieces = {eid: [(_over(lo, grid), _over(hi, grid)) for lo, hi in items]
+              for eid, items in target.intervals.items()}
+    dist: dict[str, int] = {}
     heap: list[tuple] = []
     counter = count()  # breaks ties between equal distances
     for v in target.vertices:
-        heapq.heappush(heap, (Frac(0), next(counter), v))
-    for eid, items in target.intervals.items():
+        heapq.heappush(heap, (0, next(counter), v))
+    for eid, items in pieces.items():
         e = graph.edges[eid]
         heapq.heappush(heap, (items[0][0], next(counter), e.u))
-        heapq.heappush(heap, (e.length - items[-1][1], next(counter), e.v))
+        heapq.heappush(heap, (length[eid] - items[-1][1], next(counter), e.v))
     while heap:
         d, _, v = heapq.heappop(heap)
         if v in dist:
@@ -656,7 +726,7 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
             e = graph.edges[eid]
             w = e.v if end == 0 else e.u
             if w not in dist:
-                heapq.heappush(heap, (d + e.length, next(counter), w))
+                heapq.heappush(heap, (d + length[eid], next(counter), w))
     missing = set(graph.vertices) - set(dist)
     if missing:
         raise PreconditionError(
@@ -664,27 +734,59 @@ def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
         )
     per_edge: dict[str, tuple] = {}
     for eid, e in graph.edges.items():
-        L, du, dv = e.length, dist[e.u], dist[e.v]
+        L, du, dv = length[eid], dist[e.u], dist[e.v]
         # min(du + x, dv + L - x): one line, or two meeting at x = xc
-        xc = (dv + L - du) / 2
+        xc = _on_grid(dv + L - du, 2)
         if xc <= 0:
-            envelope = ((ZERO, dv + L), (L, dv))
+            envelope = ((0, dv + L), (L, dv))
         elif xc >= L:
-            envelope = ((ZERO, du), (L, du + L))
+            envelope = ((0, du), (L, du + L))
         else:
-            envelope = ((ZERO, du), (xc, du + xc), (L, dv))
-        for lo, hi in target.intervals.get(eid, ()):
+            envelope = ((0, du), (xc, du + xc), (L, dv))
+        for lo, hi in pieces.get(eid, ()):
             local: list[tuple] = []
             if lo > 0:
-                local.append((Frac(0), lo))
-            local.append((lo, Frac(0)))
+                local.append((0, lo))
+            local.append((lo, 0))
             if hi != lo:
-                local.append((hi, Frac(0)))
+                local.append((hi, 0))
             if hi < L:
                 local.append((L, L - hi))
-            envelope = _bp_min(envelope, _bp_simplify(local))
+            envelope = _grid_min(envelope, _bp_simplify(local))
         per_edge[eid] = envelope
-    return PLFunction(graph, per_edge)
+    return dist, per_edge
+
+
+def _values_over(per_edge: Mapping[str, Sequence[tuple]], s: ClosedSet, at_vertex: Callable,
+                 to_x: Callable = lambda x: x, div: Callable = truediv) -> list:
+    """The values of a PL function, one breakpoint list per edge, where its
+    extremes over the closed set `s` occur: `at_vertex` of each member
+    vertex and, on each interval, its value at both ends and at the
+    breakpoints between.  `to_x` puts an interval end on the lists' scale
+    and `div` divides, as in `_bp_walk`."""
+    vals = [at_vertex(v) for v in s.vertices]
+    for eid, items in s.intervals.items():
+        bp = per_edge[eid]
+        for lo, hi in items:
+            lo, hi = to_x(lo), to_x(hi)
+            vals += _bp_walk(bp, (lo, hi), div)
+            vals.extend(y for x, y in bp if lo < x < hi)
+    return vals
+
+
+def distance_to_set(graph: MetricGraph, target: ClosedSet) -> PLFunction:
+    """x -> rho(x, target): multi-source shortest path with in-edge interval
+    sources, exact everywhere.  Per edge, the envelope of its two end lines
+    is written in closed form, and one minimum walk per target interval on
+    that edge folds the interval in.
+
+    The Dijkstra, the envelopes and the minimum walks all run on integer
+    numerators over one grid, twice the lcm of the denominators of the edge
+    lengths and the target's interval ends; each breakpoint leaves as a
+    Fraction in lowest terms over that grid."""
+    grid = 2 * _denominator_lcm(graph, (target,))
+    _, per_edge = _grid_distances(graph, target, grid)
+    return PLFunction(graph, {eid: _from_grid(bp, grid, grid) for eid, bp in per_edge.items()})
 
 
 @dataclass(frozen=True)
@@ -739,10 +841,20 @@ def urysohn(
     side with no pin.
 
     Built as clamp(lam * (d(., zero u pin_low) - d(., one u pin_high)) +
-    1/2, 0, 1), the slope lam chosen exactly so the clamps engage on the
-    mandatory sets: per edge one merge walk of the two distance lists and
-    one clamping walk, into one `PLFunction`.  Postconditions are verified
-    before returning."""
+    1/2, 0, 1), the slope lam = 1 / 2m chosen exactly so the clamps engage
+    on the mandatory sets: per edge one merge walk of the two distance lists
+    and one clamping walk, into one `PLFunction`.  Postconditions are
+    verified before returning, on the Fractions returned.
+
+    Both distances, the difference g = d_low - d_high and its clamp run on
+    integer numerators over one grid 2N, N twice the lcm of the
+    denominators of the edge lengths and of the four sets' interval ends
+    (an end that a union absorbs is still one at which m is read).  On
+    it every distance line has an even intercept, so g is even wherever its
+    slope is +-2 (elsewhere 0 or +-1), and m is even too, also when pins
+    alone set m = 1/2: g crosses +-m at integers.  The clamp is taken of
+    g + m on [0, 2m], and each breakpoint leaves as a Fraction in lowest
+    terms: x over the grid, y over 2m on it."""
     low = zero_set | pin_low
     high = one_set | pin_high
     if not (zero_set & one_set).is_empty():
@@ -757,25 +869,30 @@ def urysohn(
         return PLFunction.constant(graph, 0)
     if low.is_empty():
         return PLFunction.constant(graph, 1)
-    d_low = distance_to_set(graph, low)
-    d_high = distance_to_set(graph, high)
+    # the four sets, not the two unions: an end the union absorbs is still
+    # an end at which m is read
+    grid = 4 * _denominator_lcm(graph, (zero_set, one_set, pin_low, pin_high))
+    low_dist, d_low = _grid_distances(graph, low, grid)
+    high_dist, d_high = _grid_distances(graph, high, grid)
     bounds = []
     if not zero_set.is_empty():
-        m = d_high.min_over(zero_set)
+        m = min(_values_over(d_high, zero_set, high_dist.__getitem__,
+                             lambda x: _over(x, grid), _on_grid))
         if m <= 0:
             raise PreconditionError("zero set touches the high side")
-        bounds.append(Frac(1, 2) / m)
+        bounds.append(m)
     if not one_set.is_empty():
-        m = d_low.min_over(one_set)
+        m = min(_values_over(d_low, one_set, low_dist.__getitem__,
+                             lambda x: _over(x, grid), _on_grid))
         if m <= 0:
             raise PreconditionError("one set touches the low side")
-        bounds.append(Frac(1, 2) / m)
-    lam, half = max(bounds) if bounds else Frac(1), Frac(1, 2)
-    f = PLFunction(graph, {
-        eid: _bp_clamp(_bp_combine(bp, d_high.per_edge[eid], lambda p, q: lam * (p - q) + half),
-                       ZERO, Frac(1))
-        for eid, bp in d_low.per_edge.items()
-    })
+        bounds.append(m)
+    m = min(bounds) if bounds else grid // 2  # lam = 1 without a mandatory set
+    per_edge = {}
+    for eid, a in d_low.items():
+        g = _bp_combine(a, d_high[eid], lambda p, q: p - q + m, _on_grid)
+        per_edge[eid] = _from_grid(_grid_clamp(g, 0, 2 * m), grid, 2 * m)
+    f = PLFunction(graph, per_edge)
     _urysohn_check(f, zero_set, one_set, pin_low, pin_high)
     return f
 

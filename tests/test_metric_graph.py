@@ -4,18 +4,21 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction as F
+from math import ceil, floor, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crooked import metric_graph, surgery, tower
-from crooked.errors import InputError, PreconditionError, ResourceLimitError, UsageError
+from crooked.errors import (
+    InputError, InvariantViolationError, PreconditionError, ResourceLimitError, UsageError,
+)
 from crooked.folang import Const, conn, constants_of, is_ground, parse
 from crooked.metric_graph import (
-    ClosedSet, Edge, GraphReader, MetricGraph, PLFunction, PLMap, _arrangement, _bp_clamp,
-    _bp_combine, _bp_eval, _bp_min, _bp_simplify, _cell_in_set, cells_closed_set, distance_to_set,
-    dump_graph, dump_json, extract_sublattice, frac, graph_from_dict, graph_to_dict, kappa_map,
-    unit_segment, urysohn,
+    ClosedSet, Edge, GraphReader, MetricGraph, PLFunction, PLMap, _arrangement, _bp_combine,
+    _bp_eval, _bp_simplify, _bp_walk, _cell_in_set, _grid_clamp, _grid_distances, _grid_min,
+    _on_grid, cells_closed_set, distance_to_set, dump_graph, dump_json, extract_sublattice, frac,
+    graph_from_dict, graph_to_dict, kappa_map, unit_segment, urysohn,
 )
 from test_surgery import nudged_triangle_fragment, surgery_rich_fragment
 from test_tower import steered_crooked_tower
@@ -378,6 +381,15 @@ def test_urysohn_pins_on_star():
         assert all(0 <= y <= 1 for _, y in bp)
 
 
+def test_urysohn_from_pins_alone_crosses_on_the_doubled_grid(seg):
+    # with no zero or one set the slope is 1, so d_low - d_high = 2x - 1 is
+    # clamped to [-1/2, 1/2]: it crosses at 1/4 and 3/4, which twice the
+    # lcm (1) of the denominators misses and twice that grid holds
+    none, ends = seg.empty_set(), [seg.point_closed_set([("v", v)]) for v in "ab"]
+    f = urysohn(seg, none, none, *ends)
+    assert f.per_edge["seg"] == ((F(0), F(0)), (F(1, 4), F(0)), (F(3, 4), F(1)), (F(1), F(1)))
+
+
 def test_urysohn_empty_sides(seg):
     none = seg.empty_set()
     f = urysohn(seg, none, none, none, none)
@@ -409,6 +421,24 @@ def test_plfunction_continuity_enforced(theta):
         PLFunction(theta, per_edge)
 
 
+def test_plfunction_rejects_an_empty_breakpoint_list(seg):
+    with pytest.raises(InputError, match="no breakpoints on edge 'seg'"):
+        PLFunction(seg, {"seg": []})
+
+
+def test_plfunction_rejects_an_edge_the_graph_lacks(seg):
+    with pytest.raises(InputError, match="unknown edges"):
+        PLFunction(seg, {"seg": [(F(0), F(0)), (F(1), F(1))], "ghost": [(F(0), F(0))]})
+
+
+def test_distances_refuse_a_target_on_another_graph(seg, theta):
+    other, none = theta.point_closed_set([("v", "x")]), theta.empty_set()
+    with pytest.raises(UsageError):
+        distance_to_set(seg, other)
+    with pytest.raises(UsageError):
+        urysohn(seg, other, theta.point_closed_set([("v", "y")]), none, none)
+
+
 def bp_combine_by_eval(a, b, fn):
     """The pointwise reference for `_bp_combine`: evaluate both lists from
     the start at every x of the union."""
@@ -417,7 +447,7 @@ def bp_combine_by_eval(a, b, fn):
 
 
 def bp_min_by_eval(a, b):
-    """The pointwise reference for `_bp_min`."""
+    """The pointwise reference for `_grid_min` and `bp_min_reference`."""
     xs = sorted({x for x, _ in a} | {x for x, _ in b})
     pts = []
     for x0, x1 in zip(xs, xs[1:]):
@@ -432,13 +462,65 @@ def bp_min_by_eval(a, b):
 
 
 def bp_clamp_by_eval(bp, lo, hi):
-    """The pointwise reference for `_bp_clamp`."""
+    """The pointwise reference for `_grid_clamp` and `bp_clamp_reference`."""
     xs = {x for x, _ in bp}
     for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
         for level in (lo, hi):
             if (y0 - level) * (y1 - level) < 0:
                 xs.add(x0 + (x1 - x0) * (level - y0) / (y1 - y0))
     return _bp_simplify([(x, min(hi, max(lo, _bp_eval(bp, x)))) for x in sorted(xs)])
+
+
+def bp_min_reference(a, b):
+    """The Fraction minimum walk the distances ran before the integer grid,
+    kept as a reference for `_grid_min`."""
+    xs = sorted({x for x, _ in a} | {x for x, _ in b})
+    ya, yb = _bp_walk(a, xs), _bp_walk(b, xs)
+    pts = [(xs[0], min(ya[0], yb[0]))]
+    for k in range(1, len(xs)):
+        d0, d1 = ya[k - 1] - yb[k - 1], ya[k] - yb[k]
+        if (d0 < 0 < d1) or (d1 < 0 < d0):
+            w = d0 / (d0 - d1)
+            pts.append((xs[k - 1] + (xs[k] - xs[k - 1]) * w, ya[k - 1] + (ya[k] - ya[k - 1]) * w))
+        pts.append((xs[k], min(ya[k], yb[k])))
+    return _bp_simplify(pts)
+
+
+def bp_clamp_reference(bp, lo, hi):
+    """The Fraction clamping walk `urysohn` ran before the integer grid,
+    kept as a reference for `_grid_clamp`."""
+    out = [(bp[0][0], min(hi, max(lo, bp[0][1])))]
+    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+        for level in ((lo, hi) if y0 < y1 else (hi, lo)):
+            if (y0 - level) * (y1 - level) < 0:
+                out.append((x0 + (x1 - x0) * (level - y0) / (y1 - y0), level))
+        out.append((x1, min(hi, max(lo, y1))))
+    return _bp_simplify(out)
+
+
+def region_reference(f, level, side):
+    """The Fraction `PLFunction._region` from before the integer form, kept
+    as a reference: every comparison and crossing in Fraction arithmetic."""
+    intervals, whole = {}, []
+    for eid, bp in f.per_edge.items():
+        ok = [y <= level for _, y in bp] if side == "le" else [y >= level for _, y in bp]
+        if all(ok):
+            whole.append(eid)
+            continue
+        pieces = []
+        for (x0, y0), (x1, y1), ok0, ok1 in zip(bp, bp[1:], ok, ok[1:]):
+            if ok0 and ok1:
+                pieces.append((x0, x1))
+            elif ok0 or ok1:
+                xc = x0 + (x1 - x0) * (level - y0) / (y1 - y0)
+                pieces.append((x0, xc) if ok0 else (xc, x1))
+        if pieces:
+            intervals[eid] = pieces
+    return ClosedSet(f.graph, intervals, frozenset(), whole)
+
+
+def as_fractions(bp):
+    return tuple((F(x), F(y)) for x, y in bp)
 
 
 @st.composite
@@ -449,14 +531,62 @@ def breakpoint_lists(draw):
     return tuple((F(x, 12), F(draw(st.integers(-8, 8)), 4)) for x in xs)
 
 
+@st.composite
+def grid_lists(draw, max_slope):
+    """A list of even integers over a random span inside [0, 48] whose
+    pieces have integer slopes of at most `max_slope`, every intercept even:
+    how a distance list (slopes 0 and +-1) or a difference of two (up to
+    +-2) sits on its grid."""
+    xs = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=7)))
+    y = 2 * draw(st.integers(-8, 8))
+    out = [(2 * xs[0], y)]
+    for x0, x1 in zip(xs, xs[1:]):
+        y += draw(st.integers(-max_slope, max_slope)) * 2 * (x1 - x0)
+        out.append((2 * x1, y))
+    return tuple(out)
+
+
 @settings(max_examples=200, deadline=None)
-@given(breakpoint_lists(), breakpoint_lists(), st.integers(-4, 4), st.integers(0, 4))
-def test_breakpoint_merge_walks_match_pointwise_eval(a, b, lo, width):
-    lo, hi = F(lo, 4), F(lo + width, 4)
+@given(breakpoint_lists(), breakpoint_lists(), grid_lists(1), grid_lists(1), grid_lists(2),
+       st.integers(-12, 12), st.integers(0, 12))
+def test_breakpoint_merge_walks_match_pointwise_eval(a, b, ga, gb, gd, lo, width):
     assert _bp_combine(a, b, lambda p, q: p + q) == bp_combine_by_eval(a, b, lambda p, q: p + q)
     assert _bp_combine(a, b, lambda p, q: p - q) == bp_combine_by_eval(a, b, lambda p, q: p - q)
-    assert _bp_min(a, b) == bp_min_by_eval(a, b)
-    assert _bp_clamp(a, lo, hi) == bp_clamp_by_eval(a, lo, hi)
+    # the replaced Fraction walks agree with the pointwise references on any list
+    qlo, qhi = F(lo, 8), F(lo + width, 8)
+    assert bp_min_reference(a, b) == bp_min_by_eval(a, b)
+    assert bp_clamp_reference(a, qlo, qhi) == bp_clamp_by_eval(a, qlo, qhi)
+    # the integer kernels, on lists and levels on their grid, give tuple for
+    # tuple (an int equals its Fraction) what the Fraction walks give
+    fa, fb, fd = map(as_fractions, (ga, gb, gd))
+    assert _grid_min(ga, gb) == bp_min_reference(fa, fb) == bp_min_by_eval(fa, fb)
+    lo, hi = F(2 * lo), F(2 * (lo + width))
+    assert (_grid_clamp(gd, int(lo), int(hi)) == bp_clamp_reference(fd, lo, hi)
+            == bp_clamp_by_eval(fd, lo, hi))
+    xs = sorted({x for x, _ in ga} | {x for x, _ in gb})
+    assert _bp_walk(ga, xs, _on_grid) == _bp_walk(fa, xs)
+    assert (_bp_combine(ga, gb, lambda p, q: p - q, _on_grid)
+            == bp_combine_by_eval(fa, fb, lambda p, q: p - q))
+
+
+def test_grid_kernels_raise_off_the_grid(seg):
+    # a quotient that is not an integer is a fault, never rounded
+    with pytest.raises(InvariantViolationError, match="off the integer grid"):
+        _grid_min(((0, 0), (1, 1)), ((0, 1), (1, 0)))  # they cross at 1/2
+    with pytest.raises(InvariantViolationError, match="off the integer grid"):
+        _grid_clamp(((0, 0), (2, 3)), 0, 1)  # it crosses 1 at 2/3
+    with pytest.raises(InvariantViolationError, match="off the integer grid"):
+        _bp_walk(((0, 0), (2, 1)), [1], _on_grid)
+    # both ends of the segment are at distance 0: the end lines meet at 1/2,
+    # which a grid of odd numerators misses
+    ends = seg.point_closed_set([("v", "a"), ("v", "b")])
+    with pytest.raises(InvariantViolationError, match="off the integer grid"):
+        _grid_distances(seg, ends, 1)
+    assert _grid_distances(seg, ends, 2)[1]["seg"] == ((0, 0), (1, 1), (2, 0))
+    # a target end the grid does not hold is refused on the way in
+    third = ClosedSet(seg, {"seg": [(F(1, 3), F(1, 3))]}, ())
+    with pytest.raises(InvariantViolationError, match="off the integer grid"):
+        _grid_distances(seg, third, 4)
 
 
 @st.composite
@@ -464,7 +594,11 @@ def twelfths_graphs(draw, kinds=("segment", "star", "theta")):
     """A segment, a three-armed star or a three-edged theta graph with edge
     lengths at twelfths up to 2."""
     kind = draw(st.sampled_from(kinds))
-    lengths = [F(draw(st.integers(1, 24)), 12) for _ in range(1 if kind == "segment" else 3)]
+    return graph_of_kind(kind, [F(draw(st.integers(1, 24)), 12)
+                                for _ in range(1 if kind == "segment" else 3)])
+
+
+def graph_of_kind(kind, lengths):
     if kind == "segment":
         return MetricGraph(["a", "b"], [Edge("e0", "a", "b", lengths[0])])
     if kind == "star":
@@ -491,6 +625,55 @@ def distance_targets(draw):
     return graph, ClosedSet(graph, twelfths_pieces(draw, graph), verts)
 
 
+# Primes just above 2**32: a denominator lcm of any two exceeds 2**64.
+PRIMES = (4294967311, 4294967357, 4294967371, 4294967377, 4294967387, 4294967389,
+          4294967459, 4294967477)
+
+
+@st.composite
+def coprime_graphs(draw, kinds=("segment", "star", "theta")):
+    """A graph as `twelfths_graphs` draws it, each edge length over its own
+    prime of `PRIMES` and between 1/8 and 2, with the primes no length took."""
+    kind = draw(st.sampled_from(kinds))
+    primes = list(draw(st.permutations(PRIMES)))
+    lengths = []
+    for _ in range(1 if kind == "segment" else 3):
+        p = primes.pop()
+        lengths.append(F(draw(st.integers(0, 1)) * p + draw(st.integers(p // 8, p - 1)), p))
+    return graph_of_kind(kind, lengths), primes
+
+
+def coprime_inner(e, q):
+    """A point strictly inside edge `e` whose parameter has denominator `q`."""
+    return st.integers(1, int(e.length * q)).filter(lambda m: m % q).map(lambda m: F(m, q))
+
+
+def coprime_pieces(draw, graph, primes):
+    """`twelfths_pieces` with each edge's interior ends over a prime of its
+    own, taken from `primes`; an end may also be one of the edge's ends."""
+    pieces = {}
+    for eid, e in graph.edges.items():
+        q = primes.pop()
+        end = st.one_of(coprime_inner(e, q), st.sampled_from([F(0), e.length]))
+        ticks = sorted(draw(st.sets(end, max_size=4)))
+        pieces[eid] = [(ticks[k], ticks[min(k + 1, len(ticks) - 1)])
+                       for k in range(0, len(ticks), 2)]
+    return pieces
+
+
+def denominator_lcm(graph, *sets):
+    return lcm(*(e.length.denominator for e in graph.edges.values()),
+               *(t.denominator for s in sets for items in s.intervals.values()
+                 for piece in items for t in piece))
+
+
+@st.composite
+def coprime_distance_targets(draw):
+    graph, primes = draw(coprime_graphs())
+    verts = draw(st.sets(st.sampled_from(graph.vertices), max_size=1))
+    return graph, ClosedSet(graph, coprime_pieces(draw, graph, primes), verts)
+
+
 def vertex_distances(graph, target):
     """Each vertex's distance to the target by Bellman-Ford relaxation."""
     inf = sum(e.length for e in graph.edges.values()) + 1
@@ -509,10 +692,21 @@ def vertex_distances(graph, target):
 @settings(max_examples=120, deadline=None)
 @given(distance_targets())
 def test_distance_lists_are_the_end_line_fold(case):
+    assert_end_line_fold(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_distance_targets())
+def test_distance_lists_are_the_end_line_fold_at_coprime_primes(case):
+    graph, target = case
+    assume(denominator_lcm(graph, target) > 2**64)
+    assert_end_line_fold(graph, target)
+
+
+def assert_end_line_fold(graph, target):
     # the canonical lists, not just their values, make the output bytes: the
     # closed-form envelope must give, tuple for tuple, the minimum of the
     # two end lines folded with each target interval
-    graph, target = case
     if target.is_empty():
         return
     f = distance_to_set(graph, target)
@@ -536,19 +730,88 @@ def urysohn_inputs(draw):
     """A segment or star with a zero set, a one set and two pins made of
     disjoint intervals at twelfths."""
     graph = draw(twelfths_graphs(kinds=("segment", "star")))
+    return graph, urysohn_roles(draw, graph, twelfths_pieces(draw, graph))
+
+
+@st.composite
+def coprime_urysohn_inputs(draw):
+    """`urysohn_inputs` with lengths and ends over distinct primes."""
+    graph, primes = draw(coprime_graphs(kinds=("segment", "star")))
+    return graph, urysohn_roles(draw, graph, coprime_pieces(draw, graph, primes))
+
+
+def urysohn_roles(draw, graph, pieces):
     roles: list[dict] = [{}, {}, {}, {}, {}]  # zero, one, low pin, high pin, unused
-    for eid, items in twelfths_pieces(draw, graph).items():
+    for eid, items in pieces.items():
         for piece in items:
             roles[draw(st.integers(0, 4))].setdefault(eid, []).append(piece)
-    return graph, [ClosedSet(graph, role, ()) for role in roles[:4]]
+    return [ClosedSet(graph, role, ()) for role in roles[:4]]
 
 
 @settings(max_examples=120, deadline=None)
 @given(urysohn_inputs())
 def test_urysohn_is_the_clamped_affine_difference(case):
+    assert_clamped_affine_difference(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_urysohn_inputs())
+def test_urysohn_is_the_clamped_affine_difference_at_coprime_primes(case):
+    graph, sets = case
+    assume(denominator_lcm(graph, *sets) > 2**64)
+    assert_clamped_affine_difference(graph, sets)
+
+
+@st.composite
+def overlapping_urysohn_inputs(draw):
+    """A segment or star from `coprime_graphs` with each edge cut at a point
+    of its middle half: the zero set and the low pin are drawn each on its own before
+    the cuts, the one set and the high pin after them, each role's ends over
+    a prime of its own.  So the zero set may overlap or touch the low pin,
+    an end of one absorbed into their union, and the one set the high pin."""
+    graph, primes = draw(coprime_graphs(kinds=("segment", "star")))
+    q = primes.pop()
+    cuts = {eid: F(draw(st.integers(ceil(e.length * q / 4), floor(e.length * q * 3 / 4))
+                        .filter(lambda m: m % q)), q) for eid, e in graph.edges.items()}
+    roles = []
+    for before in (True, False, True, False):  # zero, one, low pin, high pin
+        q = primes.pop()
+        pieces = {}
+        for eid, e in graph.edges.items():
+            lo, hi = (F(0), cuts[eid]) if before else (cuts[eid], e.length)
+            inner = (st.integers(floor(lo * q) + 1, ceil(hi * q) - 1)
+                     .filter(lambda m: m % q).map(lambda m, q=q: F(m, q)))
+            ticks = sorted(draw(st.sets(st.one_of(inner, st.just(lo if before else hi)),
+                                        max_size=4)))
+            pieces[eid] = [(ticks[k], ticks[min(k + 1, len(ticks) - 1)])
+                           for k in range(0, len(ticks), 2)]
+        roles.append(ClosedSet(graph, pieces, ()))
+    return graph, roles
+
+
+@settings(max_examples=120, deadline=None)
+@given(overlapping_urysohn_inputs())
+def test_urysohn_is_the_clamped_affine_difference_with_overlapping_roles(case):
+    assert_clamped_affine_difference(*case)
+
+
+def test_urysohn_grid_holds_an_end_the_union_absorbs(seg):
+    # zero = [0, 1/3] lies partly in the low pin [1/4, 2/5], so 1/3 is no end
+    # of their union; m, taken on zero's own end, is still 1/6 (lam = 3)
+    zero = ClosedSet(seg, {"seg": [(F(0), F(1, 3))]}, ())
+    low = ClosedSet(seg, {"seg": [(F(1, 4), F(2, 5))]}, ())
+    high = ClosedSet(seg, {"seg": [(F(1, 2), F(3, 5))]}, ())
+    one = seg.point_closed_set([("v", "b")])
+    f = urysohn(seg, zero, one, low, high)
+    assert f.per_edge["seg"] == ((F(0), F(0)), (F(1, 3), F(0)), (F(2, 5), F(1, 5)),
+                                 (F(1, 2), F(4, 5)), (F(17, 30), F(1)), (F(1), F(1)))
+    assert_clamped_affine_difference(seg, [zero, one, low, high])
+
+
+def assert_clamped_affine_difference(graph, sets):
     # the fused pass gives, tuple for tuple, the former chain: the difference
     # of the two distances, its affine image and that image clamped to [0, 1]
-    graph, (zero, one, low, high) = case
+    zero, one, low, high = sets
     d_low_set, d_high_set = zero | low, one | high
     if (d_low_set.is_empty() or d_high_set.is_empty() or not (zero & one).is_empty()
             or not (zero & high).is_empty() or not (one & low).is_empty()):
@@ -1033,15 +1296,46 @@ def pl_functions(draw):
     return PLFunction(_HYP_GRAPH, per_edge)
 
 
+@st.composite
+def coprime_pl_functions(draw):
+    """A PL function on a theta graph whose edge lengths, per-edge inner
+    abscissae and values each carry their own prime of `PRIMES`; values
+    come from a pool of five, so flat pieces and levels at vertices are
+    common."""
+    graph, primes = draw(coprime_graphs(kinds=("theta",)))
+    r, s = primes.pop(), primes.pop()
+    value = st.sampled_from([F(0), F(r + 1, r), F(-r - 1, r), F(s - 1, s), F(2 * s + 1, s)])
+    at = {v: draw(value) for v in graph.vertices}
+    per_edge = {}
+    for eid, e in graph.edges.items():
+        q = primes.pop()
+        inner = [(x, draw(value)) for x in sorted(draw(st.sets(coprime_inner(e, q), max_size=4)))]
+        per_edge[eid] = [(F(0), at[e.u]), *inner, (e.length, at[e.v])]
+    return PLFunction(graph, per_edge)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_level_set_matches_point_evaluation(data):
-    f = data.draw(pl_functions())
+    assert_level_set_by_points(data, data.draw(pl_functions()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_set_matches_point_evaluation_at_coprime_primes(data):
+    f = data.draw(coprime_pl_functions())
+    form = f._integer_form()
+    assume(form[1] > 2**64)  # the x grid is, by its three length primes
+    assert_level_set_by_points(data, f)
+    assert f._form is form  # built once, never rebuilt
+
+
+def assert_level_set_by_points(data, f):
     levels = sorted({y for bp in f.per_edge.values() for _, y in bp})
     level = data.draw(st.sampled_from(levels))
     sub, sup = f.sublevel_set(level), f.superlevel_set(level)
     ls = sub & sup
-    probes = [("v", v) for v in _HYP_GRAPH.vertices]
+    probes = [("v", v) for v in f.graph.vertices]
     for eid, bp in f.per_edge.items():
         for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
             probes += [("e", eid, x0), ("e", eid, (x0 + x1) / 2)]
@@ -1057,6 +1351,50 @@ def test_level_set_matches_point_evaluation(data):
                 # PL, so flat iff level at both ends and every breakpoint between
                 assert f.eval(("e", eid, lo)) == f.eval(("e", eid, hi)) == level
                 assert all(y == level for x, y in f.per_edge[eid] if lo < x < hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_regions_match_the_fraction_reference(data):
+    # the integer form cuts every region where the Fraction walk did: at
+    # every breakpoint value, at a level between them, on either grid
+    f = data.draw(st.one_of(pl_functions(), coprime_pl_functions()))
+    values = sorted({y for bp in f.per_edge.values() for _, y in bp})
+    levels = [*values, F(data.draw(st.integers(-9, 9)), 4),
+              (values[0] + values[-1]) / 2, values[0] - 1, values[-1] + 1]
+    for level in levels:
+        for side in ("le", "ge"):
+            assert_same_region(f._region(level, side), region_reference(f, level, side))
+
+
+def assert_same_region(got, want):
+    assert (got.vertices, got.intervals, got.whole) == (want.vertices, want.intervals, want.whole)
+
+
+def test_regions_of_flat_pieces_and_the_gate_valley(seg, theta):
+    # flat pieces lying exactly on the level, one across a vertex of theta
+    flat = PLFunction(theta, {
+        "e1": [(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1))],
+        "e2": [(F(0), F(1, 3)), (F(3, 4), F(0)), (F(3, 2), F(1))],
+        "e3": [(F(0), F(1, 3)), (F(1), F(1, 3)), (F(3, 2), F(1, 3)), (F(2), F(1))],
+    })
+    assert flat.sublevel_set(F(1, 3)).intervals == {
+        "e1": ((F(0), F(1, 2)),), "e2": ((F(0), F(1)),), "e3": ((F(0), F(3, 2)),),
+    }
+    level = flat.sublevel_set(F(1, 3)) & flat.superlevel_set(F(1, 3))
+    assert level.vertices == {"x"} and level.intervals == {
+        "e1": ((F(0), F(1, 2)),), "e2": ((F(1), F(1)),), "e3": ((F(0), F(3, 2)),),
+    }
+    # the valley the acceptance gate and the staircase tests inject
+    valley = PLFunction(seg, {"seg": [(F(0), F(0)), (F(1, 4), F(1)), (F(3, 8), F(2, 5)),
+                                      (F(1, 2), F(1)), (F(1), F(1))]})
+    assert valley.sublevel_set(F(2, 3)).intervals == {
+        "seg": ((F(0), F(1, 6)), (F(23, 72), F(31, 72))),
+    }
+    for f in (flat, valley):
+        for level in (F(0), F(1, 3), F(3, 8), F(2, 5), F(5, 8), F(2, 3), F(1)):
+            for side in ("le", "ge"):
+                assert_same_region(f._region(level, side), region_reference(f, level, side))
 
 
 @settings(max_examples=150, deadline=None)
